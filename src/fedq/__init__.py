@@ -18,7 +18,7 @@ from .bellman import (
     rmse,
     value_iteration,
 )
-from .bounds import BitModel, BoundParams, estimate_alpha_trace, payload_bits, decay_factor, direct_bound, error_feedback_bound
+from .bounds import BitModel, BoundParams, payload_bits, decay_factor, direct_bound, error_feedback_bound
 from .compression import (
     CompressorSpec,
     EfState,
@@ -41,13 +41,12 @@ from .engine import (
     RunResult,
     aggregate,
     local_epoch,
-    payload_entries,
     run_federated,
     run_local_phase,
 )
 from .grids import BUNDLED_MAPS, GridSpec, build_gridworld, load_map, map_path, parse_map
 from .harness import RunManifest, compute_qstar, run_experiment
-from .mdp import NoiseSpec, TabularMDP, sample_next_state, sample_reward, synchronous_sample
+from .mdp import NoiseSpec, TabularMDP, synchronous_sample
 from .rng import RngStream
 
 __version__ = "0.1.0"
@@ -76,7 +75,6 @@ __all__ = [
     "direct_compress",
     "ef_compress",
     "empirical_bellman",
-    "estimate_alpha_trace",
     "exact_bellman",
     "greedy_policy",
     "linf_error",
@@ -86,15 +84,12 @@ __all__ = [
     "pack_payload",
     "parse_map",
     "payload_bits",
-    "payload_entries",
     "unpack_payload",
     "decay_factor",
     "rmse",
     "run_federated",
     "run_experiment",
     "run_local_phase",
-    "sample_next_state",
-    "sample_reward",
     "selection_probabilities",
     "sparsified_k",
     "synchronous_sample",

@@ -14,10 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .compression import IDENTITY, contraction_alpha
-from .errors import ParamOutOfRangeError, ZeroVectorError
+from .compression import IDENTITY
+from .errors import ParamOutOfRangeError
 
 
 @dataclass(frozen=True)
@@ -165,23 +163,3 @@ def payload_bits(kind: str, dimension: int, entries: int, bit_model: BitModel | 
         return dimension * bm.fpp
     return entries * (BitModel.index_bits(dimension) + bm.fpp)
 
-
-def estimate_alpha_trace(vectors, k: int) -> tuple[np.ndarray, list[int]]:
-    """Realized top_k contraction factors along a run.
-
-    Returns the per-round alphas plus the indices of rounds whose
-    pre-compression vector was zero (those are skipped: alpha is
-    undefined there).  The minimum of the returned alphas is the
-    conservative constant to feed :func:`error_feedback_bound`.
-    """
-    vectors = list(vectors)
-    if not vectors:
-        raise ParamOutOfRangeError("trace must be nonempty")
-    alphas: list[float] = []
-    skipped: list[int] = []
-    for i, v in enumerate(vectors):
-        try:
-            alphas.append(contraction_alpha(v, k))
-        except ZeroVectorError:
-            skipped.append(i)
-    return np.asarray(alphas), skipped

@@ -23,27 +23,13 @@ from .errors import FedqError, ParamOutOfRangeError
 from .harness import RunManifest, compute_qstar, run_experiment
 
 
-def _load_manifest(path: str, output_dir: str | None) -> RunManifest:
-    manifest = RunManifest.from_file(path)
-    if output_dir:
-        manifest = dataclasses.replace(manifest, output_dir=output_dir)
-    return manifest
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    manifest = _load_manifest(args.manifest, args.output_dir)
-    if manifest.sweep:
+def _cmd_manifest(args: argparse.Namespace) -> int:
+    manifest = RunManifest.from_file(args.manifest)
+    if args.output_dir:
+        manifest = dataclasses.replace(manifest, output_dir=args.output_dir)
+    if args.command == "run" and manifest.sweep:
         raise ParamOutOfRangeError("manifest declares sweep axes; use 'fedq sweep'")
-    written = run_experiment(manifest, threads=args.threads)
-    for path in written:
-        print(path)
-    return 0
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    manifest = _load_manifest(args.manifest, args.output_dir)
-    written = run_experiment(manifest, threads=args.threads)
-    for path in written:
+    for path in run_experiment(manifest, threads=args.threads):
         print(path)
     return 0
 
@@ -59,12 +45,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fedq", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn in (("run", _cmd_run), ("sweep", _cmd_sweep)):
+    for name in ("run", "sweep"):
         p = sub.add_parser(name, help=f"{name} a manifest")
         p.add_argument("manifest", help="path to a JSON manifest")
         p.add_argument("--threads", type=int, default=1, help="worker threads (results are identical for any value)")
         p.add_argument("--output-dir", default=None, help="override the manifest output directory")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=_cmd_manifest)
 
     p = sub.add_parser("qstar", help="compute and export the fixed-point oracle for a map")
     p.add_argument("map", help="bundled map name or map file path")
@@ -80,7 +66,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParamOutOfRangeError, FileNotFoundError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ParamOutOfRangeError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"fedq: configuration error: {exc}", file=sys.stderr)
         return 2
     except FedqError as exc:

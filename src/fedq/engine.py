@@ -165,11 +165,6 @@ def aggregate(q_bar: np.ndarray, h_list: list[SparseVector], beta: float) -> np.
     return q_bar + (beta / len(h_list)) * acc.reshape(q_bar.shape)
 
 
-def payload_entries(h: SparseVector) -> int:
-    """Number of stored (index, value) pairs in a payload."""
-    return len(h)
-
-
 def run_federated(
     config: ExperimentConfig,
     mdp: TabularMDP,

@@ -33,8 +33,8 @@ class InvalidGammaError(FedqError, ValueError):
     """Discount factor outside the open interval (0, 1)."""
 
 
-class IndexOutOfRangeError(FedqError, IndexError):
-    """State or action index outside the table bounds."""
+class FileFormatError(FedqError, ValueError):
+    """A trace or q* cache file does not have the layout fedq writes."""
 
 
 class ShapeMismatchError(FedqError, ValueError):

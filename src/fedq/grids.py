@@ -163,10 +163,15 @@ def map_path(name: str) -> Path:
         return Path(p)
 
 
-def load_map(name_or_path: str | Path) -> GridSpec:
-    """Load a map by bundled name (e.g. 'map5x5') or by file path."""
+def read_map_text(name_or_path: str | Path) -> str:
+    """Text of a map given by bundled name (e.g. 'map5x5') or by file path."""
     if isinstance(name_or_path, str) and name_or_path in BUNDLED_MAPS:
         path = map_path(name_or_path)
     else:
         path = Path(name_or_path)
-    return parse_map(path.read_text(encoding="utf-8"))
+    return path.read_text(encoding="utf-8")
+
+
+def load_map(name_or_path: str | Path) -> GridSpec:
+    """Load a map by bundled name (e.g. 'map5x5') or by file path."""
+    return parse_map(read_map_text(name_or_path))

@@ -23,28 +23,35 @@ import os
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .bellman import greedy_policy, linf_error, value_iteration, write_policy_csv, write_qtable_csv
 from .bounds import BitModel, BoundParams, direct_bound, error_feedback_bound
-from .compression import IDENTITY, RULE_L1, SPARSIFIED_K, TOP_K, CompressorSpec
-from .engine import DIRECT, ERROR_FEEDBACK, ExperimentConfig, RoundMetrics, RunResult, run_federated
-from .errors import ParamOutOfRangeError
-from .grids import BUNDLED_MAPS, build_gridworld, load_map, map_path
+from .compression import IDENTITY, RULE_L1, SPARSIFIED_K, TOP_K, CompressorSpec, unbiased_constants
+from .engine import DIRECT, ExperimentConfig, RoundMetrics, RunResult, run_federated
+from .errors import FileFormatError, ParamOutOfRangeError
+from .grids import N_ACTIONS, build_gridworld, load_map, parse_map, read_map_text
 from .mdp import NoiseSpec, TabularMDP
 
 OUTPUT_ROOT_ENV = "FEDQ_OUTPUT_ROOT"
 
 _SWEEP_AXES = ("eta", "beta", "agents", "local_epochs", "k", "compressor", "mode")
 
-_MANIFEST_KEYS = {
-    "map", "gamma", "noise_std", "noise_clip", "agents", "local_epochs", "rounds",
-    "eta", "beta", "compressor", "k", "probability_rule", "mode", "master_seed",
-    "n_seeds", "q0", "output_dir", "fpp", "qstar_tol", "delta", "sweep", "max_runs",
+# JSON values accepted for each RunManifest field annotation.  Booleans are
+# rejected separately: JSON true/false would otherwise pass as an int.
+_JSON_TYPES = {
+    "int": (int,),
+    "float": (int, float),
+    "str": (str,),
+    "str | None": (str, type(None)),
+    "dict": (dict,),
 }
+
+QSTAR_CACHE_FORMAT = "qstar_v1"
+TRACE_HEADER = "round,rmse,linf_error,bits_round,bits_cumulative,payload_entries"
 
 
 @dataclass(frozen=True)
@@ -73,17 +80,25 @@ class RunManifest:
     max_runs: int = 512
 
     def __post_init__(self) -> None:
+        for name, types in _FIELD_TYPES.items():
+            _check_type(name, getattr(self, name), types)
+        for axis, values in self.sweep.items():
+            if axis not in _SWEEP_AXES:
+                raise ParamOutOfRangeError(f"unknown sweep axis {axis!r}; allowed: {_SWEEP_AXES}")
+            if not isinstance(values, (list, tuple)) or not values:
+                raise ParamOutOfRangeError(f"sweep axis {axis!r} must be a non-empty list, got {values!r}")
+            for value in values:
+                _check_type(f"sweep.{axis}", value, _FIELD_TYPES[axis])
         if self.n_seeds < 1:
             raise ParamOutOfRangeError("n_seeds must be >= 1")
         if self.qstar_tol <= 0:
             raise ParamOutOfRangeError("qstar_tol must be positive")
-        for axis in self.sweep:
-            if axis not in _SWEEP_AXES:
-                raise ParamOutOfRangeError(f"unknown sweep axis {axis!r}; allowed: {_SWEEP_AXES}")
 
     @staticmethod
     def from_mapping(data: dict) -> "RunManifest":
-        unknown = set(data) - _MANIFEST_KEYS
+        if not isinstance(data, dict):
+            raise ParamOutOfRangeError(f"manifest must be a JSON object, got {type(data).__name__}")
+        unknown = set(data) - set(_FIELD_TYPES)
         if unknown:
             raise ParamOutOfRangeError(f"unknown manifest keys: {sorted(unknown)}")
         if "map" not in data or "rounds" not in data:
@@ -96,6 +111,15 @@ class RunManifest:
             return RunManifest.from_mapping(json.load(fh))
 
 
+_FIELD_TYPES = {f.name: _JSON_TYPES[f.type] for f in fields(RunManifest)}
+
+
+def _check_type(key: str, value, types: tuple[type, ...]) -> None:
+    if isinstance(value, bool) or not isinstance(value, types):
+        expected = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+        raise ParamOutOfRangeError(f"manifest key {key!r} must be {expected}, got {value!r}")
+
+
 def _fmt(x) -> str:
     if isinstance(x, float):
         return repr(x)
@@ -103,7 +127,7 @@ def _fmt(x) -> str:
 
 
 def _map_name(map_ref: str) -> str:
-    return map_ref if map_ref in BUNDLED_MAPS else Path(map_ref).stem
+    return Path(map_ref).stem
 
 
 def grid_slug(manifest: RunManifest, point: dict, seed: int) -> str:
@@ -166,11 +190,6 @@ def load_environment(manifest: RunManifest) -> TabularMDP:
 # Fixed-point oracle cache
 
 
-def _map_text(map_ref: str) -> str:
-    path = map_path(map_ref) if map_ref in BUNDLED_MAPS else Path(map_ref)
-    return path.read_text(encoding="utf-8")
-
-
 def _atomic_save(path: Path, array: np.ndarray) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
@@ -183,17 +202,31 @@ def _atomic_save(path: Path, array: np.ndarray) -> None:
             os.unlink(tmp)
 
 
+def _load_qstar(path: Path, shape: tuple[int, int]) -> np.ndarray:
+    try:
+        q_star = np.load(path)
+    except (ValueError, EOFError) as exc:
+        raise FileFormatError(f"q* cache file {path} is not a readable .npy array: {exc}") from exc
+    if q_star.shape != shape or q_star.dtype != np.float64:
+        raise FileFormatError(
+            f"q* cache file {path} holds a {q_star.dtype} array of shape {q_star.shape}; "
+            f"the map needs float64 of shape {shape}"
+        )
+    return q_star
+
+
 def cached_qstar(map_ref: str, gamma: float, tol: float, cache_dir: Path) -> np.ndarray:
-    """Fixed point of the exact operator, cached by (map hash, gamma, tol)."""
+    """Fixed point of the exact operator, cached by (format, map hash, gamma, tol)."""
     if tol <= 0:
         raise ParamOutOfRangeError("tol must be positive")
-    digest = hashlib.sha256(_map_text(map_ref).encode()).hexdigest()[:16]
-    key = f"qstar_{digest}_g{repr(float(gamma))}_t{repr(float(tol))}.npy"
+    text = read_map_text(map_ref)
+    grid = parse_map(text)
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    key = f"{QSTAR_CACHE_FORMAT}_{digest}_g{repr(float(gamma))}_t{repr(float(tol))}.npy"
     path = cache_dir / key
     if path.exists():
-        return np.load(path)
-    mdp = build_gridworld(load_map(map_ref), gamma=gamma)
-    q_star = value_iteration(mdp, tol=tol)
+        return _load_qstar(path, (grid.n_states, N_ACTIONS))
+    q_star = value_iteration(build_gridworld(grid, gamma=gamma), tol=tol)
     _atomic_save(path, q_star)
     return q_star
 
@@ -216,7 +249,7 @@ def compute_qstar(map_ref: str, gamma: float, tol: float, out_dir: str | Path) -
 
 
 def write_trace_csv(path: Path, metrics: list[RoundMetrics]) -> None:
-    lines = ["round,rmse,linf_error,bits_round,bits_cumulative,payload_entries"]
+    lines = [TRACE_HEADER]
     for m in metrics:
         lines.append(
             f"{m.round},{repr(m.rmse)},{repr(m.linf_error)},"
@@ -228,47 +261,47 @@ def write_trace_csv(path: Path, metrics: list[RoundMetrics]) -> None:
 def read_trace_csv(path: str | Path) -> list[RoundMetrics]:
     rows = []
     with open(path) as fh:
-        header = fh.readline()
-        assert header.strip() == "round,rmse,linf_error,bits_round,bits_cumulative,payload_entries"
-        for line in fh:
-            r, rm, li, br, bc, pe = line.strip().split(",")
+        header = fh.readline().strip()
+        if header != TRACE_HEADER:
+            raise FileFormatError(f"{path}: trace header must be {TRACE_HEADER!r}, got {header!r}")
+        for lineno, line in enumerate(fh, start=2):
+            cells = line.strip().split(",")
+            if len(cells) != 6:
+                raise FileFormatError(f"{path}:{lineno}: trace row needs 6 fields, got {len(cells)}")
+            r, rm, li, br, bc, pe = cells
             rows.append(RoundMetrics(int(r), float(rm), float(li), float(br), float(bc), int(pe)))
     return rows
 
 
 def _bound_params_for(
-    manifest: RunManifest, point: dict, mdp: TabularMDP, result: RunResult, q0_gap: float, rounds: int
+    config: ExperimentConfig, delta: float, mdp: TabularMDP, result: RunResult, q0_gap: float, rounds: int
 ) -> tuple[str, BoundParams] | None:
     """Pick the applicable bound for the run's operator/mode pairing.
 
     Returns None for pairings outside the analyzed ones (e.g. direct
     top_k), in which case the overlay carries NaNs.
     """
-    mode = point["mode"]
-    if mode is None:
-        mode = ERROR_FEEDBACK if point["compressor"] == TOP_K else DIRECT
     common = dict(
-        beta=point["beta"],
-        eta=point["eta"],
-        gamma=manifest.gamma,
-        local_epochs=point["local_epochs"],
+        beta=config.beta,
+        eta=config.eta,
+        gamma=config.gamma,
+        local_epochs=config.local_epochs,
         rounds=rounds,
-        n_agents=point["agents"],
-        delta=manifest.delta,
+        n_agents=config.n_agents,
+        delta=delta,
         n_states=mdp.n_states,
         n_actions=mdp.n_actions,
         q0_gap=q0_gap,
     )
-    kind = point["compressor"]
-    if mode == DIRECT:
+    kind = config.compressor.kind
+    if config.resolved_mode() == DIRECT:
         if kind == IDENTITY:
             return "direct", BoundParams(**common, q2=0.0, q_inf=0.0)
         if kind == SPARSIFIED_K:
-            p_min = result.p_support_min
-            if p_min is None or p_min <= 0:
+            if result.p_support_min is None:
                 return None
-            q2 = 1.0 / p_min - 1.0
-            return "direct", BoundParams(**common, q2=q2, q_inf=max(q2, 1.0))
+            q2, q_inf = unbiased_constants([result.p_support_min])
+            return "direct", BoundParams(**common, q2=q2, q_inf=q_inf)
         return None
     if kind == IDENTITY:
         return "error_feedback", BoundParams(**common, alpha=1.0)
@@ -282,8 +315,8 @@ def _bound_params_for(
 
 def write_overlay_csv(
     path: Path,
-    manifest: RunManifest,
-    point: dict,
+    config: ExperimentConfig,
+    delta: float,
     mdp: TabularMDP,
     result: RunResult,
     q0_gap: float,
@@ -291,7 +324,7 @@ def write_overlay_csv(
     lines = ["round,empirical_linf,theory_bound"]
     evaluator = {"direct": direct_bound, "error_feedback": error_feedback_bound}
     for m in result.metrics[1:]:
-        picked = _bound_params_for(manifest, point, mdp, result, q0_gap, m.round)
+        picked = _bound_params_for(config, delta, mdp, result, q0_gap, m.round)
         if picked is None:
             bound = float("nan")
         else:
@@ -354,7 +387,7 @@ def _execute_task(
     q0_gap = linf_error(np.full(q_star.shape, manifest.q0), q_star)
     try:
         write_trace_csv(trace_path, result.metrics)
-        write_overlay_csv(overlay_path, manifest, point, mdp, result, q0_gap)
+        write_overlay_csv(overlay_path, config, manifest.delta, mdp, result, q0_gap)
         last = result.metrics[-1]
         summary = {
             "slug": slug,

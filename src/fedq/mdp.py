@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IndexOutOfRangeError, InvalidGammaError, ParamOutOfRangeError
+from .errors import InvalidGammaError, ParamOutOfRangeError
 from .rng import as_generator
 
 _ROW_SUM_TOL = 1e-12
@@ -101,35 +101,6 @@ class TabularMDP:
     def table_size(self) -> int:
         """Flat dimension of a Q-table on this MDP: S * A."""
         return self.n_states * self.n_actions
-
-    def _check_indices(self, s: int, a: int) -> None:
-        if not (0 <= s < self.n_states and 0 <= a < self.n_actions):
-            raise IndexOutOfRangeError(
-                f"(s={s}, a={a}) outside {self.n_states} states x {self.n_actions} actions"
-            )
-
-
-def sample_next_state(mdp: TabularMDP, s: int, a: int, rng) -> int:
-    """Draw one successor state for (s, a); consumes exactly one uniform."""
-    mdp._check_indices(s, a)
-    gen = as_generator(rng)
-    u = gen.random()
-    return int(np.searchsorted(mdp._cum[s, a], u, side="right"))
-
-
-def sample_reward(mdp: TabularMDP, s: int, a: int, rng) -> float:
-    """Draw one noisy reward for (s, a).
-
-    Returns ``reward_mean(s, a) + clip(g, -clip, +clip)`` with
-    ``g ~ N(0, std^2)``; skips the Gaussian draw when std is zero.
-    """
-    mdp._check_indices(s, a)
-    if mdp.noise.std == 0.0:
-        return float(mdp.reward_mean[s, a])
-    gen = as_generator(rng)
-    g = gen.normal(0.0, mdp.noise.std)
-    g = min(max(g, -mdp.noise.clip), mdp.noise.clip)
-    return float(mdp.reward_mean[s, a] + g)
 
 
 def synchronous_sample(mdp: TabularMDP, rng) -> tuple[np.ndarray, np.ndarray]:

@@ -195,6 +195,22 @@ def test_criterion_04_oracle_correctness():
 # 5. Compression trend (final-error ordering across operators)
 
 
+@pytest.fixture(scope="module")
+def zero_noise_finals(map5x5_mdp, map5x5_qstar):
+    """Final RMSEs of the zero-noise literal runs, plus their wall time."""
+    started = time.perf_counter()
+    final_identity = run_cfg(map5x5_mdp, map5x5_qstar, agents=20, rounds=2000,
+                             eta=0.05, beta=0.8).metrics[-1].rmse
+    final_top5 = run_cfg(map5x5_mdp, map5x5_qstar, compressor="top_k", k=5,
+                         agents=20, rounds=2000, eta=0.05, beta=0.8).metrics[-1].rmse
+    finals_sp = [
+        run_cfg(map5x5_mdp, map5x5_qstar, compressor="sparsified_k", k=5,
+                seed=seed, agents=20, rounds=2000, eta=0.05, beta=0.8).metrics[-1].rmse
+        for seed in range(10)
+    ]
+    return final_identity, final_top5, finals_sp, time.perf_counter() - started
+
+
 @pytest.mark.xfail(
     strict=True,
     reason=(
@@ -206,22 +222,20 @@ def test_criterion_04_oracle_correctness():
         "reward noise the experiments actually use."
     ),
 )
-def test_criterion_05_trend_zero_noise_literal(map5x5_mdp, map5x5_qstar):
-    started = time.perf_counter()
-    final_identity = run_cfg(map5x5_mdp, map5x5_qstar, agents=20, rounds=2000,
-                             eta=0.05, beta=0.8).metrics[-1].rmse
-    final_top5 = run_cfg(map5x5_mdp, map5x5_qstar, compressor="top_k", k=5,
-                         agents=20, rounds=2000, eta=0.05, beta=0.8).metrics[-1].rmse
-    passes = 0
-    for seed in range(10):
-        final_sp = run_cfg(map5x5_mdp, map5x5_qstar, compressor="sparsified_k", k=5,
-                           seed=seed, agents=20, rounds=2000, eta=0.05, beta=0.8).metrics[-1].rmse
-        if final_identity <= final_top5 <= 1.5 * final_identity and final_sp > final_top5:
-            passes += 1
-    elapsed = time.perf_counter() - started
+def test_criterion_05_trend_zero_noise_literal(zero_noise_finals):
+    final_identity, final_top5, finals_sp, _ = zero_noise_finals
+    passes = sum(
+        final_identity <= final_top5 <= 1.5 * final_identity and final_sp > final_top5
+        for final_sp in finals_sp
+    )
     report(5, "zero-noise final ordering identity <= top-5 <= 1.5x identity < sparsified-5",
-           passes >= 8 and elapsed < 120.0,
-           f"({passes}/10 seeds, id={final_identity:.2e}, t5={final_top5:.2e}, {elapsed:.0f}s)")
+           passes >= 8,
+           f"({passes}/10 seeds, id={final_identity:.2e}, t5={final_top5:.2e})")
+
+
+def test_criterion_05_zero_noise_literal_time(zero_noise_finals):
+    elapsed = zero_noise_finals[-1]
+    report(5, "zero-noise literal runs finish within 120 s", elapsed < 120.0, f"({elapsed:.0f}s)")
 
 
 def test_criterion_05_companion_trend_with_reward_noise(map5x5_noisy, map5x5_qstar):

@@ -156,28 +156,37 @@ class TestPayloadBits:
 
 
 class TestAlphaTrace:
+    """The run's alpha_min, the top_k constant the error-feedback bound is fed."""
+
+    @staticmethod
+    def top_k_run(mdp, k, rounds=3):
+        cfg = fedq.ExperimentConfig(
+            n_agents=1, local_epochs=1, rounds=rounds, eta=0.5, beta=1.0, gamma=mdp.gamma,
+            compressor=fedq.CompressorSpec("top_k", k=k), master_seed=0,
+        )
+        return fedq.run_federated(cfg, mdp, fedq.value_iteration(mdp, tol=1e-12))
+
     def test_full_budget_everywhere(self):
-        alphas, skipped = fedq.estimate_alpha_trace([np.array([1.0, 2.0])] * 4, k=2)
-        assert np.all(alphas == 1.0)
-        assert skipped == []
+        mdp = fedq.build_gridworld(fedq.parse_map("G."), gamma=0.8)
+        assert self.top_k_run(mdp, k=mdp.table_size).alpha_min == 1.0
 
     def test_tied_vector_flags_zero(self):
-        alphas, _ = fedq.estimate_alpha_trace([np.array([5.0, 5.0])] * 3, k=1)
-        assert np.all(alphas == 0.0)
+        # the first upload is eta * rewards: three wall bumps tie at -eta
+        mdp = fedq.build_gridworld(fedq.parse_map("G."), gamma=0.8)
+        assert self.top_k_run(mdp, k=1).alpha_min == 0.0
 
     def test_synthetic_value(self):
-        alphas, _ = fedq.estimate_alpha_trace([np.array([3.0, -5.0, 2.0])], k=1)
-        assert alphas[0] == pytest.approx(0.4, abs=1e-15)
+        # one self-looping state; the first upload is eta * [0.6, -1.0, 0.4]
+        mdp = fedq.TabularMDP(np.ones((1, 3, 1)), np.array([[0.6, -1.0, 0.4]]), gamma=0.8)
+        assert self.top_k_run(mdp, k=1, rounds=1).alpha_min == pytest.approx(0.4, abs=1e-15)
 
     def test_zero_rounds_skipped_and_reported(self):
-        trace = [np.array([1.0, 0.0]), np.zeros(2), np.array([0.0, 2.0])]
-        alphas, skipped = fedq.estimate_alpha_trace(trace, k=1)
-        assert skipped == [1]
-        assert len(alphas) == 2
-
-    def test_empty_trace_rejected(self):
-        with pytest.raises(ParamOutOfRangeError):
-            fedq.estimate_alpha_trace([], k=1)
+        # zero rewards from the zero table: every upload is the zero vector,
+        # alpha is undefined in every round, and the run reports None
+        mdp = fedq.TabularMDP(np.ones((1, 2, 1)), np.zeros((1, 2)), gamma=0.8)
+        result = self.top_k_run(mdp, k=1)
+        assert result.alpha_min is None
+        assert all(m.payload_entries == 0 for m in result.metrics)
 
 
 class TestBoundCeilingOnRuns:

@@ -233,19 +233,19 @@ class TestRunFederated:
 
 class TestPayloadEntries:
     def test_empty(self):
-        assert fedq.payload_entries(fedq.SparseVector(4, np.array([], dtype=np.int64), np.array([]))) == 0
+        assert len(fedq.SparseVector(4, np.array([], dtype=np.int64), np.array([]))) == 0
 
     def test_topk_exact_budget(self):
         rng = np.random.default_rng(2)
         v = rng.normal(size=30)
-        assert fedq.payload_entries(fedq.top_k(v, 6)) == 6
+        assert len(fedq.top_k(v, 6)) == 6
 
     def test_sparsified_expected_count(self):
         v = np.array([4.0, -2.0, 1.0, 0.5, 0.25])
         k, n = 2, 10_000
         p = fedq.selection_probabilities(v, k)
         gen = fedq.RngStream(3).generator()
-        counts = [fedq.payload_entries(fedq.sparsified_k(v, k, gen)) for _ in range(n)]
+        counts = [len(fedq.sparsified_k(v, k, gen)) for _ in range(n)]
         expected = p.sum()
         sigma = np.sqrt(np.sum(p * (1 - p)) / n)
         assert expected <= k

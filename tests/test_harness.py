@@ -5,7 +5,7 @@ import pytest
 
 import fedq
 from fedq.cli import main as cli_main
-from fedq.errors import ParamOutOfRangeError
+from fedq.errors import FileFormatError, ParamOutOfRangeError
 from fedq.harness import RunManifest, expand_grid, read_trace_csv, run_experiment
 
 
@@ -39,6 +39,24 @@ class TestManifest:
     def test_unknown_sweep_axis(self):
         with pytest.raises(ParamOutOfRangeError):
             RunManifest.from_mapping({"map": "map5x5", "rounds": 3, "sweep": {"zeta": [1]}})
+
+    @pytest.mark.parametrize("overrides", [
+        {"agents": True},
+        {"eta": "0.1"},
+        {"rounds": 10.0},
+        {"mode": 1},
+        {"sweep": {"eta": 0.1}},
+        {"sweep": {"eta": []}},
+        {"sweep": {"k": [4, "16"]}},
+        {"sweep": {"mode": [None, False]}},
+    ])
+    def test_field_types_checked(self, overrides):
+        with pytest.raises(ParamOutOfRangeError, match=next(iter(overrides))):
+            RunManifest.from_mapping({"map": "map5x5", "rounds": 3, **overrides})
+
+    def test_top_level_must_be_object(self):
+        with pytest.raises(ParamOutOfRangeError):
+            RunManifest.from_mapping(["map5x5", 3])
 
     def test_grid_expansion(self, tmp_path):
         manifest = small_manifest(tmp_path, sweep={"eta": [0.1, 0.2], "k": [5, 10, 20]})
@@ -143,6 +161,21 @@ class TestRunExperiment:
         assert all(str(p).startswith(str(tmp_path / "envroot")) for p in written)
 
 
+class TestReadTrace:
+    def test_wrong_header(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("round,rmse\n0,1.0\n")
+        with pytest.raises(FileFormatError, match="header"):
+            read_trace_csv(path)
+
+    @pytest.mark.parametrize("row", ["0,1.0,1.0,0.0,0.0", "0,1.0,1.0,0.0,0.0,0,7"])
+    def test_row_needs_six_fields(self, tmp_path, row):
+        path = tmp_path / "t.csv"
+        path.write_text(fedq.harness.TRACE_HEADER + "\n" + row + "\n")
+        with pytest.raises(FileFormatError, match=":2:"):
+            read_trace_csv(path)
+
+
 class TestQstar:
     def test_compute_writes_oracle_and_policy(self, tmp_path):
         q_path, p_path = fedq.compute_qstar("map5x5", 0.8, 1e-10, tmp_path)
@@ -165,6 +198,22 @@ class TestQstar:
         stamp = cache[0].stat().st_mtime_ns
         fedq.compute_qstar("map5x5", 0.8, 1e-10, tmp_path)
         assert cache[0].stat().st_mtime_ns == stamp
+
+    @pytest.mark.parametrize("bad", [np.zeros((3, 4)), np.zeros((25, 4), dtype=np.float32)])
+    def test_cached_array_checked_against_map(self, tmp_path, bad):
+        fedq.compute_qstar("map5x5", 0.8, 1e-10, tmp_path)
+        (cache,) = (tmp_path / "qstar_cache").glob("*.npy")
+        assert cache.name.startswith(fedq.harness.QSTAR_CACHE_FORMAT + "_")
+        np.save(cache, bad)
+        with pytest.raises(FileFormatError, match=cache.name):
+            fedq.compute_qstar("map5x5", 0.8, 1e-10, tmp_path)
+
+    def test_unreadable_cache_file(self, tmp_path):
+        fedq.compute_qstar("map5x5", 0.8, 1e-10, tmp_path)
+        (cache,) = (tmp_path / "qstar_cache").glob("*.npy")
+        cache.write_bytes(b"not an array")
+        with pytest.raises(FileFormatError, match=cache.name):
+            fedq.compute_qstar("map5x5", 0.8, 1e-10, tmp_path)
 
     def test_bad_tol_rejected(self, tmp_path):
         with pytest.raises(ParamOutOfRangeError):
@@ -206,6 +255,30 @@ class TestCli:
         path = tmp_path / "broken.json"
         path.write_text("{nope")
         assert cli_main(["run", str(path)]) == 2
+
+    @pytest.mark.parametrize("overrides", [
+        {"agents": True},
+        {"eta": "0.1"},
+        {"sweep": {"eta": 0.1}},
+    ])
+    def test_mistyped_manifest_exits_2_without_outputs(self, tmp_path, overrides):
+        path = self._write_manifest(tmp_path, **overrides)
+        assert cli_main(["sweep", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_top_level_array_exits_2(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text("[]")
+        assert cli_main(["sweep", str(path)]) == 2
+
+    def test_internal_type_error_propagates(self, tmp_path, monkeypatch):
+        def broken(manifest, threads=1):
+            raise TypeError("internal bug")
+
+        monkeypatch.setattr(fedq.cli, "run_experiment", broken)
+        path = self._write_manifest(tmp_path)
+        with pytest.raises(TypeError, match="internal bug"):
+            cli_main(["run", str(path)])
 
     def test_qstar_subcommand(self, tmp_path):
         code = cli_main(["qstar", "map5x5", "--gamma", "0.8", "--output-dir", str(tmp_path)])

@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 import fedq
-from fedq.errors import IndexOutOfRangeError, ParamOutOfRangeError
+from fedq.errors import ParamOutOfRangeError
 from tests.conftest import random_mdp
 
 
@@ -44,34 +44,30 @@ class TestValidation:
 
 
 class TestSampleNextState:
+    """The next-state half of synchronous_sample."""
+
     def test_deterministic_kernel(self):
         mdp = fedq.build_gridworld(fedq.parse_map("G."), gamma=0.8)
         rng = fedq.RngStream(7).generator()
         for _ in range(20):
-            assert fedq.sample_next_state(mdp, 1, 2, rng) == 0  # left into the goal
+            next_states, _ = fedq.synchronous_sample(mdp, rng)
+            assert next_states[1, 2] == 0  # left into the goal
 
     def test_consumes_exactly_one_draw(self):
+        # one uniform per (s, a) pair and, without noise, nothing else
         mdp = two_state_mdp()
         stream = fedq.RngStream(3, (1, 2))
         raw = stream.generator().random(3)
         gen = stream.generator()
-        fedq.sample_next_state(mdp, 0, 0, gen)
-        # the next uniform the caller sees is the second of the raw stream
-        assert gen.random() == raw[1]
-
-    def test_bounds_check(self):
-        mdp = two_state_mdp()
-        with pytest.raises(IndexOutOfRangeError):
-            fedq.sample_next_state(mdp, 0, 1, fedq.RngStream(0).generator())
-        with pytest.raises(IndexOutOfRangeError):
-            fedq.sample_next_state(mdp, 2, 0, fedq.RngStream(0).generator())
+        fedq.synchronous_sample(mdp, gen)
+        assert gen.random() == raw[2]
 
     def test_monte_carlo_frequency_matches_kernel(self):
         # empirical frequency of s'=1 under P = [0.3, 0.7]
         mdp = two_state_mdp()
         gen = fedq.RngStream(42).generator()
         n = 100_000
-        hits = sum(fedq.sample_next_state(mdp, 0, 0, gen) for _ in range(n))
+        hits = sum(int(fedq.synchronous_sample(mdp, gen)[0][0, 0]) for _ in range(n))
         freq = hits / n
         assert abs(freq - 0.7) <= 3.0 * np.sqrt(0.21 / n)
 
@@ -82,32 +78,33 @@ class _StubRng:
     def __init__(self, normal_value):
         self._normal = normal_value
 
-    def normal(self, loc, scale, size=None):
-        if size is None:
-            return self._normal
+    def normal(self, loc, scale, size):
         return np.full(size, self._normal)
 
-    def random(self, size=None):
-        return np.zeros(size) if size is not None else 0.0
+    def random(self, size):
+        return np.zeros(size)
 
 
 class TestSampleReward:
+    """The reward half of synchronous_sample."""
+
     def test_zero_std_is_exact(self):
         mdp = fedq.build_gridworld(fedq.parse_map("G."), gamma=0.8)
-        assert fedq.sample_reward(mdp, 1, 2, fedq.RngStream(0).generator()) == 1.0
+        _, rewards = fedq.synchronous_sample(mdp, fedq.RngStream(0).generator())
+        assert rewards[1, 2] == 1.0
 
     def test_large_draw_clips_at_threshold(self):
         grid = fedq.parse_map("G.")
         mdp = fedq.build_gridworld(grid, noise=fedq.NoiseSpec(std=0.5, clip=0.5), gamma=0.8)
-        assert fedq.sample_reward(mdp, 1, 2, _StubRng(0.9)) == 1.0 + 0.5
-        assert fedq.sample_reward(mdp, 1, 2, _StubRng(-3.0)) == 1.0 - 0.5
+        assert fedq.synchronous_sample(mdp, _StubRng(0.9))[1][1, 2] == 1.0 + 0.5
+        assert fedq.synchronous_sample(mdp, _StubRng(-3.0))[1][1, 2] == 1.0 - 0.5
 
     def test_samples_stay_in_clip_band_and_mean_is_unbiased(self):
         noise = fedq.NoiseSpec(std=0.5, clip=0.5)
         mdp = fedq.build_gridworld(fedq.parse_map("G."), noise=noise, gamma=0.8)
         gen = fedq.RngStream(11).generator()
         n = 100_000
-        draws = np.array([fedq.sample_reward(mdp, 1, 2, gen) for _ in range(n)])
+        draws = np.array([fedq.synchronous_sample(mdp, gen)[1][1, 2] for _ in range(n)])
         assert np.all(np.abs(draws - 1.0) <= noise.clip)
         # clipping is symmetric about 0 so the clipped noise has mean 0
         assert abs(draws.mean() - 1.0) <= 3.0 * noise.std / np.sqrt(n)
@@ -163,8 +160,8 @@ class TestStreamIndependence:
         cells = np.zeros((2, 2))
         root = fedq.RngStream(123)
         for t in range(n):
-            a0 = fedq.sample_next_state(mdp, 0, 0, root.child(0, t).generator())
-            a1 = fedq.sample_next_state(mdp, 0, 0, root.child(1, t).generator())
+            a0 = fedq.synchronous_sample(mdp, root.child(0, t).generator())[0][0, 0]
+            a1 = fedq.synchronous_sample(mdp, root.child(1, t).generator())[0][0, 0]
             cells[a0, a1] += 1
         statistic = float(((cells - n / 4) ** 2 / (n / 4)).sum())
         critical = stats.chi2.ppf(0.99, df=3)
