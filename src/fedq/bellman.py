@@ -2,7 +2,7 @@
 error metrics used to score learned Q-tables.
 
 A Q-table is a plain float64 array of shape (S, A).  The exact operator
-takes the expectation over the stored kernel; the empirical operator
+takes the expectation over the MDP's successor table; the empirical operator
 plugs in one sampled next state and one sampled reward per (s, a) and is
 an unbiased single-sample estimate of the exact one.
 """
@@ -32,7 +32,8 @@ def exact_bellman(mdp: TabularMDP, q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64)
     _check_shape(q, mdp)
     v = q.max(axis=1)
-    return mdp.reward_mean + mdp.gamma * (mdp.transition @ v)
+    expected = (mdp.succ_p * v[mdp.succ]).sum(axis=1).reshape(q.shape)
+    return mdp.reward_mean + mdp.gamma * expected
 
 
 def empirical_bellman(

@@ -9,8 +9,10 @@ Subcommands::
 ``run`` executes a single-point manifest (it refuses manifests that
 declare sweep axes); ``sweep`` expands the axes into a grid.  The output
 root falls back to the FEDQ_OUTPUT_ROOT environment variable and then to
-``./runs``.  Exit codes: 0 success, 2 configuration error, 1 runtime
-error.
+``./runs``.  Exit codes: 0 success, 1 runtime error, 2 configuration
+error: a manifest or map that is missing, unreadable or malformed, or a
+parameter out of range.  Configuration errors are found before any
+output is written.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ import dataclasses
 import json
 import sys
 
-from .errors import FedqError, ParamOutOfRangeError
+from .errors import FedqError, MapFormatError, ParamOutOfRangeError
 from .harness import RunManifest, compute_qstar, run_experiment
 
 
@@ -66,7 +68,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParamOutOfRangeError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ParamOutOfRangeError, MapFormatError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"fedq: configuration error: {exc}", file=sys.stderr)
         return 2
     except FedqError as exc:

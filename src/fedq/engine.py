@@ -83,6 +83,22 @@ class ExperimentConfig:
     def resolved_mode(self) -> str:
         return self.mode if self.mode is not None else _DEFAULT_MODE[self.compressor.kind]
 
+    def check_against(self, mdp: TabularMDP) -> None:
+        """Check the ranges that depend on the MDP: gamma, |q0| and the budget k."""
+        if self.gamma != mdp.gamma:
+            raise ParamOutOfRangeError(
+                f"config gamma {self.gamma} differs from MDP gamma {mdp.gamma}"
+            )
+        q0_bound = mdp.r_max / (1.0 - self.gamma)
+        if abs(self.q0) > q0_bound:
+            raise ParamOutOfRangeError(
+                f"|q0| must be <= r_max/(1-gamma) = {q0_bound}, got {self.q0}"
+            )
+        if self.compressor.kind != IDENTITY and self.compressor.k > mdp.table_size:
+            raise ParamOutOfRangeError(
+                f"budget k={self.compressor.k} exceeds the table size d={mdp.table_size}"
+            )
+
 
 @dataclass(frozen=True)
 class RoundMetrics:
@@ -182,15 +198,7 @@ def run_federated(
     """
     if q_star.shape != (mdp.n_states, mdp.n_actions):
         raise ShapeMismatchError("q_star shape does not match the MDP")
-    if config.gamma != mdp.gamma:
-        raise ParamOutOfRangeError(
-            f"config gamma {config.gamma} differs from MDP gamma {mdp.gamma}"
-        )
-    q0_bound = mdp.r_max / (1.0 - config.gamma)
-    if abs(config.q0) > q0_bound:
-        raise ParamOutOfRangeError(
-            f"|q0| must be <= r_max/(1-gamma) = {q0_bound}, got {config.q0}"
-        )
+    config.check_against(mdp)
 
     bm = bit_model if bit_model is not None else BitModel()
     spec = config.compressor

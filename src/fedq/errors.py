@@ -29,10 +29,6 @@ class EmptyMapError(MapFormatError):
     """Map has no rows."""
 
 
-class InvalidGammaError(FedqError, ValueError):
-    """Discount factor outside the open interval (0, 1)."""
-
-
 class FileFormatError(FedqError, ValueError):
     """A trace or q* cache file does not have the layout fedq writes."""
 
@@ -49,10 +45,6 @@ class NotConvergedError(FedqError, RuntimeError):
     """Iterative solver hit its iteration cap before reaching tolerance."""
 
 
-class BudgetOutOfRangeError(FedqError, ValueError):
-    """Compression budget k outside [1, d]."""
-
-
 class ZeroVectorError(FedqError, ValueError):
     """Operation undefined on the all-zero vector."""
 
@@ -63,3 +55,11 @@ class EmptyAgentListError(FedqError, ValueError):
 
 class ParamOutOfRangeError(FedqError, ValueError):
     """A hyperparameter violates its documented range."""
+
+
+class InvalidGammaError(ParamOutOfRangeError):
+    """Discount factor outside the open interval (0, 1)."""
+
+
+class BudgetOutOfRangeError(ParamOutOfRangeError):
+    """Compression budget k outside [1, d]."""

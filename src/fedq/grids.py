@@ -34,6 +34,8 @@ from .errors import (
     EmptyMapError,
     GoalCountError,
     InvalidGammaError,
+    MapFormatError,
+    ParamOutOfRangeError,
     RaggedRowsError,
     UnknownCharError,
 )
@@ -164,12 +166,24 @@ def map_path(name: str) -> Path:
 
 
 def read_map_text(name_or_path: str | Path) -> str:
-    """Text of a map given by bundled name (e.g. 'map5x5') or by file path."""
+    """Text of a map given by bundled name (e.g. 'map5x5') or by file path.
+
+    A missing file raises FileNotFoundError; any other unreadable path
+    (a directory, no permission) raises ParamOutOfRangeError, and a file
+    that is not UTF-8 text raises MapFormatError.
+    """
     if isinstance(name_or_path, str) and name_or_path in BUNDLED_MAPS:
         path = map_path(name_or_path)
     else:
         path = Path(name_or_path)
-    return path.read_text(encoding="utf-8")
+    try:
+        return path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise ParamOutOfRangeError(f"cannot read map {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise MapFormatError(f"map {path} is not UTF-8 text") from exc
 
 
 def load_map(name_or_path: str | Path) -> GridSpec:

@@ -93,6 +93,8 @@ class RunManifest:
             raise ParamOutOfRangeError("n_seeds must be >= 1")
         if self.qstar_tol <= 0:
             raise ParamOutOfRangeError("qstar_tol must be positive")
+        if not 0.0 < self.delta < 1.0:
+            raise ParamOutOfRangeError(f"delta must lie in (0, 1), got {self.delta}")
 
     @staticmethod
     def from_mapping(data: dict) -> "RunManifest":
@@ -107,8 +109,16 @@ class RunManifest:
 
     @staticmethod
     def from_file(path: str | Path) -> "RunManifest":
-        with open(path) as fh:
-            return RunManifest.from_mapping(json.load(fh))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except FileNotFoundError:
+            raise
+        except OSError as exc:
+            raise ParamOutOfRangeError(f"cannot read manifest {path}: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            raise ParamOutOfRangeError(f"manifest {path} is not UTF-8 text") from exc
+        return RunManifest.from_mapping(data)
 
 
 _FIELD_TYPES = {f.name: _JSON_TYPES[f.type] for f in fields(RunManifest)}
@@ -234,8 +244,7 @@ def cached_qstar(map_ref: str, gamma: float, tol: float, cache_dir: Path) -> np.
 def compute_qstar(map_ref: str, gamma: float, tol: float, out_dir: str | Path) -> tuple[Path, Path]:
     """Write the oracle Q-table and its greedy policy as CSV files."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    q_star = cached_qstar(map_ref, gamma, tol, out_dir / "qstar_cache")
+    q_star = cached_qstar(map_ref, gamma, tol, out_dir / "qstar_cache")  # creates out_dir
     name = _map_name(map_ref)
     q_path = out_dir / f"{name}_qstar.csv"
     p_path = out_dir / f"{name}_policy.csv"
@@ -371,18 +380,19 @@ def _config_for(manifest: RunManifest, point: dict, seed: int) -> ExperimentConf
 def _execute_task(
     manifest: RunManifest,
     point: dict,
-    seed: int,
+    config: ExperimentConfig,
     mdp: TabularMDP,
     q_star: np.ndarray,
     out_dir: Path,
+    bit_model: BitModel,
 ) -> tuple[Path, list[RoundMetrics]]:
+    seed = config.master_seed
     slug = grid_slug(manifest, point, seed)
     trace_path = out_dir / f"{slug}.csv"
     summary_path = out_dir / f"{slug}_summary.json"
     overlay_path = out_dir / f"{slug}_overlay.csv"
-    config = _config_for(manifest, point, seed)
     started = time.perf_counter()
-    result = run_federated(config, mdp, q_star, bit_model=BitModel(fpp=manifest.fpp))
+    result = run_federated(config, mdp, q_star, bit_model=bit_model)
     elapsed = time.perf_counter() - started
     q0_gap = linf_error(np.full(q_star.shape, manifest.q0), q_star)
     try:
@@ -425,7 +435,8 @@ def run_experiment(manifest: RunManifest, threads: int = 1) -> list[Path]:
 
     Tasks may execute on a thread pool; each writes its own files and the
     content is a pure function of the manifest, so the thread count can
-    never change any output byte.
+    never change any output byte.  Every task's parameters are checked,
+    and the map is loaded, before anything is written.
     """
     points = expand_grid(manifest)
     n_runs = len(points) * manifest.n_seeds
@@ -433,23 +444,25 @@ def run_experiment(manifest: RunManifest, threads: int = 1) -> list[Path]:
         raise ParamOutOfRangeError(
             f"sweep expands to {n_runs} runs, above the safety cap {manifest.max_runs}"
         )
+    tasks = [
+        (point, _config_for(manifest, point, manifest.master_seed + rep))
+        for point in points
+        for rep in range(manifest.n_seeds)
+    ]
+    bit_model = BitModel(fpp=manifest.fpp)
     mdp = load_environment(manifest)
+    for _, config in tasks:
+        config.check_against(mdp)
     out_dir = output_root(manifest)
     out_dir.mkdir(parents=True, exist_ok=True)
     q_star = cached_qstar(manifest.map, manifest.gamma, manifest.qstar_tol, out_dir / "qstar_cache")
 
-    tasks = [(point, manifest.master_seed + rep) for point in points for rep in range(manifest.n_seeds)]
+    args = [(manifest, point, config, mdp, q_star, out_dir, bit_model) for point, config in tasks]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_execute_task, manifest, point, seed, mdp, q_star, out_dir)
-                for point, seed in tasks
-            ]
-            outcomes = [f.result() for f in futures]
+            outcomes = [f.result() for f in [pool.submit(_execute_task, *a) for a in args]]
     else:
-        outcomes = [
-            _execute_task(manifest, point, seed, mdp, q_star, out_dir) for point, seed in tasks
-        ]
+        outcomes = [_execute_task(*a) for a in args]
 
     written = [path for path, _ in outcomes]
     if manifest.n_seeds > 1:

@@ -1,10 +1,18 @@
 """Finite MDPs with generative-model (synchronous) sampling.
 
-A :class:`TabularMDP` stores a full transition kernel and mean-reward
-table.  Sampling follows the generative-model access pattern: one next
-state is drawn for *every* (state, action) pair at once, rather than
-along a trajectory.  Observed rewards are the mean reward plus clipped
-Gaussian noise; transitions themselves are sampled from the kernel.
+A :class:`TabularMDP` stores a transition kernel and mean-reward table.
+Sampling follows the generative-model access pattern: one next state is
+drawn for *every* (state, action) pair at once, rather than along a
+trajectory.  Observed rewards are the mean reward plus clipped Gaussian
+noise; transitions themselves are sampled from the kernel.
+
+Sampling and the exact Bellman operator read the kernel through a padded
+successor table: for each of the S * A rows, the w columns with non-zero
+probability, where w is the largest out-degree (w = 1 on every grid
+world).  Both therefore cost O(S * A * w), not O(S^2 * A).  The dense
+(S, A, S) kernel is still kept as the public ``transition`` attribute,
+because callers index it and the benchmark reports its size; it is what
+limits the map size today (about 3 GB at 100x100).
 """
 from __future__ import annotations
 
@@ -41,7 +49,9 @@ class TabularMDP:
     transition:
         Array of shape (S, A, S); ``transition[s, a]`` is the distribution
         of the next state.  Every row must be non-negative and sum to 1
-        within 1e-12.
+        within 1e-12.  It is kept, read-only, as the ``transition``
+        attribute; the sampler and the exact Bellman operator do not read
+        it.
     reward_mean:
         Array of shape (S, A) with ``|reward_mean| <= r_max`` everywhere.
     gamma:
@@ -51,6 +61,18 @@ class TabularMDP:
     r_max:
         Bound on the mean reward magnitude, carried through the
         convergence-bound formulas.
+
+    Attributes
+    ----------
+    succ, succ_p, succ_cum:
+        The successor table: read-only arrays of shape (S * A, w), row
+        ``s * A + a`` describing ``transition[s, a]``.  ``succ`` holds the
+        columns with non-zero probability in ascending order, ``succ_p``
+        their probabilities and ``succ_cum`` the running sums of
+        ``succ_p``.  Rows with fewer than w successors are padded with
+        their last column at probability 0.  The last real running sum
+        and all padding are 1.0, so a uniform in [0, 1) always lands on
+        a successor, never on a zero-probability state.
     """
 
     def __init__(
@@ -88,13 +110,25 @@ class TabularMDP:
         self.noise = noise
         self.r_max = float(r_max)
 
-        # Inverse-CDF table; the final column is forced to exactly 1.0 so a
-        # uniform draw in [0, 1) can never fall off the end.
-        cum = np.cumsum(transition, axis=2)
-        cum[:, :, -1] = 1.0
-        self._cum = cum
+        # np.nonzero lists each row's columns in ascending order.  Skipped
+        # columns have probability exactly 0, so the running sums at the
+        # successors equal the dense cumsum there bit for bit.
+        flat = transition.reshape(-1, n_states)
+        rows, cols = np.nonzero(flat)
+        counts = np.bincount(rows, minlength=flat.shape[0])
+        ends = np.cumsum(counts)
+        slot = np.arange(rows.size) - (ends - counts)[rows]
+        width = int(counts.max())
+        self.succ = np.repeat(cols[ends - 1, None], width, axis=1)
+        self.succ[rows, slot] = cols
+        self.succ_p = np.zeros(self.succ.shape)
+        self.succ_p[rows, slot] = flat[rows, cols]
+        self.succ_cum = np.cumsum(self.succ_p, axis=1)
+        self.succ_cum[np.arange(width) >= (counts - 1)[:, None]] = 1.0
+        self._row_start = np.arange(0, self.succ.size, width)  # flat index of each row's slot 0
 
-        for arr in (self.transition, self.reward_mean, self._cum):
+        for arr in (self.transition, self.reward_mean, self.succ, self.succ_p, self.succ_cum,
+                    self._row_start):
             arr.setflags(write=False)
 
     @property
@@ -115,7 +149,10 @@ def synchronous_sample(mdp: TabularMDP, rng) -> tuple[np.ndarray, np.ndarray]:
     gen = as_generator(rng)
     shape = (mdp.n_states, mdp.n_actions)
     u = gen.random(shape)
-    next_states = np.argmax(u[:, :, None] < mdp._cum, axis=2)
+    # Running sums below 1.0 are non-decreasing and u < 1.0, so the count of
+    # sums <= u is the first slot with u < sum: the inverse-CDF pick.
+    slot = (u.reshape(-1, 1) >= mdp.succ_cum).sum(axis=1)
+    next_states = mdp.succ.take(mdp._row_start + slot).reshape(shape)
     if mdp.noise.std > 0.0:
         g = gen.normal(0.0, mdp.noise.std, shape)
         np.clip(g, -mdp.noise.clip, mdp.noise.clip, out=g)

@@ -37,3 +37,13 @@ def random_mdp(rng: np.random.Generator, n_states=4, n_actions=3, gamma=0.8, noi
         noise=noise or fedq.NoiseSpec(),
         r_max=1.0 + (noise.clip if noise else 0.0),
     )
+
+
+def sparse_random_mdp(rng: np.random.Generator, n_states=7, n_actions=3, zero_frac=0.6) -> fedq.TabularMDP:
+    """Random kernel with about ``zero_frac`` zero entries and rows of varying out-degree."""
+    shape = (n_states, n_actions, n_states)
+    raw = rng.random(shape) * (rng.random(shape) >= zero_frac)
+    empty = raw.sum(axis=2) == 0
+    raw[empty, rng.integers(n_states, size=int(empty.sum()))] = 1.0
+    transition = raw / raw.sum(axis=2, keepdims=True)
+    return fedq.TabularMDP(transition, rng.uniform(-1.0, 1.0, (n_states, n_actions)), gamma=0.8)

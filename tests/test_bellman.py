@@ -3,7 +3,7 @@ import pytest
 
 import fedq
 from fedq.errors import NotConvergedError, ParamOutOfRangeError, ShapeMismatchError
-from tests.conftest import random_mdp
+from tests.conftest import random_mdp, sparse_random_mdp
 
 
 def single_state_mdp(reward=1.0, gamma=0.8):
@@ -37,6 +37,21 @@ class TestExactBellman:
     def test_shape_mismatch(self, map5x5_mdp):
         with pytest.raises(ShapeMismatchError):
             fedq.exact_bellman(map5x5_mdp, np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("name", fedq.BUNDLED_MAPS)
+    def test_bit_identical_to_dense_kernel_on_maps(self, name):
+        mdp = fedq.build_gridworld(fedq.load_map(name), gamma=0.8)
+        q = np.random.default_rng(3).normal(size=(mdp.n_states, mdp.n_actions))
+        dense = mdp.reward_mean + mdp.gamma * (mdp.transition @ q.max(axis=1))
+        assert np.array_equal(fedq.exact_bellman(mdp, q), dense)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_dense_kernel_on_random_sparse_kernel(self, seed):
+        rng = np.random.default_rng(seed)
+        mdp = sparse_random_mdp(rng)
+        q = rng.normal(size=(mdp.n_states, mdp.n_actions))
+        dense = mdp.reward_mean + mdp.gamma * (mdp.transition @ q.max(axis=1))
+        assert np.allclose(fedq.exact_bellman(mdp, q), dense, rtol=0, atol=1e-14)
 
     def test_contraction_on_random_pairs(self, map5x5_mdp):
         rng = np.random.default_rng(0)

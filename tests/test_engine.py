@@ -153,6 +153,12 @@ class TestConfigValidation:
         with pytest.raises(ParamOutOfRangeError):
             fedq.run_federated(cfg, map5x5_mdp, map5x5_qstar)
 
+    def test_budget_above_table_size_rejected(self, map5x5_mdp, map5x5_qstar):
+        cfg = make_config(compressor=fedq.CompressorSpec("top_k", k=101))
+        with pytest.raises(ParamOutOfRangeError, match=r"k=101 .* d=100"):
+            fedq.run_federated(cfg, map5x5_mdp, map5x5_qstar)
+        make_config(compressor=fedq.CompressorSpec("top_k", k=100)).check_against(map5x5_mdp)
+
 
 class TestRunFederated:
     def test_trace_shape_and_round_zero(self, map5x5_noisy, map5x5_qstar):

@@ -266,6 +266,49 @@ class TestCli:
         assert cli_main(["sweep", str(path)]) == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("overrides", [
+        {"eta": 5.0},
+        {"mode": "bogus"},
+        {"compressor": "top_k", "k": 500},
+        {"compressor": "top_k", "k": 0},
+        {"gamma": 1.5},
+        {"q0": 100.0},
+        {"fpp": 0},
+        {"delta": 1.5},
+        {"sweep": {"k": [5, 500]}, "compressor": "sparsified_k"},
+    ])
+    def test_out_of_range_manifest_exits_2_without_outputs(self, tmp_path, overrides):
+        path = self._write_manifest(tmp_path, **overrides)
+        assert cli_main(["sweep", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_budget_error_names_k_and_d(self, tmp_path, capsys):
+        path = self._write_manifest(tmp_path, compressor="top_k", k=500)
+        assert cli_main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "k=500" in err and "d=100" in err
+
+    def test_map_is_directory_exits_2(self, tmp_path):
+        (tmp_path / "maps").mkdir()
+        path = self._write_manifest(tmp_path, map=str(tmp_path / "maps"))
+        assert cli_main(["run", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_manifest_is_directory_exits_2(self, tmp_path):
+        assert cli_main(["run", str(tmp_path), "--output-dir", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", ["G.\n...\n", b"G\xff\n"])
+    def test_malformed_map_exits_2(self, tmp_path, text):
+        map_file = tmp_path / "bad.txt"
+        if isinstance(text, bytes):
+            map_file.write_bytes(text)
+        else:
+            map_file.write_text(text)
+        path = self._write_manifest(tmp_path, map=str(map_file))
+        assert cli_main(["run", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_top_level_array_exits_2(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text("[]")
@@ -285,6 +328,11 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "map5x5_qstar.csv").exists()
         assert (tmp_path / "map5x5_policy.csv").exists()
+
+    def test_qstar_unreadable_map_exits_2_without_outputs(self, tmp_path):
+        out = tmp_path / "out"
+        assert cli_main(["qstar", str(tmp_path), "--gamma", "0.8", "--output-dir", str(out)]) == 2
+        assert not out.exists()
 
     def test_qstar_bad_tol(self, tmp_path):
         assert cli_main(["qstar", "map5x5", "--gamma", "0.8", "--tol", "0",

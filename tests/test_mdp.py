@@ -4,7 +4,7 @@ from scipy import stats
 
 import fedq
 from fedq.errors import ParamOutOfRangeError
-from tests.conftest import random_mdp
+from tests.conftest import random_mdp, sparse_random_mdp
 
 
 def two_state_mdp(p=(0.3, 0.7), noise=None):
@@ -75,14 +75,15 @@ class TestSampleNextState:
 class _StubRng:
     """Deterministic stand-in exposing the generator methods sampling uses."""
 
-    def __init__(self, normal_value):
+    def __init__(self, normal_value=0.0, uniform_value=0.0):
         self._normal = normal_value
+        self._uniform = uniform_value
 
     def normal(self, loc, scale, size):
         return np.full(size, self._normal)
 
     def random(self, size):
-        return np.zeros(size)
+        return np.full(size, self._uniform)
 
 
 class TestSampleReward:
@@ -108,6 +109,53 @@ class TestSampleReward:
         assert np.all(np.abs(draws - 1.0) <= noise.clip)
         # clipping is symmetric about 0 so the clipped noise has mean 0
         assert abs(draws.mean() - 1.0) <= 3.0 * noise.std / np.sqrt(n)
+
+
+class TestSuccessorTable:
+    def test_layout_pads_with_last_column(self):
+        transition = np.array([
+            [[0.25, 0.0, 0.75], [0.0, 1.0, 0.0]],
+            [[0.0, 0.0, 1.0], [0.5, 0.25, 0.25]],
+            [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]],
+        ])
+        mdp = fedq.TabularMDP(transition, np.zeros((3, 2)), gamma=0.8)
+        assert np.array_equal(mdp.succ, [[0, 2, 2], [1, 1, 1], [2, 2, 2],
+                                         [0, 1, 2], [0, 0, 0], [1, 2, 2]])
+        assert np.array_equal(mdp.succ_p, [[0.25, 0.75, 0], [1, 0, 0], [1, 0, 0],
+                                           [0.5, 0.25, 0.25], [1, 0, 0], [0.5, 0.5, 0]])
+        assert np.array_equal(mdp.succ_cum, [[0.25, 1, 1], [1, 1, 1], [1, 1, 1],
+                                             [0.5, 0.75, 1], [1, 1, 1], [0.5, 1, 1]])
+        for arr in (mdp.succ, mdp.succ_p, mdp.succ_cum):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0
+
+    def test_grid_world_holds_one_successor_per_pair(self):
+        mdp = fedq.build_gridworld(fedq.load_map("map17x17w"), gamma=0.8)
+        assert mdp.succ.shape == (mdp.table_size, 1)
+        assert np.array_equal(mdp.succ[:, 0], np.argmax(mdp.transition, axis=2).ravel())
+        arrays = [v for v in vars(mdp).values() if isinstance(v, np.ndarray)]
+        assert all(a.size <= mdp.table_size for a in arrays if a is not mdp.transition)
+
+    def test_zero_probability_state_never_sampled(self):
+        # the row sums to 1 - 4e-13; a uniform above that sum must still
+        # land on a successor, not on the zero-probability state 2
+        transition = np.array([[[0.5, 0.5 - 4e-13, 0.0]], [[0.25, 0.5, 0.25]], [[0.0, 0.0, 1.0]]])
+        mdp = fedq.TabularMDP(transition, np.zeros((3, 1)), gamma=0.8)
+        next_states, _ = fedq.synchronous_sample(mdp, _StubRng(uniform_value=1.0 - 1e-13))
+        assert next_states[0, 0] == 1
+        assert np.array_equal(mdp.succ_cum[0], [0.5, 1.0, 1.0])
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_matches_dense_inverse_cdf(self, seed):
+        mdp = sparse_random_mdp(np.random.default_rng(seed))
+        cum = np.cumsum(mdp.transition, axis=2)
+        cum[:, :, -1] = 1.0
+        gen = fedq.RngStream(seed).generator()
+        ref_gen = fedq.RngStream(seed).generator()
+        next_states, _ = fedq.synchronous_sample(mdp, gen)
+        u = ref_gen.random((mdp.n_states, mdp.n_actions))
+        assert np.array_equal(next_states, np.argmax(u[:, :, None] < cum, axis=2))
+        assert gen.random() == ref_gen.random()
 
 
 class TestSynchronousSample:
