@@ -24,6 +24,20 @@ def _check_shape(q: np.ndarray, mdp: TabularMDP) -> None:
         )
 
 
+def state_values(q: np.ndarray) -> np.ndarray:
+    """``max_a q[..., a]``: the state values of a table, or of a batch of tables.
+
+    A left-to-right ``np.maximum`` fold over the action axis.  It visits
+    the actions in the same order as ``q.max(axis=-1)`` and so returns the
+    same bits (signed zeros and infinities included), but it runs as A - 1
+    whole-array calls instead of one tiny reduction per state.
+    """
+    v = q[..., 0]
+    for a in range(1, q.shape[-1]):
+        v = np.maximum(v, q[..., a])
+    return v
+
+
 def exact_bellman(mdp: TabularMDP, q: np.ndarray) -> np.ndarray:
     """Apply the population Bellman optimality operator.
 
@@ -31,7 +45,7 @@ def exact_bellman(mdp: TabularMDP, q: np.ndarray) -> np.ndarray:
     """
     q = np.asarray(q, dtype=np.float64)
     _check_shape(q, mdp)
-    v = q.max(axis=1)
+    v = state_values(q)
     expected = (mdp.succ_p * v[mdp.succ]).sum(axis=1).reshape(q.shape)
     return mdp.reward_mean + mdp.gamma * expected
 
@@ -42,6 +56,9 @@ def empirical_bellman(
     """Single-sample Bellman estimate from one synchronous sample table.
 
     ``out[s, a] = rewards[s, a] + gamma * max_a' q[next_states[s, a], a']``
+
+    Leading axes are a batch: with arrays of shape (I, S, A), table i reads
+    its next states and rewards from row i.
     """
     q = np.asarray(q, dtype=np.float64)
     next_states = np.asarray(next_states)
@@ -50,8 +67,11 @@ def empirical_bellman(
         raise ShapeMismatchError(
             f"shapes differ: q {q.shape}, next_states {next_states.shape}, rewards {rewards.shape}"
         )
-    v = q.max(axis=1)
-    return rewards + gamma * v[next_states]
+    v = state_values(q)
+    # offset each table's next states into the flattened batch of state values
+    n_states = q.shape[-2]
+    offsets = np.arange(0, v.size, n_states).reshape(q.shape[:-2] + (1, 1))
+    return rewards + gamma * v.take(next_states + offsets)
 
 
 def value_iteration(mdp: TabularMDP, tol: float = 1e-10, max_iter: int = 100_000) -> np.ndarray:

@@ -17,6 +17,10 @@ contraction with alpha = 1).
 Error feedback wraps a biased operator with a running residual e: each
 round compresses ``delta + e`` and stores what was not transmitted back
 into e, so no information is permanently dropped.
+
+:func:`compress_batch` runs an operator on every row of an (I, d) array
+at once; the one-vector functions are its batch of one, so a row
+compressed in a batch gives the same bits as the vector compressed alone.
 """
 from __future__ import annotations
 
@@ -117,9 +121,79 @@ class EfState:
         return EfState(np.zeros(dimension))
 
 
+@dataclass(frozen=True)
+class BatchPayload:
+    """The payloads of a batch of agents, one row of an (I, d) input each.
+
+    ``kept[i, j]`` says whether row i transmits coordinate j, and
+    ``values`` holds the transmitted values in row-major order of
+    ``kept``: row by row, ascending index within a row.  The realized
+    constants are by-products of the compression itself: ``alpha`` holds
+    the top_k contraction factor of each non-zero row (see
+    :func:`contraction_alpha`), ``p`` the sparsified_k selection
+    probabilities.
+    """
+
+    kept: np.ndarray  # (I, d) bool
+    values: np.ndarray  # float64, one per True entry of kept
+    alpha: np.ndarray | None = None
+    p: np.ndarray | None = None
+
+    def residual(self, pending: np.ndarray) -> np.ndarray:
+        """``pending - densify(payload)`` for each row: what was not transmitted."""
+        e = pending.copy()
+        e[self.kept] = pending[self.kept] - self.values
+        return e
+
+
 def _check_budget(k: int, d: int) -> None:
     if not 1 <= k <= d:
         raise BudgetOutOfRangeError(f"budget k={k} outside [1, {d}]")
+
+
+def compress_batch(pending: np.ndarray, spec: CompressorSpec, rngs=None) -> BatchPayload:
+    """Compress every row of an (I, d) array at once.
+
+    Row i is compressed exactly as :func:`direct_compress` would compress
+    it alone; sparsified_k draws its d uniforms from ``rngs[i]``.  top_k
+    ranks each row with one stable sort, which also gives the realized
+    contraction factor.
+    """
+    pending = np.asarray(pending, dtype=np.float64)
+    if spec.kind == IDENTITY:
+        kept = np.ones(pending.shape, dtype=bool)
+        return BatchPayload(kept, pending[kept])
+    n_rows, d = pending.shape
+    _check_budget(spec.k, d)
+    if spec.kind == TOP_K:
+        mags = np.abs(pending)
+        order = np.argsort(-mags, axis=-1, kind="stable")  # ties: lower index first
+        kept = np.zeros(pending.shape, dtype=bool)
+        np.put_along_axis(kept, order[:, : spec.k], True, axis=-1)
+        kept &= mags > 0
+        ranked = np.take_along_axis(mags, order[:, : spec.k + 1], axis=-1)
+        top = ranked[:, 0]
+        excluded = ranked[:, spec.k] if spec.k < d else np.zeros(n_rows)
+        nonzero = top > 0
+        alpha = 1.0 - excluded[nonzero] / top[nonzero]
+        return BatchPayload(kept, pending[kept], alpha=alpha)
+    p = selection_probabilities(pending, spec.k, spec.probability_rule)
+    u = np.empty(pending.shape)
+    for i, rng in enumerate(rngs):
+        u[i] = as_generator(rng).random(d)
+    kept = u < p
+    return BatchPayload(kept, pending[kept] / p[kept], p=p)
+
+
+def _apply(v: np.ndarray, spec: CompressorSpec, rng) -> BatchPayload:
+    """Compress one vector: the batch of one."""
+    v = np.asarray(v, dtype=np.float64)
+    return compress_batch(v[None], spec, [rng])
+
+
+def _as_sparse(payload: BatchPayload) -> SparseVector:
+    """The one row of a single-row payload, as a validated SparseVector."""
+    return SparseVector(payload.kept.shape[-1], np.nonzero(payload.kept[0])[0], payload.values)
 
 
 def top_k(v: np.ndarray, k: int) -> SparseVector:
@@ -128,13 +202,7 @@ def top_k(v: np.ndarray, k: int) -> SparseVector:
     Ties break toward the lower index; exact zeros are never stored, so
     the payload has min(k, nnz) entries.  Deterministic.
     """
-    v = np.asarray(v, dtype=np.float64)
-    d = v.size
-    _check_budget(k, d)
-    order = np.argsort(-np.abs(v), kind="stable")[:k]
-    order = order[np.abs(v[order]) > 0]
-    idx = np.sort(order)
-    return SparseVector(d, idx, v[idx].copy())
+    return _as_sparse(_apply(v, CompressorSpec(TOP_K, k), None))
 
 
 def contraction_alpha(v: np.ndarray, k: int) -> float:
@@ -144,13 +212,10 @@ def contraction_alpha(v: np.ndarray, k: int) -> float:
     outside the kept set is zero (including k = d), 0 when a dropped
     entry ties the largest magnitude (the contraction hypothesis fails).
     """
-    v = np.asarray(v, dtype=np.float64)
-    _check_budget(k, v.size)
-    mags = np.sort(np.abs(v))[::-1]
-    if mags[0] == 0.0:
+    alpha = _apply(v, CompressorSpec(TOP_K, k), None).alpha
+    if not alpha.size:
         raise ZeroVectorError("contraction factor undefined for the zero vector")
-    excluded_max = mags[k] if k < v.size else 0.0
-    return 1.0 - float(excluded_max) / float(mags[0])
+    return float(alpha[0])
 
 
 def selection_probabilities(v: np.ndarray, k: int, rule: str = RULE_L1) -> np.ndarray:
@@ -159,23 +224,21 @@ def selection_probabilities(v: np.ndarray, k: int, rule: str = RULE_L1) -> np.nd
     Zero coordinates always get p = 0 (they carry no information and are
     never transmitted).  Under the ``l1`` rule ``p_j = min(1, k |v_j| /
     ||v||_1)``; under ``uniform`` every support coordinate gets
-    ``min(1, k / d)``.  Either way ``sum_j p_j <= k``.
+    ``min(1, k / d)``.  Either way ``sum_j p_j <= k``.  Leading axes are
+    a batch: each vector along the last axis gets its own probabilities.
     """
     v = np.asarray(v, dtype=np.float64)
-    d = v.size
+    d = v.shape[-1]
     _check_budget(k, d)
     mags = np.abs(v)
-    p = np.zeros(d)
     support = mags > 0
-    if not np.any(support):
-        return p
     if rule == RULE_L1:
-        p[support] = np.minimum(1.0, k * mags[support] / mags.sum())
-    elif rule == RULE_UNIFORM:
-        p[support] = min(1.0, k / d)
-    else:
-        raise ParamOutOfRangeError(f"unknown probability rule {rule!r}")
-    return p
+        total = mags.sum(axis=-1, keepdims=True)
+        p = np.divide(k * mags, total, out=np.zeros(v.shape), where=support)
+        return np.minimum(1.0, p, out=p)
+    if rule == RULE_UNIFORM:
+        return np.where(support, min(1.0, k / d), 0.0)
+    raise ParamOutOfRangeError(f"unknown probability rule {rule!r}")
 
 
 def unbiased_constants(p: np.ndarray) -> tuple[float, float]:
@@ -202,28 +265,12 @@ def sparsified_k(v: np.ndarray, k: int, rng, rule: str = RULE_L1) -> SparseVecto
     ``E[C(v)_j] = v_j`` exactly for every j.  The zero vector compresses
     to the empty payload.  Consumes one block of d uniforms.
     """
-    v = np.asarray(v, dtype=np.float64)
-    d = v.size
-    _check_budget(k, d)
-    p = selection_probabilities(v, k, rule)
-    gen = as_generator(rng)
-    kept = gen.random(d) < p
-    idx = np.nonzero(kept)[0]
-    return SparseVector(d, idx, v[idx] / p[idx])
-
-
-def _apply(v: np.ndarray, spec: CompressorSpec, rng) -> SparseVector:
-    if spec.kind == IDENTITY:
-        v = np.asarray(v, dtype=np.float64)
-        return SparseVector(v.size, np.arange(v.size, dtype=np.int64), v.copy())
-    if spec.kind == TOP_K:
-        return top_k(v, spec.k)
-    return sparsified_k(v, spec.k, rng, spec.probability_rule)
+    return _as_sparse(_apply(v, CompressorSpec(SPARSIFIED_K, k, rule), rng))
 
 
 def direct_compress(delta: np.ndarray, spec: CompressorSpec, rng=None) -> SparseVector:
     """Compress a progress vector with no memory."""
-    return _apply(delta, spec, rng)
+    return _as_sparse(_apply(delta, spec, rng))
 
 
 def pack_payload(sv: SparseVector, value_bits: int = 32) -> bytes:
@@ -273,15 +320,16 @@ def ef_compress(
 ) -> tuple[SparseVector, EfState]:
     """Compress ``delta + e`` and bank the untransmitted remainder.
 
-    Returns the payload and the successor state with
-    ``e' = delta + e - densify(h)`` computed exactly in that form; for
-    entry-copying operators (identity, top_k) the banked entries are
-    bit-exact copies, so transmitted-plus-banked always telescopes to the
-    sum of the deltas.
+    Returns the payload and the successor state
+    ``e' = delta + e - densify(h)``, computed by subtracting the payload
+    values at the transmitted coordinates only (subtracting the implicit
+    zeros elsewhere would change no bit); for entry-copying operators
+    (identity, top_k) the banked entries are bit-exact copies, so
+    transmitted-plus-banked always telescopes to the sum of the deltas.
     """
     delta = np.asarray(delta, dtype=np.float64)
     if delta.shape != state.e.shape:
         raise ShapeMismatchError(f"delta shape {delta.shape} != error shape {state.e.shape}")
     pending = delta + state.e
-    h = _apply(pending, spec, rng)
-    return h, EfState(pending - h.densify())
+    payload = _apply(pending, spec, rng)
+    return _as_sparse(payload), EfState(payload.residual(pending[None])[0])

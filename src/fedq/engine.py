@@ -7,10 +7,19 @@ sample streams; each agent uploads a compressed version of its progress
 an error-feedback residual; the server adds ``beta / I`` times the summed
 payloads back onto the global table.
 
+A round is computed for all I agents at once.  Given the broadcast, the
+local phases are independent, so the local tables form one (I, S, A)
+array: each epoch, every agent draws its own sample table into a row of
+a batch, and the Bellman update runs once on the whole batch.  Deltas and
+error-feedback residuals are (I, d) arrays compressed in one call, and
+the server scatter-adds the transmitted (index, value) pairs without
+building a per-agent payload object.
+
 Everything is deterministic given the master seed: sampling streams are
 derived per (agent, round, epoch), the compressor stream per
-(agent, round, K), and the server sums payloads in ascending agent
-order, so no scheduling of the per-agent work can change the result.
+(agent, round, K), and the server adds payloads in ascending agent
+order, so the result is the same bits as running the agents one by one,
+in any order, and summing their densified payloads.
 """
 from __future__ import annotations
 
@@ -25,12 +34,8 @@ from .compression import (
     SPARSIFIED_K,
     TOP_K,
     CompressorSpec,
-    EfState,
     SparseVector,
-    contraction_alpha,
-    direct_compress,
-    ef_compress,
-    selection_probabilities,
+    compress_batch,
 )
 from .errors import (
     DimensionMismatchError,
@@ -38,8 +43,8 @@ from .errors import (
     ParamOutOfRangeError,
     ShapeMismatchError,
 )
-from .mdp import TabularMDP, synchronous_sample
-from .rng import RngStream
+from .mdp import TabularMDP, synchronous_sample_batch
+from .rng import RngStream, as_generator
 
 DIRECT = "direct"
 ERROR_FEEDBACK = "error_feedback"
@@ -128,6 +133,31 @@ class RunResult:
     q_tables: list[np.ndarray] | None = None  # per-round global tables, if recorded
 
 
+def _check_epoch_args(q: np.ndarray, mdp: TabularMDP, eta: float) -> np.ndarray:
+    if not 0.0 < eta <= 1.0:
+        raise ParamOutOfRangeError(f"eta must lie in (0, 1], got {eta}")
+    q = np.asarray(q, dtype=np.float64)
+    if q.shape != (mdp.n_states, mdp.n_actions):
+        raise ShapeMismatchError(f"Q shape {q.shape} does not match the MDP")
+    return q
+
+
+def _epoch(q: np.ndarray, mdp: TabularMDP, eta: float, rngs) -> np.ndarray:
+    """One damped empirical-Bellman update of an (I, S, A) batch; row i draws from rngs[i]."""
+    next_states, rewards = synchronous_sample_batch(mdp, rngs)
+    return (1.0 - eta) * q + eta * empirical_bellman(q, next_states, rewards, mdp.gamma)
+
+
+def _local_phases(
+    q_bar: np.ndarray, mdp: TabularMDP, eta: float, n_epochs: int, streams: list[RngStream]
+) -> np.ndarray:
+    """The local phases of len(streams) agents from one broadcast: shape (I, S, A)."""
+    q = np.broadcast_to(q_bar, (len(streams),) + q_bar.shape)
+    for k in range(n_epochs):
+        q = _epoch(q, mdp, eta, [stream.child(k).generator() for stream in streams])
+    return q
+
+
 def local_epoch(q: np.ndarray, mdp: TabularMDP, eta: float, rng) -> np.ndarray:
     """One damped empirical-Bellman update of the whole table.
 
@@ -135,14 +165,8 @@ def local_epoch(q: np.ndarray, mdp: TabularMDP, eta: float, rng) -> np.ndarray:
     ``q' = (1 - eta) q + eta (rewards + gamma * max_a' q[next, a'])``
     to every entry simultaneously; the max reads the pre-update table.
     """
-    if not 0.0 < eta <= 1.0:
-        raise ParamOutOfRangeError(f"eta must lie in (0, 1], got {eta}")
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape != (mdp.n_states, mdp.n_actions):
-        raise ShapeMismatchError(f"Q shape {q.shape} does not match the MDP")
-    next_states, rewards = synchronous_sample(mdp, rng)
-    target = empirical_bellman(q, next_states, rewards, mdp.gamma)
-    return (1.0 - eta) * q + eta * target
+    q = _check_epoch_args(q, mdp, eta)
+    return _epoch(q[None], mdp, eta, [as_generator(rng)])[0]
 
 
 def run_local_phase(
@@ -154,18 +178,31 @@ def run_local_phase(
     """
     if n_epochs < 1:
         raise ParamOutOfRangeError("n_epochs must be >= 1")
-    q = q_bar
-    for k in range(n_epochs):
-        q = local_epoch(q, mdp, eta, stream.child(k).generator())
-    return q
+    q_bar = _check_epoch_args(q_bar, mdp, eta)
+    return _local_phases(q_bar, mdp, eta, n_epochs, [stream])[0]
+
+
+def _server_step(
+    q_bar: np.ndarray, indices: np.ndarray, values: np.ndarray, beta: float, n_agents: int
+) -> np.ndarray:
+    """Add ``beta / I`` times the scatter-added (index, value) pairs onto the table.
+
+    The sum starts from +0.0 and adds the pairs one by one in the order
+    given, so pairs listed in ascending agent order give the same bits as
+    adding the densified payloads agent by agent: a +0.0 sum can never
+    become -0.0, and adding +0.0 for an absent coordinate changes nothing.
+    """
+    acc = np.zeros(q_bar.size)
+    np.add.at(acc, indices, values)
+    return q_bar + (beta / n_agents) * acc.reshape(q_bar.shape)
 
 
 def aggregate(q_bar: np.ndarray, h_list: list[SparseVector], beta: float) -> np.ndarray:
     """Server update: add ``beta / I`` times the summed payloads.
 
-    Payloads are summed densified in ascending agent order so the
-    floating-point result is independent of how the agents were
-    scheduled.
+    The payloads are scatter-added in ascending agent order (list order),
+    so the floating-point result is independent of how the agents were
+    scheduled and equals summing the densified payloads in that order.
     """
     if not h_list:
         raise EmptyAgentListError("aggregate needs at least one payload")
@@ -173,12 +210,19 @@ def aggregate(q_bar: np.ndarray, h_list: list[SparseVector], beta: float) -> np.
         raise ParamOutOfRangeError(f"beta must lie in (0, 1], got {beta}")
     q_bar = np.asarray(q_bar, dtype=np.float64)
     d = q_bar.size
-    acc = np.zeros(d)
     for h in h_list:
         if h.dimension != d:
             raise DimensionMismatchError(f"payload dimension {h.dimension} != table size {d}")
-        acc += h.densify()
-    return q_bar + (beta / len(h_list)) * acc.reshape(q_bar.shape)
+    indices = np.concatenate([h.indices for h in h_list])
+    values = np.concatenate([h.values for h in h_list])
+    return _server_step(q_bar, indices, values, beta, len(h_list))
+
+
+def _running_min(current: float | None, values: np.ndarray) -> float | None:
+    if not values.size:
+        return current
+    low = float(values.min())
+    return low if current is None else min(current, low)
 
 
 def run_federated(
@@ -208,9 +252,7 @@ def run_federated(
     root = RngStream(config.master_seed)
 
     q_bar = np.full((mdp.n_states, mdp.n_actions), float(config.q0))
-    ef_states = (
-        [EfState.zeros(d) for _ in range(n_agents)] if mode == ERROR_FEEDBACK else None
-    )
+    residual = np.zeros((n_agents, d)) if mode == ERROR_FEEDBACK else None
 
     alpha_min: float | None = None
     p_support_min: float | None = None
@@ -228,41 +270,33 @@ def run_federated(
     ]
 
     for t in range(config.rounds):
-        h_list: list[SparseVector] = []
-        for i in range(n_agents):
-            q_local = run_local_phase(q_bar, mdp, config.eta, config.local_epochs, root.child(i, t))
-            delta = (q_local - q_bar).ravel()
-            # only random compressors consume a stream; its path is pinned to
-            # (agent, round, K) either way
-            comp_rng = (
-                root.child(i, t, config.local_epochs).generator()
-                if spec.kind == SPARSIFIED_K
-                else None
-            )
+        streams = [root.child(i, t) for i in range(n_agents)]
+        q_local = _local_phases(q_bar, mdp, config.eta, config.local_epochs, streams)
+        pending = (q_local - q_bar).reshape(n_agents, d)
+        if residual is not None:
+            pending += residual
+        # only random compressors consume a stream; its path is pinned to
+        # (agent, round, K) either way
+        comp_rngs = (
+            [root.child(i, t, config.local_epochs).generator() for i in range(n_agents)]
+            if spec.kind == SPARSIFIED_K
+            else None
+        )
+        payload = compress_batch(pending, spec, comp_rngs)
+        if residual is not None:
+            residual = payload.residual(pending)
+        if payload.alpha is not None:
+            alpha_min = _running_min(alpha_min, payload.alpha)
+        if payload.p is not None:
+            p_support_min = _running_min(p_support_min, payload.p[payload.p > 0])
 
-            pending = delta + ef_states[i].e if mode == ERROR_FEEDBACK else delta
-            if spec.kind == TOP_K and np.any(pending):
-                a = contraction_alpha(pending, spec.k)
-                alpha_min = a if alpha_min is None else min(alpha_min, a)
-            elif spec.kind == SPARSIFIED_K:
-                p = selection_probabilities(pending, spec.k, spec.probability_rule)
-                on_support = p[p > 0]
-                if on_support.size:
-                    pm = float(on_support.min())
-                    p_support_min = pm if p_support_min is None else min(p_support_min, pm)
-
-            if mode == ERROR_FEEDBACK:
-                h, ef_states[i] = ef_compress(ef_states[i], delta, spec, comp_rng)
-            else:
-                h = direct_compress(delta, spec, comp_rng)
-            h_list.append(h)
-
-        q_bar = aggregate(q_bar, h_list, config.beta)
+        indices = np.nonzero(payload.kept)[1]  # row-major: ascending agent, then index
+        q_bar = _server_step(q_bar, indices, payload.values, config.beta, n_agents)
         if q_tables is not None:
             q_tables.append(q_bar.copy())
 
-        bits_each = [payload_bits(spec.kind, d, len(h), bm) for h in h_list]
-        bits_round = float(sum(bits_each)) / n_agents
+        counts = payload.kept.sum(axis=1).tolist()
+        bits_round = float(sum(payload_bits(spec.kind, d, n, bm) for n in counts)) / n_agents
         cumulative_bits += bits_round
         metrics.append(
             RoundMetrics(
@@ -271,7 +305,7 @@ def run_federated(
                 linf_error=linf_error(q_bar, q_star),
                 bits_round=bits_round,
                 bits_cumulative=cumulative_bits,
-                payload_entries=int(sum(len(h) for h in h_list)),
+                payload_entries=int(sum(counts)),
             )
         )
 

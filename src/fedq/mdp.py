@@ -146,17 +146,32 @@ def synchronous_sample(mdp: TabularMDP, rng) -> tuple[np.ndarray, np.ndarray]:
     independent given the stream, and identical stream state reproduces
     identical tables bit for bit.
     """
-    gen = as_generator(rng)
-    shape = (mdp.n_states, mdp.n_actions)
-    u = gen.random(shape)
+    next_states, rewards = synchronous_sample_batch(mdp, [as_generator(rng)])
+    return next_states[0], rewards[0]
+
+
+def synchronous_sample_batch(mdp: TabularMDP, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """One :func:`synchronous_sample` table per generator, stacked: shape (I, S, A).
+
+    Generator i draws its uniform block and then its Gaussian block into
+    row i, exactly as :func:`synchronous_sample` would; the inverse-CDF
+    lookup and the reward clip then run once on the whole batch.
+    """
+    shape = (len(rngs), mdp.n_states, mdp.n_actions)
+    noisy = mdp.noise.std > 0.0
+    u = np.empty(shape)
+    g = np.empty(shape) if noisy else None
+    for i, gen in enumerate(rngs):
+        u[i] = gen.random(shape[1:])
+        if noisy:
+            g[i] = gen.normal(0.0, mdp.noise.std, shape[1:])
     # Running sums below 1.0 are non-decreasing and u < 1.0, so the count of
     # sums <= u is the first slot with u < sum: the inverse-CDF pick.
-    slot = (u.reshape(-1, 1) >= mdp.succ_cum).sum(axis=1)
+    slot = (u.reshape(len(rngs), -1, 1) >= mdp.succ_cum).sum(axis=-1)
     next_states = mdp.succ.take(mdp._row_start + slot).reshape(shape)
-    if mdp.noise.std > 0.0:
-        g = gen.normal(0.0, mdp.noise.std, shape)
+    if noisy:
         np.clip(g, -mdp.noise.clip, mdp.noise.clip, out=g)
         rewards = mdp.reward_mean + g
     else:
-        rewards = mdp.reward_mean.copy()
+        rewards = np.repeat(mdp.reward_mean[None], len(rngs), axis=0)
     return next_states, rewards

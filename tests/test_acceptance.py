@@ -211,6 +211,7 @@ def zero_noise_finals(map5x5_mdp, map5x5_qstar):
     return final_identity, final_top5, finals_sp, time.perf_counter() - started
 
 
+@pytest.mark.slow
 @pytest.mark.xfail(
     strict=True,
     reason=(
@@ -233,11 +234,13 @@ def test_criterion_05_trend_zero_noise_literal(zero_noise_finals):
            f"({passes}/10 seeds, id={final_identity:.2e}, t5={final_top5:.2e})")
 
 
+@pytest.mark.slow
 def test_criterion_05_zero_noise_literal_time(zero_noise_finals):
     elapsed = zero_noise_finals[-1]
     report(5, "zero-noise literal runs finish within 120 s", elapsed < 120.0, f"({elapsed:.0f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_05_companion_trend_with_reward_noise(map5x5_noisy, map5x5_qstar):
     # same ordering clauses, with the noise level the task actually uses;
     # plateaus then reflect compression error instead of solver dust
@@ -265,6 +268,7 @@ def test_criterion_05_companion_trend_with_reward_noise(map5x5_noisy, map5x5_qst
 # 6. More agents lower the residual error
 
 
+@pytest.mark.slow
 def test_criterion_06_agent_speedup(map5x5_noisy, map5x5_qstar):
     started = time.perf_counter()
     finals_1 = [
@@ -316,6 +320,7 @@ def test_criterion_07_local_epoch_bit_saving(map5x5_noisy, map5x5_qstar):
 # 8. Learning-rate speed/accuracy trade-off
 
 
+@pytest.mark.slow
 def test_criterion_08_eta_tradeoff(map5x5_noisy, map5x5_qstar):
     started = time.perf_counter()
     rounds = 1200

@@ -17,6 +17,22 @@ def chain_mdp():
     return fedq.TabularMDP(transition, reward_mean, gamma=0.5)
 
 
+class TestStateValues:
+    @pytest.mark.parametrize("shape", [(1, 1), (904, 4), (25, 4), (7, 3), (3, 25, 4), (2, 5, 1)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_same_bytes_as_max_reduction(self, shape, seed):
+        # draws from a small set of values, so rows tie, mix signed zeros
+        # and reach both infinities
+        rng = np.random.default_rng(seed)
+        values = np.array([0.0, -0.0, np.inf, -np.inf, 1.5, -1.5, 2.0])
+        for q in (rng.choice(values, size=shape), rng.normal(size=shape)):
+            assert fedq.bellman.state_values(q).tobytes() == q.max(axis=-1).tobytes()
+
+    def test_signed_zero_ties_keep_reduction_order(self):
+        q = np.array([[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]])
+        assert fedq.bellman.state_values(q).tobytes() == q.max(axis=-1).tobytes()
+
+
 class TestExactBellman:
     def test_zero_table_single_state(self):
         mdp = single_state_mdp()
@@ -108,6 +124,17 @@ class TestEmpiricalBellman:
         var = acc_sq / n - mean**2
         se = np.sqrt(np.maximum(var, 0) / n)
         assert np.all(np.abs(mean - exact) <= 3 * se + 1e-9)
+
+    def test_batch_rows_match_single_tables(self, map5x5_noisy):
+        rng = np.random.default_rng(4)
+        q = rng.uniform(-2, 2, (3, 25, 4))
+        samples = [fedq.synchronous_sample(map5x5_noisy, fedq.RngStream(4, (i,))) for i in range(3)]
+        next_states = np.stack([ns for ns, _ in samples])
+        rewards = np.stack([r for _, r in samples])
+        batch = fedq.empirical_bellman(q, next_states, rewards, 0.8)
+        for i in range(3):
+            single = fedq.empirical_bellman(q[i], next_states[i], rewards[i], 0.8)
+            assert batch[i].tobytes() == single.tobytes()
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):

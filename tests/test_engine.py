@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import fedq
+from fedq.compression import RULE_UNIFORM, EfState
 from fedq.engine import DIRECT, ERROR_FEEDBACK
 from fedq.errors import (
     DimensionMismatchError,
@@ -108,6 +111,23 @@ class TestAggregate:
         h = fedq.SparseVector.from_dense(np.array([1.0, 2.0]))
         with pytest.raises(DimensionMismatchError):
             fedq.aggregate(np.zeros((1, 1)), [h], beta=1.0)
+
+    @pytest.mark.parametrize("beta", [1.0, 0.7])
+    def test_scatter_add_matches_densify_and_add(self, beta):
+        d = 6
+        payloads = [
+            fedq.SparseVector(d, np.arange(d), np.array([-0.0, 0.0, 1.5, -0.0, -2.0, 0.0])),
+            fedq.SparseVector(d, np.array([], dtype=np.int64), np.array([])),
+            fedq.SparseVector(d, np.array([0, 3, 5]), np.array([-0.0, 0.25, -1e-300])),
+            fedq.SparseVector(d, np.array([1, 2]), np.array([1e16, -0.1])),
+        ]
+        q_bar = np.array([[-0.0, 0.0, 3.0], [1.0, -0.0, 0.0]])
+        for h_list in (payloads, payloads[1:2], payloads[:1], payloads[::-1]):
+            acc = np.zeros(d)
+            for h in h_list:
+                acc += h.densify()
+            expected = q_bar + (beta / len(h_list)) * acc.reshape(q_bar.shape)
+            assert fedq.aggregate(q_bar, h_list, beta).tobytes() == expected.tobytes()
 
     def test_gather_order_not_schedule_dependent(self, map5x5_noisy, map5x5_qstar):
         # compute agent payloads in two processing orders; aggregation by
@@ -256,3 +276,72 @@ class TestPayloadEntries:
         sigma = np.sqrt(np.sum(p * (1 - p)) / n)
         assert expected <= k
         assert abs(np.mean(counts) - expected) <= 3 * sigma
+
+
+def per_agent_reference(config, mdp, q_star):
+    """The federated loop one agent at a time, summing densified payloads."""
+    spec, mode, d = config.compressor, config.resolved_mode(), mdp.table_size
+    root = fedq.RngStream(config.master_seed)
+    q_bar = np.full((mdp.n_states, mdp.n_actions), float(config.q0))
+    ef_states = [EfState.zeros(d) for _ in range(config.n_agents)]
+    alpha_min = p_support_min = None
+    rows, cumulative = [(fedq.rmse(q_bar, q_star), fedq.linf_error(q_bar, q_star), 0.0, 0.0, 0)], 0.0
+    for t in range(config.rounds):
+        h_list = []
+        for i in range(config.n_agents):
+            q_local = fedq.run_local_phase(q_bar, mdp, config.eta, config.local_epochs,
+                                           root.child(i, t))
+            delta = (q_local - q_bar).ravel()
+            comp_rng = (root.child(i, t, config.local_epochs).generator()
+                        if spec.kind == "sparsified_k" else None)
+            pending = delta + ef_states[i].e if mode == ERROR_FEEDBACK else delta
+            if spec.kind == "top_k" and np.any(pending):
+                a = fedq.contraction_alpha(pending, spec.k)
+                alpha_min = a if alpha_min is None else min(alpha_min, a)
+            elif spec.kind == "sparsified_k":
+                p = fedq.selection_probabilities(pending, spec.k, spec.probability_rule)
+                if np.any(p > 0):
+                    pm = float(p[p > 0].min())
+                    p_support_min = pm if p_support_min is None else min(p_support_min, pm)
+            if mode == ERROR_FEEDBACK:
+                h, ef_states[i] = fedq.ef_compress(ef_states[i], delta, spec, comp_rng)
+            else:
+                h = fedq.direct_compress(delta, spec, comp_rng)
+            h_list.append(h)
+        acc = np.zeros(d)
+        for h in h_list:
+            acc += h.densify()
+        q_bar = q_bar + (config.beta / config.n_agents) * acc.reshape(q_bar.shape)
+        bits = float(sum(fedq.payload_bits(spec.kind, d, len(h)) for h in h_list)) / config.n_agents
+        cumulative += bits
+        rows.append((fedq.rmse(q_bar, q_star), fedq.linf_error(q_bar, q_star), bits, cumulative,
+                     sum(len(h) for h in h_list)))
+    return q_bar, rows, alpha_min, p_support_min
+
+
+COMPRESSORS = {
+    "identity": fedq.CompressorSpec("identity"),
+    "top_k": fedq.CompressorSpec("top_k", k=5),
+    "sparsified_l1": fedq.CompressorSpec("sparsified_k", k=5),
+    "sparsified_uniform": fedq.CompressorSpec("sparsified_k", k=5, probability_rule=RULE_UNIFORM),
+}
+
+
+@pytest.mark.parametrize(
+    "compressor, mode, n_agents, epochs, noisy, q0",
+    list(itertools.product(COMPRESSORS, (DIRECT, ERROR_FEEDBACK), (1, 3), (1, 3),
+                           (False, True), (0.0, 1.5))),
+)
+def test_batched_round_matches_per_agent_reference(
+    compressor, mode, n_agents, epochs, noisy, q0, map5x5_mdp, map5x5_noisy, map5x5_qstar
+):
+    mdp = map5x5_noisy if noisy else map5x5_mdp
+    cfg = make_config(n_agents=n_agents, local_epochs=epochs, rounds=4, eta=0.3, q0=q0,
+                      compressor=COMPRESSORS[compressor], mode=mode, master_seed=7)
+    result = fedq.run_federated(cfg, mdp, map5x5_qstar)
+    q_final, rows, alpha_min, p_support_min = per_agent_reference(cfg, mdp, map5x5_qstar)
+    assert result.q_final.tobytes() == q_final.tobytes()
+    assert [(m.rmse, m.linf_error, m.bits_round, m.bits_cumulative, m.payload_entries)
+            for m in result.metrics] == rows
+    assert result.alpha_min == alpha_min
+    assert result.p_support_min == p_support_min

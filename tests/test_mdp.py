@@ -159,6 +159,23 @@ class TestSuccessorTable:
 
 
 class TestSynchronousSample:
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_batch_rows_match_single_draws(self, noisy):
+        noise = fedq.NoiseSpec(std=0.5, clip=0.5) if noisy else fedq.NoiseSpec()
+        base = sparse_random_mdp(np.random.default_rng(3))
+        mdp = fedq.TabularMDP(base.transition, base.reward_mean, gamma=0.8, noise=noise, r_max=1.5)
+        assert mdp.succ.shape[1] > 1
+        streams = [fedq.RngStream(8, (i,)) for i in range(3)]
+        gens = [s.generator() for s in streams]
+        next_states, rewards = fedq.mdp.synchronous_sample_batch(mdp, gens)
+        assert next_states.shape == rewards.shape == (3, mdp.n_states, mdp.n_actions)
+        for i, stream in enumerate(streams):
+            ref_gen = stream.generator()
+            ns, rw = fedq.synchronous_sample(mdp, ref_gen)
+            assert np.array_equal(next_states[i], ns)
+            assert rewards[i].tobytes() == rw.tobytes()
+            assert gens[i].random() == ref_gen.random()
+
     def test_shapes_and_dtype(self, map5x5_noisy):
         ns, rw = fedq.synchronous_sample(map5x5_noisy, fedq.RngStream(0).generator())
         assert ns.shape == rw.shape == (25, 4)
