@@ -26,7 +26,7 @@ manifest = RunManifest.from_mapping({
     "sweep": {"compressor": ["identity", "top_k", "sparsified_k"], "k": [5, 10]},
     "output_dir": str(out),
 })
-written = run_experiment(manifest, threads=4)
+written = run_experiment(manifest)
 
 print(f"{len(written)} files under {out}\n")
 print(f"{'run':>55}  {'final rmse':>10}  {'bits/agent':>12}")

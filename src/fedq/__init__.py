@@ -26,12 +26,10 @@ from .compression import (
     contraction_alpha,
     direct_compress,
     ef_compress,
-    pack_payload,
     selection_probabilities,
     sparsified_k,
     top_k,
     unbiased_constants,
-    unpack_payload,
 )
 from .engine import (
     DIRECT,
@@ -39,10 +37,7 @@ from .engine import (
     ExperimentConfig,
     RoundMetrics,
     RunResult,
-    aggregate,
-    local_epoch,
     run_federated,
-    run_local_phase,
 )
 from .grids import BUNDLED_MAPS, GridSpec, build_gridworld, load_map, map_path, parse_map
 from .harness import RunManifest, compute_qstar, run_experiment
@@ -68,7 +63,6 @@ __all__ = [
     "RunResult",
     "SparseVector",
     "TabularMDP",
-    "aggregate",
     "build_gridworld",
     "compute_qstar",
     "contraction_alpha",
@@ -79,17 +73,13 @@ __all__ = [
     "greedy_policy",
     "linf_error",
     "load_map",
-    "local_epoch",
     "map_path",
-    "pack_payload",
     "parse_map",
     "payload_bits",
-    "unpack_payload",
     "decay_factor",
     "rmse",
     "run_federated",
     "run_experiment",
-    "run_local_phase",
     "selection_probabilities",
     "sparsified_k",
     "synchronous_sample",

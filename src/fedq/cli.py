@@ -2,8 +2,8 @@
 
 Subcommands::
 
-    fedq run   <manifest.json>  [--threads N] [--output-dir DIR]
-    fedq sweep <manifest.json>  [--threads N] [--output-dir DIR]
+    fedq run   <manifest.json>  [--output-dir DIR]
+    fedq sweep <manifest.json>  [--output-dir DIR]
     fedq qstar <map> --gamma G  [--tol T] [--output-dir DIR]
 
 ``run`` executes a single-point manifest (it refuses manifests that
@@ -31,7 +31,7 @@ def _cmd_manifest(args: argparse.Namespace) -> int:
         manifest = dataclasses.replace(manifest, output_dir=args.output_dir)
     if args.command == "run" and manifest.sweep:
         raise ParamOutOfRangeError("manifest declares sweep axes; use 'fedq sweep'")
-    for path in run_experiment(manifest, threads=args.threads):
+    for path in run_experiment(manifest):
         print(path)
     return 0
 
@@ -50,7 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("run", "sweep"):
         p = sub.add_parser(name, help=f"{name} a manifest")
         p.add_argument("manifest", help="path to a JSON manifest")
-        p.add_argument("--threads", type=int, default=1, help="worker threads (results are identical for any value)")
         p.add_argument("--output-dir", default=None, help="override the manifest output directory")
         p.set_defaults(fn=_cmd_manifest)
 

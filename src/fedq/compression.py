@@ -273,48 +273,6 @@ def direct_compress(delta: np.ndarray, spec: CompressorSpec, rng=None) -> Sparse
     return _as_sparse(_apply(delta, spec, rng))
 
 
-def pack_payload(sv: SparseVector, value_bits: int = 32) -> bytes:
-    """Serialize a payload to its wire form.
-
-    Layout: two little-endian uint32 words (dimension, entry count), the
-    indices packed at ceil(log2 d) bits each into a zero-padded bit
-    string, then the values as IEEE float32 (value_bits must be 32).
-    The index-plus-value section is exactly the size the payload
-    accounting charges, up to byte padding of the index bits.
-    """
-    if value_bits != 32:
-        raise ParamOutOfRangeError("only 32-bit wire values are supported")
-    d = sv.dimension
-    idx_bits = max((d - 1).bit_length(), 0)
-    header = np.array([d, len(sv)], dtype="<u4").tobytes()
-    stream = 0
-    for idx in sv.indices:
-        stream = (stream << idx_bits) | int(idx)
-    total_bits = idx_bits * len(sv)
-    index_bytes = stream.to_bytes((total_bits + 7) // 8, "big") if total_bits else b""
-    value_bytes = sv.values.astype("<f4").tobytes()
-    return header + index_bytes + value_bytes
-
-
-def unpack_payload(blob: bytes) -> SparseVector:
-    """Inverse of :func:`pack_payload`.
-
-    Values come back at float32 resolution; the wire format is the
-    accounting-faithful dump, not a lossless checkpoint.
-    """
-    d, count = (int(x) for x in np.frombuffer(blob[:8], dtype="<u4"))
-    idx_bits = max((d - 1).bit_length(), 0)
-    n_index_bytes = (idx_bits * count + 7) // 8
-    stream = int.from_bytes(blob[8 : 8 + n_index_bytes], "big") if n_index_bytes else 0
-    indices = np.zeros(count, dtype=np.int64)
-    mask = (1 << idx_bits) - 1
-    for slot in range(count - 1, -1, -1):
-        indices[slot] = stream & mask
-        stream >>= idx_bits
-    values = np.frombuffer(blob[8 + n_index_bytes :], dtype="<f4").astype(np.float64)
-    return SparseVector(d, indices, values)
-
-
 def ef_compress(
     state: EfState, delta: np.ndarray, spec: CompressorSpec, rng=None
 ) -> tuple[SparseVector, EfState]:

@@ -29,22 +29,10 @@ import numpy as np
 
 from .bellman import empirical_bellman, linf_error, rmse
 from .bounds import BitModel, payload_bits
-from .compression import (
-    IDENTITY,
-    SPARSIFIED_K,
-    TOP_K,
-    CompressorSpec,
-    SparseVector,
-    compress_batch,
-)
-from .errors import (
-    DimensionMismatchError,
-    EmptyAgentListError,
-    ParamOutOfRangeError,
-    ShapeMismatchError,
-)
+from .compression import IDENTITY, SPARSIFIED_K, TOP_K, CompressorSpec, compress_batch
+from .errors import ParamOutOfRangeError, ShapeMismatchError
 from .mdp import TabularMDP, synchronous_sample_batch
-from .rng import RngStream, as_generator
+from .rng import RngStream
 
 DIRECT = "direct"
 ERROR_FEEDBACK = "error_feedback"
@@ -133,15 +121,6 @@ class RunResult:
     q_tables: list[np.ndarray] | None = None  # per-round global tables, if recorded
 
 
-def _check_epoch_args(q: np.ndarray, mdp: TabularMDP, eta: float) -> np.ndarray:
-    if not 0.0 < eta <= 1.0:
-        raise ParamOutOfRangeError(f"eta must lie in (0, 1], got {eta}")
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape != (mdp.n_states, mdp.n_actions):
-        raise ShapeMismatchError(f"Q shape {q.shape} does not match the MDP")
-    return q
-
-
 def _epoch(q: np.ndarray, mdp: TabularMDP, eta: float, rngs) -> np.ndarray:
     """One damped empirical-Bellman update of an (I, S, A) batch; row i draws from rngs[i]."""
     next_states, rewards = synchronous_sample_batch(mdp, rngs)
@@ -149,37 +128,17 @@ def _epoch(q: np.ndarray, mdp: TabularMDP, eta: float, rngs) -> np.ndarray:
 
 
 def _local_phases(
-    q_bar: np.ndarray, mdp: TabularMDP, eta: float, n_epochs: int, streams: list[RngStream]
+    q_bar: np.ndarray, mdp: TabularMDP, eta: float, n_epochs: int, root: RngStream, t: int,
+    n_agents: int,
 ) -> np.ndarray:
-    """The local phases of len(streams) agents from one broadcast: shape (I, S, A)."""
-    q = np.broadcast_to(q_bar, (len(streams),) + q_bar.shape)
+    """The round-t local phases of n_agents agents from one broadcast: shape (I, S, A).
+
+    Epoch k of agent i draws from ``root.child(i, t, k)``.
+    """
+    q = np.broadcast_to(q_bar, (n_agents,) + q_bar.shape)
     for k in range(n_epochs):
-        q = _epoch(q, mdp, eta, [stream.child(k).generator() for stream in streams])
+        q = _epoch(q, mdp, eta, [root.child(i, t, k).generator() for i in range(n_agents)])
     return q
-
-
-def local_epoch(q: np.ndarray, mdp: TabularMDP, eta: float, rng) -> np.ndarray:
-    """One damped empirical-Bellman update of the whole table.
-
-    Draws one synchronous sample table and applies
-    ``q' = (1 - eta) q + eta (rewards + gamma * max_a' q[next, a'])``
-    to every entry simultaneously; the max reads the pre-update table.
-    """
-    q = _check_epoch_args(q, mdp, eta)
-    return _epoch(q[None], mdp, eta, [as_generator(rng)])[0]
-
-
-def run_local_phase(
-    q_bar: np.ndarray, mdp: TabularMDP, eta: float, n_epochs: int, stream: RngStream
-) -> np.ndarray:
-    """K sequential local epochs starting from the broadcast table.
-
-    Epoch k consumes the sub-stream ``stream.child(k)``.
-    """
-    if n_epochs < 1:
-        raise ParamOutOfRangeError("n_epochs must be >= 1")
-    q_bar = _check_epoch_args(q_bar, mdp, eta)
-    return _local_phases(q_bar, mdp, eta, n_epochs, [stream])[0]
 
 
 def _server_step(
@@ -195,27 +154,6 @@ def _server_step(
     acc = np.zeros(q_bar.size)
     np.add.at(acc, indices, values)
     return q_bar + (beta / n_agents) * acc.reshape(q_bar.shape)
-
-
-def aggregate(q_bar: np.ndarray, h_list: list[SparseVector], beta: float) -> np.ndarray:
-    """Server update: add ``beta / I`` times the summed payloads.
-
-    The payloads are scatter-added in ascending agent order (list order),
-    so the floating-point result is independent of how the agents were
-    scheduled and equals summing the densified payloads in that order.
-    """
-    if not h_list:
-        raise EmptyAgentListError("aggregate needs at least one payload")
-    if not 0.0 < beta <= 1.0:
-        raise ParamOutOfRangeError(f"beta must lie in (0, 1], got {beta}")
-    q_bar = np.asarray(q_bar, dtype=np.float64)
-    d = q_bar.size
-    for h in h_list:
-        if h.dimension != d:
-            raise DimensionMismatchError(f"payload dimension {h.dimension} != table size {d}")
-    indices = np.concatenate([h.indices for h in h_list])
-    values = np.concatenate([h.values for h in h_list])
-    return _server_step(q_bar, indices, values, beta, len(h_list))
 
 
 def _running_min(current: float | None, values: np.ndarray) -> float | None:
@@ -270,8 +208,7 @@ def run_federated(
     ]
 
     for t in range(config.rounds):
-        streams = [root.child(i, t) for i in range(n_agents)]
-        q_local = _local_phases(q_bar, mdp, config.eta, config.local_epochs, streams)
+        q_local = _local_phases(q_bar, mdp, config.eta, config.local_epochs, root, t, n_agents)
         pending = (q_local - q_bar).reshape(n_agents, d)
         if residual is not None:
             pending += residual

@@ -49,10 +49,6 @@ class ZeroVectorError(FedqError, ValueError):
     """Operation undefined on the all-zero vector."""
 
 
-class EmptyAgentListError(FedqError, ValueError):
-    """Server aggregation called with no agent payloads."""
-
-
 class ParamOutOfRangeError(FedqError, ValueError):
     """A hyperparameter violates its documented range."""
 

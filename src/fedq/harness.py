@@ -11,8 +11,7 @@ seed:
 * ``<slug>_overlay.csv``  ``round,empirical_linf,theory_bound``
 
 plus one ``<base>_agg.csv`` per grid point with the across-seed band.
-Identical manifests rewrite byte-identical CSVs, regardless of how many
-worker threads execute the grid.
+Identical manifests rewrite byte-identical CSVs.
 """
 from __future__ import annotations
 
@@ -22,7 +21,6 @@ import json
 import os
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -278,7 +276,10 @@ def read_trace_csv(path: str | Path) -> list[RoundMetrics]:
             if len(cells) != 6:
                 raise FileFormatError(f"{path}:{lineno}: trace row needs 6 fields, got {len(cells)}")
             r, rm, li, br, bc, pe = cells
-            rows.append(RoundMetrics(int(r), float(rm), float(li), float(br), float(bc), int(pe)))
+            try:
+                rows.append(RoundMetrics(int(r), float(rm), float(li), float(br), float(bc), int(pe)))
+            except ValueError as exc:
+                raise FileFormatError(f"{path}:{lineno}: trace row is not numeric: {exc}") from exc
     return rows
 
 
@@ -430,13 +431,13 @@ def _execute_task(
     return trace_path, result.metrics
 
 
-def run_experiment(manifest: RunManifest, threads: int = 1) -> list[Path]:
+def run_experiment(manifest: RunManifest) -> list[Path]:
     """Run every (grid point, seed) task and return the written trace paths.
 
-    Tasks may execute on a thread pool; each writes its own files and the
-    content is a pure function of the manifest, so the thread count can
-    never change any output byte.  Every task's parameters are checked,
-    and the map is loaded, before anything is written.
+    Each task writes its own files, whose content is a pure function of
+    the manifest, so a rerun rewrites the same bytes.  Every task's
+    parameters are checked, and the map is loaded, before anything is
+    written.
     """
     points = expand_grid(manifest)
     n_runs = len(points) * manifest.n_seeds
@@ -457,12 +458,10 @@ def run_experiment(manifest: RunManifest, threads: int = 1) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     q_star = cached_qstar(manifest.map, manifest.gamma, manifest.qstar_tol, out_dir / "qstar_cache")
 
-    args = [(manifest, point, config, mdp, q_star, out_dir, bit_model) for point, config in tasks]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = [f.result() for f in [pool.submit(_execute_task, *a) for a in args]]
-    else:
-        outcomes = [_execute_task(*a) for a in args]
+    outcomes = [
+        _execute_task(manifest, point, config, mdp, q_star, out_dir, bit_model)
+        for point, config in tasks
+    ]
 
     written = [path for path, _ in outcomes]
     if manifest.n_seeds > 1:

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ParamOutOfRangeError
+
 
 @dataclass(frozen=True)
 class RngStream:
@@ -27,7 +29,7 @@ class RngStream:
 
     def __post_init__(self) -> None:
         if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+            raise ParamOutOfRangeError(f"seed must be non-negative, got {self.seed}")
 
     def child(self, *ids: int) -> "RngStream":
         """Derive a sub-stream by extending the path."""

@@ -252,35 +252,3 @@ class TestSpecValidation:
     def test_missing_budget(self):
         with pytest.raises(BudgetOutOfRangeError):
             fedq.CompressorSpec("top_k", k=0)
-
-
-class TestWireFormat:
-    def test_round_trip_indices_exact_values_float32(self):
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            d = int(rng.integers(1, 600))
-            v = np.zeros(d)
-            nnz = int(rng.integers(0, min(d, 30) + 1))
-            idx = rng.choice(d, size=nnz, replace=False)
-            v[idx] = rng.normal(size=nnz)
-            sv = fedq.SparseVector.from_dense(v)
-            back = fedq.unpack_payload(fedq.pack_payload(sv))
-            assert back.dimension == d
-            assert np.array_equal(back.indices, sv.indices)
-            assert np.array_equal(back.values, sv.values.astype(np.float32).astype(np.float64))
-
-    def test_wire_size_matches_bit_accounting(self):
-        # index+value section == charged bits, up to byte padding of the
-        # index bit string; header is 8 bytes
-        rng = np.random.default_rng(5)
-        for d, k in ((484, 50), (100, 5), (7, 3)):
-            sv = fedq.top_k(rng.normal(size=d), k)
-            blob = fedq.pack_payload(sv)
-            charged = fedq.payload_bits("top_k", d, len(sv))
-            on_wire = 8 * (len(blob) - 8)
-            assert charged <= on_wire < charged + 8
-
-    def test_empty_payload(self):
-        sv = fedq.SparseVector(10, np.array([], dtype=np.int64), np.array([]))
-        back = fedq.unpack_payload(fedq.pack_payload(sv))
-        assert back.dimension == 10 and len(back) == 0

@@ -5,13 +5,8 @@ import pytest
 
 import fedq
 from fedq.compression import RULE_UNIFORM, EfState
-from fedq.engine import DIRECT, ERROR_FEEDBACK
-from fedq.errors import (
-    DimensionMismatchError,
-    EmptyAgentListError,
-    ParamOutOfRangeError,
-    ShapeMismatchError,
-)
+from fedq.engine import DIRECT, ERROR_FEEDBACK, _epoch, _local_phases, _server_step
+from fedq.errors import ParamOutOfRangeError
 
 
 def make_config(**overrides):
@@ -29,88 +24,87 @@ def make_config(**overrides):
     return fedq.ExperimentConfig(**base)
 
 
+def local_phase_reference(q_bar, mdp, eta, n_epochs, root, t, agent):
+    """Agent ``agent``'s round-t local phase from the public sampler and operator."""
+    q = q_bar
+    for k in range(n_epochs):
+        next_states, rewards = fedq.synchronous_sample(mdp, root.child(agent, t, k))
+        q = (1.0 - eta) * q + eta * fedq.empirical_bellman(q, next_states, rewards, mdp.gamma)
+    return q
+
+
 class TestLocalEpoch:
     def test_full_step_equals_exact_operator_when_deterministic(self, map5x5_mdp):
         rng = np.random.default_rng(0)
         q = rng.uniform(-2, 2, (25, 4))
-        out = fedq.local_epoch(q, map5x5_mdp, eta=1.0, rng=fedq.RngStream(0).generator())
+        out = _epoch(q[None], map5x5_mdp, 1.0, [fedq.RngStream(0).generator()])[0]
         assert np.allclose(out, fedq.exact_bellman(map5x5_mdp, q), rtol=0, atol=1e-12)
 
     def test_half_step_arithmetic(self):
         # one state, reward 1: the damped update moves half way to the target
         mdp = fedq.TabularMDP(np.ones((1, 1, 1)), np.array([[1.0]]), gamma=0.5)
-        out = fedq.local_epoch(np.zeros((1, 1)), mdp, eta=0.5, rng=fedq.RngStream(0).generator())
-        assert out[0, 0] == 0.5
+        cfg = make_config(n_agents=1, rounds=1, eta=0.5, beta=1.0, gamma=0.5)
+        result = fedq.run_federated(cfg, mdp, np.array([[2.0]]))
+        assert result.q_final[0, 0] == 0.5
 
     def test_stability_bound(self, map5x5_noisy):
         rng = np.random.default_rng(1)
         gamma = map5x5_noisy.gamma
         reward_cap = map5x5_noisy.r_max  # mean capped at 1, noise at 0.5
-        for trial in range(20):
-            q = rng.uniform(-6, 6, (25, 4))
-            out = fedq.local_epoch(q, map5x5_noisy, 0.3, fedq.RngStream(2, (trial,)).generator())
-            cap = max(np.max(np.abs(q)), reward_cap + gamma * np.max(np.abs(q)))
-            assert np.max(np.abs(out)) <= cap + 1e-12
-
-    def test_eta_range(self, map5x5_mdp):
-        with pytest.raises(ParamOutOfRangeError):
-            fedq.local_epoch(np.zeros((25, 4)), map5x5_mdp, 0.0, fedq.RngStream(0).generator())
-
-    def test_shape_check(self, map5x5_mdp):
-        with pytest.raises(ShapeMismatchError):
-            fedq.local_epoch(np.zeros((4, 25)), map5x5_mdp, 0.5, fedq.RngStream(0).generator())
+        q = rng.uniform(-6, 6, (20, 25, 4))
+        gens = [fedq.RngStream(2, (trial,)).generator() for trial in range(20)]
+        out = _epoch(q, map5x5_noisy, 0.3, gens)
+        for q_i, out_i in zip(q, out):
+            cap = max(np.max(np.abs(q_i)), reward_cap + gamma * np.max(np.abs(q_i)))
+            assert np.max(np.abs(out_i)) <= cap + 1e-12
 
 
 class TestLocalPhase:
     def test_single_epoch_reduces_to_local_epoch(self, map5x5_noisy):
         q0 = np.zeros((25, 4))
-        stream = fedq.RngStream(5, (0, 0))
-        phase = fedq.run_local_phase(q0, map5x5_noisy, 0.3, 1, stream)
-        single = fedq.local_epoch(q0, map5x5_noisy, 0.3, stream.child(0).generator())
+        root = fedq.RngStream(5)
+        phase = _local_phases(q0, map5x5_noisy, 0.3, 1, root, 0, 1)
+        single = _epoch(q0[None], map5x5_noisy, 0.3, [root.child(0, 0, 0).generator()])
         assert np.array_equal(phase, single)
 
-    def test_full_steps_compose_exact_operator(self, map5x5_mdp):
-        q0 = np.zeros((25, 4))
-        out = fedq.run_local_phase(q0, map5x5_mdp, 1.0, 3, fedq.RngStream(1, (0, 0)))
-        expected = q0
-        for _ in range(3):
-            expected = fedq.exact_bellman(map5x5_mdp, expected)
-        assert np.allclose(out, expected, rtol=0, atol=1e-12)
+    def test_full_steps_compose_exact_operator(self, map5x5_mdp, map5x5_qstar):
+        cfg = make_config(n_agents=1, local_epochs=3, rounds=3, eta=1.0, beta=1.0, q0=1.5)
+        result = fedq.run_federated(cfg, map5x5_mdp, map5x5_qstar, record_tables=True)
+        for before, after in zip(result.q_tables, result.q_tables[1:]):
+            expected = before
+            for _ in range(3):
+                expected = fedq.exact_bellman(map5x5_mdp, expected)
+            assert np.allclose(after, expected, rtol=0, atol=1e-12)
 
     def test_identical_streams_identical_phases(self, map5x5_noisy):
         q0 = np.zeros((25, 4))
-        a = fedq.run_local_phase(q0, map5x5_noisy, 0.3, 4, fedq.RngStream(9, (3, 7)))
-        b = fedq.run_local_phase(q0, map5x5_noisy, 0.3, 4, fedq.RngStream(9, (3, 7)))
+        a = _local_phases(q0, map5x5_noisy, 0.3, 4, fedq.RngStream(9), 7, 3)
+        b = _local_phases(q0, map5x5_noisy, 0.3, 4, fedq.RngStream(9), 7, 3)
         assert np.array_equal(a, b)
+
+
+def sparse_pairs(payloads):
+    """The (index, value) pairs of a payload list, concatenated in list order."""
+    indices = np.concatenate([h.indices for h in payloads])
+    values = np.concatenate([h.values for h in payloads])
+    return indices, values
 
 
 class TestAggregate:
     def test_identity_telescopes(self):
         q_bar = np.array([[1.0]])
         q_local = np.array([[3.0]])
-        h = fedq.SparseVector.from_dense((q_local - q_bar).ravel())
-        out = fedq.aggregate(q_bar, [h], beta=1.0)
+        out = _server_step(q_bar, np.array([0]), (q_local - q_bar).ravel(), 1.0, 1)
         assert np.array_equal(out, q_local)
 
     def test_two_agent_average(self):
-        h1 = fedq.SparseVector.from_dense(np.array([2.0]))
-        h2 = fedq.SparseVector(1, np.array([], dtype=np.int64), np.array([]))
-        out = fedq.aggregate(np.zeros((1, 1)), [h1, h2], beta=1.0)
+        # agent 0 ships 2.0, agent 1 ships nothing
+        out = _server_step(np.zeros((1, 1)), np.array([0]), np.array([2.0]), 1.0, 2)
         assert out[0, 0] == 1.0
 
     def test_server_step_scaling(self):
-        h = fedq.SparseVector.from_dense(np.array([2.0]))
-        out = fedq.aggregate(np.array([[1.0]]), [h], beta=0.5)
+        out = _server_step(np.array([[1.0]]), np.array([0]), np.array([2.0]), 0.5, 1)
         assert out[0, 0] == 2.0
-
-    def test_empty_list(self):
-        with pytest.raises(EmptyAgentListError):
-            fedq.aggregate(np.zeros((1, 1)), [], beta=1.0)
-
-    def test_dimension_mismatch(self):
-        h = fedq.SparseVector.from_dense(np.array([1.0, 2.0]))
-        with pytest.raises(DimensionMismatchError):
-            fedq.aggregate(np.zeros((1, 1)), [h], beta=1.0)
 
     @pytest.mark.parametrize("beta", [1.0, 0.7])
     def test_scatter_add_matches_densify_and_add(self, beta):
@@ -127,23 +121,28 @@ class TestAggregate:
             for h in h_list:
                 acc += h.densify()
             expected = q_bar + (beta / len(h_list)) * acc.reshape(q_bar.shape)
-            assert fedq.aggregate(q_bar, h_list, beta).tobytes() == expected.tobytes()
+            out = _server_step(q_bar, *sparse_pairs(h_list), beta, len(h_list))
+            assert out.tobytes() == expected.tobytes()
 
-    def test_gather_order_not_schedule_dependent(self, map5x5_noisy, map5x5_qstar):
+    def test_gather_order_not_schedule_dependent(self, map5x5_noisy):
         # compute agent payloads in two processing orders; aggregation by
-        # ascending id gives bit-identical servers either way
+        # ascending id gives bit-identical servers either way, and equals
+        # the engine's batched local phases
         q_bar = np.zeros((25, 4))
         root = fedq.RngStream(21)
 
         def payload(agent):
-            q = fedq.run_local_phase(q_bar, map5x5_noisy, 0.2, 2, root.child(agent, 0))
+            q = local_phase_reference(q_bar, map5x5_noisy, 0.2, 2, root, 0, agent)
             return fedq.SparseVector.from_dense((q - q_bar).ravel())
 
         forward = [payload(i) for i in (0, 1, 2)]
         backward = list(reversed([payload(i) for i in (2, 1, 0)]))
-        out_f = fedq.aggregate(q_bar, forward, beta=0.7)
-        out_b = fedq.aggregate(q_bar, backward, beta=0.7)
+        out_f = _server_step(q_bar, *sparse_pairs(forward), 0.7, 3)
+        out_b = _server_step(q_bar, *sparse_pairs(backward), 0.7, 3)
         assert np.array_equal(out_f, out_b)
+        batched = [fedq.SparseVector.from_dense((q - q_bar).ravel())
+                   for q in _local_phases(q_bar, map5x5_noisy, 0.2, 2, root, 0, 3)]
+        assert _server_step(q_bar, *sparse_pairs(batched), 0.7, 3).tobytes() == out_f.tobytes()
 
 
 class TestConfigValidation:
@@ -208,7 +207,7 @@ class TestRunFederated:
         for t in range(T):
             acc = np.zeros(100)
             for i in range(I):
-                q_i = fedq.run_local_phase(q_bar, map5x5_noisy, 0.3, K, root.child(i, t))
+                q_i = local_phase_reference(q_bar, map5x5_noisy, 0.3, K, root, t, i)
                 acc += (q_i - q_bar).ravel()
             q_bar = q_bar + (1.0 / I) * acc.reshape(25, 4)
             assert np.array_equal(result.q_tables[t + 1], q_bar)
@@ -289,8 +288,7 @@ def per_agent_reference(config, mdp, q_star):
     for t in range(config.rounds):
         h_list = []
         for i in range(config.n_agents):
-            q_local = fedq.run_local_phase(q_bar, mdp, config.eta, config.local_epochs,
-                                           root.child(i, t))
+            q_local = local_phase_reference(q_bar, mdp, config.eta, config.local_epochs, root, t, i)
             delta = (q_local - q_bar).ravel()
             comp_rng = (root.child(i, t, config.local_epochs).generator()
                         if spec.kind == "sparsified_k" else None)

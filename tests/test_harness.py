@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -117,17 +118,6 @@ class TestRunExperiment:
         second = {p: p.read_bytes() for p in run_experiment(manifest) if p.suffix == ".csv"}
         assert first == second
 
-    def test_thread_count_never_changes_bytes(self, tmp_path):
-        m1 = small_manifest(tmp_path, output_dir=str(tmp_path / "a"),
-                            sweep={"eta": [0.1, 0.2], "k": [5, 10]})
-        m4 = small_manifest(tmp_path, output_dir=str(tmp_path / "b"),
-                            sweep={"eta": [0.1, 0.2], "k": [5, 10]})
-        out1 = sorted(p for p in run_experiment(m1, threads=1) if p.suffix == ".csv")
-        out4 = sorted(p for p in run_experiment(m4, threads=4) if p.suffix == ".csv")
-        assert [p.name for p in out1] == [p.name for p in out4]
-        for a, b in zip(out1, out4):
-            assert a.read_bytes() == b.read_bytes()
-
     def test_agg_band_contains_mean(self, tmp_path):
         manifest = small_manifest(tmp_path, n_seeds=3)
         written = run_experiment(manifest)
@@ -173,6 +163,13 @@ class TestReadTrace:
         path = tmp_path / "t.csv"
         path.write_text(fedq.harness.TRACE_HEADER + "\n" + row + "\n")
         with pytest.raises(FileFormatError, match=":2:"):
+            read_trace_csv(path)
+
+    @pytest.mark.parametrize("row", ["x,1,2,3,4,5", "0,1.0,1.0,0.0,0.0,1.5"])
+    def test_non_numeric_cell(self, tmp_path, row):
+        path = tmp_path / "t.csv"
+        path.write_text(fedq.harness.TRACE_HEADER + "\n0,1.0,1.0,0.0,0.0,0\n" + row + "\n")
+        with pytest.raises(FileFormatError, match=re.escape(f"{path}:3: trace row is not numeric")):
             read_trace_csv(path)
 
 
@@ -241,9 +238,16 @@ class TestCli:
 
     def test_sweep_runs_grid(self, tmp_path):
         path = self._write_manifest(tmp_path, sweep={"eta": [0.1, 0.2]})
-        assert cli_main(["sweep", str(path), "--threads", "2"]) == 0
+        assert cli_main(["sweep", str(path)]) == 0
         out = tmp_path / "out"
         assert len(list(out.glob("*_summary.json"))) == 2
+
+    def test_unknown_option_rejected(self, tmp_path):
+        path = self._write_manifest(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["sweep", str(path), "--threads", "2"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_missing_map_exits_2_without_outputs(self, tmp_path):
         path = self._write_manifest(tmp_path, map=str(tmp_path / "nope.txt"))
@@ -315,7 +319,7 @@ class TestCli:
         assert cli_main(["sweep", str(path)]) == 2
 
     def test_internal_type_error_propagates(self, tmp_path, monkeypatch):
-        def broken(manifest, threads=1):
+        def broken(manifest):
             raise TypeError("internal bug")
 
         monkeypatch.setattr(fedq.cli, "run_experiment", broken)

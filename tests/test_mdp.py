@@ -237,6 +237,10 @@ class TestStreamIndependence:
         b = fedq.RngStream(5, (0, 2)).generator().random(8)
         assert not np.array_equal(a, b)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ParamOutOfRangeError, match="-1"):
+            fedq.RngStream(-1)
+
     def test_child_extends_path(self):
         root = fedq.RngStream(17)
         assert root.child(2, 3).path == (2, 3)
