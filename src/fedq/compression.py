@@ -35,7 +35,6 @@ from .errors import (
     ShapeMismatchError,
     ZeroVectorError,
 )
-from .rng import as_generator
 
 IDENTITY = "identity"
 TOP_K = "top_k"
@@ -151,11 +150,13 @@ def _check_budget(k: int, d: int) -> None:
         raise BudgetOutOfRangeError(f"budget k={k} outside [1, {d}]")
 
 
-def compress_batch(pending: np.ndarray, spec: CompressorSpec, rngs=None) -> BatchPayload:
+def compress_batch(
+    pending: np.ndarray, spec: CompressorSpec, rngs: list[np.random.Generator] | None = None
+) -> BatchPayload:
     """Compress every row of an (I, d) array at once.
 
     Row i is compressed exactly as :func:`direct_compress` would compress
-    it alone; sparsified_k draws its d uniforms from ``rngs[i]``.  top_k
+    it alone; sparsified_k draws its d uniforms from the generator ``rngs[i]``.  top_k
     ranks each row with one stable sort, which also gives the realized
     contraction factor.
     """
@@ -180,12 +181,12 @@ def compress_batch(pending: np.ndarray, spec: CompressorSpec, rngs=None) -> Batc
     p = selection_probabilities(pending, spec.k, spec.probability_rule)
     u = np.empty(pending.shape)
     for i, rng in enumerate(rngs):
-        u[i] = as_generator(rng).random(d)
+        u[i] = rng.random(d)
     kept = u < p
     return BatchPayload(kept, pending[kept] / p[kept], p=p)
 
 
-def _apply(v: np.ndarray, spec: CompressorSpec, rng) -> BatchPayload:
+def _apply(v: np.ndarray, spec: CompressorSpec, rng: np.random.Generator | None) -> BatchPayload:
     """Compress one vector: the batch of one."""
     v = np.asarray(v, dtype=np.float64)
     return compress_batch(v[None], spec, [rng])
@@ -257,7 +258,7 @@ def unbiased_constants(p: np.ndarray) -> tuple[float, float]:
     return q2, max(q2, 1.0)
 
 
-def sparsified_k(v: np.ndarray, k: int, rng, rule: str = RULE_L1) -> SparseVector:
+def sparsified_k(v: np.ndarray, k: int, rng: np.random.Generator, rule: str = RULE_L1) -> SparseVector:
     """Unbiased random sparsification with expected budget k.
 
     Coordinate j survives with probability p_j (see
@@ -268,13 +269,15 @@ def sparsified_k(v: np.ndarray, k: int, rng, rule: str = RULE_L1) -> SparseVecto
     return _as_sparse(_apply(v, CompressorSpec(SPARSIFIED_K, k, rule), rng))
 
 
-def direct_compress(delta: np.ndarray, spec: CompressorSpec, rng=None) -> SparseVector:
+def direct_compress(
+    delta: np.ndarray, spec: CompressorSpec, rng: np.random.Generator | None = None
+) -> SparseVector:
     """Compress a progress vector with no memory."""
     return _as_sparse(_apply(delta, spec, rng))
 
 
 def ef_compress(
-    state: EfState, delta: np.ndarray, spec: CompressorSpec, rng=None
+    state: EfState, delta: np.ndarray, spec: CompressorSpec, rng: np.random.Generator | None = None
 ) -> tuple[SparseVector, EfState]:
     """Compress ``delta + e`` and bank the untransmitted remainder.
 

@@ -122,34 +122,31 @@ def parse_map(text: str) -> GridSpec:
 def build_gridworld(grid: GridSpec, noise: NoiseSpec = NoiseSpec(), gamma: float = 0.8) -> TabularMDP:
     """Build the deterministic maze MDP for a parsed grid.
 
-    r_max is 1 + noise.clip so that every sampled reward magnitude is
-    within the bound carried by the convergence analysis.
+    Every move has exactly one successor, so the MDP is written directly
+    as an (S * A, 1) successor table with probability 1; memory and time
+    grow with S * A.  r_max is 1 + noise.clip so that every sampled reward
+    magnitude is within the bound carried by the convergence analysis.
     """
     if not 0.0 < gamma < 1.0:
         raise InvalidGammaError(f"gamma must lie in (0, 1), got {gamma}")
 
-    positions = grid.state_positions()
-    index_of = {pos: s for s, pos in enumerate(positions)}
-    n = len(positions)
+    open_cells = np.array(grid.cells).reshape(grid.rows, grid.cols) != WALL
+    rows, cols = np.nonzero(open_cells)  # row-major: state order
+    states = np.arange(rows.size)
+    # state index per cell, with a border of -1 so off-grid moves read as walls
+    index = np.full((grid.rows + 2, grid.cols + 2), -1)
+    index[1:-1, 1:-1][open_cells] = states
+    dest = np.stack([index[rows + 1 + dr, cols + 1 + dc] for dr, dc in ACTION_DELTAS], axis=1)
 
-    transition = np.zeros((n, N_ACTIONS, n))
-    reward_mean = np.zeros((n, N_ACTIONS))
-    goal = grid.goal_index
-    for s, (r, c) in enumerate(positions):
-        for a, (dr, dc) in enumerate(ACTION_DELTAS):
-            if s == goal:
-                transition[s, a, s] = 1.0
-                continue
-            dest = index_of.get((r + dr, c + dc))
-            if dest is None:  # wall or off-grid: stay, pay the penalty
-                transition[s, a, s] = 1.0
-                reward_mean[s, a] = -1.0
-            else:
-                transition[s, a, dest] = 1.0
-                reward_mean[s, a] = 1.0 if dest == goal else 0.0
+    blocked = dest < 0  # wall or off-grid: stay, pay the penalty
+    succ = np.where(blocked, states[:, None], dest)
+    reward_mean = np.where(blocked, -1.0, np.where(dest == grid.goal_index, 1.0, 0.0))
+    succ[grid.goal_index] = grid.goal_index  # the goal absorbs, reward 0
+    reward_mean[grid.goal_index] = 0.0
 
     return TabularMDP(
-        transition=transition,
+        succ=succ.reshape(-1, 1),
+        succ_p=np.ones((succ.size, 1)),
         reward_mean=reward_mean,
         gamma=gamma,
         noise=noise,

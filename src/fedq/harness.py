@@ -21,7 +21,8 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field, fields
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,8 @@ from .mdp import NoiseSpec, TabularMDP
 OUTPUT_ROOT_ENV = "FEDQ_OUTPUT_ROOT"
 
 _SWEEP_AXES = ("eta", "beta", "agents", "local_epochs", "k", "compressor", "mode")
+# Manifest-level fields a run summary records next to its grid point and seed.
+_SUMMARY_MANIFEST_FIELDS = ("rounds", "gamma", "noise_std", "noise_clip")
 
 # JSON values accepted for each RunManifest field annotation.  Booleans are
 # rejected separately: JSON true/false would otherwise pass as an int.
@@ -284,10 +287,11 @@ def read_trace_csv(path: str | Path) -> list[RoundMetrics]:
 
 
 def _bound_params_for(
-    config: ExperimentConfig, delta: float, mdp: TabularMDP, result: RunResult, q0_gap: float, rounds: int
-) -> tuple[str, BoundParams] | None:
-    """Pick the applicable bound for the run's operator/mode pairing.
+    config: ExperimentConfig, delta: float, mdp: TabularMDP, result: RunResult, q0_gap: float
+) -> tuple[Callable[[BoundParams], float], BoundParams] | None:
+    """Pick the applicable bound evaluator for the run's operator/mode pairing.
 
+    The parameters are those of the whole run (``rounds = config.rounds``).
     Returns None for pairings outside the analyzed ones (e.g. direct
     top_k), in which case the overlay carries NaNs.
     """
@@ -296,7 +300,7 @@ def _bound_params_for(
         eta=config.eta,
         gamma=config.gamma,
         local_epochs=config.local_epochs,
-        rounds=rounds,
+        rounds=config.rounds,
         n_agents=config.n_agents,
         delta=delta,
         n_states=mdp.n_states,
@@ -306,20 +310,20 @@ def _bound_params_for(
     kind = config.compressor.kind
     if config.resolved_mode() == DIRECT:
         if kind == IDENTITY:
-            return "direct", BoundParams(**common, q2=0.0, q_inf=0.0)
+            return direct_bound, BoundParams(**common, q2=0.0, q_inf=0.0)
         if kind == SPARSIFIED_K:
             if result.p_support_min is None:
                 return None
             q2, q_inf = unbiased_constants([result.p_support_min])
-            return "direct", BoundParams(**common, q2=q2, q_inf=q_inf)
+            return direct_bound, BoundParams(**common, q2=q2, q_inf=q_inf)
         return None
     if kind == IDENTITY:
-        return "error_feedback", BoundParams(**common, alpha=1.0)
+        return error_feedback_bound, BoundParams(**common, alpha=1.0)
     if kind == TOP_K:
         alpha = result.alpha_min
         if alpha is None or alpha <= 0:
             return None
-        return "error_feedback", BoundParams(**common, alpha=alpha)
+        return error_feedback_bound, BoundParams(**common, alpha=alpha)
     return None
 
 
@@ -331,15 +335,15 @@ def write_overlay_csv(
     result: RunResult,
     q0_gap: float,
 ) -> None:
+    """Per round t, the empirical sup-norm error and the bound after t rounds."""
     lines = ["round,empirical_linf,theory_bound"]
-    evaluator = {"direct": direct_bound, "error_feedback": error_feedback_bound}
+    picked = _bound_params_for(config, delta, mdp, result, q0_gap)
     for m in result.metrics[1:]:
-        picked = _bound_params_for(config, delta, mdp, result, q0_gap, m.round)
         if picked is None:
             bound = float("nan")
         else:
-            which, params = picked
-            bound = evaluator[which](params)
+            evaluator, params = picked
+            bound = evaluator(replace(params, rounds=m.round))
         lines.append(f"{m.round},{repr(m.linf_error)},{repr(bound)}")
     path.write_text("\n".join(lines) + "\n")
 
@@ -404,18 +408,9 @@ def _execute_task(
             "slug": slug,
             "map": manifest.map,
             "config": {
-                "agents": point["agents"],
-                "local_epochs": point["local_epochs"],
-                "rounds": manifest.rounds,
-                "eta": point["eta"],
-                "beta": point["beta"],
-                "gamma": manifest.gamma,
-                "compressor": point["compressor"],
-                "k": point["k"],
-                "mode": point["mode"],
+                **point,
+                **{name: getattr(manifest, name) for name in _SUMMARY_MANIFEST_FIELDS},
                 "master_seed": seed,
-                "noise_std": manifest.noise_std,
-                "noise_clip": manifest.noise_clip,
             },
             "final_rmse": last.rmse,
             "final_linf_error": last.linf_error,

@@ -1,27 +1,24 @@
 """Finite MDPs with generative-model (synchronous) sampling.
 
-A :class:`TabularMDP` stores a transition kernel and mean-reward table.
-Sampling follows the generative-model access pattern: one next state is
-drawn for *every* (state, action) pair at once, rather than along a
-trajectory.  Observed rewards are the mean reward plus clipped Gaussian
-noise; transitions themselves are sampled from the kernel.
+A :class:`TabularMDP` stores its transition kernel as a padded successor
+table, plus a mean-reward table.  Sampling follows the generative-model
+access pattern: one next state is drawn for *every* (state, action) pair
+at once, rather than along a trajectory.  Observed rewards are the mean
+reward plus clipped Gaussian noise; transitions themselves are sampled
+from the kernel.
 
-Sampling and the exact Bellman operator read the kernel through a padded
-successor table: for each of the S * A rows, the w columns with non-zero
-probability, where w is the largest out-degree (w = 1 on every grid
-world).  Both therefore cost O(S * A * w), not O(S^2 * A).  The dense
-(S, A, S) kernel is still kept as the public ``transition`` attribute,
-because callers index it and the benchmark reports its size; it is what
-limits the map size today (about 3 GB at 100x100).
+The successor table lists, for each of the S * A rows, the w states the
+row can move to, where w is the largest out-degree (w = 1 on every grid
+world).  Memory, validation, sampling and the exact Bellman operator
+therefore all cost O(S * A * w), not O(S^2 * A).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidGammaError, ParamOutOfRangeError
-from .rng import as_generator
 
 _ROW_SUM_TOL = 1e-12
 
@@ -46,12 +43,13 @@ class TabularMDP:
 
     Parameters
     ----------
-    transition:
-        Array of shape (S, A, S); ``transition[s, a]`` is the distribution
-        of the next state.  Every row must be non-negative and sum to 1
-        within 1e-12.  It is kept, read-only, as the ``transition``
-        attribute; the sampler and the exact Bellman operator do not read
-        it.
+    succ, succ_p:
+        The successor table: arrays of shape (S * A, w), w >= 1.  Row
+        ``s * A + a`` is the distribution of the next state after action
+        a in state s: it moves to ``succ[row, j]`` with probability
+        ``succ_p[row, j]``.  ``succ`` holds integer states in [0, S);
+        ``succ_p`` is non-negative and every row sums to 1 within 1e-12.
+        Rows with fewer than w successors are padded with probability 0.
     reward_mean:
         Array of shape (S, A) with ``|reward_mean| <= r_max`` everywhere.
     gamma:
@@ -65,70 +63,62 @@ class TabularMDP:
     Attributes
     ----------
     succ, succ_p, succ_cum:
-        The successor table: read-only arrays of shape (S * A, w), row
-        ``s * A + a`` describing ``transition[s, a]``.  ``succ`` holds the
-        columns with non-zero probability in ascending order, ``succ_p``
-        their probabilities and ``succ_cum`` the running sums of
-        ``succ_p``.  Rows with fewer than w successors are padded with
-        their last column at probability 0.  The last real running sum
-        and all padding are 1.0, so a uniform in [0, 1) always lands on
-        a successor, never on a zero-probability state.
+        Read-only copies of the table, ``succ`` as int64, plus
+        ``succ_cum``, the running sums of ``succ_p`` along each row.
+        From each row's last positive slot onward ``succ_cum`` is 1.0, so
+        a uniform in [0, 1) always lands on a successor with positive
+        probability, never on padding.
     """
 
     def __init__(
         self,
-        transition: np.ndarray,
+        succ: np.ndarray,
+        succ_p: np.ndarray,
         reward_mean: np.ndarray,
         gamma: float,
         noise: NoiseSpec = NoiseSpec(),
         r_max: float = 1.0,
     ) -> None:
-        transition = np.asarray(transition, dtype=np.float64)
+        succ = np.asarray(succ)
+        succ_p = np.asarray(succ_p, dtype=np.float64)
         reward_mean = np.asarray(reward_mean, dtype=np.float64)
-        if transition.ndim != 3 or transition.shape[0] != transition.shape[2]:
-            raise ParamOutOfRangeError("transition must have shape (S, A, S)")
-        n_states, n_actions = transition.shape[:2]
-        if reward_mean.shape != (n_states, n_actions):
+        if reward_mean.ndim != 2:
             raise ParamOutOfRangeError("reward_mean must have shape (S, A)")
+        n_states, n_actions = reward_mean.shape
+        if succ.ndim != 2 or succ.shape != succ_p.shape or len(succ) != reward_mean.size or succ.size == 0:
+            raise ParamOutOfRangeError(
+                f"succ and succ_p must both have shape (S * A, w) with S * A = {reward_mean.size} >= 1 "
+                f"and w >= 1; got {succ.shape} and {succ_p.shape}"
+            )
         if not 0.0 < gamma < 1.0:
             raise InvalidGammaError(f"gamma must lie in (0, 1), got {gamma}")
         if r_max <= 0:
             raise ParamOutOfRangeError("r_max must be positive")
-        if np.any(transition < 0):
-            raise ParamOutOfRangeError("transition probabilities must be non-negative")
-        row_sums = transition.sum(axis=2)
-        if np.max(np.abs(row_sums - 1.0)) > _ROW_SUM_TOL:
-            raise ParamOutOfRangeError("every transition row must sum to 1 within 1e-12")
-        if np.max(np.abs(reward_mean)) > r_max:
+        if not np.issubdtype(succ.dtype, np.integer) or succ.min() < 0 or succ.max() >= n_states:
+            raise ParamOutOfRangeError(f"succ must hold integer states in [0, {n_states})")
+        if not np.all(succ_p >= 0):
+            raise ParamOutOfRangeError("succ_p must be non-negative")
+        if not np.all(np.abs(succ_p.sum(axis=1) - 1.0) <= _ROW_SUM_TOL):
+            raise ParamOutOfRangeError("every succ_p row must sum to 1 within 1e-12")
+        if not np.all(np.abs(reward_mean) <= r_max):
             raise ParamOutOfRangeError("|reward_mean| must not exceed r_max")
 
         self.n_states = int(n_states)
         self.n_actions = int(n_actions)
-        self.transition = transition
-        self.reward_mean = reward_mean
+        self.reward_mean = reward_mean.copy()
         self.gamma = float(gamma)
         self.noise = noise
         self.r_max = float(r_max)
 
-        # np.nonzero lists each row's columns in ascending order.  Skipped
-        # columns have probability exactly 0, so the running sums at the
-        # successors equal the dense cumsum there bit for bit.
-        flat = transition.reshape(-1, n_states)
-        rows, cols = np.nonzero(flat)
-        counts = np.bincount(rows, minlength=flat.shape[0])
-        ends = np.cumsum(counts)
-        slot = np.arange(rows.size) - (ends - counts)[rows]
-        width = int(counts.max())
-        self.succ = np.repeat(cols[ends - 1, None], width, axis=1)
-        self.succ[rows, slot] = cols
-        self.succ_p = np.zeros(self.succ.shape)
-        self.succ_p[rows, slot] = flat[rows, cols]
-        self.succ_cum = np.cumsum(self.succ_p, axis=1)
-        self.succ_cum[np.arange(width) >= (counts - 1)[:, None]] = 1.0
+        width = succ.shape[1]
+        self.succ = succ.astype(np.int64)
+        self.succ_p = succ_p.copy()
+        self.succ_cum = np.cumsum(succ_p, axis=1)
+        last = width - 1 - np.argmax(succ_p[:, ::-1] > 0, axis=1)  # each row's last positive slot
+        self.succ_cum[np.arange(width) >= last[:, None]] = 1.0
         self._row_start = np.arange(0, self.succ.size, width)  # flat index of each row's slot 0
 
-        for arr in (self.transition, self.reward_mean, self.succ, self.succ_p, self.succ_cum,
-                    self._row_start):
+        for arr in (self.reward_mean, self.succ, self.succ_p, self.succ_cum, self._row_start):
             arr.setflags(write=False)
 
     @property
@@ -136,8 +126,21 @@ class TabularMDP:
         """Flat dimension of a Q-table on this MDP: S * A."""
         return self.n_states * self.n_actions
 
+    @property
+    def transition(self) -> np.ndarray:
+        """Dense (S, A, S) kernel, built from the successor table on each access.
 
-def synchronous_sample(mdp: TabularMDP, rng) -> tuple[np.ndarray, np.ndarray]:
+        A read-only view for inspection and reports; it costs S^2 * A
+        floats, so no sampling or Bellman path reads it.
+        """
+        dense = np.zeros((self.table_size, self.n_states))
+        # add, not assign: a row may list a column twice (padding repeats one at probability 0)
+        np.add.at(dense, (np.arange(self.table_size)[:, None], self.succ), self.succ_p)
+        dense.setflags(write=False)
+        return dense.reshape(self.n_states, self.n_actions, self.n_states)
+
+
+def synchronous_sample(mdp: TabularMDP, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Sample one next state and one noisy reward for every (s, a) pair.
 
     Consumes an (S, A) block of uniforms for the next states followed by
@@ -146,7 +149,7 @@ def synchronous_sample(mdp: TabularMDP, rng) -> tuple[np.ndarray, np.ndarray]:
     independent given the stream, and identical stream state reproduces
     identical tables bit for bit.
     """
-    next_states, rewards = synchronous_sample_batch(mdp, [as_generator(rng)])
+    next_states, rewards = synchronous_sample_batch(mdp, [rng])
     return next_states[0], rewards[0]
 
 

@@ -39,14 +39,3 @@ class RngStream:
         seq = np.random.SeedSequence(self.seed, spawn_key=self.path)
         return np.random.Generator(np.random.PCG64(seq))
 
-
-def as_generator(rng) -> np.random.Generator:
-    """Accept either an RngStream or an already-materialized generator.
-
-    An RngStream is materialized at its beginning; a generator (or any
-    object exposing ``random``/``normal``) is passed through so repeated
-    calls keep consuming the same stream.
-    """
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    return rng

@@ -25,25 +25,50 @@ def map5x5_qstar(map5x5_mdp):
     return fedq.value_iteration(map5x5_mdp, tol=1e-10)
 
 
+def dense_mdp(transition, reward_mean, gamma, noise=fedq.NoiseSpec(), r_max=1.0) -> fedq.TabularMDP:
+    """TabularMDP from a dense (S, A, S) kernel.
+
+    Row ``s * A + a`` of the successor table lists the non-zero columns of
+    ``transition[s, a]`` in ascending order, padded with the row's last
+    column at probability 0.
+    """
+    flat = np.asarray(transition, dtype=np.float64)
+    flat = flat.reshape(-1, flat.shape[-1])
+    rows, cols = np.nonzero(flat)
+    counts = np.bincount(rows, minlength=flat.shape[0])
+    ends = np.cumsum(counts)
+    slot = np.arange(rows.size) - (ends - counts)[rows]
+    succ = np.repeat(cols[ends - 1, None], counts.max(), axis=1)
+    succ[rows, slot] = cols
+    succ_p = np.zeros(succ.shape)
+    succ_p[rows, slot] = flat[rows, cols]
+    return fedq.TabularMDP(succ, succ_p, reward_mean, gamma, noise=noise, r_max=r_max)
+
+
 def random_mdp(rng: np.random.Generator, n_states=4, n_actions=3, gamma=0.8, noise=None) -> fedq.TabularMDP:
     """Small random stochastic MDP for property tests."""
     raw = rng.random((n_states, n_actions, n_states)) + 0.05
     transition = raw / raw.sum(axis=2, keepdims=True)
     reward_mean = rng.uniform(-1.0, 1.0, (n_states, n_actions))
-    return fedq.TabularMDP(
-        transition=transition,
-        reward_mean=reward_mean,
-        gamma=gamma,
+    return dense_mdp(
+        transition,
+        reward_mean,
+        gamma,
         noise=noise or fedq.NoiseSpec(),
         r_max=1.0 + (noise.clip if noise else 0.0),
     )
 
 
-def sparse_random_mdp(rng: np.random.Generator, n_states=7, n_actions=3, zero_frac=0.6) -> fedq.TabularMDP:
-    """Random kernel with about ``zero_frac`` zero entries and rows of varying out-degree."""
+def sparse_random_kernel(rng: np.random.Generator, n_states=7, n_actions=3, zero_frac=0.6) -> np.ndarray:
+    """Random (S, A, S) kernel with about ``zero_frac`` zero entries and rows of varying out-degree."""
     shape = (n_states, n_actions, n_states)
     raw = rng.random(shape) * (rng.random(shape) >= zero_frac)
     empty = raw.sum(axis=2) == 0
     raw[empty, rng.integers(n_states, size=int(empty.sum()))] = 1.0
-    transition = raw / raw.sum(axis=2, keepdims=True)
-    return fedq.TabularMDP(transition, rng.uniform(-1.0, 1.0, (n_states, n_actions)), gamma=0.8)
+    return raw / raw.sum(axis=2, keepdims=True)
+
+
+def sparse_random_mdp(rng: np.random.Generator, n_states=7, n_actions=3, zero_frac=0.6) -> fedq.TabularMDP:
+    """MDP on a :func:`sparse_random_kernel`, with uniform rewards in [-1, 1]."""
+    transition = sparse_random_kernel(rng, n_states, n_actions, zero_frac)
+    return dense_mdp(transition, rng.uniform(-1.0, 1.0, (n_states, n_actions)), gamma=0.8)

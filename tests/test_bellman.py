@@ -3,18 +3,18 @@ import pytest
 
 import fedq
 from fedq.errors import NotConvergedError, ParamOutOfRangeError, ShapeMismatchError
-from tests.conftest import random_mdp, sparse_random_mdp
+from tests.conftest import dense_mdp, random_mdp, sparse_random_mdp
 
 
 def single_state_mdp(reward=1.0, gamma=0.8):
-    return fedq.TabularMDP(np.ones((1, 1, 1)), np.array([[reward]]), gamma=gamma)
+    return dense_mdp(np.ones((1, 1, 1)), np.array([[reward]]), gamma=gamma)
 
 
 def chain_mdp():
     # s0 -> s1 deterministically, s1 absorbing; r(s0)=0, r(s1)=1, gamma 0.5
     transition = np.array([[[0.0, 1.0]], [[0.0, 1.0]]])
     reward_mean = np.array([[0.0], [1.0]])
-    return fedq.TabularMDP(transition, reward_mean, gamma=0.5)
+    return dense_mdp(transition, reward_mean, gamma=0.5)
 
 
 class TestStateValues:
@@ -128,7 +128,8 @@ class TestEmpiricalBellman:
     def test_batch_rows_match_single_tables(self, map5x5_noisy):
         rng = np.random.default_rng(4)
         q = rng.uniform(-2, 2, (3, 25, 4))
-        samples = [fedq.synchronous_sample(map5x5_noisy, fedq.RngStream(4, (i,))) for i in range(3)]
+        gens = [fedq.RngStream(4, (i,)).generator() for i in range(3)]
+        samples = [fedq.synchronous_sample(map5x5_noisy, gen) for gen in gens]
         next_states = np.stack([ns for ns, _ in samples])
         rewards = np.stack([r for _, r in samples])
         batch = fedq.empirical_bellman(q, next_states, rewards, 0.8)

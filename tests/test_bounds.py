@@ -6,6 +6,7 @@ import pytest
 
 import fedq
 from fedq.errors import ParamOutOfRangeError
+from tests.conftest import dense_mdp
 
 
 def params(**overrides):
@@ -177,13 +178,13 @@ class TestAlphaTrace:
 
     def test_synthetic_value(self):
         # one self-looping state; the first upload is eta * [0.6, -1.0, 0.4]
-        mdp = fedq.TabularMDP(np.ones((1, 3, 1)), np.array([[0.6, -1.0, 0.4]]), gamma=0.8)
+        mdp = dense_mdp(np.ones((1, 3, 1)), np.array([[0.6, -1.0, 0.4]]), gamma=0.8)
         assert self.top_k_run(mdp, k=1, rounds=1).alpha_min == pytest.approx(0.4, abs=1e-15)
 
     def test_zero_rounds_skipped_and_reported(self):
         # zero rewards from the zero table: every upload is the zero vector,
         # alpha is undefined in every round, and the run reports None
-        mdp = fedq.TabularMDP(np.ones((1, 2, 1)), np.zeros((1, 2)), gamma=0.8)
+        mdp = dense_mdp(np.ones((1, 2, 1)), np.zeros((1, 2)), gamma=0.8)
         result = self.top_k_run(mdp, k=1)
         assert result.alpha_min is None
         assert all(m.payload_entries == 0 for m in result.metrics)

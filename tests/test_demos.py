@@ -29,3 +29,4 @@ def test_demo_runs(script, expected, tmp_path):
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert expected in proc.stdout
+    assert not list(tmp_path.glob("fedq_sweep_*"))  # temporary sweep output is removed

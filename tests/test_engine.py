@@ -7,6 +7,7 @@ import fedq
 from fedq.compression import RULE_UNIFORM, EfState
 from fedq.engine import DIRECT, ERROR_FEEDBACK, _epoch, _local_phases, _server_step
 from fedq.errors import ParamOutOfRangeError
+from tests.conftest import dense_mdp
 
 
 def make_config(**overrides):
@@ -28,7 +29,7 @@ def local_phase_reference(q_bar, mdp, eta, n_epochs, root, t, agent):
     """Agent ``agent``'s round-t local phase from the public sampler and operator."""
     q = q_bar
     for k in range(n_epochs):
-        next_states, rewards = fedq.synchronous_sample(mdp, root.child(agent, t, k))
+        next_states, rewards = fedq.synchronous_sample(mdp, root.child(agent, t, k).generator())
         q = (1.0 - eta) * q + eta * fedq.empirical_bellman(q, next_states, rewards, mdp.gamma)
     return q
 
@@ -42,7 +43,7 @@ class TestLocalEpoch:
 
     def test_half_step_arithmetic(self):
         # one state, reward 1: the damped update moves half way to the target
-        mdp = fedq.TabularMDP(np.ones((1, 1, 1)), np.array([[1.0]]), gamma=0.5)
+        mdp = dense_mdp(np.ones((1, 1, 1)), np.array([[1.0]]), gamma=0.5)
         cfg = make_config(n_agents=1, rounds=1, eta=0.5, beta=1.0, gamma=0.5)
         result = fedq.run_federated(cfg, mdp, np.array([[2.0]]))
         assert result.q_final[0, 0] == 0.5

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from fedq.errors import (
     RaggedRowsError,
     UnknownCharError,
 )
-from fedq.grids import ACTION_NAMES
+from fedq.grids import ACTION_NAMES, N_ACTIONS
 
 UP, DOWN, LEFT, RIGHT = range(4)
 
@@ -143,3 +145,19 @@ def test_every_deterministic_successor_is_reachable(map5x5_grid, map5x5_mdp):
 def test_unknown_bundled_name():
     with pytest.raises(KeyError):
         fedq.map_path("map99x99")
+
+
+def test_build_memory_grows_with_table_not_kernel():
+    # an open 40x40 room: the dense S x A x S kernel would take 82 MB
+    size = 40
+    rows = ["." * size] * size
+    rows[size // 2] = "." * (size // 2) + "G" + "." * (size // 2 - 1)
+    grid = fedq.parse_map("\n".join(rows))
+    dense_bytes = grid.n_states * N_ACTIONS * grid.n_states * 8
+    tracemalloc.start()
+    try:
+        fedq.build_gridworld(grid, gamma=0.8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes / 10

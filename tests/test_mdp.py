@@ -4,13 +4,13 @@ from scipy import stats
 
 import fedq
 from fedq.errors import ParamOutOfRangeError
-from tests.conftest import random_mdp, sparse_random_mdp
+from tests.conftest import dense_mdp, random_mdp, sparse_random_kernel, sparse_random_mdp
 
 
 def two_state_mdp(p=(0.3, 0.7), noise=None):
     transition = np.array([[[p[0], p[1]]], [[0.0, 1.0]]])
     reward_mean = np.zeros((2, 1))
-    return fedq.TabularMDP(transition, reward_mean, gamma=0.8, noise=noise or fedq.NoiseSpec())
+    return dense_mdp(transition, reward_mean, gamma=0.8, noise=noise or fedq.NoiseSpec())
 
 
 class TestValidation:
@@ -23,17 +23,17 @@ class TestValidation:
     def test_rows_must_sum_to_one(self):
         bad = np.array([[[0.5, 0.4]], [[0.0, 1.0]]])
         with pytest.raises(ParamOutOfRangeError):
-            fedq.TabularMDP(bad, np.zeros((2, 1)), gamma=0.8)
+            dense_mdp(bad, np.zeros((2, 1)), gamma=0.8)
 
     def test_rows_must_be_nonnegative(self):
         bad = np.array([[[1.2, -0.2]], [[0.0, 1.0]]])
         with pytest.raises(ParamOutOfRangeError):
-            fedq.TabularMDP(bad, np.zeros((2, 1)), gamma=0.8)
+            dense_mdp(bad, np.zeros((2, 1)), gamma=0.8)
 
     def test_reward_bounded_by_r_max(self):
         tr = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])
         with pytest.raises(ParamOutOfRangeError):
-            fedq.TabularMDP(tr, np.full((2, 1), 1.5), gamma=0.8, r_max=1.0)
+            dense_mdp(tr, np.full((2, 1), 1.5), gamma=0.8, r_max=1.0)
 
     def test_tables_immutable(self):
         mdp = two_state_mdp()
@@ -41,6 +41,53 @@ class TestValidation:
             mdp.transition[0, 0, 0] = 0.5
         with pytest.raises(ValueError):
             mdp.reward_mean[0, 0] = 2.0
+
+
+def table_args(succ=((0, 1), (1, 1)), succ_p=((0.3, 0.7), (1.0, 0.0)), reward_mean=((0.0,), (0.0,))):
+    """A well-formed 2-state, 1-action successor table, with any part replaced."""
+    return np.asarray(succ), np.asarray(succ_p, dtype=float), np.asarray(reward_mean, dtype=float)
+
+
+class TestTableValidation:
+    def test_well_formed_table_accepted(self):
+        mdp = fedq.TabularMDP(*table_args(), gamma=0.8)
+        assert (mdp.n_states, mdp.n_actions, mdp.succ.dtype) == (2, 1, np.int64)
+
+    @pytest.mark.parametrize("parts, message", [
+        (dict(succ=((0, 2), (1, 1))), "integer states"),
+        (dict(succ=((0, -1), (1, 1))), "integer states"),
+        (dict(succ=((0.0, 1.0), (1.0, 1.0))), "integer states"),
+        (dict(succ_p=((1.2, -0.2), (1.0, 0.0))), "non-negative"),
+        (dict(succ_p=((np.nan, 1.0), (1.0, 0.0))), "non-negative"),
+        (dict(succ_p=((0.3, 0.7 + 1e-9), (1.0, 0.0))), "sum to 1"),
+        (dict(succ_p=((0.3, 0.7, 0.0), (1.0, 0.0, 0.0))), "succ and succ_p"),
+        (dict(succ=((0,), (1,)), succ_p=((1.0,), (1.0,), (1.0,))), "succ and succ_p"),
+        (dict(succ=np.zeros((2, 0), dtype=int), succ_p=np.zeros((2, 0))), "succ and succ_p"),
+        (dict(succ=(0, 1), succ_p=(1.0, 1.0)), "succ and succ_p"),
+        (dict(reward_mean=((0.0,), (0.0,), (0.0,))), "succ and succ_p"),
+        (dict(reward_mean=(0.0, 0.0)), "reward_mean must have shape"),
+        (dict(reward_mean=np.zeros((2, 1, 1))), "reward_mean must have shape"),
+        (dict(reward_mean=((0.0,), (1.5,))), "r_max"),
+    ])
+    def test_malformed_table_rejected(self, parts, message):
+        with pytest.raises(ParamOutOfRangeError, match=message):
+            fedq.TabularMDP(*table_args(**parts), gamma=0.8)
+
+
+class TestDenseView:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_round_trips_kernel_bit_for_bit(self, seed):
+        transition = sparse_random_kernel(np.random.default_rng(seed))
+        mdp = dense_mdp(transition, np.zeros(transition.shape[:2]), gamma=0.8)
+        assert np.any(mdp.succ_p == 0)  # some rows are padded: out-degree < w
+        view = mdp.transition
+        assert view.shape == transition.shape
+        assert view.tobytes() == transition.tobytes()
+        assert not view.flags.writeable
+
+    def test_repeated_successor_adds_up(self):
+        mdp = fedq.TabularMDP(*table_args(succ=((1, 1), (1, 1)), succ_p=((0.5, 0.5), (1.0, 0.0))), gamma=0.8)
+        assert np.array_equal(mdp.transition, [[[0.0, 1.0]], [[0.0, 1.0]]])
 
 
 class TestSampleNextState:
@@ -118,7 +165,7 @@ class TestSuccessorTable:
             [[0.0, 0.0, 1.0], [0.5, 0.25, 0.25]],
             [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]],
         ])
-        mdp = fedq.TabularMDP(transition, np.zeros((3, 2)), gamma=0.8)
+        mdp = dense_mdp(transition, np.zeros((3, 2)), gamma=0.8)
         assert np.array_equal(mdp.succ, [[0, 2, 2], [1, 1, 1], [2, 2, 2],
                                          [0, 1, 2], [0, 0, 0], [1, 2, 2]])
         assert np.array_equal(mdp.succ_p, [[0.25, 0.75, 0], [1, 0, 0], [1, 0, 0],
@@ -134,16 +181,26 @@ class TestSuccessorTable:
         assert mdp.succ.shape == (mdp.table_size, 1)
         assert np.array_equal(mdp.succ[:, 0], np.argmax(mdp.transition, axis=2).ravel())
         arrays = [v for v in vars(mdp).values() if isinstance(v, np.ndarray)]
-        assert all(a.size <= mdp.table_size for a in arrays if a is not mdp.transition)
+        assert all(a.size <= mdp.table_size for a in arrays)
 
     def test_zero_probability_state_never_sampled(self):
         # the row sums to 1 - 4e-13; a uniform above that sum must still
         # land on a successor, not on the zero-probability state 2
         transition = np.array([[[0.5, 0.5 - 4e-13, 0.0]], [[0.25, 0.5, 0.25]], [[0.0, 0.0, 1.0]]])
-        mdp = fedq.TabularMDP(transition, np.zeros((3, 1)), gamma=0.8)
+        mdp = dense_mdp(transition, np.zeros((3, 1)), gamma=0.8)
         next_states, _ = fedq.synchronous_sample(mdp, _StubRng(uniform_value=1.0 - 1e-13))
         assert next_states[0, 0] == 1
         assert np.array_equal(mdp.succ_cum[0], [0.5, 1.0, 1.0])
+
+    @pytest.mark.parametrize("u", [0.5, 1.0 - 1e-13])
+    def test_zero_slot_inside_row_never_sampled(self, u):
+        # slot 1 lists state 2 at probability 0 between two positive slots
+        succ = [[0, 2, 1], [1, 1, 1], [2, 2, 2]]
+        succ_p = [[0.5, 0.0, 0.5 - 4e-13], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+        mdp = fedq.TabularMDP(succ, succ_p, np.zeros((3, 1)), gamma=0.8)
+        assert np.array_equal(mdp.succ_cum[0], [0.5, 0.5, 1.0])
+        next_states, _ = fedq.synchronous_sample(mdp, _StubRng(uniform_value=u))
+        assert next_states[0, 0] == 1
 
     @pytest.mark.parametrize("seed", range(200))
     def test_matches_dense_inverse_cdf(self, seed):
@@ -163,7 +220,7 @@ class TestSynchronousSample:
     def test_batch_rows_match_single_draws(self, noisy):
         noise = fedq.NoiseSpec(std=0.5, clip=0.5) if noisy else fedq.NoiseSpec()
         base = sparse_random_mdp(np.random.default_rng(3))
-        mdp = fedq.TabularMDP(base.transition, base.reward_mean, gamma=0.8, noise=noise, r_max=1.5)
+        mdp = fedq.TabularMDP(base.succ, base.succ_p, base.reward_mean, gamma=0.8, noise=noise, r_max=1.5)
         assert mdp.succ.shape[1] > 1
         streams = [fedq.RngStream(8, (i,)) for i in range(3)]
         gens = [s.generator() for s in streams]
@@ -188,8 +245,8 @@ class TestSynchronousSample:
 
     def test_identical_stream_identical_tables(self, map5x5_noisy):
         stream = fedq.RngStream(9, (4, 4, 4))
-        ns1, rw1 = fedq.synchronous_sample(map5x5_noisy, stream)
-        ns2, rw2 = fedq.synchronous_sample(map5x5_noisy, stream)
+        ns1, rw1 = fedq.synchronous_sample(map5x5_noisy, stream.generator())
+        ns2, rw2 = fedq.synchronous_sample(map5x5_noisy, stream.generator())
         assert np.array_equal(ns1, ns2)
         assert np.array_equal(rw1, rw2)
 
