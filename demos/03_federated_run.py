@@ -46,7 +46,7 @@ print(f"smallest realized contraction factor: {result.alpha_min:.3f}{note}")
 # classic centralized damped recursion, bit for bit
 small = fedq.ExperimentConfig(n_agents=1, local_epochs=1, rounds=50, eta=0.1, beta=1.0,
                               gamma=0.8, compressor=fedq.CompressorSpec(), master_seed=7)
-run = fedq.run_federated(small, mdp, q_star, record_tables=True)
+run = fedq.run_federated(small, mdp, q_star)
 q = np.zeros((25, 4))
 root = fedq.RngStream(7)
 for t in range(50):

@@ -30,7 +30,7 @@ class EmptyMapError(MapFormatError):
 
 
 class FileFormatError(FedqError, ValueError):
-    """A trace or q* cache file does not have the layout fedq writes."""
+    """A trace file does not have the layout fedq writes."""
 
 
 class ShapeMismatchError(FedqError, ValueError):

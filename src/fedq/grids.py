@@ -33,7 +33,6 @@ import numpy as np
 from .errors import (
     EmptyMapError,
     GoalCountError,
-    InvalidGammaError,
     MapFormatError,
     ParamOutOfRangeError,
     RaggedRowsError,
@@ -75,18 +74,6 @@ class GridSpec:
             if ch != WALL
         ]
 
-    def state_at(self, r: int, c: int) -> int | None:
-        """State index of cell (r, c), or None for walls/off-grid."""
-        if not (0 <= r < self.rows and 0 <= c < self.cols):
-            return None
-        if self.cell(r, c) == WALL:
-            return None
-        state = 0
-        for i in range(r * self.cols + c):
-            if self.cells[i] != WALL:
-                state += 1
-        return state
-
 
 def parse_map(text: str) -> GridSpec:
     """Parse map text into a GridSpec.
@@ -127,9 +114,6 @@ def build_gridworld(grid: GridSpec, noise: NoiseSpec = NoiseSpec(), gamma: float
     grow with S * A.  r_max is 1 + noise.clip so that every sampled reward
     magnitude is within the bound carried by the convergence analysis.
     """
-    if not 0.0 < gamma < 1.0:
-        raise InvalidGammaError(f"gamma must lie in (0, 1), got {gamma}")
-
     open_cells = np.array(grid.cells).reshape(grid.rows, grid.cols) != WALL
     rows, cols = np.nonzero(open_cells)  # row-major: state order
     states = np.arange(rows.size)

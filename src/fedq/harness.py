@@ -11,15 +11,15 @@ seed:
 * ``<slug>_overlay.csv``  ``round,empirical_linf,theory_bound``
 
 plus one ``<base>_agg.csv`` per grid point with the across-seed band.
-Identical manifests rewrite byte-identical CSVs.
+Identical manifests rewrite byte-identical CSVs.  The fixed-point oracle
+q* that the error columns are measured against is solved by value
+iteration on each invocation; a run writes only the files above.
 """
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import os
-import tempfile
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
@@ -27,12 +27,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .bellman import greedy_policy, linf_error, value_iteration, write_policy_csv, write_qtable_csv
+from .bellman import greedy_policy, value_iteration, write_policy_csv, write_qtable_csv
 from .bounds import BitModel, BoundParams, direct_bound, error_feedback_bound
 from .compression import IDENTITY, RULE_L1, SPARSIFIED_K, TOP_K, CompressorSpec, unbiased_constants
 from .engine import DIRECT, ExperimentConfig, RoundMetrics, RunResult, run_federated
 from .errors import FileFormatError, ParamOutOfRangeError
-from .grids import N_ACTIONS, build_gridworld, load_map, parse_map, read_map_text
+from .grids import build_gridworld, load_map
 from .mdp import NoiseSpec, TabularMDP
 
 OUTPUT_ROOT_ENV = "FEDQ_OUTPUT_ROOT"
@@ -51,7 +51,6 @@ _JSON_TYPES = {
     "dict": (dict,),
 }
 
-QSTAR_CACHE_FORMAT = "qstar_v1"
 TRACE_HEADER = "round,rmse,linf_error,bits_round,bits_cumulative,payload_entries"
 
 
@@ -198,54 +197,18 @@ def load_environment(manifest: RunManifest) -> TabularMDP:
 
 
 # ---------------------------------------------------------------------------
-# Fixed-point oracle cache
-
-
-def _atomic_save(path: Path, array: np.ndarray) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.save(fh, array)
-        os.replace(tmp, path)  # atomic: concurrent writers race harmlessly
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def _load_qstar(path: Path, shape: tuple[int, int]) -> np.ndarray:
-    try:
-        q_star = np.load(path)
-    except (ValueError, EOFError) as exc:
-        raise FileFormatError(f"q* cache file {path} is not a readable .npy array: {exc}") from exc
-    if q_star.shape != shape or q_star.dtype != np.float64:
-        raise FileFormatError(
-            f"q* cache file {path} holds a {q_star.dtype} array of shape {q_star.shape}; "
-            f"the map needs float64 of shape {shape}"
-        )
-    return q_star
-
-
-def cached_qstar(map_ref: str, gamma: float, tol: float, cache_dir: Path) -> np.ndarray:
-    """Fixed point of the exact operator, cached by (format, map hash, gamma, tol)."""
-    if tol <= 0:
-        raise ParamOutOfRangeError("tol must be positive")
-    text = read_map_text(map_ref)
-    grid = parse_map(text)
-    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
-    key = f"{QSTAR_CACHE_FORMAT}_{digest}_g{repr(float(gamma))}_t{repr(float(tol))}.npy"
-    path = cache_dir / key
-    if path.exists():
-        return _load_qstar(path, (grid.n_states, N_ACTIONS))
-    q_star = value_iteration(build_gridworld(grid, gamma=gamma), tol=tol)
-    _atomic_save(path, q_star)
-    return q_star
+# Fixed-point oracle
 
 
 def compute_qstar(map_ref: str, gamma: float, tol: float, out_dir: str | Path) -> tuple[Path, Path]:
-    """Write the oracle Q-table and its greedy policy as CSV files."""
+    """Solve the map's fixed-point oracle and write it and its greedy policy as CSV files.
+
+    The map is read and solved before ``out_dir`` is created, so bad input
+    writes nothing.
+    """
+    q_star = value_iteration(build_gridworld(load_map(map_ref), gamma=gamma), tol=tol)
     out_dir = Path(out_dir)
-    q_star = cached_qstar(map_ref, gamma, tol, out_dir / "qstar_cache")  # creates out_dir
+    out_dir.mkdir(parents=True, exist_ok=True)
     name = _map_name(map_ref)
     q_path = out_dir / f"{name}_qstar.csv"
     p_path = out_dir / f"{name}_policy.csv"
@@ -287,11 +250,12 @@ def read_trace_csv(path: str | Path) -> list[RoundMetrics]:
 
 
 def _bound_params_for(
-    config: ExperimentConfig, delta: float, mdp: TabularMDP, result: RunResult, q0_gap: float
+    config: ExperimentConfig, delta: float, mdp: TabularMDP, result: RunResult
 ) -> tuple[Callable[[BoundParams], float], BoundParams] | None:
     """Pick the applicable bound evaluator for the run's operator/mode pairing.
 
-    The parameters are those of the whole run (``rounds = config.rounds``).
+    The parameters are those of the whole run (``rounds = config.rounds``);
+    the initial gap is the trace's round-0 sup-norm error.
     Returns None for pairings outside the analyzed ones (e.g. direct
     top_k), in which case the overlay carries NaNs.
     """
@@ -305,7 +269,7 @@ def _bound_params_for(
         delta=delta,
         n_states=mdp.n_states,
         n_actions=mdp.n_actions,
-        q0_gap=q0_gap,
+        q0_gap=result.metrics[0].linf_error,
     )
     kind = config.compressor.kind
     if config.resolved_mode() == DIRECT:
@@ -333,11 +297,10 @@ def write_overlay_csv(
     delta: float,
     mdp: TabularMDP,
     result: RunResult,
-    q0_gap: float,
 ) -> None:
     """Per round t, the empirical sup-norm error and the bound after t rounds."""
     lines = ["round,empirical_linf,theory_bound"]
-    picked = _bound_params_for(config, delta, mdp, result, q0_gap)
+    picked = _bound_params_for(config, delta, mdp, result)
     for m in result.metrics[1:]:
         if picked is None:
             bound = float("nan")
@@ -399,10 +362,9 @@ def _execute_task(
     started = time.perf_counter()
     result = run_federated(config, mdp, q_star, bit_model=bit_model)
     elapsed = time.perf_counter() - started
-    q0_gap = linf_error(np.full(q_star.shape, manifest.q0), q_star)
     try:
         write_trace_csv(trace_path, result.metrics)
-        write_overlay_csv(overlay_path, config, manifest.delta, mdp, result, q0_gap)
+        write_overlay_csv(overlay_path, config, manifest.delta, mdp, result)
         last = result.metrics[-1]
         summary = {
             "slug": slug,
@@ -431,8 +393,8 @@ def run_experiment(manifest: RunManifest) -> list[Path]:
 
     Each task writes its own files, whose content is a pure function of
     the manifest, so a rerun rewrites the same bytes.  Every task's
-    parameters are checked, and the map is loaded, before anything is
-    written.
+    parameters are checked, the map is loaded and its oracle solved,
+    before anything is written.
     """
     points = expand_grid(manifest)
     n_runs = len(points) * manifest.n_seeds
@@ -449,9 +411,9 @@ def run_experiment(manifest: RunManifest) -> list[Path]:
     mdp = load_environment(manifest)
     for _, config in tasks:
         config.check_against(mdp)
+    q_star = value_iteration(mdp, tol=manifest.qstar_tol)
     out_dir = output_root(manifest)
     out_dir.mkdir(parents=True, exist_ok=True)
-    q_star = cached_qstar(manifest.map, manifest.gamma, manifest.qstar_tol, out_dir / "qstar_cache")
 
     outcomes = [
         _execute_task(manifest, point, config, mdp, q_star, out_dir, bit_model)
@@ -460,9 +422,8 @@ def run_experiment(manifest: RunManifest) -> list[Path]:
 
     written = [path for path, _ in outcomes]
     if manifest.n_seeds > 1:
-        per_point = len(tasks) // len(points)
         for idx, point in enumerate(points):
-            traces = [outcomes[idx * per_point + r][1] for r in range(per_point)]
+            traces = [outcomes[idx * manifest.n_seeds + r][1] for r in range(manifest.n_seeds)]
             base = grid_slug(manifest, point, manifest.master_seed).rsplit("_seed", 1)[0]
             agg_path = out_dir / f"{base}_agg.csv"
             write_agg_csv(agg_path, traces)

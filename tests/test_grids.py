@@ -16,6 +16,13 @@ from fedq.grids import ACTION_NAMES, N_ACTIONS
 UP, DOWN, LEFT, RIGHT = range(4)
 
 
+def state_at(grid, r, c):
+    """State index of cell (r, c) by counting open cells, or None for walls/off-grid."""
+    if not (0 <= r < grid.rows and 0 <= c < grid.cols) or grid.cell(r, c) == "#":
+        return None
+    return sum(1 for ch in grid.cells[: r * grid.cols + c] if ch != "#")
+
+
 def test_action_order():
     assert ACTION_NAMES == ("up", "down", "left", "right")
 
@@ -32,10 +39,10 @@ def test_parse_excludes_walls_from_states():
     assert grid.n_states == 3
     assert grid.goal_index == 0
     # row-major over non-wall cells
-    assert grid.state_at(0, 0) == 0
-    assert grid.state_at(0, 1) is None
-    assert grid.state_at(1, 0) == 1
-    assert grid.state_at(1, 1) == 2
+    assert state_at(grid, 0, 0) == 0
+    assert state_at(grid, 0, 1) is None
+    assert state_at(grid, 1, 0) == 1
+    assert state_at(grid, 1, 1) == 2
 
 
 def test_parse_missing_goal():
@@ -138,7 +145,7 @@ def test_every_deterministic_successor_is_reachable(map5x5_grid, map5x5_mdp):
             if s == map5x5_grid.goal_index:
                 assert dest == s
             else:
-                target = map5x5_grid.state_at(r + dr, c + dc)
+                target = state_at(map5x5_grid, r + dr, c + dc)
                 assert dest == (s if target is None else target)
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import re
 
@@ -144,6 +146,31 @@ class TestRunExperiment:
         bound = overlay.read_text().splitlines()[1].split(",")[2]
         assert bound == "nan"
 
+    def test_output_root_holds_only_files(self, tmp_path):
+        manifest = small_manifest(tmp_path)
+        written = run_experiment(manifest)
+        out = tmp_path / "out"
+        assert all(p.is_file() for p in out.iterdir())
+        assert set(written) <= set(out.iterdir())
+
+    def test_stale_qstar_cache_ignored(self, tmp_path):
+        # an older fedq cached the oracle under <output>/qstar_cache/; a
+        # garbage file at the name it would have read must not matter now
+        manifest = small_manifest(tmp_path, q0=1.5)
+        run_experiment(manifest)
+        clean = {p.name: p.read_bytes() for p in (tmp_path / "out").glob("*.csv")}
+        stale = tmp_path / "stale"
+        digest = hashlib.sha256(fedq.grids.read_map_text("map5x5").encode()).hexdigest()[:16]
+        garbage = stale / "qstar_cache" / f"qstar_v1_{digest}_g0.8_t1e-10.npy"
+        garbage.parent.mkdir(parents=True)
+        garbage.write_bytes(b"not an array")
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({**dataclasses.asdict(manifest), "output_dir": str(stale)}))
+        assert cli_main(["sweep", str(path)]) == 0
+        rerun = {p.name: p.read_bytes() for p in stale.glob("*.csv")}
+        assert rerun == clean
+        assert garbage.read_bytes() == b"not an array"
+
     def test_output_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FEDQ_OUTPUT_ROOT", str(tmp_path / "envroot"))
         manifest = small_manifest(tmp_path, output_dir=None, n_seeds=1)
@@ -188,29 +215,10 @@ class TestQstar:
         q = fedq.bellman.read_qtable_csv(q_path)
         assert abs(q[1, 2] - 1.0) < 1e-9  # left into the goal
 
-    def test_cache_reused(self, tmp_path):
-        fedq.compute_qstar("map5x5", 0.8, 1e-10, tmp_path)
-        cache = list((tmp_path / "qstar_cache").glob("*.npy"))
-        assert len(cache) == 1
-        stamp = cache[0].stat().st_mtime_ns
-        fedq.compute_qstar("map5x5", 0.8, 1e-10, tmp_path)
-        assert cache[0].stat().st_mtime_ns == stamp
-
-    @pytest.mark.parametrize("bad", [np.zeros((3, 4)), np.zeros((25, 4), dtype=np.float32)])
-    def test_cached_array_checked_against_map(self, tmp_path, bad):
-        fedq.compute_qstar("map5x5", 0.8, 1e-10, tmp_path)
-        (cache,) = (tmp_path / "qstar_cache").glob("*.npy")
-        assert cache.name.startswith(fedq.harness.QSTAR_CACHE_FORMAT + "_")
-        np.save(cache, bad)
-        with pytest.raises(FileFormatError, match=cache.name):
-            fedq.compute_qstar("map5x5", 0.8, 1e-10, tmp_path)
-
-    def test_unreadable_cache_file(self, tmp_path):
-        fedq.compute_qstar("map5x5", 0.8, 1e-10, tmp_path)
-        (cache,) = (tmp_path / "qstar_cache").glob("*.npy")
-        cache.write_bytes(b"not an array")
-        with pytest.raises(FileFormatError, match=cache.name):
-            fedq.compute_qstar("map5x5", 0.8, 1e-10, tmp_path)
+    def test_writes_only_the_two_csvs(self, tmp_path):
+        fedq.compute_qstar("map5x5", 0.8, 1e-10, tmp_path / "out")
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "map5x5_policy.csv", "map5x5_qstar.csv"]
 
     def test_bad_tol_rejected(self, tmp_path):
         with pytest.raises(ParamOutOfRangeError):
