@@ -146,6 +146,37 @@ class TestRunExperiment:
         bound = overlay.read_text().splitlines()[1].split(",")[2]
         assert bound == "nan"
 
+    @pytest.mark.parametrize("q0", [0.0, 1.5, -2.25])
+    def test_overlay_bound_uses_initial_gap(self, tmp_path, q0):
+        manifest = small_manifest(
+            tmp_path, n_seeds=1, compressor="identity", k=0, mode="error_feedback", q0=q0)
+        written = run_experiment(manifest)
+        trace = next(p for p in written if p.suffix == ".csv" and "_agg" not in p.name)
+        mdp = fedq.build_gridworld(fedq.load_map("map5x5"), gamma=manifest.gamma)
+        q_star = fedq.bellman.value_iteration(mdp, tol=manifest.qstar_tol)
+        gap = fedq.linf_error(np.full(q_star.shape, q0), q_star)
+        assert read_trace_csv(trace)[0].linf_error == gap
+        params = fedq.BoundParams(
+            beta=manifest.beta, eta=manifest.eta, gamma=manifest.gamma,
+            local_epochs=manifest.local_epochs, rounds=manifest.rounds,
+            n_agents=manifest.agents, delta=manifest.delta,
+            n_states=mdp.n_states, n_actions=mdp.n_actions, alpha=1.0, q0_gap=gap,
+        )
+        overlay = trace.with_name(trace.stem + "_overlay.csv")
+        for line in overlay.read_text().splitlines()[1:]:
+            t, _, bound = line.split(",")
+            expected = fedq.bounds.error_feedback_bound(dataclasses.replace(params, rounds=int(t)))
+            assert float(bound) == expected
+
+    def test_oracle_solved_before_output_dir(self, tmp_path, monkeypatch):
+        def fail(mdp, tol):
+            raise RuntimeError("oracle did not converge")
+
+        monkeypatch.setattr(fedq.harness, "value_iteration", fail)
+        with pytest.raises(RuntimeError, match="oracle"):
+            run_experiment(small_manifest(tmp_path))
+        assert not (tmp_path / "out").exists()
+
     def test_output_root_holds_only_files(self, tmp_path):
         manifest = small_manifest(tmp_path)
         written = run_experiment(manifest)
@@ -219,6 +250,11 @@ class TestQstar:
         fedq.compute_qstar("map5x5", 0.8, 1e-10, tmp_path / "out")
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
             "map5x5_policy.csv", "map5x5_qstar.csv"]
+
+    def test_bad_tol_writes_nothing(self, tmp_path):
+        with pytest.raises(ParamOutOfRangeError):
+            fedq.compute_qstar("map5x5", 0.8, 0.0, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_bad_tol_rejected(self, tmp_path):
         with pytest.raises(ParamOutOfRangeError):
