@@ -126,21 +126,6 @@ def write_qtable_csv(path: str | Path, q: np.ndarray) -> None:
                 writer.writerow([s, a, repr(float(q[s, a]))])
 
 
-def read_qtable_csv(path: str | Path) -> np.ndarray:
-    """Read a Q-table written by :func:`write_qtable_csv`."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            rows.append((int(row["state"]), int(row["action"]), float(row["q"])))
-    n_states = 1 + max(r[0] for r in rows)
-    n_actions = 1 + max(r[1] for r in rows)
-    q = np.zeros((n_states, n_actions))
-    for s, a, val in rows:
-        q[s, a] = val
-    return q
-
-
 def write_policy_csv(path: str | Path, policy: np.ndarray) -> None:
     """Write a deterministic policy as CSV with header ``state,action``."""
     with open(path, "w", newline="") as fh:

@@ -101,13 +101,6 @@ class SparseVector:
         out[self.indices] = self.values
         return out
 
-    @staticmethod
-    def from_dense(v: np.ndarray) -> "SparseVector":
-        """Sparse view of a dense vector, dropping exact zeros."""
-        v = np.asarray(v, dtype=np.float64)
-        idx = np.nonzero(v)[0]
-        return SparseVector(v.size, idx, v[idx])
-
 
 @dataclass
 class EfState:
@@ -147,7 +140,7 @@ class BatchPayload:
 
 def _check_budget(k: int, d: int) -> None:
     if not 1 <= k <= d:
-        raise BudgetOutOfRangeError(f"budget k={k} outside [1, {d}]")
+        raise BudgetOutOfRangeError(f"budget k={k} outside [1, d={d}]")
 
 
 def compress_batch(

@@ -29,7 +29,7 @@ import numpy as np
 
 from .bellman import empirical_bellman, linf_error, rmse
 from .bounds import BitModel, payload_bits
-from .compression import IDENTITY, SPARSIFIED_K, TOP_K, CompressorSpec, compress_batch
+from .compression import IDENTITY, SPARSIFIED_K, TOP_K, CompressorSpec, _check_budget, compress_batch
 from .errors import ParamOutOfRangeError, ShapeMismatchError
 from .mdp import TabularMDP, synchronous_sample_batch
 from .rng import RngStream
@@ -87,10 +87,8 @@ class ExperimentConfig:
             raise ParamOutOfRangeError(
                 f"|q0| must be <= r_max/(1-gamma) = {q0_bound}, got {self.q0}"
             )
-        if self.compressor.kind != IDENTITY and self.compressor.k > mdp.table_size:
-            raise ParamOutOfRangeError(
-                f"budget k={self.compressor.k} exceeds the table size d={mdp.table_size}"
-            )
+        if self.compressor.kind != IDENTITY:
+            _check_budget(self.compressor.k, mdp.table_size)
 
 
 @dataclass(frozen=True)
@@ -114,11 +112,12 @@ class RoundMetrics:
 
 @dataclass
 class RunResult:
+    """A run's trace rows, its final global table and its realized compressor constants."""
+
     metrics: list[RoundMetrics]
     q_final: np.ndarray
     alpha_min: float | None = None  # smallest realized top_k contraction factor
     p_support_min: float | None = None  # smallest realized selection probability
-    q_tables: list[np.ndarray] | None = None  # per-round global tables, if recorded
 
 
 def _epoch(q: np.ndarray, mdp: TabularMDP, eta: float, rngs) -> np.ndarray:
@@ -168,15 +167,12 @@ def run_federated(
     mdp: TabularMDP,
     q_star: np.ndarray,
     bit_model: BitModel | None = None,
-    record_tables: bool = False,
 ) -> RunResult:
     """Run the full compressed federated loop and trace per-round metrics.
 
     ``q_star`` is the oracle fixed point used for the error columns.
     The trace has rounds + 1 rows: row 0 scores the initial table with
     zero communication, row t >= 1 the table after the t-th aggregation.
-    With ``record_tables`` the result also carries every global table,
-    for equivalence checks against reference recursions.
     """
     if q_star.shape != (mdp.n_states, mdp.n_actions):
         raise ShapeMismatchError("q_star shape does not match the MDP")
@@ -195,7 +191,6 @@ def run_federated(
     alpha_min: float | None = None
     p_support_min: float | None = None
     cumulative_bits = 0.0
-    q_tables: list[np.ndarray] | None = [q_bar.copy()] if record_tables else None
     metrics = [
         RoundMetrics(
             round=0,
@@ -229,8 +224,6 @@ def run_federated(
 
         indices = np.nonzero(payload.kept)[1]  # row-major: ascending agent, then index
         q_bar = _server_step(q_bar, indices, payload.values, config.beta, n_agents)
-        if q_tables is not None:
-            q_tables.append(q_bar.copy())
 
         counts = payload.kept.sum(axis=1).tolist()
         bits_round = float(sum(payload_bits(spec.kind, d, n, bm) for n in counts)) / n_agents
@@ -251,5 +244,4 @@ def run_federated(
         q_final=q_bar,
         alpha_min=alpha_min,
         p_support_min=p_support_min,
-        q_tables=q_tables,
     )

@@ -38,7 +38,8 @@ class ShapeMismatchError(FedqError, ValueError):
 
 
 class DimensionMismatchError(FedqError, ValueError):
-    """Sparse payload dimension differs from the expected flat dimension."""
+    """A sparse payload's indices and values differ in shape, or its indices
+    leave [0, d) or are not strictly increasing."""
 
 
 class NotConvergedError(FedqError, RuntimeError):

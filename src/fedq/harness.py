@@ -38,8 +38,8 @@ from .mdp import NoiseSpec, TabularMDP
 OUTPUT_ROOT_ENV = "FEDQ_OUTPUT_ROOT"
 
 _SWEEP_AXES = ("eta", "beta", "agents", "local_epochs", "k", "compressor", "mode")
-# Manifest-level fields a run summary records next to its grid point and seed.
-_SUMMARY_MANIFEST_FIELDS = ("rounds", "gamma", "noise_std", "noise_clip")
+# Manifest fields a run summary records as its "config", next to its seed.
+_SUMMARY_FIELDS = _SWEEP_AXES + ("rounds", "gamma", "noise_std", "noise_clip")
 
 # JSON values accepted for each RunManifest field annotation.  Booleans are
 # rejected separately: JSON true/false would otherwise pass as an int.
@@ -130,57 +130,43 @@ def _check_type(key: str, value, types: tuple[type, ...]) -> None:
         raise ParamOutOfRangeError(f"manifest key {key!r} must be {expected}, got {value!r}")
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _map_name(map_ref: str) -> str:
     return Path(map_ref).stem
 
 
-def grid_slug(manifest: RunManifest, point: dict, seed: int) -> str:
-    comp = point["compressor"]
-    comp_part = comp if comp == IDENTITY else f"{comp}{point['k']}"
-    mode = point["mode"]
-    mode_part = mode if mode is not None else "auto"
+def grid_slug(point: RunManifest, seed: int) -> str:
+    comp = point.compressor
+    comp_part = comp if comp == IDENTITY else f"{comp}{point.k}"
+    mode_part = point.mode if point.mode is not None else "auto"
     return (
-        f"{_map_name(manifest.map)}_I{point['agents']}_K{point['local_epochs']}"
-        f"_T{manifest.rounds}_eta{_fmt(point['eta'])}_beta{_fmt(point['beta'])}"
+        f"{_map_name(point.map)}_I{point.agents}_K{point.local_epochs}"
+        f"_T{point.rounds}_eta{point.eta}_beta{point.beta}"
         f"_{comp_part}_{mode_part}_seed{seed}"
     )
 
 
-def expand_grid(manifest: RunManifest) -> list[dict]:
-    """Cartesian product of the sweep axes over the manifest's defaults.
+def expand_grid(manifest: RunManifest) -> list[RunManifest]:
+    """One single-point manifest (no sweep) per distinct point of the sweep grid.
 
-    The identity compressor ignores the budget axis, so points that only
-    differ in k collapse to one run.
+    Each point is the manifest with its swept fields replaced, in the
+    Cartesian product order of the axes.  The identity compressor ignores
+    the budget axis, so its points get k = 0 and points that only differ
+    in k collapse to one run.  A grid whose distinct points times
+    ``n_seeds`` exceed ``max_runs`` is rejected before any point is built.
     """
-    base = {
-        "eta": manifest.eta,
-        "beta": manifest.beta,
-        "agents": manifest.agents,
-        "local_epochs": manifest.local_epochs,
-        "k": manifest.k,
-        "compressor": manifest.compressor,
-        "mode": manifest.mode,
-    }
-    axes = {ax: list(vals) for ax, vals in manifest.sweep.items()}
-    names = [ax for ax in _SWEEP_AXES if ax in axes]
-    points = []
-    seen = set()
-    for combo in itertools.product(*(axes[n] for n in names)) if names else [()]:
-        point = dict(base)
-        point.update(dict(zip(names, combo)))
-        if point["compressor"] == IDENTITY:
-            point["k"] = 0
-        key = tuple(point[ax] for ax in _SWEEP_AXES)
-        if key not in seen:
-            seen.add(key)
-            points.append(point)
-    return points
+    names = [ax for ax in _SWEEP_AXES if ax in manifest.sweep]
+    combos = {}
+    for values in itertools.product(*(manifest.sweep[n] for n in names)):
+        combo = dict(zip(names, values))
+        if combo.get("compressor", manifest.compressor) == IDENTITY:
+            combo["k"] = 0
+        combos.setdefault(tuple(combo.items()), combo)
+    n_runs = len(combos) * manifest.n_seeds
+    if n_runs > manifest.max_runs:
+        raise ParamOutOfRangeError(
+            f"sweep expands to {n_runs} runs, above the safety cap {manifest.max_runs}"
+        )
+    return [replace(manifest, sweep={}, **combo) for combo in combos.values()]
 
 
 def output_root(manifest: RunManifest) -> Path:
@@ -324,30 +310,23 @@ def write_agg_csv(path: Path, traces: list[list[RoundMetrics]]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _config_for(manifest: RunManifest, point: dict, seed: int) -> ExperimentConfig:
-    kind = point["compressor"]
-    spec = CompressorSpec(
-        kind=kind,
-        k=point["k"] if kind != IDENTITY else 0,
-        probability_rule=manifest.probability_rule,
-    )
+def _config_for(point: RunManifest, seed: int) -> ExperimentConfig:
     return ExperimentConfig(
-        n_agents=point["agents"],
-        local_epochs=point["local_epochs"],
-        rounds=manifest.rounds,
-        eta=point["eta"],
-        beta=point["beta"],
-        gamma=manifest.gamma,
-        compressor=spec,
-        mode=point["mode"],
+        n_agents=point.agents,
+        local_epochs=point.local_epochs,
+        rounds=point.rounds,
+        eta=point.eta,
+        beta=point.beta,
+        gamma=point.gamma,
+        compressor=CompressorSpec(point.compressor, point.k, point.probability_rule),
+        mode=point.mode,
         master_seed=seed,
-        q0=manifest.q0,
+        q0=point.q0,
     )
 
 
 def _execute_task(
-    manifest: RunManifest,
-    point: dict,
+    point: RunManifest,
     config: ExperimentConfig,
     mdp: TabularMDP,
     q_star: np.ndarray,
@@ -355,7 +334,7 @@ def _execute_task(
     bit_model: BitModel,
 ) -> tuple[Path, list[RoundMetrics]]:
     seed = config.master_seed
-    slug = grid_slug(manifest, point, seed)
+    slug = grid_slug(point, seed)
     trace_path = out_dir / f"{slug}.csv"
     summary_path = out_dir / f"{slug}_summary.json"
     overlay_path = out_dir / f"{slug}_overlay.csv"
@@ -364,14 +343,13 @@ def _execute_task(
     elapsed = time.perf_counter() - started
     try:
         write_trace_csv(trace_path, result.metrics)
-        write_overlay_csv(overlay_path, config, manifest.delta, mdp, result)
+        write_overlay_csv(overlay_path, config, point.delta, mdp, result)
         last = result.metrics[-1]
         summary = {
             "slug": slug,
-            "map": manifest.map,
+            "map": point.map,
             "config": {
-                **point,
-                **{name: getattr(manifest, name) for name in _SUMMARY_MANIFEST_FIELDS},
+                **{name: getattr(point, name) for name in _SUMMARY_FIELDS},
                 "master_seed": seed,
             },
             "final_rmse": last.rmse,
@@ -397,13 +375,8 @@ def run_experiment(manifest: RunManifest) -> list[Path]:
     before anything is written.
     """
     points = expand_grid(manifest)
-    n_runs = len(points) * manifest.n_seeds
-    if n_runs > manifest.max_runs:
-        raise ParamOutOfRangeError(
-            f"sweep expands to {n_runs} runs, above the safety cap {manifest.max_runs}"
-        )
     tasks = [
-        (point, _config_for(manifest, point, manifest.master_seed + rep))
+        (point, _config_for(point, manifest.master_seed + rep))
         for point in points
         for rep in range(manifest.n_seeds)
     ]
@@ -416,7 +389,7 @@ def run_experiment(manifest: RunManifest) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     outcomes = [
-        _execute_task(manifest, point, config, mdp, q_star, out_dir, bit_model)
+        _execute_task(point, config, mdp, q_star, out_dir, bit_model)
         for point, config in tasks
     ]
 
@@ -424,7 +397,7 @@ def run_experiment(manifest: RunManifest) -> list[Path]:
     if manifest.n_seeds > 1:
         for idx, point in enumerate(points):
             traces = [outcomes[idx * manifest.n_seeds + r][1] for r in range(manifest.n_seeds)]
-            base = grid_slug(manifest, point, manifest.master_seed).rsplit("_seed", 1)[0]
+            base = grid_slug(point, manifest.master_seed).rsplit("_seed", 1)[0]
             agg_path = out_dir / f"{base}_agg.csv"
             write_agg_csv(agg_path, traces)
             written.append(agg_path)

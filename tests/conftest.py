@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,43 @@ def map5x5_noisy(map5x5_grid):
 @pytest.fixture(scope="session")
 def map5x5_qstar(map5x5_mdp):
     return fedq.value_iteration(map5x5_mdp, tol=1e-10)
+
+
+@pytest.fixture
+def server_tables(monkeypatch):
+    """Every global table a ``run_federated`` call produces, in round order.
+
+    Wraps the engine's server step, which ``run_federated`` looks up at call
+    time, so the list holds a copy of the table after each aggregation:
+    ``rounds`` tables per run, not counting the initial one.
+    """
+    tables = []
+    step = fedq.engine._server_step
+
+    def recording_step(*args):
+        q_bar = step(*args)
+        tables.append(q_bar.copy())
+        return q_bar
+
+    monkeypatch.setattr(fedq.engine, "_server_step", recording_step)
+    return tables
+
+
+def sparse_from_dense(v) -> fedq.SparseVector:
+    """Sparse view of a dense vector, dropping exact zeros."""
+    v = np.asarray(v, dtype=np.float64)
+    idx = np.nonzero(v)[0]
+    return fedq.SparseVector(v.size, idx, v[idx])
+
+
+def read_qtable_csv(path) -> np.ndarray:
+    """Read a Q-table written by :func:`fedq.bellman.write_qtable_csv`."""
+    with open(path, newline="") as fh:
+        rows = [(int(r["state"]), int(r["action"]), float(r["q"])) for r in csv.DictReader(fh)]
+    q = np.zeros((1 + max(r[0] for r in rows), 1 + max(r[1] for r in rows)))
+    for s, a, val in rows:
+        q[s, a] = val
+    return q
 
 
 def dense_mdp(transition, reward_mean, gamma, noise=fedq.NoiseSpec(), r_max=1.0) -> fedq.TabularMDP:

@@ -22,37 +22,38 @@ def report(criterion: int, description: str, ok: bool, detail: str = "") -> None
 
 
 def run_cfg(mdp, q_star, *, compressor="identity", k=0, mode=None, seed=0, agents=1,
-            epochs=1, rounds=100, eta=0.1, beta=0.8, record_tables=False):
+            epochs=1, rounds=100, eta=0.1, beta=0.8):
     spec = fedq.CompressorSpec() if compressor == "identity" else fedq.CompressorSpec(compressor, k=k)
     cfg = fedq.ExperimentConfig(
         n_agents=agents, local_epochs=epochs, rounds=rounds, eta=eta, beta=beta,
         gamma=0.8, compressor=spec, mode=mode, master_seed=seed,
     )
-    return fedq.run_federated(cfg, mdp, q_star, record_tables=record_tables)
+    return fedq.run_federated(cfg, mdp, q_star)
 
 
 # ---------------------------------------------------------------------------
 # 1. Reduction to the centralized single-table recursion
 
 
-def test_criterion_01_reduction_equivalence(map5x5_mdp, map5x5_qstar):
+def test_criterion_01_reduction_equivalence(map5x5_mdp, map5x5_qstar, server_tables):
     started = time.perf_counter()
     rounds, eta, seed = 500, 0.1, 20240
-    engine = run_cfg(map5x5_mdp, map5x5_qstar, agents=1, epochs=1, rounds=rounds,
-                     eta=eta, beta=1.0, seed=seed, record_tables=True)
+    run_cfg(map5x5_mdp, map5x5_qstar, agents=1, epochs=1, rounds=rounds,
+            eta=eta, beta=1.0, seed=seed)
 
     # standalone damped-update recursion, driven by the same derived streams
     root = fedq.RngStream(seed)
     q = np.zeros((25, 4))
-    identical = True
+    identical = len(server_tables) == rounds
     for t in range(rounds):
         next_states, rewards = fedq.synchronous_sample(map5x5_mdp, root.child(0, t, 0).generator())
         v = q.max(axis=1)
         q = (1.0 - eta) * q + eta * (rewards + 0.8 * v[next_states])
-        identical = identical and np.array_equal(engine.q_tables[t + 1], q)
+        identical = identical and np.array_equal(server_tables[t], q)
     elapsed = time.perf_counter() - started
     report(1, "identity/beta=1/I=1/K=1 run is bit-identical to the centralized recursion",
-           identical and elapsed < 5.0, f"(500 rounds, {elapsed:.2f}s < 5s)")
+           identical and elapsed < 5.0,
+           f"(500 rounds, {len(server_tables)} server tables seen, {elapsed:.2f}s < 5s)")
 
 
 # ---------------------------------------------------------------------------

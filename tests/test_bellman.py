@@ -3,7 +3,7 @@ import pytest
 
 import fedq
 from fedq.errors import NotConvergedError, ParamOutOfRangeError, ShapeMismatchError
-from tests.conftest import dense_mdp, random_mdp, sparse_random_mdp
+from tests.conftest import dense_mdp, random_mdp, read_qtable_csv, sparse_random_mdp
 
 
 def single_state_mdp(reward=1.0, gamma=0.8):
@@ -227,7 +227,7 @@ class TestCsvExports:
         fedq.bellman.write_qtable_csv(path, map5x5_qstar)
         header = path.read_text().splitlines()[0]
         assert header == "state,action,q"
-        back = fedq.bellman.read_qtable_csv(path)
+        back = read_qtable_csv(path)
         assert np.array_equal(back, map5x5_qstar)
 
     def test_policy_header(self, tmp_path, map5x5_qstar):

@@ -10,15 +10,16 @@ from fedq.errors import (
     ShapeMismatchError,
     ZeroVectorError,
 )
+from tests.conftest import sparse_from_dense
 
 
 class TestSparseVector:
     def test_densify_round_trip(self):
         v = np.array([0.0, 2.5, 0.0, -1.0])
-        sv = fedq.SparseVector.from_dense(v)
+        sv = fedq.SparseVector(4, np.array([1, 3]), np.array([2.5, -1.0]))
         assert len(sv) == 2
         assert np.array_equal(sv.densify(), v)
-        again = fedq.SparseVector.from_dense(sv.densify())
+        again = sparse_from_dense(sv.densify())
         assert np.array_equal(again.indices, sv.indices)
         assert np.array_equal(again.values, sv.values)
 

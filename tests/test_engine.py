@@ -6,8 +6,8 @@ import pytest
 import fedq
 from fedq.compression import RULE_UNIFORM, EfState
 from fedq.engine import DIRECT, ERROR_FEEDBACK, _epoch, _local_phases, _server_step
-from fedq.errors import ParamOutOfRangeError
-from tests.conftest import dense_mdp
+from fedq.errors import BudgetOutOfRangeError, ParamOutOfRangeError
+from tests.conftest import dense_mdp, sparse_from_dense
 
 
 def make_config(**overrides):
@@ -68,10 +68,12 @@ class TestLocalPhase:
         single = _epoch(q0[None], map5x5_noisy, 0.3, [root.child(0, 0, 0).generator()])
         assert np.array_equal(phase, single)
 
-    def test_full_steps_compose_exact_operator(self, map5x5_mdp, map5x5_qstar):
+    def test_full_steps_compose_exact_operator(self, map5x5_mdp, map5x5_qstar, server_tables):
         cfg = make_config(n_agents=1, local_epochs=3, rounds=3, eta=1.0, beta=1.0, q0=1.5)
-        result = fedq.run_federated(cfg, map5x5_mdp, map5x5_qstar, record_tables=True)
-        for before, after in zip(result.q_tables, result.q_tables[1:]):
+        fedq.run_federated(cfg, map5x5_mdp, map5x5_qstar)
+        assert len(server_tables) == 3
+        tables = [np.full((25, 4), 1.5)] + server_tables
+        for before, after in zip(tables, tables[1:]):
             expected = before
             for _ in range(3):
                 expected = fedq.exact_bellman(map5x5_mdp, expected)
@@ -134,14 +136,14 @@ class TestAggregate:
 
         def payload(agent):
             q = local_phase_reference(q_bar, map5x5_noisy, 0.2, 2, root, 0, agent)
-            return fedq.SparseVector.from_dense((q - q_bar).ravel())
+            return sparse_from_dense((q - q_bar).ravel())
 
         forward = [payload(i) for i in (0, 1, 2)]
         backward = list(reversed([payload(i) for i in (2, 1, 0)]))
         out_f = _server_step(q_bar, *sparse_pairs(forward), 0.7, 3)
         out_b = _server_step(q_bar, *sparse_pairs(backward), 0.7, 3)
         assert np.array_equal(out_f, out_b)
-        batched = [fedq.SparseVector.from_dense((q - q_bar).ravel())
+        batched = [sparse_from_dense((q - q_bar).ravel())
                    for q in _local_phases(q_bar, map5x5_noisy, 0.2, 2, root, 0, 3)]
         assert _server_step(q_bar, *sparse_pairs(batched), 0.7, 3).tobytes() == out_f.tobytes()
 
@@ -175,7 +177,7 @@ class TestConfigValidation:
 
     def test_budget_above_table_size_rejected(self, map5x5_mdp, map5x5_qstar):
         cfg = make_config(compressor=fedq.CompressorSpec("top_k", k=101))
-        with pytest.raises(ParamOutOfRangeError, match=r"k=101 .* d=100"):
+        with pytest.raises(BudgetOutOfRangeError, match=r"k=101 .* d=100"):
             fedq.run_federated(cfg, map5x5_mdp, map5x5_qstar)
         make_config(compressor=fedq.CompressorSpec("top_k", k=100)).check_against(map5x5_mdp)
 
@@ -196,12 +198,14 @@ class TestRunFederated:
         assert a.metrics == b.metrics
         assert np.array_equal(a.q_final, b.q_final)
 
-    def test_uncompressed_federated_baseline_equivalence(self, map5x5_noisy, map5x5_qstar):
+    def test_uncompressed_federated_baseline_equivalence(self, map5x5_noisy, map5x5_qstar,
+                                                         server_tables):
         # identity payloads with beta=1 follow the plain periodic-averaging
         # recursion driven by the same sample streams, bit for bit
         I, K, T = 3, 2, 12
         cfg = make_config(n_agents=I, local_epochs=K, rounds=T, beta=1.0, eta=0.3)
-        result = fedq.run_federated(cfg, map5x5_noisy, map5x5_qstar, record_tables=True)
+        fedq.run_federated(cfg, map5x5_noisy, map5x5_qstar)
+        assert len(server_tables) == T
 
         root = fedq.RngStream(0)
         q_bar = np.zeros((25, 4))
@@ -211,17 +215,22 @@ class TestRunFederated:
                 q_i = local_phase_reference(q_bar, map5x5_noisy, 0.3, K, root, t, i)
                 acc += (q_i - q_bar).ravel()
             q_bar = q_bar + (1.0 / I) * acc.reshape(25, 4)
-            assert np.array_equal(result.q_tables[t + 1], q_bar)
+            assert np.array_equal(server_tables[t], q_bar)
 
-    def test_full_budget_top_k_matches_identity_run(self, map5x5_noisy, map5x5_qstar):
+    def test_full_budget_top_k_matches_identity_run(self, map5x5_noisy, map5x5_qstar,
+                                                    server_tables):
         base = make_config(rounds=15, n_agents=2, eta=0.3)
-        ident = fedq.run_federated(base, map5x5_noisy, map5x5_qstar, record_tables=True)
+        fedq.run_federated(base, map5x5_noisy, map5x5_qstar)
+        assert len(server_tables) == 15
+        ident_tables = server_tables.copy()
+        server_tables.clear()
         topk = fedq.run_federated(
             make_config(rounds=15, n_agents=2, eta=0.3,
                         compressor=fedq.CompressorSpec("top_k", k=100)),
-            map5x5_noisy, map5x5_qstar, record_tables=True,
+            map5x5_noisy, map5x5_qstar,
         )
-        for qa, qb in zip(ident.q_tables, topk.q_tables):
+        assert len(server_tables) == 15
+        for qa, qb in zip(ident_tables, server_tables):
             assert np.array_equal(qa, qb)
         assert topk.alpha_min == 1.0
 
@@ -233,12 +242,13 @@ class TestRunFederated:
             if cur.payload_entries > 0:
                 assert cur.bits_cumulative > prev.bits_cumulative
 
-    def test_table_boundedness(self, map5x5_noisy, map5x5_qstar):
+    def test_table_boundedness(self, map5x5_noisy, map5x5_qstar, server_tables):
         cap = (map5x5_noisy.r_max + map5x5_noisy.noise.clip) / (1 - map5x5_noisy.gamma)
         cfg = make_config(rounds=60, n_agents=3, eta=0.5,
                           compressor=fedq.CompressorSpec("top_k", k=10))
-        result = fedq.run_federated(cfg, map5x5_noisy, map5x5_qstar, record_tables=True)
-        for q in result.q_tables:
+        fedq.run_federated(cfg, map5x5_noisy, map5x5_qstar)
+        assert len(server_tables) == 60
+        for q in server_tables:
             assert np.max(np.abs(q)) <= cap + 1e-9
 
     def test_bits_accounting_identity_vs_topk(self, map5x5_noisy, map5x5_qstar):

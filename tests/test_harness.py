@@ -10,6 +10,7 @@ import fedq
 from fedq.cli import main as cli_main
 from fedq.errors import FileFormatError, ParamOutOfRangeError
 from fedq.harness import RunManifest, expand_grid, read_trace_csv, run_experiment
+from tests.conftest import read_qtable_csv
 
 
 def small_manifest(tmp_path, **overrides):
@@ -65,7 +66,7 @@ class TestManifest:
         manifest = small_manifest(tmp_path, sweep={"eta": [0.1, 0.2], "k": [5, 10, 20]})
         points = expand_grid(manifest)
         assert len(points) == 6
-        assert {p["eta"] for p in points} == {0.1, 0.2}
+        assert {p.eta for p in points} == {0.1, 0.2}
 
     def test_identity_points_collapse_over_k(self, tmp_path):
         manifest = small_manifest(
@@ -74,7 +75,7 @@ class TestManifest:
         points = expand_grid(manifest)
         # identity ignores the budget, so only one identity point survives
         assert len(points) == 3
-        assert sum(p["compressor"] == "identity" for p in points) == 1
+        assert sum(p.compressor == "identity" for p in points) == 1
 
     def test_safety_cap(self, tmp_path):
         etas = [round(0.01 * i, 4) for i in range(1, 41)]
@@ -202,6 +203,94 @@ class TestRunExperiment:
         assert rerun == clean
         assert garbage.read_bytes() == b"not an array"
 
+    def test_sweep_bytes_pinned(self, tmp_path):
+        # sha256 prefixes of every output of a fixed sweep, with the wall
+        # time stripped from the summaries; a change to any output byte,
+        # file name or the set of files written shows up here
+        manifest = small_manifest(
+            tmp_path, map="map6x6w", rounds=30, agents=2, eta=0.1, beta=1.0, q0=1.5,
+            compressor="identity", k=0, n_seeds=2,
+            sweep={"compressor": ["identity", "top_k", "sparsified_k"],
+                   "mode": [None, "direct", "error_feedback"], "k": [4]},
+        )
+        run_experiment(manifest)
+        expected = {
+            "identity_auto_agg.csv": "b72f2d58a4f146e5",
+            "identity_auto_seed0.csv": "f013889823f13fdb",
+            "identity_auto_seed0_overlay.csv": "ed5e7a88c351083d",
+            "identity_auto_seed0_summary.json": "1b18a75eb23a8453",
+            "identity_auto_seed1.csv": "51f5796ad92e9518",
+            "identity_auto_seed1_overlay.csv": "a7a444c1d62bd3c4",
+            "identity_auto_seed1_summary.json": "8e409cc812c1a44b",
+            "identity_direct_agg.csv": "b72f2d58a4f146e5",
+            "identity_direct_seed0.csv": "f013889823f13fdb",
+            "identity_direct_seed0_overlay.csv": "ed5e7a88c351083d",
+            "identity_direct_seed0_summary.json": "42270091bd1d8e8a",
+            "identity_direct_seed1.csv": "51f5796ad92e9518",
+            "identity_direct_seed1_overlay.csv": "a7a444c1d62bd3c4",
+            "identity_direct_seed1_summary.json": "4799976baa58b8ce",
+            "identity_error_feedback_agg.csv": "b72f2d58a4f146e5",
+            "identity_error_feedback_seed0.csv": "f013889823f13fdb",
+            "identity_error_feedback_seed0_overlay.csv": "6f4b7717a00374d2",
+            "identity_error_feedback_seed0_summary.json": "7f89dd7da613d57b",
+            "identity_error_feedback_seed1.csv": "51f5796ad92e9518",
+            "identity_error_feedback_seed1_overlay.csv": "4083ee6d0264c2f3",
+            "identity_error_feedback_seed1_summary.json": "1fbf45ff449e766f",
+            "sparsified_k4_auto_agg.csv": "35ececec29e5a5a4",
+            "sparsified_k4_auto_seed0.csv": "66b2300e40b61279",
+            "sparsified_k4_auto_seed0_overlay.csv": "8796b78446d6ce34",
+            "sparsified_k4_auto_seed0_summary.json": "e6805b2f5851a71d",
+            "sparsified_k4_auto_seed1.csv": "81287a62a806ff45",
+            "sparsified_k4_auto_seed1_overlay.csv": "2bc1c1819a8e5b53",
+            "sparsified_k4_auto_seed1_summary.json": "da7b3779a4ee063c",
+            "sparsified_k4_direct_agg.csv": "35ececec29e5a5a4",
+            "sparsified_k4_direct_seed0.csv": "66b2300e40b61279",
+            "sparsified_k4_direct_seed0_overlay.csv": "8796b78446d6ce34",
+            "sparsified_k4_direct_seed0_summary.json": "c7612ce80a6b4d36",
+            "sparsified_k4_direct_seed1.csv": "81287a62a806ff45",
+            "sparsified_k4_direct_seed1_overlay.csv": "2bc1c1819a8e5b53",
+            "sparsified_k4_direct_seed1_summary.json": "3174f1a29471aeae",
+            "sparsified_k4_error_feedback_agg.csv": "6a041281e8a17c0c",
+            "sparsified_k4_error_feedback_seed0.csv": "a83ce5cc4a2b5155",
+            "sparsified_k4_error_feedback_seed0_overlay.csv": "d53c01f2a936b687",
+            "sparsified_k4_error_feedback_seed0_summary.json": "a52d714ed5f5171d",
+            "sparsified_k4_error_feedback_seed1.csv": "54c6f914ed6de4f0",
+            "sparsified_k4_error_feedback_seed1_overlay.csv": "f7f38cbcd35dd64a",
+            "sparsified_k4_error_feedback_seed1_summary.json": "6e8b6b3aa2252a83",
+            "top_k4_auto_agg.csv": "9a2daa2746cddd4e",
+            "top_k4_auto_seed0.csv": "c25002e4d307a3db",
+            "top_k4_auto_seed0_overlay.csv": "535f801b699306cb",
+            "top_k4_auto_seed0_summary.json": "9427ce3b10c55b10",
+            "top_k4_auto_seed1.csv": "874261c052ad9b21",
+            "top_k4_auto_seed1_overlay.csv": "b42724ba92ff8acc",
+            "top_k4_auto_seed1_summary.json": "c7382b5e0f90661f",
+            "top_k4_direct_agg.csv": "4331066174af6433",
+            "top_k4_direct_seed0.csv": "3c9d778a7c1c4794",
+            "top_k4_direct_seed0_overlay.csv": "27be9df69ff34b98",
+            "top_k4_direct_seed0_summary.json": "a8500abd828afbbb",
+            "top_k4_direct_seed1.csv": "b7b8a46125ebe86e",
+            "top_k4_direct_seed1_overlay.csv": "4cba9430d15fb072",
+            "top_k4_direct_seed1_summary.json": "818b25195747a0bb",
+            "top_k4_error_feedback_agg.csv": "9a2daa2746cddd4e",
+            "top_k4_error_feedback_seed0.csv": "c25002e4d307a3db",
+            "top_k4_error_feedback_seed0_overlay.csv": "535f801b699306cb",
+            "top_k4_error_feedback_seed0_summary.json": "f77bf5c4a1bbaef4",
+            "top_k4_error_feedback_seed1.csv": "874261c052ad9b21",
+            "top_k4_error_feedback_seed1_overlay.csv": "b42724ba92ff8acc",
+            "top_k4_error_feedback_seed1_summary.json": "9b1e9214236776fa",
+        }
+        runtime = re.compile(rb'^\s*"runtime_seconds": [^\n]*\n', re.MULTILINE)
+        digests = {}
+        for p in (tmp_path / "out").iterdir():
+            name = p.name.removeprefix("map6x6w_I2_K1_T30_eta0.1_beta1.0_")
+            digests[name] = hashlib.sha256(runtime.sub(b"", p.read_bytes())).hexdigest()[:16]
+        assert digests == expected
+
+    def test_numpy_float_slug(self, tmp_path):
+        manifest = small_manifest(tmp_path, rounds=3, n_seeds=1, eta=np.float64(0.1))
+        written = run_experiment(manifest)
+        assert [p.name for p in written] == ["map5x5_I2_K1_T3_eta0.1_beta0.8_top_k5_auto_seed0.csv"]
+
     def test_output_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FEDQ_OUTPUT_ROOT", str(tmp_path / "envroot"))
         manifest = small_manifest(tmp_path, output_dir=None, n_seeds=1)
@@ -234,7 +323,7 @@ class TestReadTrace:
 class TestQstar:
     def test_compute_writes_oracle_and_policy(self, tmp_path):
         q_path, p_path = fedq.compute_qstar("map5x5", 0.8, 1e-10, tmp_path)
-        q = fedq.bellman.read_qtable_csv(q_path)
+        q = read_qtable_csv(q_path)
         mdp = fedq.build_gridworld(fedq.load_map("map5x5"), gamma=0.8)
         assert np.max(np.abs(fedq.exact_bellman(mdp, q) - q)) <= 1e-10
         assert p_path.read_text().splitlines()[0] == "state,action"
@@ -243,7 +332,7 @@ class TestQstar:
         map_file = tmp_path / "tiny.txt"
         map_file.write_text("G.\n")
         q_path, _ = fedq.compute_qstar(str(map_file), 0.8, 1e-12, tmp_path)
-        q = fedq.bellman.read_qtable_csv(q_path)
+        q = read_qtable_csv(q_path)
         assert abs(q[1, 2] - 1.0) < 1e-9  # left into the goal
 
     def test_writes_only_the_two_csvs(self, tmp_path):
