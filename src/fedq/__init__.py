@@ -18,7 +18,7 @@ from .bellman import (
     rmse,
     value_iteration,
 )
-from .bounds import BitModel, BoundParams, payload_bits, decay_factor, direct_bound, error_feedback_bound
+from .bounds import BoundParams, payload_bits, decay_factor, direct_bound, error_feedback_bound
 from .compression import (
     CompressorSpec,
     EfState,
@@ -48,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BUNDLED_MAPS",
-    "BitModel",
     "BoundParams",
     "CompressorSpec",
     "DIRECT",

@@ -8,9 +8,6 @@ an unbiased single-sample estimate of the exact one.
 """
 from __future__ import annotations
 
-import csv
-from pathlib import Path
-
 import numpy as np
 
 from .errors import NotConvergedError, ParamOutOfRangeError, ShapeMismatchError
@@ -81,7 +78,7 @@ def value_iteration(mdp: TabularMDP, tol: float = 1e-10, max_iter: int = 100_000
     contraction the true fixed-point error is at most
     ``tol * gamma / (1 - gamma)``.
     """
-    if tol <= 0:
+    if not 0 < tol:
         raise ParamOutOfRangeError("tol must be positive")
     q = np.zeros((mdp.n_states, mdp.n_actions))
     for _ in range(max_iter):
@@ -114,22 +111,3 @@ def linf_error(q: np.ndarray, q_ref: np.ndarray) -> float:
         raise ShapeMismatchError(f"shapes differ: {q.shape} vs {q_ref.shape}")
     return float(np.max(np.abs(q - q_ref)))
 
-
-def write_qtable_csv(path: str | Path, q: np.ndarray) -> None:
-    """Write a Q-table as CSV with header ``state,action,q``."""
-    q = np.asarray(q)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["state", "action", "q"])
-        for s in range(q.shape[0]):
-            for a in range(q.shape[1]):
-                writer.writerow([s, a, repr(float(q[s, a]))])
-
-
-def write_policy_csv(path: str | Path, policy: np.ndarray) -> None:
-    """Write a deterministic policy as CSV with header ``state,action``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["state", "action"])
-        for s, a in enumerate(np.asarray(policy)):
-            writer.writerow([s, int(a)])

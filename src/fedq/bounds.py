@@ -51,11 +51,11 @@ class BoundParams:
             raise ParamOutOfRangeError("delta must lie in (0, 1)")
         if min(self.local_epochs, self.rounds, self.n_agents, self.n_states, self.n_actions) < 1:
             raise ParamOutOfRangeError("counts must be >= 1")
-        if self.q2 < 0 or self.q_inf < 0:
+        if not (0 <= self.q2 and 0 <= self.q_inf):
             raise ParamOutOfRangeError("q2 and q_inf must be non-negative")
         if not 0.0 < self.alpha <= 1.0:
             raise ParamOutOfRangeError("alpha must lie in (0, 1]")
-        if self.q0_gap < 0:
+        if not 0 <= self.q0_gap:
             raise ParamOutOfRangeError("q0_gap must be non-negative")
 
 
@@ -131,35 +131,19 @@ def error_feedback_bound(p: BoundParams) -> float:
     )
 
 
-@dataclass(frozen=True)
-class BitModel:
-    """Payload accounting: bits per value and per coordinate index."""
-
-    fpp: int = 32  # floating-point precision assumed on the wire
-
-    def __post_init__(self) -> None:
-        if self.fpp < 1:
-            raise ParamOutOfRangeError("fpp must be >= 1")
-
-    @staticmethod
-    def index_bits(dimension: int) -> int:
-        """ceil(log2(d)) bits to name one coordinate of a d-vector."""
-        if dimension < 1:
-            raise ParamOutOfRangeError("dimension must be >= 1")
-        return (dimension - 1).bit_length()
-
-
-def payload_bits(kind: str, dimension: int, entries: int, bit_model: BitModel | None = None) -> int:
-    """Bits one upload costs on the wire.
+def payload_bits(kind: str, dimension: int, entries: int, fpp: int = 32) -> int:
+    """Bits one upload of a d-vector costs on the wire, at ``fpp`` bits per value.
 
     Uncompressed payloads ship every value and no indices:
-    ``d * fpp``.  Sparse payloads ship ``entries`` (index, value) pairs:
-    ``entries * (ceil(log2 d) + fpp)``.
+    ``d * fpp``.  Sparse payloads ship ``entries`` (index, value) pairs,
+    naming each index in ceil(log2 d) bits: ``entries * (ceil(log2 d) + fpp)``.
     """
-    bm = bit_model if bit_model is not None else BitModel()
+    if fpp < 1:
+        raise ParamOutOfRangeError("fpp must be >= 1")
+    if dimension < 1:
+        raise ParamOutOfRangeError("dimension must be >= 1")
     if entries > dimension:
         raise ParamOutOfRangeError("entries cannot exceed the vector dimension")
     if kind == IDENTITY:
-        return dimension * bm.fpp
-    return entries * (BitModel.index_bits(dimension) + bm.fpp)
-
+        return dimension * fpp
+    return entries * ((dimension - 1).bit_length() + fpp)

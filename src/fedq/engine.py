@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bellman import empirical_bellman, linf_error, rmse
-from .bounds import BitModel, payload_bits
+from .bounds import payload_bits
 from .compression import IDENTITY, SPARSIFIED_K, TOP_K, CompressorSpec, _check_budget, compress_batch
 from .errors import ParamOutOfRangeError, ShapeMismatchError
 from .mdp import TabularMDP, synchronous_sample_batch
@@ -46,7 +46,7 @@ _DEFAULT_MODE = {IDENTITY: DIRECT, SPARSIFIED_K: DIRECT, TOP_K: ERROR_FEEDBACK}
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """All hyperparameters of one federated run."""
+    """All hyperparameters of one federated run, including the payload accounting's bits per value."""
 
     n_agents: int
     local_epochs: int
@@ -58,10 +58,11 @@ class ExperimentConfig:
     mode: str | None = None  # None = pair by compressor kind
     master_seed: int = 0
     q0: float = 0.0  # constant initial Q value; 0.0 = zero table
+    fpp: int = 32  # floating-point precision assumed on the wire, in bits per value
 
     def __post_init__(self) -> None:
-        if self.n_agents < 1 or self.local_epochs < 1 or self.rounds < 1:
-            raise ParamOutOfRangeError("n_agents, local_epochs and rounds must be >= 1")
+        if self.n_agents < 1 or self.local_epochs < 1 or self.rounds < 1 or self.fpp < 1:
+            raise ParamOutOfRangeError("n_agents, local_epochs, rounds and fpp must be >= 1")
         if not 0.0 < self.eta <= 1.0:
             raise ParamOutOfRangeError(f"eta must lie in (0, 1], got {self.eta}")
         if not 0.0 < self.beta <= 1.0:
@@ -83,7 +84,7 @@ class ExperimentConfig:
                 f"config gamma {self.gamma} differs from MDP gamma {mdp.gamma}"
             )
         q0_bound = mdp.r_max / (1.0 - self.gamma)
-        if abs(self.q0) > q0_bound:
+        if not abs(self.q0) <= q0_bound:
             raise ParamOutOfRangeError(
                 f"|q0| must be <= r_max/(1-gamma) = {q0_bound}, got {self.q0}"
             )
@@ -93,7 +94,7 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RoundMetrics:
-    """One trace row; field names match the trace CSV columns.
+    """One trace row; its fields, in order, are the trace CSV columns.
 
     ``bits_round``/``bits_cumulative`` are per-agent payload bits,
     averaged over agents (agents differ only under random
@@ -166,11 +167,12 @@ def run_federated(
     config: ExperimentConfig,
     mdp: TabularMDP,
     q_star: np.ndarray,
-    bit_model: BitModel | None = None,
 ) -> RunResult:
     """Run the full compressed federated loop and trace per-round metrics.
 
-    ``q_star`` is the oracle fixed point used for the error columns.
+    ``q_star`` is the oracle fixed point used for the error columns.  The
+    bit columns count each upload with :func:`~fedq.bounds.payload_bits`
+    at ``config.fpp`` bits per value.
     The trace has rounds + 1 rows: row 0 scores the initial table with
     zero communication, row t >= 1 the table after the t-th aggregation.
     """
@@ -178,7 +180,6 @@ def run_federated(
         raise ShapeMismatchError("q_star shape does not match the MDP")
     config.check_against(mdp)
 
-    bm = bit_model if bit_model is not None else BitModel()
     spec = config.compressor
     mode = config.resolved_mode()
     n_agents = config.n_agents
@@ -226,7 +227,7 @@ def run_federated(
         q_bar = _server_step(q_bar, indices, payload.values, config.beta, n_agents)
 
         counts = payload.kept.sum(axis=1).tolist()
-        bits_round = float(sum(payload_bits(spec.kind, d, n, bm) for n in counts)) / n_agents
+        bits_round = float(sum(payload_bits(spec.kind, d, n, config.fpp) for n in counts)) / n_agents
         cumulative_bits += bits_round
         metrics.append(
             RoundMetrics(

@@ -44,7 +44,6 @@ EMPTY, WALL, GOAL = ".", "#", "G"
 
 # Action order: up, down, left, right.
 ACTION_DELTAS = ((-1, 0), (1, 0), (0, -1), (0, 1))
-ACTION_NAMES = ("up", "down", "left", "right")
 N_ACTIONS = 4
 
 BUNDLED_MAPS = ("map5x5", "map5x5w", "map6x6w", "map11x11", "map17x17w")

@@ -27,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bellman import greedy_policy, value_iteration, write_policy_csv, write_qtable_csv
-from .bounds import BitModel, BoundParams, direct_bound, error_feedback_bound
+from .bellman import greedy_policy, value_iteration
+from .bounds import BoundParams, direct_bound, error_feedback_bound
 from .compression import IDENTITY, RULE_L1, SPARSIFIED_K, TOP_K, CompressorSpec, unbiased_constants
 from .engine import DIRECT, ExperimentConfig, RoundMetrics, RunResult, run_federated
 from .errors import FileFormatError, ParamOutOfRangeError
@@ -51,7 +51,9 @@ _JSON_TYPES = {
     "dict": (dict,),
 }
 
-TRACE_HEADER = "round,rmse,linf_error,bits_round,bits_cumulative,payload_entries"
+TRACE_HEADER = ",".join(f.name for f in fields(RoundMetrics))
+# Cell parser for each trace column, read off the RoundMetrics field annotations.
+_TRACE_PARSERS = tuple({"int": int, "float": float}[f.type] for f in fields(RoundMetrics))
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,7 @@ class RunManifest:
                 _check_type(f"sweep.{axis}", value, _FIELD_TYPES[axis])
         if self.n_seeds < 1:
             raise ParamOutOfRangeError("n_seeds must be >= 1")
-        if self.qstar_tol <= 0:
+        if not 0 < self.qstar_tol:
             raise ParamOutOfRangeError("qstar_tol must be positive")
         if not 0.0 < self.delta < 1.0:
             raise ParamOutOfRangeError(f"delta must lie in (0, 1), got {self.delta}")
@@ -198,40 +200,51 @@ def compute_qstar(map_ref: str, gamma: float, tol: float, out_dir: str | Path) -
     name = _map_name(map_ref)
     q_path = out_dir / f"{name}_qstar.csv"
     p_path = out_dir / f"{name}_policy.csv"
-    write_qtable_csv(q_path, q_star)
-    write_policy_csv(p_path, greedy_policy(q_star))
+    _write_csv(q_path, "state,action,q", ((s, a, float(v)) for (s, a), v in np.ndenumerate(q_star)))
+    _write_csv(p_path, "state,action", enumerate(greedy_policy(q_star).tolist()))
     return q_path, p_path
 
 
 # ---------------------------------------------------------------------------
-# Trace emission
+# CSV emission
 
 
-def write_trace_csv(path: Path, metrics: list[RoundMetrics]) -> None:
-    lines = [TRACE_HEADER]
-    for m in metrics:
-        lines.append(
-            f"{m.round},{repr(m.rmse)},{repr(m.linf_error)},"
-            f"{repr(m.bits_round)},{repr(m.bits_cumulative)},{m.payload_entries}"
-        )
+def _write_csv(path: Path, header: str, rows) -> None:
+    """Write ``header``, then one line per row with each value as its ``repr``."""
+    lines = [header]
+    lines.extend(",".join(map(repr, row)) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 
+def write_trace_csv(path: Path, metrics: list[RoundMetrics]) -> None:
+    _write_csv(path, TRACE_HEADER, (vars(m).values() for m in metrics))
+
+
 def read_trace_csv(path: str | Path) -> list[RoundMetrics]:
+    """Parse a trace CSV; a file without the trace layout raises FileFormatError naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise FileFormatError(f"cannot read trace {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"trace {path} is not UTF-8 text") from exc
+    header = lines[0].strip() if lines else ""
+    if header != TRACE_HEADER:
+        raise FileFormatError(f"{path}: trace header must be {TRACE_HEADER!r}, got {header!r}")
     rows = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != TRACE_HEADER:
-            raise FileFormatError(f"{path}: trace header must be {TRACE_HEADER!r}, got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            cells = line.strip().split(",")
-            if len(cells) != 6:
-                raise FileFormatError(f"{path}:{lineno}: trace row needs 6 fields, got {len(cells)}")
-            r, rm, li, br, bc, pe = cells
-            try:
-                rows.append(RoundMetrics(int(r), float(rm), float(li), float(br), float(bc), int(pe)))
-            except ValueError as exc:
-                raise FileFormatError(f"{path}:{lineno}: trace row is not numeric: {exc}") from exc
+    for lineno, line in enumerate(lines[1:], start=2):
+        cells = line.strip().split(",")
+        if len(cells) != len(_TRACE_PARSERS):
+            raise FileFormatError(
+                f"{path}:{lineno}: trace row needs {len(_TRACE_PARSERS)} fields, got {len(cells)}"
+            )
+        try:
+            rows.append(RoundMetrics(*(parse(c) for parse, c in zip(_TRACE_PARSERS, cells))))
+        except ValueError as exc:
+            raise FileFormatError(f"{path}:{lineno}: trace row is not numeric: {exc}") from exc
     return rows
 
 
@@ -285,29 +298,26 @@ def write_overlay_csv(
     result: RunResult,
 ) -> None:
     """Per round t, the empirical sup-norm error and the bound after t rounds."""
-    lines = ["round,empirical_linf,theory_bound"]
     picked = _bound_params_for(config, delta, mdp, result)
+    rows = []
     for m in result.metrics[1:]:
         if picked is None:
             bound = float("nan")
         else:
             evaluator, params = picked
             bound = evaluator(replace(params, rounds=m.round))
-        lines.append(f"{m.round},{repr(m.linf_error)},{repr(bound)}")
-    path.write_text("\n".join(lines) + "\n")
+        rows.append((m.round, m.linf_error, bound))
+    _write_csv(path, "round,empirical_linf,theory_bound", rows)
 
 
 def write_agg_csv(path: Path, traces: list[list[RoundMetrics]]) -> None:
     """Across-seed band: per-round mean/min/max RMSE and mean bits."""
-    lines = ["round,rmse_mean,rmse_min,rmse_max,bits_cumulative_mean"]
+    band = []
     for rows in zip(*traces):
         rmses = [r.rmse for r in rows]
         bits = [r.bits_cumulative for r in rows]
-        lines.append(
-            f"{rows[0].round},{repr(sum(rmses) / len(rmses))},{repr(min(rmses))},"
-            f"{repr(max(rmses))},{repr(sum(bits) / len(bits))}"
-        )
-    path.write_text("\n".join(lines) + "\n")
+        band.append((rows[0].round, sum(rmses) / len(rmses), min(rmses), max(rmses), sum(bits) / len(bits)))
+    _write_csv(path, "round,rmse_mean,rmse_min,rmse_max,bits_cumulative_mean", band)
 
 
 def _config_for(point: RunManifest, seed: int) -> ExperimentConfig:
@@ -322,6 +332,7 @@ def _config_for(point: RunManifest, seed: int) -> ExperimentConfig:
         mode=point.mode,
         master_seed=seed,
         q0=point.q0,
+        fpp=point.fpp,
     )
 
 
@@ -331,7 +342,6 @@ def _execute_task(
     mdp: TabularMDP,
     q_star: np.ndarray,
     out_dir: Path,
-    bit_model: BitModel,
 ) -> tuple[Path, list[RoundMetrics]]:
     seed = config.master_seed
     slug = grid_slug(point, seed)
@@ -339,7 +349,7 @@ def _execute_task(
     summary_path = out_dir / f"{slug}_summary.json"
     overlay_path = out_dir / f"{slug}_overlay.csv"
     started = time.perf_counter()
-    result = run_federated(config, mdp, q_star, bit_model=bit_model)
+    result = run_federated(config, mdp, q_star)
     elapsed = time.perf_counter() - started
     try:
         write_trace_csv(trace_path, result.metrics)
@@ -380,7 +390,6 @@ def run_experiment(manifest: RunManifest) -> list[Path]:
         for point in points
         for rep in range(manifest.n_seeds)
     ]
-    bit_model = BitModel(fpp=manifest.fpp)
     mdp = load_environment(manifest)
     for _, config in tasks:
         config.check_against(mdp)
@@ -388,10 +397,7 @@ def run_experiment(manifest: RunManifest) -> list[Path]:
     out_dir = output_root(manifest)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    outcomes = [
-        _execute_task(point, config, mdp, q_star, out_dir, bit_model)
-        for point, config in tasks
-    ]
+    outcomes = [_execute_task(point, config, mdp, q_star, out_dir) for point, config in tasks]
 
     written = [path for path, _ in outcomes]
     if manifest.n_seeds > 1:

@@ -34,7 +34,7 @@ class NoiseSpec:
     clip: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.std < 0 or self.clip < 0:
+        if not (0 <= self.std and 0 <= self.clip):
             raise ParamOutOfRangeError("noise std and clip must be non-negative")
 
 
@@ -92,7 +92,7 @@ class TabularMDP:
             )
         if not 0.0 < gamma < 1.0:
             raise InvalidGammaError(f"gamma must lie in (0, 1), got {gamma}")
-        if r_max <= 0:
+        if not 0 < r_max:
             raise ParamOutOfRangeError("r_max must be positive")
         if not np.issubdtype(succ.dtype, np.integer) or succ.min() < 0 or succ.max() >= n_states:
             raise ParamOutOfRangeError(f"succ must hold integer states in [0, {n_states})")

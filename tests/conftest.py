@@ -55,7 +55,7 @@ def sparse_from_dense(v) -> fedq.SparseVector:
 
 
 def read_qtable_csv(path) -> np.ndarray:
-    """Read a Q-table written by :func:`fedq.bellman.write_qtable_csv`."""
+    """Read a Q-table from the ``<map>_qstar.csv`` file :func:`fedq.compute_qstar` writes."""
     with open(path, newline="") as fh:
         rows = [(int(r["state"]), int(r["action"]), float(r["q"])) for r in csv.DictReader(fh)]
     q = np.zeros((1 + max(r[0] for r in rows), 1 + max(r[1] for r in rows)))

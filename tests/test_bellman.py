@@ -175,6 +175,8 @@ class TestValueIteration:
     def test_bad_tol(self, map5x5_mdp):
         with pytest.raises(ParamOutOfRangeError):
             fedq.value_iteration(map5x5_mdp, tol=0.0)
+        with pytest.raises(ParamOutOfRangeError):
+            fedq.value_iteration(map5x5_mdp, tol=float("nan"))
 
     def test_iteration_cap_surfaces(self, map5x5_mdp):
         with pytest.raises(NotConvergedError):
@@ -223,16 +225,14 @@ class TestRmse:
 
 class TestCsvExports:
     def test_qtable_round_trip(self, tmp_path, map5x5_qstar):
-        path = tmp_path / "q.csv"
-        fedq.bellman.write_qtable_csv(path, map5x5_qstar)
+        path, _ = fedq.compute_qstar("map5x5", 0.8, 1e-10, tmp_path)
         header = path.read_text().splitlines()[0]
         assert header == "state,action,q"
         back = read_qtable_csv(path)
         assert np.array_equal(back, map5x5_qstar)
 
-    def test_policy_header(self, tmp_path, map5x5_qstar):
-        path = tmp_path / "p.csv"
-        fedq.bellman.write_policy_csv(path, fedq.greedy_policy(map5x5_qstar))
+    def test_policy_header(self, tmp_path):
+        _, path = fedq.compute_qstar("map5x5", 0.8, 1e-10, tmp_path)
         lines = path.read_text().splitlines()
         assert lines[0] == "state,action"
         assert len(lines) == 26

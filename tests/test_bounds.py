@@ -130,6 +130,12 @@ class TestErrorFeedbackBound:
         with pytest.raises(ParamOutOfRangeError):
             params(alpha=0.0)
 
+    @pytest.mark.parametrize("name", ["q2", "q_inf", "q0_gap"])
+    @pytest.mark.parametrize("value", [-0.5, float("nan")])
+    def test_nonnegative_inputs_validated(self, name, value):
+        with pytest.raises(ParamOutOfRangeError, match=name):
+            params(**{name: value})
+
 
 class TestPayloadBits:
     def test_uncompressed_map11x11(self):
@@ -149,11 +155,14 @@ class TestPayloadBits:
             fedq.payload_bits("top_k", 4, 5)
 
     def test_index_bits(self):
-        assert fedq.BitModel.index_bits(1) == 0
-        assert fedq.BitModel.index_bits(2) == 1
-        assert fedq.BitModel.index_bits(484) == 9
-        assert fedq.BitModel.index_bits(512) == 9
-        assert fedq.BitModel.index_bits(513) == 10
+        # one entry at one bit per value: the rest is the ceil(log2 d) index
+        for d, bits in ((1, 0), (2, 1), (484, 9), (512, 9), (513, 10)):
+            assert fedq.payload_bits("top_k", d, 1, fpp=1) - 1 == bits
+
+    @pytest.mark.parametrize("args", [("identity", 484, 484, 0), ("top_k", 0, 0, 32)])
+    def test_fpp_and_dimension_validated(self, args):
+        with pytest.raises(ParamOutOfRangeError):
+            fedq.payload_bits(*args)
 
 
 class TestAlphaTrace:

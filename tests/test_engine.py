@@ -152,7 +152,7 @@ class TestConfigValidation:
     def test_ranges(self):
         for bad in (dict(eta=0.0), dict(eta=1.5), dict(beta=0.0), dict(gamma=1.0),
                     dict(n_agents=0), dict(rounds=0), dict(local_epochs=0),
-                    dict(mode="broadcast"), dict(master_seed=-1)):
+                    dict(mode="broadcast"), dict(master_seed=-1), dict(fpp=0)):
             with pytest.raises(ParamOutOfRangeError):
                 make_config(**bad)
 
@@ -166,9 +166,9 @@ class TestConfigValidation:
         assert cfg.resolved_mode() == DIRECT
 
     def test_q0_bound_enforced(self, map5x5_mdp, map5x5_qstar):
-        cfg = make_config(q0=5.5)  # r_max/(1-gamma) = 5 for the noiseless map
-        with pytest.raises(ParamOutOfRangeError):
-            fedq.run_federated(cfg, map5x5_mdp, map5x5_qstar)
+        for q0 in (5.5, float("nan")):  # r_max/(1-gamma) = 5 for the noiseless map
+            with pytest.raises(ParamOutOfRangeError):
+                fedq.run_federated(make_config(q0=q0), map5x5_mdp, map5x5_qstar)
 
     def test_gamma_must_match_mdp(self, map5x5_mdp, map5x5_qstar):
         cfg = make_config(gamma=0.9)

@@ -11,7 +11,7 @@ from fedq.errors import (
     RaggedRowsError,
     UnknownCharError,
 )
-from fedq.grids import ACTION_NAMES, N_ACTIONS
+from fedq.grids import ACTION_DELTAS, N_ACTIONS
 
 UP, DOWN, LEFT, RIGHT = range(4)
 
@@ -24,7 +24,8 @@ def state_at(grid, r, c):
 
 
 def test_action_order():
-    assert ACTION_NAMES == ("up", "down", "left", "right")
+    # (row, col) steps for up, down, left, right
+    assert ACTION_DELTAS == ((-1, 0), (1, 0), (0, -1), (0, 1))
 
 
 def test_parse_minimal_map():

@@ -62,6 +62,11 @@ class TestManifest:
         with pytest.raises(ParamOutOfRangeError):
             RunManifest.from_mapping(["map5x5", 3])
 
+    @pytest.mark.parametrize("tol", [0.0, float("nan")])
+    def test_qstar_tol_must_be_positive(self, tol):
+        with pytest.raises(ParamOutOfRangeError, match="qstar_tol"):
+            RunManifest.from_mapping({"map": "map5x5", "rounds": 3, "qstar_tol": tol})
+
     def test_grid_expansion(self, tmp_path):
         manifest = small_manifest(tmp_path, sweep={"eta": [0.1, 0.2], "k": [5, 10, 20]})
         points = expand_grid(manifest)
@@ -286,6 +291,18 @@ class TestRunExperiment:
             digests[name] = hashlib.sha256(runtime.sub(b"", p.read_bytes())).hexdigest()[:16]
         assert digests == expected
 
+    def test_fpp_sets_the_bit_columns(self, tmp_path):
+        # map5x5: d = 100, so an index takes ceil(log2 100) = 7 bits
+        manifest = small_manifest(tmp_path, n_seeds=1, fpp=16,
+                                  sweep={"compressor": ["identity", "top_k"]})
+        written = run_experiment(manifest)
+        assert ["_identity_" in p.name for p in written] == [True, False]
+        identity, top_k = (read_trace_csv(p)[1:] for p in written)
+        assert all(m.bits_round == 100 * 16 for m in identity)
+        assert all(m.payload_entries > 0 for m in top_k)
+        # bits_round is per agent; payload_entries sums over agents
+        assert all(m.bits_round * manifest.agents == m.payload_entries * (7 + 16) for m in top_k)
+
     def test_numpy_float_slug(self, tmp_path):
         manifest = small_manifest(tmp_path, rounds=3, n_seeds=1, eta=np.float64(0.1))
         written = run_experiment(manifest)
@@ -299,6 +316,16 @@ class TestRunExperiment:
 
 
 class TestReadTrace:
+    def test_directory_rejected(self, tmp_path):
+        with pytest.raises(FileFormatError, match=re.escape(str(tmp_path))):
+            read_trace_csv(tmp_path)
+
+    def test_non_utf8_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(fedq.harness.TRACE_HEADER.encode() + b"\n0,\xff\n")
+        with pytest.raises(FileFormatError, match=re.escape(str(path))):
+            read_trace_csv(path)
+
     def test_wrong_header(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("round,rmse\n0,1.0\n")
@@ -335,6 +362,14 @@ class TestQstar:
         q = read_qtable_csv(q_path)
         assert abs(q[1, 2] - 1.0) < 1e-9  # left into the goal
 
+    def test_qstar_bytes_pinned(self, tmp_path):
+        q_path, p_path = fedq.compute_qstar("map5x5", 0.8, 1e-10, tmp_path)
+        digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (q_path, p_path)]
+        assert digests == [
+            "da5762789b0290009d4a5d4c0d2d0c580e48652f8d613dd8720a91749031a97a",
+            "37da0f1da07ac28bb433f9c2d249ead126977e482cf63905575f33922b3321fc",
+        ]
+
     def test_writes_only_the_two_csvs(self, tmp_path):
         fedq.compute_qstar("map5x5", 0.8, 1e-10, tmp_path / "out")
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
@@ -348,6 +383,8 @@ class TestQstar:
     def test_bad_tol_rejected(self, tmp_path):
         with pytest.raises(ParamOutOfRangeError):
             fedq.compute_qstar("map5x5", 0.8, 0.0, tmp_path)
+        with pytest.raises(ParamOutOfRangeError):
+            fedq.compute_qstar("map5x5", 0.8, float("nan"), tmp_path)
 
 
 class TestCli:
@@ -413,6 +450,10 @@ class TestCli:
         {"fpp": 0},
         {"delta": 1.5},
         {"sweep": {"k": [5, 500]}, "compressor": "sparsified_k"},
+        {"q0": float("nan")},
+        {"noise_std": float("nan")},
+        {"qstar_tol": float("nan")},
+        {"noise_clip": float("nan")},
     ])
     def test_out_of_range_manifest_exits_2_without_outputs(self, tmp_path, overrides):
         path = self._write_manifest(tmp_path, **overrides)

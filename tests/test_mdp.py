@@ -19,6 +19,10 @@ class TestValidation:
             fedq.NoiseSpec(std=-0.1)
         with pytest.raises(ParamOutOfRangeError):
             fedq.NoiseSpec(clip=-0.1)
+        with pytest.raises(ParamOutOfRangeError):
+            fedq.NoiseSpec(std=float("nan"))
+        with pytest.raises(ParamOutOfRangeError):
+            fedq.NoiseSpec(clip=float("nan"))
 
     def test_rows_must_sum_to_one(self):
         bad = np.array([[[0.5, 0.4]], [[0.0, 1.0]]])
@@ -72,6 +76,11 @@ class TestTableValidation:
     def test_malformed_table_rejected(self, parts, message):
         with pytest.raises(ParamOutOfRangeError, match=message):
             fedq.TabularMDP(*table_args(**parts), gamma=0.8)
+
+    @pytest.mark.parametrize("r_max", [0.0, -1.0, float("nan")])
+    def test_r_max_must_be_positive(self, r_max):
+        with pytest.raises(ParamOutOfRangeError, match="r_max must be positive"):
+            fedq.TabularMDP(*table_args(), gamma=0.8, r_max=r_max)
 
 
 class TestDenseView:
