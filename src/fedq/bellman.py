@@ -8,6 +8,8 @@ an unbiased single-sample estimate of the exact one.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NotConvergedError, ParamOutOfRangeError, ShapeMismatchError
@@ -78,8 +80,8 @@ def value_iteration(mdp: TabularMDP, tol: float = 1e-10, max_iter: int = 100_000
     contraction the true fixed-point error is at most
     ``tol * gamma / (1 - gamma)``.
     """
-    if not 0 < tol:
-        raise ParamOutOfRangeError("tol must be positive")
+    if not (0 < tol and math.isfinite(tol)):
+        raise ParamOutOfRangeError(f"tol must be positive and finite, got {tol}")
     q = np.zeros((mdp.n_states, mdp.n_actions))
     for _ in range(max_iter):
         q_next = exact_bellman(mdp, q)

@@ -19,7 +19,10 @@ Everything is deterministic given the master seed: sampling streams are
 derived per (agent, round, epoch), the compressor stream per
 (agent, round, K), and the server adds payloads in ascending agent
 order, so the result is the same bits as running the agents one by one,
-in any order, and summing their densified payloads.
+in any order, and summing their densified payloads.  The seed words of
+every stream of the run are computed in one :func:`~fedq.rng.seed_words`
+call at the start (32 bytes per stream); each epoch builds only its own
+I generators from them.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ from .bounds import payload_bits
 from .compression import IDENTITY, SPARSIFIED_K, TOP_K, CompressorSpec, _check_budget, compress_batch
 from .errors import ParamOutOfRangeError, ShapeMismatchError
 from .mdp import TabularMDP, synchronous_sample_batch
-from .rng import RngStream
+from .rng import ID_LIMIT, generators, seed_words
 
 DIRECT = "direct"
 ERROR_FEEDBACK = "error_feedback"
@@ -63,6 +66,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.n_agents < 1 or self.local_epochs < 1 or self.rounds < 1 or self.fpp < 1:
             raise ParamOutOfRangeError("n_agents, local_epochs, rounds and fpp must be >= 1")
+        if max(self.n_agents, self.rounds, self.local_epochs + 1) >= ID_LIMIT:
+            raise ParamOutOfRangeError(
+                "n_agents, rounds and local_epochs + 1 must be < 2**32: they index stream paths"
+            )
         if not 0.0 < self.eta <= 1.0:
             raise ParamOutOfRangeError(f"eta must lie in (0, 1], got {self.eta}")
         if not 0.0 < self.beta <= 1.0:
@@ -127,17 +134,26 @@ def _epoch(q: np.ndarray, mdp: TabularMDP, eta: float, rngs) -> np.ndarray:
     return (1.0 - eta) * q + eta * empirical_bellman(q, next_states, rewards, mdp.gamma)
 
 
-def _local_phases(
-    q_bar: np.ndarray, mdp: TabularMDP, eta: float, n_epochs: int, root: RngStream, t: int,
-    n_agents: int,
-) -> np.ndarray:
-    """The round-t local phases of n_agents agents from one broadcast: shape (I, S, A).
+def _stream_words(seed: int, n_agents: int, rounds: int, n_streams: int) -> np.ndarray:
+    """Seed words of every stream of a run, shape (rounds, n_streams, n_agents, 4).
 
-    Epoch k of agent i draws from ``root.child(i, t, k)``.
+    Entry ``[t, k, i]`` seeds the stream of path ``(i, t, k)``: agent i's
+    epoch k of round t for k < K, its compressor draw for k = K.
     """
-    q = np.broadcast_to(q_bar, (n_agents,) + q_bar.shape)
-    for k in range(n_epochs):
-        q = _epoch(q, mdp, eta, [root.child(i, t, k).generator() for i in range(n_agents)])
+    t, k, i = np.indices((rounds, n_streams, n_agents)).reshape(3, -1)
+    words = seed_words(seed, np.stack([i, t, k], axis=1))
+    return words.reshape(rounds, n_streams, n_agents, 4)
+
+
+def _local_phases(q_bar: np.ndarray, mdp: TabularMDP, eta: float, words: np.ndarray) -> np.ndarray:
+    """One round's local phases of all agents from one broadcast: shape (I, S, A).
+
+    ``words`` is that round's (K, I, 4) slice of :func:`_stream_words`;
+    epoch k of agent i draws from the stream seeded by ``words[k, i]``.
+    """
+    q = np.broadcast_to(q_bar, (words.shape[1],) + q_bar.shape)
+    for epoch_words in words:
+        q = _epoch(q, mdp, eta, generators(epoch_words))
     return q
 
 
@@ -184,7 +200,10 @@ def run_federated(
     mode = config.resolved_mode()
     n_agents = config.n_agents
     d = mdp.table_size
-    root = RngStream(config.master_seed)
+    n_epochs = config.local_epochs
+    # only random compressors consume a stream; its path is pinned to (agent, round, K)
+    n_streams = n_epochs + 1 if spec.kind == SPARSIFIED_K else n_epochs
+    words = _stream_words(config.master_seed, n_agents, config.rounds, n_streams)
 
     q_bar = np.full((mdp.n_states, mdp.n_actions), float(config.q0))
     residual = np.zeros((n_agents, d)) if mode == ERROR_FEEDBACK else None
@@ -204,17 +223,11 @@ def run_federated(
     ]
 
     for t in range(config.rounds):
-        q_local = _local_phases(q_bar, mdp, config.eta, config.local_epochs, root, t, n_agents)
+        q_local = _local_phases(q_bar, mdp, config.eta, words[t, :n_epochs])
         pending = (q_local - q_bar).reshape(n_agents, d)
         if residual is not None:
             pending += residual
-        # only random compressors consume a stream; its path is pinned to
-        # (agent, round, K) either way
-        comp_rngs = (
-            [root.child(i, t, config.local_epochs).generator() for i in range(n_agents)]
-            if spec.kind == SPARSIFIED_K
-            else None
-        )
+        comp_rngs = generators(words[t, n_epochs]) if spec.kind == SPARSIFIED_K else None
         payload = compress_batch(pending, spec, comp_rngs)
         if residual is not None:
             residual = payload.residual(pending)
@@ -226,8 +239,11 @@ def run_federated(
         indices = np.nonzero(payload.kept)[1]  # row-major: ascending agent, then index
         q_bar = _server_step(q_bar, indices, payload.values, config.beta, n_agents)
 
-        counts = payload.kept.sum(axis=1).tolist()
-        bits_round = float(sum(payload_bits(spec.kind, d, n, config.fpp) for n in counts)) / n_agents
+        sizes, n_uploads = np.unique(payload.kept.sum(axis=1), return_counts=True)
+        bits_round = float(sum(
+            payload_bits(spec.kind, d, size, config.fpp) * n
+            for size, n in zip(sizes.tolist(), n_uploads.tolist())
+        )) / n_agents
         cumulative_bits += bits_round
         metrics.append(
             RoundMetrics(
@@ -236,7 +252,7 @@ def run_federated(
                 linf_error=linf_error(q_bar, q_star),
                 bits_round=bits_round,
                 bits_cumulative=cumulative_bits,
-                payload_entries=int(sum(counts)),
+                payload_entries=int(sizes @ n_uploads),
             )
         )
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import time
 from collections.abc import Callable
@@ -93,8 +94,8 @@ class RunManifest:
                 _check_type(f"sweep.{axis}", value, _FIELD_TYPES[axis])
         if self.n_seeds < 1:
             raise ParamOutOfRangeError("n_seeds must be >= 1")
-        if not 0 < self.qstar_tol:
-            raise ParamOutOfRangeError("qstar_tol must be positive")
+        if not (0 < self.qstar_tol and math.isfinite(self.qstar_tol)):
+            raise ParamOutOfRangeError(f"qstar_tol must be positive and finite, got {self.qstar_tol}")
         if not 0.0 < self.delta < 1.0:
             raise ParamOutOfRangeError(f"delta must lie in (0, 1), got {self.delta}")
 

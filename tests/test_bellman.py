@@ -177,6 +177,8 @@ class TestValueIteration:
             fedq.value_iteration(map5x5_mdp, tol=0.0)
         with pytest.raises(ParamOutOfRangeError):
             fedq.value_iteration(map5x5_mdp, tol=float("nan"))
+        with pytest.raises(ParamOutOfRangeError, match="finite"):
+            fedq.value_iteration(map5x5_mdp, tol=float("inf"))
 
     def test_iteration_cap_surfaces(self, map5x5_mdp):
         with pytest.raises(NotConvergedError):

@@ -5,7 +5,7 @@ import pytest
 
 import fedq
 from fedq.compression import RULE_UNIFORM, EfState
-from fedq.engine import DIRECT, ERROR_FEEDBACK, _epoch, _local_phases, _server_step
+from fedq.engine import DIRECT, ERROR_FEEDBACK, _epoch, _local_phases, _server_step, _stream_words
 from fedq.errors import BudgetOutOfRangeError, ParamOutOfRangeError
 from tests.conftest import dense_mdp, sparse_from_dense
 
@@ -64,7 +64,7 @@ class TestLocalPhase:
     def test_single_epoch_reduces_to_local_epoch(self, map5x5_noisy):
         q0 = np.zeros((25, 4))
         root = fedq.RngStream(5)
-        phase = _local_phases(q0, map5x5_noisy, 0.3, 1, root, 0, 1)
+        phase = _local_phases(q0, map5x5_noisy, 0.3, _stream_words(5, 1, 1, 1)[0])
         single = _epoch(q0[None], map5x5_noisy, 0.3, [root.child(0, 0, 0).generator()])
         assert np.array_equal(phase, single)
 
@@ -81,8 +81,8 @@ class TestLocalPhase:
 
     def test_identical_streams_identical_phases(self, map5x5_noisy):
         q0 = np.zeros((25, 4))
-        a = _local_phases(q0, map5x5_noisy, 0.3, 4, fedq.RngStream(9), 7, 3)
-        b = _local_phases(q0, map5x5_noisy, 0.3, 4, fedq.RngStream(9), 7, 3)
+        a = _local_phases(q0, map5x5_noisy, 0.3, _stream_words(9, 3, 8, 4)[7])
+        b = _local_phases(q0, map5x5_noisy, 0.3, _stream_words(9, 3, 8, 4)[7])
         assert np.array_equal(a, b)
 
 
@@ -144,7 +144,7 @@ class TestAggregate:
         out_b = _server_step(q_bar, *sparse_pairs(backward), 0.7, 3)
         assert np.array_equal(out_f, out_b)
         batched = [sparse_from_dense((q - q_bar).ravel())
-                   for q in _local_phases(q_bar, map5x5_noisy, 0.2, 2, root, 0, 3)]
+                   for q in _local_phases(q_bar, map5x5_noisy, 0.2, _stream_words(21, 3, 1, 2)[0])]
         assert _server_step(q_bar, *sparse_pairs(batched), 0.7, 3).tobytes() == out_f.tobytes()
 
 
@@ -152,9 +152,14 @@ class TestConfigValidation:
     def test_ranges(self):
         for bad in (dict(eta=0.0), dict(eta=1.5), dict(beta=0.0), dict(gamma=1.0),
                     dict(n_agents=0), dict(rounds=0), dict(local_epochs=0),
-                    dict(mode="broadcast"), dict(master_seed=-1), dict(fpp=0)):
+                    dict(mode="broadcast"), dict(master_seed=-1), dict(fpp=0),
+                    dict(n_agents=2**32), dict(rounds=2**32), dict(local_epochs=2**32 - 1)):
             with pytest.raises(ParamOutOfRangeError):
                 make_config(**bad)
+
+    def test_stream_ids_up_to_uint32_accepted(self):
+        # ids i < n_agents, t < rounds and k <= local_epochs name stream paths
+        make_config(n_agents=2**32 - 1, rounds=2**32 - 1, local_epochs=2**32 - 2)
 
     def test_default_mode_pairing(self):
         assert make_config().resolved_mode() == DIRECT

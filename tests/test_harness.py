@@ -62,7 +62,7 @@ class TestManifest:
         with pytest.raises(ParamOutOfRangeError):
             RunManifest.from_mapping(["map5x5", 3])
 
-    @pytest.mark.parametrize("tol", [0.0, float("nan")])
+    @pytest.mark.parametrize("tol", [0.0, float("nan"), float("inf")])
     def test_qstar_tol_must_be_positive(self, tol):
         with pytest.raises(ParamOutOfRangeError, match="qstar_tol"):
             RunManifest.from_mapping({"map": "map5x5", "rounds": 3, "qstar_tol": tol})
@@ -453,6 +453,7 @@ class TestCli:
         {"q0": float("nan")},
         {"noise_std": float("nan")},
         {"qstar_tol": float("nan")},
+        {"qstar_tol": float("inf")},
         {"noise_clip": float("nan")},
     ])
     def test_out_of_range_manifest_exits_2_without_outputs(self, tmp_path, overrides):
@@ -515,3 +516,9 @@ class TestCli:
     def test_qstar_bad_tol(self, tmp_path):
         assert cli_main(["qstar", "map5x5", "--gamma", "0.8", "--tol", "0",
                          "--output-dir", str(tmp_path)]) == 2
+
+    def test_qstar_infinite_tol_exits_2_without_outputs(self, tmp_path):
+        out = tmp_path / "out"
+        assert cli_main(["qstar", "map5x5", "--gamma", "0.8", "--tol", "inf",
+                         "--output-dir", str(out)]) == 2
+        assert not out.exists()

@@ -4,6 +4,7 @@ from scipy import stats
 
 import fedq
 from fedq.errors import ParamOutOfRangeError
+from fedq.rng import generators, seed_words
 from tests.conftest import dense_mdp, random_mdp, sparse_random_kernel, sparse_random_mdp
 
 
@@ -289,10 +290,12 @@ class TestStreamIndependence:
         mdp = two_state_mdp(p=(0.5, 0.5))
         n = 10_000
         cells = np.zeros((2, 2))
-        root = fedq.RngStream(123)
-        for t in range(n):
-            a0 = fedq.synchronous_sample(mdp, root.child(0, t).generator())[0][0, 0]
-            a1 = fedq.synchronous_sample(mdp, root.child(1, t).generator())[0][0, 0]
+        # the streams of paths (0, t) and (1, t), seeded in one batch
+        paths = [(agent, t) for t in range(n) for agent in (0, 1)]
+        for words in seed_words(123, paths).reshape(n, 2, 4):
+            g0, g1 = generators(words)
+            a0 = fedq.synchronous_sample(mdp, g0)[0][0, 0]
+            a1 = fedq.synchronous_sample(mdp, g1)[0][0, 0]
             cells[a0, a1] += 1
         statistic = float(((cells - n / 4) ** 2 / (n / 4)).sum())
         critical = stats.chi2.ppf(0.99, df=3)
