@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .compression import IDENTITY
+from .compression import IDENTITY, KINDS
 from .errors import ParamOutOfRangeError
 
 
@@ -138,12 +138,14 @@ def payload_bits(kind: str, dimension: int, entries: int, fpp: int = 32) -> int:
     ``d * fpp``.  Sparse payloads ship ``entries`` (index, value) pairs,
     naming each index in ceil(log2 d) bits: ``entries * (ceil(log2 d) + fpp)``.
     """
+    if kind not in KINDS:
+        raise ParamOutOfRangeError(f"unknown compressor kind {kind!r}")
     if fpp < 1:
         raise ParamOutOfRangeError("fpp must be >= 1")
     if dimension < 1:
         raise ParamOutOfRangeError("dimension must be >= 1")
-    if entries > dimension:
-        raise ParamOutOfRangeError("entries cannot exceed the vector dimension")
+    if not 0 <= entries <= dimension:
+        raise ParamOutOfRangeError(f"entries must lie in [0, dimension={dimension}], got {entries}")
     if kind == IDENTITY:
         return dimension * fpp
     return entries * ((dimension - 1).bit_length() + fpp)

@@ -24,6 +24,7 @@ compressed in a batch gives the same bits as the vector compressed alone.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,7 @@ class CompressorSpec:
     probability_rule: str = RULE_L1
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "k", _as_int("k", self.k, BudgetOutOfRangeError))
         if self.kind not in KINDS:
             raise ParamOutOfRangeError(f"unknown compressor kind {self.kind!r}")
         if self.probability_rule not in RULES:
@@ -118,24 +120,25 @@ class BatchPayload:
     """The payloads of a batch of agents, one row of an (I, d) input each.
 
     ``kept[i, j]`` says whether row i transmits coordinate j, and
-    ``values`` holds the transmitted values in row-major order of
-    ``kept``: row by row, ascending index within a row.  The realized
-    constants are by-products of the compression itself: ``alpha`` holds
-    the top_k contraction factor of each non-zero row (see
-    :func:`contraction_alpha`), ``p`` the sparsified_k selection
-    probabilities.
+    ``sent[i]`` is row i's compressed vector C(v): the transmitted value
+    where ``kept`` is True, +0.0 elsewhere.  What was not transmitted is
+    ``pending - sent``.  The realized constants are by-products of the
+    compression itself: ``alpha`` holds the top_k contraction factor of
+    each non-zero row (see :func:`contraction_alpha`), ``p`` the
+    sparsified_k selection probabilities.
     """
 
     kept: np.ndarray  # (I, d) bool
-    values: np.ndarray  # float64, one per True entry of kept
+    sent: np.ndarray  # (I, d) float64, +0.0 where kept is False
     alpha: np.ndarray | None = None
     p: np.ndarray | None = None
 
-    def residual(self, pending: np.ndarray) -> np.ndarray:
-        """``pending - densify(payload)`` for each row: what was not transmitted."""
-        e = pending.copy()
-        e[self.kept] = pending[self.kept] - self.values
-        return e
+
+def _as_int(name: str, value, error: type[ParamOutOfRangeError] = ParamOutOfRangeError) -> int:
+    """``value`` as a Python int; numpy integers pass, bools and non-integers raise ``error``."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 def _check_budget(k: int, d: int) -> None:
@@ -149,14 +152,13 @@ def compress_batch(
     """Compress every row of an (I, d) array at once.
 
     Row i is compressed exactly as :func:`direct_compress` would compress
-    it alone; sparsified_k draws its d uniforms from the generator ``rngs[i]``.  top_k
-    ranks each row with one stable sort, which also gives the realized
-    contraction factor.
+    it alone, into row i of ``sent``; sparsified_k draws its d uniforms from
+    the generator ``rngs[i]``.  top_k ranks each row with one stable sort,
+    which also gives the realized contraction factor.
     """
     pending = np.asarray(pending, dtype=np.float64)
     if spec.kind == IDENTITY:
-        kept = np.ones(pending.shape, dtype=bool)
-        return BatchPayload(kept, pending[kept])
+        return BatchPayload(np.ones(pending.shape, dtype=bool), pending)
     n_rows, d = pending.shape
     _check_budget(spec.k, d)
     if spec.kind == TOP_K:
@@ -170,13 +172,13 @@ def compress_batch(
         excluded = ranked[:, spec.k] if spec.k < d else np.zeros(n_rows)
         nonzero = top > 0
         alpha = 1.0 - excluded[nonzero] / top[nonzero]
-        return BatchPayload(kept, pending[kept], alpha=alpha)
+        return BatchPayload(kept, np.where(kept, pending, 0.0), alpha=alpha)
     p = selection_probabilities(pending, spec.k, spec.probability_rule)
     u = np.empty(pending.shape)
     for i, rng in enumerate(rngs):
         u[i] = rng.random(d)
     kept = u < p
-    return BatchPayload(kept, pending[kept] / p[kept], p=p)
+    return BatchPayload(kept, np.divide(pending, p, out=np.zeros(pending.shape), where=kept), p=p)
 
 
 def _apply(v: np.ndarray, spec: CompressorSpec, rng: np.random.Generator | None) -> BatchPayload:
@@ -187,7 +189,8 @@ def _apply(v: np.ndarray, spec: CompressorSpec, rng: np.random.Generator | None)
 
 def _as_sparse(payload: BatchPayload) -> SparseVector:
     """The one row of a single-row payload, as a validated SparseVector."""
-    return SparseVector(payload.kept.shape[-1], np.nonzero(payload.kept[0])[0], payload.values)
+    idx = np.nonzero(payload.kept[0])[0]
+    return SparseVector(payload.kept.shape[-1], idx, payload.sent[0, idx])
 
 
 def top_k(v: np.ndarray, k: int) -> SparseVector:
@@ -275,10 +278,9 @@ def ef_compress(
     """Compress ``delta + e`` and bank the untransmitted remainder.
 
     Returns the payload and the successor state
-    ``e' = delta + e - densify(h)``, computed by subtracting the payload
-    values at the transmitted coordinates only (subtracting the implicit
-    zeros elsewhere would change no bit); for entry-copying operators
-    (identity, top_k) the banked entries are bit-exact copies, so
+    ``e' = delta + e - densify(h)`` (subtracting +0.0 at an untransmitted
+    coordinate changes no bit); for entry-copying operators (identity,
+    top_k) the banked entries are bit-exact copies, so
     transmitted-plus-banked always telescopes to the sum of the deltas.
     """
     delta = np.asarray(delta, dtype=np.float64)
@@ -286,4 +288,4 @@ def ef_compress(
         raise ShapeMismatchError(f"delta shape {delta.shape} != error shape {state.e.shape}")
     pending = delta + state.e
     payload = _apply(pending, spec, rng)
-    return _as_sparse(payload), EfState(payload.residual(pending[None])[0])
+    return _as_sparse(payload), EfState(pending - payload.sent[0])

@@ -11,18 +11,20 @@ A round is computed for all I agents at once.  Given the broadcast, the
 local phases are independent, so the local tables form one (I, S, A)
 array: each epoch, every agent draws its own sample table into a row of
 a batch, and the Bellman update runs once on the whole batch.  Deltas and
-error-feedback residuals are (I, d) arrays compressed in one call, and
-the server scatter-adds the transmitted (index, value) pairs without
-building a per-agent payload object.
+error-feedback residuals are (I, d) arrays compressed in one call into an
+(I, d) table of compressed vectors (+0.0 where nothing is sent); the
+error-feedback residual is the pending table minus it, and the server adds
+its rows onto the global table.
 
 Everything is deterministic given the master seed: sampling streams are
 derived per (agent, round, epoch), the compressor stream per
 (agent, round, K), and the server adds payloads in ascending agent
 order, so the result is the same bits as running the agents one by one,
 in any order, and summing their densified payloads.  The seed words of
-every stream of the run are computed in one :func:`~fedq.rng.seed_words`
-call at the start (32 bytes per stream); each epoch builds only its own
-I generators from them.
+the streams are computed by :func:`~fedq.rng.seed_words` for a block of
+rounds at a time, at most ``SEED_BLOCK`` streams per call unless one
+round alone has more, so seeding memory does not grow with the number of
+rounds; each epoch builds only its own I generators from them.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ import numpy as np
 
 from .bellman import empirical_bellman, linf_error, rmse
 from .bounds import payload_bits
-from .compression import IDENTITY, SPARSIFIED_K, TOP_K, CompressorSpec, _check_budget, compress_batch
+from .compression import IDENTITY, SPARSIFIED_K, TOP_K, CompressorSpec, _as_int, _check_budget, compress_batch
 from .errors import ParamOutOfRangeError, ShapeMismatchError
 from .mdp import TabularMDP, synchronous_sample_batch
 from .rng import ID_LIMIT, generators, seed_words
@@ -45,6 +47,8 @@ MODES = (DIRECT, ERROR_FEEDBACK)
 # the biased one goes through error feedback.  Any pairing can be forced
 # explicitly for ablations.
 _DEFAULT_MODE = {IDENTITY: DIRECT, SPARSIFIED_K: DIRECT, TOP_K: ERROR_FEEDBACK}
+
+SEED_BLOCK = 2**16  # most stream paths derived in one seed_words call
 
 
 @dataclass(frozen=True)
@@ -64,6 +68,8 @@ class ExperimentConfig:
     fpp: int = 32  # floating-point precision assumed on the wire, in bits per value
 
     def __post_init__(self) -> None:
+        for name in ("n_agents", "local_epochs", "rounds", "master_seed", "fpp"):
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
         if self.n_agents < 1 or self.local_epochs < 1 or self.rounds < 1 or self.fpp < 1:
             raise ParamOutOfRangeError("n_agents, local_epochs, rounds and fpp must be >= 1")
         if max(self.n_agents, self.rounds, self.local_epochs + 1) >= ID_LIMIT:
@@ -134,21 +140,27 @@ def _epoch(q: np.ndarray, mdp: TabularMDP, eta: float, rngs) -> np.ndarray:
     return (1.0 - eta) * q + eta * empirical_bellman(q, next_states, rewards, mdp.gamma)
 
 
-def _stream_words(seed: int, n_agents: int, rounds: int, n_streams: int) -> np.ndarray:
-    """Seed words of every stream of a run, shape (rounds, n_streams, n_agents, 4).
+def _round_words(seed: int, n_agents: int, rounds: int, n_streams: int):
+    """Seed words of each round's streams, one (n_streams, n_agents, 4) array per round.
 
-    Entry ``[t, k, i]`` seeds the stream of path ``(i, t, k)``: agent i's
-    epoch k of round t for k < K, its compressor draw for k = K.
+    Entry ``[k, i]`` of round t seeds the stream of path ``(i, t, k)``:
+    agent i's epoch k of round t for k < K, its compressor draw for k = K.
+    The words are derived a block of rounds at a time, at most
+    ``SEED_BLOCK`` paths per :func:`~fedq.rng.seed_words` call (one round
+    per call if a round alone has more).
     """
-    t, k, i = np.indices((rounds, n_streams, n_agents)).reshape(3, -1)
-    words = seed_words(seed, np.stack([i, t, k], axis=1))
-    return words.reshape(rounds, n_streams, n_agents, 4)
+    block = max(1, SEED_BLOCK // (n_streams * n_agents))
+    for start in range(0, rounds, block):
+        n = min(block, rounds - start)
+        t, k, i = np.indices((n, n_streams, n_agents)).reshape(3, -1)
+        words = seed_words(seed, np.stack([i, start + t, k], axis=1))
+        yield from words.reshape(n, n_streams, n_agents, 4)
 
 
 def _local_phases(q_bar: np.ndarray, mdp: TabularMDP, eta: float, words: np.ndarray) -> np.ndarray:
     """One round's local phases of all agents from one broadcast: shape (I, S, A).
 
-    ``words`` is that round's (K, I, 4) slice of :func:`_stream_words`;
+    ``words`` is that round's (K, I, 4) slice of :func:`_round_words`;
     epoch k of agent i draws from the stream seeded by ``words[k, i]``.
     """
     q = np.broadcast_to(q_bar, (words.shape[1],) + q_bar.shape)
@@ -157,19 +169,20 @@ def _local_phases(q_bar: np.ndarray, mdp: TabularMDP, eta: float, words: np.ndar
     return q
 
 
-def _server_step(
-    q_bar: np.ndarray, indices: np.ndarray, values: np.ndarray, beta: float, n_agents: int
-) -> np.ndarray:
-    """Add ``beta / I`` times the scatter-added (index, value) pairs onto the table.
+def _server_step(q_bar: np.ndarray, sent: np.ndarray, beta: float) -> np.ndarray:
+    """Add ``beta / I`` times the sum of the I rows of ``sent`` onto the table.
 
-    The sum starts from +0.0 and adds the pairs one by one in the order
-    given, so pairs listed in ascending agent order give the same bits as
-    adding the densified payloads agent by agent: a +0.0 sum can never
-    become -0.0, and adding +0.0 for an absent coordinate changes nothing.
+    The sum starts from +0.0 and adds the rows one by one in ascending
+    agent order, so it gives the same bits as adding the densified
+    payloads agent by agent: a +0.0 sum can never become -0.0, so adding
+    +0.0 for an untransmitted coordinate changes nothing.  It is not
+    ``sent.sum(axis=0)``: numpy reduces a one-column table (d = 1)
+    pairwise, in another order than row by row.
     """
-    acc = np.zeros(q_bar.size)
-    np.add.at(acc, indices, values)
-    return q_bar + (beta / n_agents) * acc.reshape(q_bar.shape)
+    acc = np.zeros(sent.shape[1])
+    for row in sent:
+        acc += row
+    return q_bar + (beta / len(sent)) * acc.reshape(q_bar.shape)
 
 
 def _running_min(current: float | None, values: np.ndarray) -> float | None:
@@ -203,7 +216,6 @@ def run_federated(
     n_epochs = config.local_epochs
     # only random compressors consume a stream; its path is pinned to (agent, round, K)
     n_streams = n_epochs + 1 if spec.kind == SPARSIFIED_K else n_epochs
-    words = _stream_words(config.master_seed, n_agents, config.rounds, n_streams)
 
     q_bar = np.full((mdp.n_states, mdp.n_actions), float(config.q0))
     residual = np.zeros((n_agents, d)) if mode == ERROR_FEEDBACK else None
@@ -222,22 +234,21 @@ def run_federated(
         )
     ]
 
-    for t in range(config.rounds):
-        q_local = _local_phases(q_bar, mdp, config.eta, words[t, :n_epochs])
+    for t, words in enumerate(_round_words(config.master_seed, n_agents, config.rounds, n_streams)):
+        q_local = _local_phases(q_bar, mdp, config.eta, words[:n_epochs])
         pending = (q_local - q_bar).reshape(n_agents, d)
         if residual is not None:
             pending += residual
-        comp_rngs = generators(words[t, n_epochs]) if spec.kind == SPARSIFIED_K else None
+        comp_rngs = generators(words[n_epochs]) if spec.kind == SPARSIFIED_K else None
         payload = compress_batch(pending, spec, comp_rngs)
         if residual is not None:
-            residual = payload.residual(pending)
+            residual = pending - payload.sent
         if payload.alpha is not None:
             alpha_min = _running_min(alpha_min, payload.alpha)
         if payload.p is not None:
             p_support_min = _running_min(p_support_min, payload.p[payload.p > 0])
 
-        indices = np.nonzero(payload.kept)[1]  # row-major: ascending agent, then index
-        q_bar = _server_step(q_bar, indices, payload.values, config.beta, n_agents)
+        q_bar = _server_step(q_bar, payload.sent, config.beta)
 
         sizes, n_uploads = np.unique(payload.kept.sum(axis=1), return_counts=True)
         bits_round = float(sum(

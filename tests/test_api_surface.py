@@ -1,10 +1,12 @@
 """The package's public surface and its documented entry point stay in step."""
+import ast
 import re
 from pathlib import Path
 
 import fedq
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_every_exported_name_resolves():
@@ -20,3 +22,14 @@ def test_readme_quick_start_runs():
     exec(compile(block, "README.md quick start", "exec"), namespace)
     metrics = namespace["result"].metrics
     assert len(metrics) == namespace["config"].rounds + 1
+
+
+def test_library_never_validates_with_assert():
+    # `python -O` strips assert statements; bad input must raise a typed FedqError
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "fedq").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -159,7 +159,8 @@ class TestPayloadBits:
         for d, bits in ((1, 0), (2, 1), (484, 9), (512, 9), (513, 10)):
             assert fedq.payload_bits("top_k", d, 1, fpp=1) - 1 == bits
 
-    @pytest.mark.parametrize("args", [("identity", 484, 484, 0), ("top_k", 0, 0, 32)])
+    @pytest.mark.parametrize("args", [("identity", 484, 484, 0), ("top_k", 0, 0, 32),
+                                      ("top_k", 100, -1, 32), ("bogus", 100, 3, 32)])
     def test_fpp_and_dimension_validated(self, args):
         with pytest.raises(ParamOutOfRangeError):
             fedq.payload_bits(*args)

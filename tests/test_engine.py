@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -5,7 +6,15 @@ import pytest
 
 import fedq
 from fedq.compression import RULE_UNIFORM, EfState
-from fedq.engine import DIRECT, ERROR_FEEDBACK, _epoch, _local_phases, _server_step, _stream_words
+from fedq.engine import (
+    DIRECT,
+    ERROR_FEEDBACK,
+    SEED_BLOCK,
+    _epoch,
+    _local_phases,
+    _round_words,
+    _server_step,
+)
 from fedq.errors import BudgetOutOfRangeError, ParamOutOfRangeError
 from tests.conftest import dense_mdp, sparse_from_dense
 
@@ -64,7 +73,7 @@ class TestLocalPhase:
     def test_single_epoch_reduces_to_local_epoch(self, map5x5_noisy):
         q0 = np.zeros((25, 4))
         root = fedq.RngStream(5)
-        phase = _local_phases(q0, map5x5_noisy, 0.3, _stream_words(5, 1, 1, 1)[0])
+        phase = _local_phases(q0, map5x5_noisy, 0.3, next(_round_words(5, 1, 1, 1)))
         single = _epoch(q0[None], map5x5_noisy, 0.3, [root.child(0, 0, 0).generator()])
         assert np.array_equal(phase, single)
 
@@ -81,32 +90,30 @@ class TestLocalPhase:
 
     def test_identical_streams_identical_phases(self, map5x5_noisy):
         q0 = np.zeros((25, 4))
-        a = _local_phases(q0, map5x5_noisy, 0.3, _stream_words(9, 3, 8, 4)[7])
-        b = _local_phases(q0, map5x5_noisy, 0.3, _stream_words(9, 3, 8, 4)[7])
+        a = _local_phases(q0, map5x5_noisy, 0.3, list(_round_words(9, 3, 8, 4))[7])
+        b = _local_phases(q0, map5x5_noisy, 0.3, list(_round_words(9, 3, 8, 4))[7])
         assert np.array_equal(a, b)
 
 
-def sparse_pairs(payloads):
-    """The (index, value) pairs of a payload list, concatenated in list order."""
-    indices = np.concatenate([h.indices for h in payloads])
-    values = np.concatenate([h.values for h in payloads])
-    return indices, values
+def dense_rows(payloads):
+    """The (I, d) table of a payload list's densified vectors, in list order."""
+    return np.stack([h.densify() for h in payloads])
 
 
 class TestAggregate:
     def test_identity_telescopes(self):
         q_bar = np.array([[1.0]])
         q_local = np.array([[3.0]])
-        out = _server_step(q_bar, np.array([0]), (q_local - q_bar).ravel(), 1.0, 1)
+        out = _server_step(q_bar, (q_local - q_bar).reshape(1, -1), 1.0)
         assert np.array_equal(out, q_local)
 
     def test_two_agent_average(self):
         # agent 0 ships 2.0, agent 1 ships nothing
-        out = _server_step(np.zeros((1, 1)), np.array([0]), np.array([2.0]), 1.0, 2)
+        out = _server_step(np.zeros((1, 1)), np.array([[2.0], [0.0]]), 1.0)
         assert out[0, 0] == 1.0
 
     def test_server_step_scaling(self):
-        out = _server_step(np.array([[1.0]]), np.array([0]), np.array([2.0]), 0.5, 1)
+        out = _server_step(np.array([[1.0]]), np.array([[2.0]]), 0.5)
         assert out[0, 0] == 2.0
 
     @pytest.mark.parametrize("beta", [1.0, 0.7])
@@ -124,7 +131,7 @@ class TestAggregate:
             for h in h_list:
                 acc += h.densify()
             expected = q_bar + (beta / len(h_list)) * acc.reshape(q_bar.shape)
-            out = _server_step(q_bar, *sparse_pairs(h_list), beta, len(h_list))
+            out = _server_step(q_bar, dense_rows(h_list), beta)
             assert out.tobytes() == expected.tobytes()
 
     def test_gather_order_not_schedule_dependent(self, map5x5_noisy):
@@ -140,12 +147,12 @@ class TestAggregate:
 
         forward = [payload(i) for i in (0, 1, 2)]
         backward = list(reversed([payload(i) for i in (2, 1, 0)]))
-        out_f = _server_step(q_bar, *sparse_pairs(forward), 0.7, 3)
-        out_b = _server_step(q_bar, *sparse_pairs(backward), 0.7, 3)
+        out_f = _server_step(q_bar, dense_rows(forward), 0.7)
+        out_b = _server_step(q_bar, dense_rows(backward), 0.7)
         assert np.array_equal(out_f, out_b)
         batched = [sparse_from_dense((q - q_bar).ravel())
-                   for q in _local_phases(q_bar, map5x5_noisy, 0.2, _stream_words(21, 3, 1, 2)[0])]
-        assert _server_step(q_bar, *sparse_pairs(batched), 0.7, 3).tobytes() == out_f.tobytes()
+                   for q in _local_phases(q_bar, map5x5_noisy, 0.2, next(_round_words(21, 3, 1, 2)))]
+        assert _server_step(q_bar, dense_rows(batched), 0.7).tobytes() == out_f.tobytes()
 
 
 class TestConfigValidation:
@@ -153,9 +160,25 @@ class TestConfigValidation:
         for bad in (dict(eta=0.0), dict(eta=1.5), dict(beta=0.0), dict(gamma=1.0),
                     dict(n_agents=0), dict(rounds=0), dict(local_epochs=0),
                     dict(mode="broadcast"), dict(master_seed=-1), dict(fpp=0),
-                    dict(n_agents=2**32), dict(rounds=2**32), dict(local_epochs=2**32 - 1)):
+                    dict(n_agents=2**32), dict(rounds=2**32), dict(local_epochs=2**32 - 1),
+                    dict(n_agents=2.5), dict(rounds=2.5), dict(local_epochs=1.5),
+                    dict(master_seed=1.5), dict(fpp=16.5), dict(n_agents=True), dict(rounds="3")):
             with pytest.raises(ParamOutOfRangeError):
                 make_config(**bad)
+        for k in (2.5, 3.0, "3", None):
+            with pytest.raises(BudgetOutOfRangeError):
+                fedq.CompressorSpec("top_k", k)
+
+    def test_numpy_integers_accepted(self, map5x5_noisy, map5x5_qstar):
+        counts = dict(n_agents=3, local_epochs=2, rounds=4, master_seed=11, fpp=16)
+        spec = fedq.CompressorSpec("sparsified_k", 5)
+        as_numpy = make_config(compressor=fedq.CompressorSpec("sparsified_k", np.int64(5)),
+                               **{name: np.uint32(v) for name, v in counts.items()})
+        assert as_numpy == make_config(compressor=spec, **counts)
+        a = fedq.run_federated(as_numpy, map5x5_noisy, map5x5_qstar)
+        b = fedq.run_federated(make_config(compressor=spec, **counts), map5x5_noisy, map5x5_qstar)
+        assert a.metrics == b.metrics
+        assert a.q_final.tobytes() == b.q_final.tobytes()
 
     def test_stream_ids_up_to_uint32_accepted(self):
         # ids i < n_agents, t < rounds and k <= local_epochs name stream paths
@@ -188,6 +211,27 @@ class TestConfigValidation:
 
 
 class TestRunFederated:
+    def test_seeding_in_bounded_blocks(self, map5x5_noisy, map5x5_qstar, monkeypatch):
+        # I*(K+1)*T = 140 000 sampling and compressor streams: three seed_words
+        # calls, none over SEED_BLOCK paths, and the same q_final as seeding the
+        # whole run in one call
+        calls = []
+        seed_words = fedq.engine.seed_words
+
+        def spy(seed, paths):
+            calls.append(len(paths))
+            return seed_words(seed, paths)
+
+        monkeypatch.setattr(fedq.engine, "seed_words", spy)
+        cfg = make_config(n_agents=50, local_epochs=1, rounds=1400, eta=0.3, master_seed=7,
+                          compressor=fedq.CompressorSpec("sparsified_k", k=5))
+        result = fedq.run_federated(cfg, map5x5_noisy, map5x5_qstar)
+        assert sum(calls) == 50 * 2 * 1400
+        assert len(calls) == 3 and max(calls) <= SEED_BLOCK
+        assert hashlib.sha256(result.q_final.tobytes()).hexdigest() == (
+            "ad1af96833f6ec7f6ada5af8804c301c109b5fda84e786349f80921055587301"
+        )
+
     def test_trace_shape_and_round_zero(self, map5x5_noisy, map5x5_qstar):
         cfg = make_config(rounds=7)
         result = fedq.run_federated(cfg, map5x5_noisy, map5x5_qstar)
@@ -359,3 +403,20 @@ def test_batched_round_matches_per_agent_reference(
             for m in result.metrics] == rows
     assert result.alpha_min == alpha_min
     assert result.p_support_min == p_support_min
+
+
+@pytest.mark.parametrize("n_agents", [9, 16, 32, 64])
+def test_one_entry_table_matches_per_agent_reference(n_agents):
+    # d = 1: numpy sums an (I, 1) column pairwise once I > 8, in another order
+    # than the reference's agent-by-agent sum; the server's row-by-row sum
+    # keeps the bytes equal (a pairwise server step fails every case here)
+    mdp = dense_mdp(np.ones((1, 1, 1)), np.array([[0.25]]), gamma=0.8,
+                    noise=fedq.NoiseSpec(std=0.5, clip=0.5), r_max=0.75)
+    q_star = fedq.value_iteration(mdp, tol=1e-12)
+    for seed in range(3):
+        cfg = make_config(n_agents=n_agents, rounds=10, eta=0.3, beta=0.5, master_seed=seed)
+        result = fedq.run_federated(cfg, mdp, q_star)
+        q_final, rows, _, _ = per_agent_reference(cfg, mdp, q_star)
+        assert result.q_final.tobytes() == q_final.tobytes()
+        assert [(m.rmse, m.linf_error, m.bits_round, m.bits_cumulative, m.payload_entries)
+                for m in result.metrics] == rows
