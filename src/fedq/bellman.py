@@ -8,11 +8,9 @@ an unbiased single-sample estimate of the exact one.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import NotConvergedError, ParamOutOfRangeError, ShapeMismatchError
+from .errors import NotConvergedError, ShapeMismatchError, check_count, check_interval
 from .mdp import TabularMDP
 
 
@@ -80,8 +78,8 @@ def value_iteration(mdp: TabularMDP, tol: float = 1e-10, max_iter: int = 100_000
     contraction the true fixed-point error is at most
     ``tol * gamma / (1 - gamma)``.
     """
-    if not (0 < tol and math.isfinite(tol)):
-        raise ParamOutOfRangeError(f"tol must be positive and finite, got {tol}")
+    check_interval("tol", tol)
+    max_iter = check_count("max_iter", max_iter, 1)
     q = np.zeros((mdp.n_states, mdp.n_actions))
     for _ in range(max_iter):
         q_next = exact_bellman(mdp, q)

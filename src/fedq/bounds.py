@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .compression import IDENTITY, KINDS
-from .errors import ParamOutOfRangeError
+from .errors import ParamOutOfRangeError, check_count, check_interval
 
 
 @dataclass(frozen=True)
@@ -43,28 +43,19 @@ class BoundParams:
     q0_gap: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.beta <= 1.0 or not 0.0 < self.eta <= 1.0:
-            raise ParamOutOfRangeError("beta and eta must lie in (0, 1]")
-        if not 0.0 < self.gamma < 1.0:
-            raise ParamOutOfRangeError("gamma must lie in (0, 1)")
-        if not 0.0 < self.delta < 1.0:
-            raise ParamOutOfRangeError("delta must lie in (0, 1)")
-        if min(self.local_epochs, self.rounds, self.n_agents, self.n_states, self.n_actions) < 1:
-            raise ParamOutOfRangeError("counts must be >= 1")
-        if not (0 <= self.q2 and 0 <= self.q_inf):
-            raise ParamOutOfRangeError("q2 and q_inf must be non-negative")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ParamOutOfRangeError("alpha must lie in (0, 1]")
-        if not 0 <= self.q0_gap:
-            raise ParamOutOfRangeError("q0_gap must be non-negative")
+        for name, closed in (("beta", "(]"), ("eta", "(]"), ("alpha", "(]"), ("gamma", "()"), ("delta", "()")):
+            check_interval(name, getattr(self, name), 0, 1, closed)
+        for name in ("local_epochs", "rounds", "n_agents", "n_states", "n_actions"):
+            object.__setattr__(self, name, check_count(name, getattr(self, name), 1))
+        for name in ("q2", "q_inf", "q0_gap"):
+            check_interval(name, getattr(self, name), closed="[)")
 
 
 def decay_factor(beta: float, eta: float, local_epochs: int) -> float:
     """Per-round linear contraction factor ``1 - beta + beta (1-eta)^K``."""
-    if not 0.0 < beta <= 1.0 or not 0.0 < eta <= 1.0:
-        raise ParamOutOfRangeError("beta and eta must lie in (0, 1]")
-    if local_epochs < 1:
-        raise ParamOutOfRangeError("local_epochs must be >= 1")
+    check_interval("beta", beta, 0, 1, "(]")
+    check_interval("eta", eta, 0, 1, "(]")
+    local_epochs = check_count("local_epochs", local_epochs, 1)
     return 1.0 - beta + beta * (1.0 - eta) ** local_epochs
 
 
@@ -140,12 +131,9 @@ def payload_bits(kind: str, dimension: int, entries: int, fpp: int = 32) -> int:
     """
     if kind not in KINDS:
         raise ParamOutOfRangeError(f"unknown compressor kind {kind!r}")
-    if fpp < 1:
-        raise ParamOutOfRangeError("fpp must be >= 1")
-    if dimension < 1:
-        raise ParamOutOfRangeError("dimension must be >= 1")
-    if not 0 <= entries <= dimension:
-        raise ParamOutOfRangeError(f"entries must lie in [0, dimension={dimension}], got {entries}")
+    fpp = check_count("fpp", fpp, 1)
+    dimension = check_count("dimension", dimension, 1)
+    entries = check_count("entries", entries, 0, dimension + 1)
     if kind == IDENTITY:
         return dimension * fpp
     return entries * ((dimension - 1).bit_length() + fpp)

@@ -24,7 +24,6 @@ compressed in a batch gives the same bits as the vector compressed alone.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +34,8 @@ from .errors import (
     ParamOutOfRangeError,
     ShapeMismatchError,
     ZeroVectorError,
+    check_budget,
+    check_count,
 )
 
 IDENTITY = "identity"
@@ -61,13 +62,12 @@ class CompressorSpec:
     probability_rule: str = RULE_L1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "k", _as_int("k", self.k, BudgetOutOfRangeError))
         if self.kind not in KINDS:
             raise ParamOutOfRangeError(f"unknown compressor kind {self.kind!r}")
         if self.probability_rule not in RULES:
             raise ParamOutOfRangeError(f"unknown probability rule {self.probability_rule!r}")
-        if self.kind != IDENTITY and self.k < 1:
-            raise BudgetOutOfRangeError(f"budget k must be >= 1, got {self.k}")
+        low = 0 if self.kind == IDENTITY else 1  # the identity ignores k
+        object.__setattr__(self, "k", check_count("budget k", self.k, low, error=BudgetOutOfRangeError))
 
 
 @dataclass(frozen=True)
@@ -134,18 +134,6 @@ class BatchPayload:
     p: np.ndarray | None = None
 
 
-def _as_int(name: str, value, error: type[ParamOutOfRangeError] = ParamOutOfRangeError) -> int:
-    """``value`` as a Python int; numpy integers pass, bools and non-integers raise ``error``."""
-    if isinstance(value, bool) or not hasattr(value, "__index__"):
-        raise error(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
-
-
-def _check_budget(k: int, d: int) -> None:
-    if not 1 <= k <= d:
-        raise BudgetOutOfRangeError(f"budget k={k} outside [1, d={d}]")
-
-
 def compress_batch(
     pending: np.ndarray, spec: CompressorSpec, rngs: list[np.random.Generator] | None = None
 ) -> BatchPayload:
@@ -160,7 +148,7 @@ def compress_batch(
     if spec.kind == IDENTITY:
         return BatchPayload(np.ones(pending.shape, dtype=bool), pending)
     n_rows, d = pending.shape
-    _check_budget(spec.k, d)
+    check_budget(spec.k, d)
     if spec.kind == TOP_K:
         mags = np.abs(pending)
         order = np.argsort(-mags, axis=-1, kind="stable")  # ties: lower index first
@@ -226,7 +214,7 @@ def selection_probabilities(v: np.ndarray, k: int, rule: str = RULE_L1) -> np.nd
     """
     v = np.asarray(v, dtype=np.float64)
     d = v.shape[-1]
-    _check_budget(k, d)
+    check_budget(k, d)
     mags = np.abs(v)
     support = mags > 0
     if rule == RULE_L1:

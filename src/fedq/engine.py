@@ -28,14 +28,15 @@ rounds; each epoch builds only its own I generators from them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bellman import empirical_bellman, linf_error, rmse
 from .bounds import payload_bits
-from .compression import IDENTITY, SPARSIFIED_K, TOP_K, CompressorSpec, _as_int, _check_budget, compress_batch
-from .errors import ParamOutOfRangeError, ShapeMismatchError
+from .compression import IDENTITY, SPARSIFIED_K, TOP_K, CompressorSpec, compress_batch
+from .errors import ParamOutOfRangeError, ShapeMismatchError, check_budget, check_count, check_interval
 from .mdp import TabularMDP, synchronous_sample_batch
 from .rng import ID_LIMIT, generators, seed_words
 
@@ -68,24 +69,15 @@ class ExperimentConfig:
     fpp: int = 32  # floating-point precision assumed on the wire, in bits per value
 
     def __post_init__(self) -> None:
-        for name in ("n_agents", "local_epochs", "rounds", "master_seed", "fpp"):
-            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
-        if self.n_agents < 1 or self.local_epochs < 1 or self.rounds < 1 or self.fpp < 1:
-            raise ParamOutOfRangeError("n_agents, local_epochs, rounds and fpp must be >= 1")
-        if max(self.n_agents, self.rounds, self.local_epochs + 1) >= ID_LIMIT:
-            raise ParamOutOfRangeError(
-                "n_agents, rounds and local_epochs + 1 must be < 2**32: they index stream paths"
-            )
-        if not 0.0 < self.eta <= 1.0:
-            raise ParamOutOfRangeError(f"eta must lie in (0, 1], got {self.eta}")
-        if not 0.0 < self.beta <= 1.0:
-            raise ParamOutOfRangeError(f"beta must lie in (0, 1], got {self.beta}")
-        if not 0.0 < self.gamma < 1.0:
-            raise ParamOutOfRangeError(f"gamma must lie in (0, 1), got {self.gamma}")
+        # n_agents, rounds and local_epochs + 1 index stream paths, whose ids are uint32
+        for name, low, high in (("n_agents", 1, ID_LIMIT), ("local_epochs", 1, ID_LIMIT - 1),
+                                ("rounds", 1, ID_LIMIT), ("fpp", 1, math.inf), ("master_seed", 0, math.inf)):
+            object.__setattr__(self, name, check_count(name, getattr(self, name), low, high))
+        check_interval("eta", self.eta, 0, 1, "(]")
+        check_interval("beta", self.beta, 0, 1, "(]")
+        check_interval("gamma", self.gamma, 0, 1)
         if self.mode is not None and self.mode not in MODES:
             raise ParamOutOfRangeError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.master_seed < 0:
-            raise ParamOutOfRangeError("master_seed must be non-negative")
 
     def resolved_mode(self) -> str:
         return self.mode if self.mode is not None else _DEFAULT_MODE[self.compressor.kind]
@@ -96,13 +88,9 @@ class ExperimentConfig:
             raise ParamOutOfRangeError(
                 f"config gamma {self.gamma} differs from MDP gamma {mdp.gamma}"
             )
-        q0_bound = mdp.r_max / (1.0 - self.gamma)
-        if not abs(self.q0) <= q0_bound:
-            raise ParamOutOfRangeError(
-                f"|q0| must be <= r_max/(1-gamma) = {q0_bound}, got {self.q0}"
-            )
+        check_interval("|q0|", abs(self.q0), 0, mdp.r_max / (1.0 - self.gamma), "[]")
         if self.compressor.kind != IDENTITY:
-            _check_budget(self.compressor.k, mdp.table_size)
+            check_budget(self.compressor.k, mdp.table_size)
 
 
 @dataclass(frozen=True)

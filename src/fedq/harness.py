@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import os
 import time
 from collections.abc import Callable
@@ -32,7 +31,7 @@ from .bellman import greedy_policy, value_iteration
 from .bounds import BoundParams, direct_bound, error_feedback_bound
 from .compression import IDENTITY, RULE_L1, SPARSIFIED_K, TOP_K, CompressorSpec, unbiased_constants
 from .engine import DIRECT, ExperimentConfig, RoundMetrics, RunResult, run_federated
-from .errors import FileFormatError, ParamOutOfRangeError
+from .errors import FileFormatError, ParamOutOfRangeError, check_count, check_interval
 from .grids import build_gridworld, load_map
 from .mdp import NoiseSpec, TabularMDP
 
@@ -92,12 +91,9 @@ class RunManifest:
                 raise ParamOutOfRangeError(f"sweep axis {axis!r} must be a non-empty list, got {values!r}")
             for value in values:
                 _check_type(f"sweep.{axis}", value, _FIELD_TYPES[axis])
-        if self.n_seeds < 1:
-            raise ParamOutOfRangeError("n_seeds must be >= 1")
-        if not (0 < self.qstar_tol and math.isfinite(self.qstar_tol)):
-            raise ParamOutOfRangeError(f"qstar_tol must be positive and finite, got {self.qstar_tol}")
-        if not 0.0 < self.delta < 1.0:
-            raise ParamOutOfRangeError(f"delta must lie in (0, 1), got {self.delta}")
+        check_count("n_seeds", self.n_seeds, 1)
+        check_interval("qstar_tol", self.qstar_tol)
+        check_interval("delta", self.delta, 0, 1)
 
     @staticmethod
     def from_mapping(data: dict) -> "RunManifest":

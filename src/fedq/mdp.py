@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidGammaError, ParamOutOfRangeError
+from .errors import InvalidGammaError, ParamOutOfRangeError, check_interval
 
 _ROW_SUM_TOL = 1e-12
 
@@ -34,8 +34,8 @@ class NoiseSpec:
     clip: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (0 <= self.std and 0 <= self.clip):
-            raise ParamOutOfRangeError("noise std and clip must be non-negative")
+        check_interval("noise std", self.std, closed="[)")
+        check_interval("noise clip", self.clip, closed="[)")
 
 
 class TabularMDP:
@@ -90,10 +90,8 @@ class TabularMDP:
                 f"succ and succ_p must both have shape (S * A, w) with S * A = {reward_mean.size} >= 1 "
                 f"and w >= 1; got {succ.shape} and {succ_p.shape}"
             )
-        if not 0.0 < gamma < 1.0:
-            raise InvalidGammaError(f"gamma must lie in (0, 1), got {gamma}")
-        if not 0 < r_max:
-            raise ParamOutOfRangeError("r_max must be positive")
+        check_interval("gamma", gamma, 0, 1, error=InvalidGammaError)
+        check_interval("r_max", r_max)
         if not np.issubdtype(succ.dtype, np.integer) or succ.min() < 0 or succ.max() >= n_states:
             raise ParamOutOfRangeError(f"succ must hold integer states in [0, {n_states})")
         if not np.all(succ_p >= 0):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParamOutOfRangeError, ShapeMismatchError
+from .errors import ShapeMismatchError, check_count
 
 ID_LIMIT = 2**32  # path ids are single uint32 words
 
@@ -70,15 +70,13 @@ def seed_words(seed: int, paths) -> np.ndarray:
     path of one call has the same length L, which may be 0.  The master
     seed may span several uint32 words.
     """
-    if seed < 0:
-        raise ParamOutOfRangeError(f"seed must be non-negative, got {seed}")
+    seed = check_count("seed", seed)
     paths = np.asarray(paths)
     if paths.ndim != 2:
         raise ShapeMismatchError(f"paths must be an (n, L) array, got shape {paths.shape}")
-    if paths.size and (paths.min() < 0 or paths.max() >= ID_LIMIT):
-        raise ParamOutOfRangeError(
-            f"path ids must lie in [0, 2**32), got {paths.min()}..{paths.max()}"
-        )
+    if paths.size:
+        for end in (paths.min(), paths.max()):
+            check_count("path ids", end, 0, ID_LIMIT)
     # SeedSequence's entropy: the seed's little-endian uint32 words, zero
     # padded to the pool size, then one word per path id
     n_seed = max(_POOL, -(-seed.bit_length() // 32))
@@ -141,14 +139,12 @@ class RngStream:
     path: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ParamOutOfRangeError(f"seed must be non-negative, got {self.seed}")
-        if not all(0 <= i < ID_LIMIT for i in self.path):
-            raise ParamOutOfRangeError(f"path ids must lie in [0, 2**32), got {self.path}")
+        object.__setattr__(self, "seed", check_count("seed", self.seed))
+        object.__setattr__(self, "path", tuple(check_count("path ids", i, 0, ID_LIMIT) for i in self.path))
 
     def child(self, *ids: int) -> "RngStream":
         """Derive a sub-stream by extending the path."""
-        return RngStream(self.seed, self.path + tuple(int(i) for i in ids))
+        return RngStream(self.seed, self.path + ids)
 
     def generator(self) -> np.random.Generator:
         return generators(seed_words(self.seed, [self.path]))[0]

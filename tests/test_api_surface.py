@@ -33,3 +33,16 @@ def test_library_never_validates_with_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_modules_share_no_private_names():
+    # a rule two modules need belongs in one public place (fedq.errors for range checks)
+    found = [
+        f"{path.name}:{node.lineno} imports {alias.name}"
+        for path in sorted((ROOT / "src" / "fedq").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").startswith("fedq"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert found == []

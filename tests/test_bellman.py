@@ -179,6 +179,9 @@ class TestValueIteration:
             fedq.value_iteration(map5x5_mdp, tol=float("nan"))
         with pytest.raises(ParamOutOfRangeError, match="finite"):
             fedq.value_iteration(map5x5_mdp, tol=float("inf"))
+        for max_iter in (0, 2.5, True, "3"):
+            with pytest.raises(ParamOutOfRangeError, match="max_iter"):
+                fedq.value_iteration(map5x5_mdp, max_iter=max_iter)
 
     def test_iteration_cap_surfaces(self, map5x5_mdp):
         with pytest.raises(NotConvergedError):

@@ -54,6 +54,9 @@ class TestDecayFactor:
             fedq.decay_factor(0.0, 0.5, 1)
         with pytest.raises(ParamOutOfRangeError):
             fedq.decay_factor(0.5, 1.5, 1)
+        for local_epochs in (1.5, True, "2"):
+            with pytest.raises(ParamOutOfRangeError, match="local_epochs"):
+                fedq.decay_factor(0.5, 0.5, local_epochs)
 
 
 class TestDirectBound:
@@ -130,9 +133,16 @@ class TestErrorFeedbackBound:
         with pytest.raises(ParamOutOfRangeError):
             params(alpha=0.0)
 
-    @pytest.mark.parametrize("name", ["q2", "q_inf", "q0_gap"])
-    @pytest.mark.parametrize("value", [-0.5, float("nan")])
+    @pytest.mark.parametrize("name", ["q2", "q_inf", "q0_gap", "local_epochs", "rounds", "n_agents",
+                                      "n_states", "n_actions"])
+    @pytest.mark.parametrize("value", [-0.5, float("nan"), float("inf")])
     def test_nonnegative_inputs_validated(self, name, value):
+        with pytest.raises(ParamOutOfRangeError, match=name):
+            params(**{name: value})
+
+    @pytest.mark.parametrize("name", ["local_epochs", "rounds", "n_agents", "n_states", "n_actions"])
+    @pytest.mark.parametrize("value", [1.5, 10.0, True, "3"])
+    def test_counts_must_be_integers(self, name, value):
         with pytest.raises(ParamOutOfRangeError, match=name):
             params(**{name: value})
 
@@ -160,10 +170,23 @@ class TestPayloadBits:
             assert fedq.payload_bits("top_k", d, 1, fpp=1) - 1 == bits
 
     @pytest.mark.parametrize("args", [("identity", 484, 484, 0), ("top_k", 0, 0, 32),
-                                      ("top_k", 100, -1, 32), ("bogus", 100, 3, 32)])
+                                      ("top_k", 100, -1, 32), ("bogus", 100, 3, 32),
+                                      ("top_k", 100, 2.5, 32), ("top_k", 100.0, 2, 32),
+                                      ("identity", 100, 2, 16.5), ("top_k", 100, True, 32),
+                                      ("top_k", "100", 2, 32)])
     def test_fpp_and_dimension_validated(self, args):
         with pytest.raises(ParamOutOfRangeError):
             fedq.payload_bits(*args)
+
+
+def test_numpy_integers_count_as_python_ints():
+    assert fedq.payload_bits("top_k", np.int64(484), np.int32(50), np.uint8(32)) == 2050
+    assert fedq.decay_factor(0.8, 0.01, np.int64(10)) == fedq.decay_factor(0.8, 0.01, 10)
+    counts = dict(local_epochs=2, rounds=100, n_agents=10, n_states=25, n_actions=4)
+    p_numpy = params(**{name: np.int64(v) for name, v in counts.items()})
+    assert p_numpy == params(**counts)
+    assert fedq.direct_bound(p_numpy) == fedq.direct_bound(params(**counts))
+    assert fedq.error_feedback_bound(p_numpy) == fedq.error_feedback_bound(params(**counts))
 
 
 class TestAlphaTrace:

@@ -160,6 +160,9 @@ class TestSparsifiedK:
     def test_budget_range(self):
         with pytest.raises(BudgetOutOfRangeError):
             fedq.sparsified_k(np.ones(3), 0, fedq.RngStream(0).generator())
+        for k in (0, 4, 2.5, True):
+            with pytest.raises(BudgetOutOfRangeError):
+                fedq.selection_probabilities(np.ones(3), k)
 
 
 class TestUnbiasedConstants:

@@ -162,12 +162,15 @@ class TestConfigValidation:
                     dict(mode="broadcast"), dict(master_seed=-1), dict(fpp=0),
                     dict(n_agents=2**32), dict(rounds=2**32), dict(local_epochs=2**32 - 1),
                     dict(n_agents=2.5), dict(rounds=2.5), dict(local_epochs=1.5),
-                    dict(master_seed=1.5), dict(fpp=16.5), dict(n_agents=True), dict(rounds="3")):
+                    dict(master_seed=1.5), dict(fpp=16.5), dict(n_agents=True), dict(rounds="3"),
+                    dict(eta="0.5"), dict(beta=None), dict(gamma=float("nan"))):
             with pytest.raises(ParamOutOfRangeError):
                 make_config(**bad)
         for k in (2.5, 3.0, "3", None):
             with pytest.raises(BudgetOutOfRangeError):
                 fedq.CompressorSpec("top_k", k)
+        with pytest.raises(BudgetOutOfRangeError):
+            fedq.CompressorSpec("identity", -1)
 
     def test_numpy_integers_accepted(self, map5x5_noisy, map5x5_qstar):
         counts = dict(n_agents=3, local_epochs=2, rounds=4, master_seed=11, fpp=16)

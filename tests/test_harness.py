@@ -455,6 +455,10 @@ class TestCli:
         {"qstar_tol": float("nan")},
         {"qstar_tol": float("inf")},
         {"noise_clip": float("nan")},
+        {"noise_clip": float("inf")},
+        {"noise_std": float("inf")},
+        {"n_seeds": 0},
+        {"rounds": 2**32},
     ])
     def test_out_of_range_manifest_exits_2_without_outputs(self, tmp_path, overrides):
         path = self._write_manifest(tmp_path, **overrides)

@@ -24,6 +24,10 @@ class TestValidation:
             fedq.NoiseSpec(std=float("nan"))
         with pytest.raises(ParamOutOfRangeError):
             fedq.NoiseSpec(clip=float("nan"))
+        with pytest.raises(ParamOutOfRangeError, match="noise clip"):
+            fedq.NoiseSpec(0.5, float("inf"))
+        with pytest.raises(ParamOutOfRangeError, match="noise std"):
+            fedq.NoiseSpec(float("inf"), 0.5)
 
     def test_rows_must_sum_to_one(self):
         bad = np.array([[[0.5, 0.4]], [[0.0, 1.0]]])
@@ -78,7 +82,7 @@ class TestTableValidation:
         with pytest.raises(ParamOutOfRangeError, match=message):
             fedq.TabularMDP(*table_args(**parts), gamma=0.8)
 
-    @pytest.mark.parametrize("r_max", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("r_max", [0.0, -1.0, float("nan"), float("inf")])
     def test_r_max_must_be_positive(self, r_max):
         with pytest.raises(ParamOutOfRangeError, match="r_max must be positive"):
             fedq.TabularMDP(*table_args(), gamma=0.8, r_max=r_max)

@@ -58,7 +58,7 @@ class TestSeedWords:
         assert np.array_equal(batch[123], seed_words(17, paths[123:124])[0])
         assert seed_words(17, paths[:0]).shape == (0, 4)
 
-    @pytest.mark.parametrize("bad", [[(-1, 0)], [(0, ID_LIMIT)], [(2**70,)]])
+    @pytest.mark.parametrize("bad", [[(-1, 0)], [(0, ID_LIMIT)], [(2**70,)], [(2.5,)]])
     def test_ids_outside_uint32_rejected(self, bad):
         with pytest.raises(ParamOutOfRangeError):
             seed_words(3, bad)
@@ -90,15 +90,25 @@ class TestGenerators:
 
 
 class TestStreamIds:
-    @pytest.mark.parametrize("path", [(-1,), (0, ID_LIMIT), (2**64,)])
+    @pytest.mark.parametrize("path", [(-1,), (0, ID_LIMIT), (2**64,), (2.5,), (True,), ("3",)])
     def test_path_out_of_range_rejected_where_built(self, path):
         with pytest.raises(ParamOutOfRangeError, match="path ids"):
             fedq.RngStream(5, path)
 
-    @pytest.mark.parametrize("ids", [(-2,), (1, ID_LIMIT)])
+    @pytest.mark.parametrize("ids", [(-2,), (1, ID_LIMIT), (2.5,), (True,)])
     def test_child_out_of_range_rejected(self, ids):
         with pytest.raises(ParamOutOfRangeError, match="path ids"):
             fedq.RngStream(5).child(*ids)
+
+    @pytest.mark.parametrize("seed", [1.5, True, "3"])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ParamOutOfRangeError, match="seed"):
+            fedq.RngStream(seed)
+
+    def test_numpy_integers_give_the_python_int_stream(self):
+        stream = fedq.RngStream(np.int64(5), (np.uint32(1),)).child(np.int16(2))
+        assert stream == fedq.RngStream(5, (1, 2))
+        assert all(type(i) is int for i in (stream.seed, *stream.path))
 
     def test_largest_id_and_multi_word_seed_accepted(self):
         stream = fedq.RngStream(2**64 + 1).child(ID_LIMIT - 1)
