@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 from .errors import FedqError, MapFormatError, ParamOutOfRangeError
-from .harness import RunManifest, compute_qstar, run_experiment
+from .harness import RunManifest, compute_qstar, output_root, run_experiment
 
 
 def _cmd_manifest(args: argparse.Namespace) -> int:
@@ -37,7 +36,7 @@ def _cmd_manifest(args: argparse.Namespace) -> int:
 
 
 def _cmd_qstar(args: argparse.Namespace) -> int:
-    q_path, p_path = compute_qstar(args.map, args.gamma, args.tol, args.output_dir or "runs")
+    q_path, p_path = compute_qstar(args.map, args.gamma, args.tol, output_root(args.output_dir))
     print(q_path)
     print(p_path)
     return 0
@@ -67,7 +66,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParamOutOfRangeError, MapFormatError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ParamOutOfRangeError, MapFormatError) as exc:
         print(f"fedq: configuration error: {exc}", file=sys.stderr)
         return 2
     except FedqError as exc:

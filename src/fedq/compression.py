@@ -83,6 +83,7 @@ class SparseVector:
     values: np.ndarray  # float64, same length
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "dimension", check_count("dimension", self.dimension, 1))
         idx = np.asarray(self.indices, dtype=np.int64)
         vals = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "indices", idx)
@@ -172,6 +173,8 @@ def compress_batch(
 def _apply(v: np.ndarray, spec: CompressorSpec, rng: np.random.Generator | None) -> BatchPayload:
     """Compress one vector: the batch of one."""
     v = np.asarray(v, dtype=np.float64)
+    if v.ndim != 1:
+        raise ShapeMismatchError(f"expected a 1-D vector, got shape {v.shape}")
     return compress_batch(v[None], spec, [rng])
 
 
@@ -231,9 +234,13 @@ def unbiased_constants(p: np.ndarray) -> tuple[float, float]:
 
     Computed from the minimum selection probability over the support:
     ``q2 = 1/p_min - 1`` and ``q_inf = max(q2, 1)``.  For an empty
-    support (zero vector) the operator is exact and both are 0.
+    support (zero vector) the operator is exact and both are 0.  Every
+    p must lie in [0, 1].
     """
     p = np.asarray(p, dtype=np.float64)
+    outside = ~((p >= 0) & (p <= 1))  # NaN lies outside too
+    if outside.any():
+        raise ParamOutOfRangeError(f"selection probabilities must lie in [0, 1], got {p[outside]}")
     support = p > 0
     if not np.any(support):
         return 0.0, 0.0

@@ -76,6 +76,7 @@ class ExperimentConfig:
         check_interval("eta", self.eta, 0, 1, "(]")
         check_interval("beta", self.beta, 0, 1, "(]")
         check_interval("gamma", self.gamma, 0, 1)
+        check_interval("q0", self.q0, -math.inf, math.inf)  # finite; check_against bounds |q0|
         if self.mode is not None and self.mode not in MODES:
             raise ParamOutOfRangeError(f"mode must be one of {MODES}, got {self.mode!r}")
 

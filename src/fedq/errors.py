@@ -1,4 +1,4 @@
-"""Exception types raised by the public API, and the range rules that raise them.
+"""Exception types raised by the public API, and the rules that raise them.
 
 Each class corresponds to one failure mode of a documented contract, so
 callers can catch precisely what they can handle.
@@ -7,9 +7,11 @@ This module also owns the range rules every boundary applies to its
 parameters: :func:`check_count` for integer counts, seeds and stream ids,
 :func:`check_interval` for real rates and tolerances, and
 :func:`check_budget` for the compression budget k against the dimension d.
+Every input file (map, manifest, trace) is read by :func:`read_text`.
 """
 import math
 import operator
+from pathlib import Path
 
 
 class FedqError(Exception):
@@ -106,3 +108,17 @@ def check_budget(k: int, d: int) -> None:
     """The compression budget rule: k is an integer in [1, d]."""
     if not 1 <= check_count("budget k", k, error=BudgetOutOfRangeError) <= d:
         raise BudgetOutOfRangeError(f"budget k={k} outside [1, d={d}]")
+
+
+def read_text(path: str | Path, what: str, error: type[FedqError]) -> str:
+    """UTF-8 text of the ``what`` file at ``path``.
+
+    A file that is missing or otherwise unreadable (a directory, no
+    permission), or whose bytes are not UTF-8, raises ``error`` naming the path.
+    """
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path} is not UTF-8 text") from exc

@@ -34,9 +34,9 @@ from .errors import (
     EmptyMapError,
     GoalCountError,
     MapFormatError,
-    ParamOutOfRangeError,
     RaggedRowsError,
     UnknownCharError,
+    read_text,
 )
 from .mdp import NoiseSpec, TabularMDP
 
@@ -148,22 +148,11 @@ def map_path(name: str) -> Path:
 def read_map_text(name_or_path: str | Path) -> str:
     """Text of a map given by bundled name (e.g. 'map5x5') or by file path.
 
-    A missing file raises FileNotFoundError; any other unreadable path
-    (a directory, no permission) raises ParamOutOfRangeError, and a file
-    that is not UTF-8 text raises MapFormatError.
+    A file that is missing, unreadable (a directory, no permission) or not
+    UTF-8 text raises MapFormatError naming the path.
     """
-    if isinstance(name_or_path, str) and name_or_path in BUNDLED_MAPS:
-        path = map_path(name_or_path)
-    else:
-        path = Path(name_or_path)
-    try:
-        return path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise
-    except OSError as exc:
-        raise ParamOutOfRangeError(f"cannot read map {path}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise MapFormatError(f"map {path} is not UTF-8 text") from exc
+    bundled = isinstance(name_or_path, str) and name_or_path in BUNDLED_MAPS
+    return read_text(map_path(name_or_path) if bundled else name_or_path, "map", MapFormatError)
 
 
 def load_map(name_or_path: str | Path) -> GridSpec:

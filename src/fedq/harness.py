@@ -31,7 +31,7 @@ from .bellman import greedy_policy, value_iteration
 from .bounds import BoundParams, direct_bound, error_feedback_bound
 from .compression import IDENTITY, RULE_L1, SPARSIFIED_K, TOP_K, CompressorSpec, unbiased_constants
 from .engine import DIRECT, ExperimentConfig, RoundMetrics, RunResult, run_federated
-from .errors import FileFormatError, ParamOutOfRangeError, check_count, check_interval
+from .errors import FileFormatError, ParamOutOfRangeError, check_count, check_interval, read_text
 from .grids import build_gridworld, load_map
 from .mdp import NoiseSpec, TabularMDP
 
@@ -92,6 +92,7 @@ class RunManifest:
             for value in values:
                 _check_type(f"sweep.{axis}", value, _FIELD_TYPES[axis])
         check_count("n_seeds", self.n_seeds, 1)
+        check_count("max_runs", self.max_runs, 1)
         check_interval("qstar_tol", self.qstar_tol)
         check_interval("delta", self.delta, 0, 1)
 
@@ -109,14 +110,9 @@ class RunManifest:
     @staticmethod
     def from_file(path: str | Path) -> "RunManifest":
         try:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except FileNotFoundError:
-            raise
-        except OSError as exc:
-            raise ParamOutOfRangeError(f"cannot read manifest {path}: {exc.strerror}") from exc
-        except UnicodeDecodeError as exc:
-            raise ParamOutOfRangeError(f"manifest {path} is not UTF-8 text") from exc
+            data = json.loads(read_text(path, "manifest", ParamOutOfRangeError))
+        except json.JSONDecodeError as exc:
+            raise ParamOutOfRangeError(f"manifest {path} is not valid JSON: {exc}") from exc
         return RunManifest.from_mapping(data)
 
 
@@ -168,9 +164,10 @@ def expand_grid(manifest: RunManifest) -> list[RunManifest]:
     return [replace(manifest, sweep={}, **combo) for combo in combos.values()]
 
 
-def output_root(manifest: RunManifest) -> Path:
-    if manifest.output_dir:
-        return Path(manifest.output_dir)
+def output_root(directory: str | Path | None = None) -> Path:
+    """``directory`` if given, else $FEDQ_OUTPUT_ROOT, else ``./runs``."""
+    if directory:
+        return Path(directory)
     env = os.environ.get(OUTPUT_ROOT_ENV)
     return Path(env) if env else Path("runs")
 
@@ -219,16 +216,8 @@ def write_trace_csv(path: Path, metrics: list[RoundMetrics]) -> None:
 
 def read_trace_csv(path: str | Path) -> list[RoundMetrics]:
     """Parse a trace CSV; a file without the trace layout raises FileFormatError naming the path."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = list(fh)
-    except FileNotFoundError:
-        raise
-    except OSError as exc:
-        raise FileFormatError(f"cannot read trace {path}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise FileFormatError(f"trace {path} is not UTF-8 text") from exc
-    header = lines[0].strip() if lines else ""
+    lines = read_text(path, "trace", FileFormatError).removesuffix("\n").split("\n")
+    header = lines[0].strip()
     if header != TRACE_HEADER:
         raise FileFormatError(f"{path}: trace header must be {TRACE_HEADER!r}, got {header!r}")
     rows = []
@@ -391,7 +380,7 @@ def run_experiment(manifest: RunManifest) -> list[Path]:
     for _, config in tasks:
         config.check_against(mdp)
     q_star = value_iteration(mdp, tol=manifest.qstar_tol)
-    out_dir = output_root(manifest)
+    out_dir = output_root(manifest.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     outcomes = [_execute_task(point, config, mdp, q_star, out_dir) for point, config in tasks]

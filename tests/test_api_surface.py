@@ -46,3 +46,18 @@ def test_modules_share_no_private_names():
         if alias.name.startswith("_")
     ]
     assert found == []
+
+
+def test_only_read_text_catches_file_errors():
+    # every input file goes through fedq.errors.read_text, which raises the caller's typed error
+    file_errors = {"OSError", "FileNotFoundError", "IsADirectoryError", "PermissionError",
+                   "UnicodeError", "UnicodeDecodeError"}
+    found = set()
+    for path in sorted((ROOT / "src" / "fedq").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                    caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                    if file_errors & {getattr(c, "id", None) for c in caught}:
+                        found.add(f"{path.name}:{getattr(top, 'name', node.lineno)}")
+    assert found == {"errors.py:read_text"}

@@ -31,6 +31,15 @@ class TestSparseVector:
         with pytest.raises(DimensionMismatchError):
             fedq.SparseVector(2, np.array([2]), np.array([1.0]))
 
+    @pytest.mark.parametrize("dimension, indices, values", [
+        (2.5, [0, 2], [1.0, 2.0]),
+        (-1, [], []),
+        (True, [0], [1.0]),
+    ])
+    def test_dimension_must_be_a_positive_integer(self, dimension, indices, values):
+        with pytest.raises(ParamOutOfRangeError, match="dimension"):
+            fedq.SparseVector(dimension, indices, values)
+
 
 class TestTopK:
     def test_keeps_largest_magnitudes(self):
@@ -63,6 +72,14 @@ class TestTopK:
             fedq.top_k(np.ones(3), 0)
         with pytest.raises(BudgetOutOfRangeError):
             fedq.top_k(np.ones(3), 4)
+
+
+    @pytest.mark.parametrize("v", [np.ones((2, 3)), np.array(3.0)])
+    def test_input_must_be_one_vector(self, v):
+        for compress in (lambda: fedq.top_k(v, 1), lambda: fedq.contraction_alpha(v, 1),
+                         lambda: fedq.direct_compress(v, fedq.CompressorSpec("identity"))):
+            with pytest.raises(ShapeMismatchError, match="1-D"):
+                compress()
 
 
 class TestContractionAlpha:
@@ -175,6 +192,11 @@ class TestUnbiasedConstants:
 
     def test_zero_vector(self):
         assert fedq.unbiased_constants(np.zeros(4)) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("p", [[1.5], [-0.25, 0.5], [np.nan], [0.5, np.nan], np.inf])
+    def test_probabilities_must_lie_in_unit_interval(self, p):
+        with pytest.raises(ParamOutOfRangeError, match=r"\[0, 1\]"):
+            fedq.unbiased_constants(p)
 
 
 class TestErrorFeedback:

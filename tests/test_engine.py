@@ -163,7 +163,8 @@ class TestConfigValidation:
                     dict(n_agents=2**32), dict(rounds=2**32), dict(local_epochs=2**32 - 1),
                     dict(n_agents=2.5), dict(rounds=2.5), dict(local_epochs=1.5),
                     dict(master_seed=1.5), dict(fpp=16.5), dict(n_agents=True), dict(rounds="3"),
-                    dict(eta="0.5"), dict(beta=None), dict(gamma=float("nan"))):
+                    dict(eta="0.5"), dict(beta=None), dict(gamma=float("nan")),
+                    dict(q0="a"), dict(q0=None), dict(q0=float("nan")), dict(q0=float("inf"))):
             with pytest.raises(ParamOutOfRangeError):
                 make_config(**bad)
         for k in (2.5, 3.0, "3", None):

@@ -8,7 +8,7 @@ import pytest
 
 import fedq
 from fedq.cli import main as cli_main
-from fedq.errors import FileFormatError, ParamOutOfRangeError
+from fedq.errors import FileFormatError, MapFormatError, ParamOutOfRangeError
 from fedq.harness import RunManifest, expand_grid, read_trace_csv, run_experiment
 from tests.conftest import read_qtable_csv
 
@@ -66,6 +66,11 @@ class TestManifest:
     def test_qstar_tol_must_be_positive(self, tol):
         with pytest.raises(ParamOutOfRangeError, match="qstar_tol"):
             RunManifest.from_mapping({"map": "map5x5", "rounds": 3, "qstar_tol": tol})
+
+    @pytest.mark.parametrize("cap", [0, -3, 2.5])
+    def test_max_runs_must_be_a_positive_count(self, cap):
+        with pytest.raises(ParamOutOfRangeError, match="max_runs"):
+            RunManifest.from_mapping({"map": "map5x5", "rounds": 3, "max_runs": cap})
 
     def test_grid_expansion(self, tmp_path):
         manifest = small_manifest(tmp_path, sweep={"eta": [0.1, 0.2], "k": [5, 10, 20]})
@@ -347,6 +352,42 @@ class TestReadTrace:
             read_trace_csv(path)
 
 
+# Each input file's reader and the typed error a bad file raises.
+INPUT_READERS = [
+    (fedq.load_map, MapFormatError),
+    (RunManifest.from_file, ParamOutOfRangeError),
+    (read_trace_csv, FileFormatError),
+]
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize("read, error", INPUT_READERS)
+    @pytest.mark.parametrize("case", ["missing", "directory", "not_utf8"])
+    def test_bad_file_raises_typed_error_naming_path(self, tmp_path, read, error, case):
+        path = tmp_path / "input"
+        if case == "directory":
+            path.mkdir()
+        elif case == "not_utf8":
+            path.write_bytes(b"G\xff\n")
+        with pytest.raises(error, match=re.escape(str(path))):
+            read(path)
+
+    def test_malformed_manifest_json_names_path(self, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text("{nope")
+        with pytest.raises(ParamOutOfRangeError, match=re.escape(str(path)) + ".*not valid JSON"):
+            RunManifest.from_file(path)
+
+    def test_trace_line_numbers_count_blank_and_crlf_lines(self, tmp_path):
+        path = tmp_path / "t.csv"
+        row = "0,0.5,0.5,0.0,0.0,0"
+        path.write_bytes(f"{fedq.harness.TRACE_HEADER}\r\n{row}\r\n\r\n{row}\n".encode())
+        with pytest.raises(FileFormatError, match=re.escape(f"{path}:3:")):
+            read_trace_csv(path)
+        path.write_text(f"{fedq.harness.TRACE_HEADER}\n{row}\n{row}")
+        assert len(read_trace_csv(path)) == 2
+
+
 class TestQstar:
     def test_compute_writes_oracle_and_policy(self, tmp_path):
         q_path, p_path = fedq.compute_qstar("map5x5", 0.8, 1e-10, tmp_path)
@@ -459,6 +500,7 @@ class TestCli:
         {"noise_std": float("inf")},
         {"n_seeds": 0},
         {"rounds": 2**32},
+        {"max_runs": 0},
     ])
     def test_out_of_range_manifest_exits_2_without_outputs(self, tmp_path, overrides):
         path = self._write_manifest(tmp_path, **overrides)
@@ -506,11 +548,28 @@ class TestCli:
         with pytest.raises(TypeError, match="internal bug"):
             cli_main(["run", str(path)])
 
+    def test_internal_file_not_found_propagates(self, tmp_path, monkeypatch):
+        def broken(manifest):
+            raise FileNotFoundError("internal bug")
+
+        monkeypatch.setattr(fedq.cli, "run_experiment", broken)
+        path = self._write_manifest(tmp_path)
+        with pytest.raises(FileNotFoundError, match="internal bug"):
+            cli_main(["run", str(path)])
+
     def test_qstar_subcommand(self, tmp_path):
         code = cli_main(["qstar", "map5x5", "--gamma", "0.8", "--output-dir", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "map5x5_qstar.csv").exists()
         assert (tmp_path / "map5x5_policy.csv").exists()
+
+    def test_qstar_output_root_env(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("FEDQ_OUTPUT_ROOT", str(tmp_path / "envroot"))
+        assert cli_main(["qstar", "map5x5", "--gamma", "0.8"]) == 0
+        assert sorted(p.name for p in (tmp_path / "envroot").iterdir()) == [
+            "map5x5_policy.csv", "map5x5_qstar.csv"]
+        assert not (tmp_path / "runs").exists()
 
     def test_qstar_unreadable_map_exits_2_without_outputs(self, tmp_path):
         out = tmp_path / "out"
