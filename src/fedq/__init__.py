@@ -38,6 +38,7 @@ from .engine import (
     RoundMetrics,
     RunResult,
     run_federated,
+    run_federated_batch,
 )
 from .grids import BUNDLED_MAPS, GridSpec, build_gridworld, load_map, map_path, parse_map
 from .harness import RunManifest, compute_qstar, run_experiment
@@ -78,6 +79,7 @@ __all__ = [
     "decay_factor",
     "rmse",
     "run_federated",
+    "run_federated_batch",
     "run_experiment",
     "selection_probabilities",
     "sparsified_k",

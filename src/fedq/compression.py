@@ -113,7 +113,7 @@ class EfState:
 
     @staticmethod
     def zeros(dimension: int) -> "EfState":
-        return EfState(np.zeros(dimension))
+        return EfState(np.zeros(check_count("dimension", dimension, 1)))
 
 
 @dataclass(frozen=True)
@@ -125,8 +125,8 @@ class BatchPayload:
     where ``kept`` is True, +0.0 elsewhere.  What was not transmitted is
     ``pending - sent``.  The realized constants are by-products of the
     compression itself: ``alpha`` holds the top_k contraction factor of
-    each non-zero row (see :func:`contraction_alpha`), ``p`` the
-    sparsified_k selection probabilities.
+    each row (see :func:`contraction_alpha`), NaN for an all-zero row,
+    and ``p`` the sparsified_k selection probabilities.
     """
 
     kept: np.ndarray  # (I, d) bool
@@ -159,8 +159,7 @@ def compress_batch(
         ranked = np.take_along_axis(mags, order[:, : spec.k + 1], axis=-1)
         top = ranked[:, 0]
         excluded = ranked[:, spec.k] if spec.k < d else np.zeros(n_rows)
-        nonzero = top > 0
-        alpha = 1.0 - excluded[nonzero] / top[nonzero]
+        alpha = 1.0 - np.divide(excluded, top, out=np.full(n_rows, np.nan), where=top > 0)
         return BatchPayload(kept, np.where(kept, pending, 0.0), alpha=alpha)
     p = selection_probabilities(pending, spec.k, spec.probability_rule)
     u = np.empty(pending.shape)
@@ -200,10 +199,10 @@ def contraction_alpha(v: np.ndarray, k: int) -> float:
     outside the kept set is zero (including k = d), 0 when a dropped
     entry ties the largest magnitude (the contraction hypothesis fails).
     """
-    alpha = _apply(v, CompressorSpec(TOP_K, k), None).alpha
-    if not alpha.size:
+    alpha = float(_apply(v, CompressorSpec(TOP_K, k), None).alpha[0])
+    if np.isnan(alpha):
         raise ZeroVectorError("contraction factor undefined for the zero vector")
-    return float(alpha[0])
+    return alpha
 
 
 def selection_probabilities(v: np.ndarray, k: int, rule: str = RULE_L1) -> np.ndarray:
@@ -216,6 +215,8 @@ def selection_probabilities(v: np.ndarray, k: int, rule: str = RULE_L1) -> np.nd
     a batch: each vector along the last axis gets its own probabilities.
     """
     v = np.asarray(v, dtype=np.float64)
+    if v.ndim < 1:
+        raise ShapeMismatchError("selection probabilities need at least one axis, got a scalar")
     d = v.shape[-1]
     check_budget(k, d)
     mags = np.abs(v)

@@ -7,7 +7,9 @@ seed:
 
 * ``<slug>.csv``          trace with header
   ``round,rmse,linf_error,bits_round,bits_cumulative,payload_entries``
-* ``<slug>_summary.json`` final metrics plus wall time
+* ``<slug>_summary.json`` final metrics plus wall time (a point's seeds run
+  as one batch, and each records the batch's wall time divided by the
+  number of seeds)
 * ``<slug>_overlay.csv``  ``round,empirical_linf,theory_bound``
 
 plus one ``<base>_agg.csv`` per grid point with the across-seed band.
@@ -30,7 +32,7 @@ import numpy as np
 from .bellman import greedy_policy, value_iteration
 from .bounds import BoundParams, direct_bound, error_feedback_bound
 from .compression import IDENTITY, RULE_L1, SPARSIFIED_K, TOP_K, CompressorSpec, unbiased_constants
-from .engine import DIRECT, ExperimentConfig, RoundMetrics, RunResult, run_federated
+from .engine import DIRECT, ExperimentConfig, RoundMetrics, RunResult, run_federated_batch
 from .errors import FileFormatError, ParamOutOfRangeError, check_count, check_interval, read_text
 from .grids import build_gridworld, load_map
 from .mdp import NoiseSpec, TabularMDP
@@ -322,21 +324,20 @@ def _config_for(point: RunManifest, seed: int) -> ExperimentConfig:
     )
 
 
-def _execute_task(
+def _write_run(
     point: RunManifest,
     config: ExperimentConfig,
+    result: RunResult,
+    elapsed: float,
     mdp: TabularMDP,
-    q_star: np.ndarray,
     out_dir: Path,
-) -> tuple[Path, list[RoundMetrics]]:
+) -> Path:
+    """Write one run's trace, overlay and summary; on failure remove whichever of them exist."""
     seed = config.master_seed
     slug = grid_slug(point, seed)
     trace_path = out_dir / f"{slug}.csv"
     summary_path = out_dir / f"{slug}_summary.json"
     overlay_path = out_dir / f"{slug}_overlay.csv"
-    started = time.perf_counter()
-    result = run_federated(config, mdp, q_star)
-    elapsed = time.perf_counter() - started
     try:
         write_trace_csv(trace_path, result.metrics)
         write_overlay_csv(overlay_path, config, point.delta, mdp, result)
@@ -359,38 +360,42 @@ def _execute_task(
         for p in (trace_path, summary_path, overlay_path):
             p.unlink(missing_ok=True)
         raise
-    return trace_path, result.metrics
+    return trace_path
 
 
 def run_experiment(manifest: RunManifest) -> list[Path]:
-    """Run every (grid point, seed) task and return the written trace paths.
+    """Run every grid point's seeds and return the written trace paths, then the agg paths.
 
-    Each task writes its own files, whose content is a pure function of
-    the manifest, so a rerun rewrites the same bytes.  Every task's
-    parameters are checked, the map is loaded and its oracle solved,
-    before anything is written.
+    A grid point's ``n_seeds`` runs are computed as one batch by
+    :func:`~fedq.engine.run_federated_batch`; each summary's
+    ``runtime_seconds`` is the batch's wall time divided by the number of
+    seeds.  Each run writes its own files, whose content (all but that
+    wall time) is a pure function of the manifest, so a rerun rewrites
+    the same bytes.  Every point's parameters are checked, the map is
+    loaded and its oracle solved, before anything is written.
     """
     points = expand_grid(manifest)
-    tasks = [
-        (point, _config_for(point, manifest.master_seed + rep))
+    batches = [
+        [_config_for(point, manifest.master_seed + rep) for rep in range(manifest.n_seeds)]
         for point in points
-        for rep in range(manifest.n_seeds)
     ]
     mdp = load_environment(manifest)
-    for _, config in tasks:
-        config.check_against(mdp)
+    for configs in batches:
+        configs[0].check_against(mdp)  # the seeds of a point share every other setting
     q_star = value_iteration(mdp, tol=manifest.qstar_tol)
     out_dir = output_root(manifest.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    outcomes = [_execute_task(point, config, mdp, q_star, out_dir) for point, config in tasks]
-
-    written = [path for path, _ in outcomes]
-    if manifest.n_seeds > 1:
-        for idx, point in enumerate(points):
-            traces = [outcomes[idx * manifest.n_seeds + r][1] for r in range(manifest.n_seeds)]
+    traces, aggs = [], []
+    for point, configs in zip(points, batches):
+        started = time.perf_counter()
+        results = run_federated_batch(configs, mdp, q_star)
+        elapsed = (time.perf_counter() - started) / len(configs)
+        traces.extend(_write_run(point, config, result, elapsed, mdp, out_dir)
+                      for config, result in zip(configs, results))
+        if manifest.n_seeds > 1:
             base = grid_slug(point, manifest.master_seed).rsplit("_seed", 1)[0]
             agg_path = out_dir / f"{base}_agg.csv"
-            write_agg_csv(agg_path, traces)
-            written.append(agg_path)
-    return written
+            write_agg_csv(agg_path, [result.metrics for result in results])
+            aggs.append(agg_path)
+    return traces + aggs

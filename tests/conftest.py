@@ -31,16 +31,17 @@ def map5x5_qstar(map5x5_mdp):
 def server_tables(monkeypatch):
     """Every global table a ``run_federated`` call produces, in round order.
 
-    Wraps the engine's server step, which ``run_federated`` looks up at call
-    time, so the list holds a copy of the table after each aggregation:
-    ``rounds`` tables per run, not counting the initial one.
+    Wraps the engine's server step, which the engine looks up at call
+    time, so the list holds a copy of each (S, A) table after each
+    aggregation: ``rounds`` tables per lone run, not counting the initial
+    one (a batch of R runs records its R tables of a round in run order).
     """
     tables = []
     step = fedq.engine._server_step
 
     def recording_step(*args):
         q_bar = step(*args)
-        tables.append(q_bar.copy())
+        tables.extend(q.copy() for q in q_bar)
         return q_bar
 
     monkeypatch.setattr(fedq.engine, "_server_step", recording_step)

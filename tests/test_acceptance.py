@@ -21,14 +21,22 @@ def report(criterion: int, description: str, ok: bool, detail: str = "") -> None
     assert ok, f"criterion {criterion}: {description} {detail}"
 
 
-def run_cfg(mdp, q_star, *, compressor="identity", k=0, mode=None, seed=0, agents=1,
-            epochs=1, rounds=100, eta=0.1, beta=0.8):
+def make_cfg(*, compressor="identity", k=0, mode=None, seed=0, agents=1,
+             epochs=1, rounds=100, eta=0.1, beta=0.8):
     spec = fedq.CompressorSpec() if compressor == "identity" else fedq.CompressorSpec(compressor, k=k)
-    cfg = fedq.ExperimentConfig(
+    return fedq.ExperimentConfig(
         n_agents=agents, local_epochs=epochs, rounds=rounds, eta=eta, beta=beta,
         gamma=0.8, compressor=spec, mode=mode, master_seed=seed,
     )
-    return fedq.run_federated(cfg, mdp, q_star)
+
+
+def run_cfg(mdp, q_star, **settings):
+    return fedq.run_federated(make_cfg(**settings), mdp, q_star)
+
+
+def run_seeds(mdp, q_star, seeds, **settings):
+    """One run per seed, computed as one batch; each result is the same bits as its lone run."""
+    return fedq.run_federated_batch([make_cfg(seed=seed, **settings) for seed in seeds], mdp, q_star)
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +213,9 @@ def zero_noise_finals(map5x5_mdp, map5x5_qstar):
     final_top5 = run_cfg(map5x5_mdp, map5x5_qstar, compressor="top_k", k=5,
                          agents=20, rounds=2000, eta=0.05, beta=0.8).metrics[-1].rmse
     finals_sp = [
-        run_cfg(map5x5_mdp, map5x5_qstar, compressor="sparsified_k", k=5,
-                seed=seed, agents=20, rounds=2000, eta=0.05, beta=0.8).metrics[-1].rmse
-        for seed in range(10)
+        result.metrics[-1].rmse
+        for result in run_seeds(map5x5_mdp, map5x5_qstar, range(10), compressor="sparsified_k", k=5,
+                                agents=20, rounds=2000, eta=0.05, beta=0.8)
     ]
     return final_identity, final_top5, finals_sp, time.perf_counter() - started
 
@@ -248,13 +256,13 @@ def test_criterion_05_companion_trend_with_reward_noise(map5x5_noisy, map5x5_qst
     started = time.perf_counter()
     passes = 0
     finals = []
-    for seed in range(10):
-        f_id = run_cfg(map5x5_noisy, map5x5_qstar, seed=seed, agents=20, rounds=2000,
-                       eta=0.05, beta=0.8).metrics[-1].rmse
-        f_t5 = run_cfg(map5x5_noisy, map5x5_qstar, compressor="top_k", k=5, seed=seed,
-                       agents=20, rounds=2000, eta=0.05, beta=0.8).metrics[-1].rmse
-        f_sp = run_cfg(map5x5_noisy, map5x5_qstar, compressor="sparsified_k", k=5, seed=seed,
-                       agents=20, rounds=2000, eta=0.05, beta=0.8).metrics[-1].rmse
+    per_setting = [
+        [result.metrics[-1].rmse
+         for result in run_seeds(map5x5_noisy, map5x5_qstar, range(10), compressor=compressor, k=k,
+                                 agents=20, rounds=2000, eta=0.05, beta=0.8)]
+        for compressor, k in (("identity", 0), ("top_k", 5), ("sparsified_k", 5))
+    ]
+    for f_id, f_t5, f_sp in zip(*per_setting):
         finals.append((f_id, f_t5, f_sp))
         if f_id <= f_t5 <= 1.5 * f_id and f_sp > f_t5:
             passes += 1
@@ -273,14 +281,14 @@ def test_criterion_05_companion_trend_with_reward_noise(map5x5_noisy, map5x5_qst
 def test_criterion_06_agent_speedup(map5x5_noisy, map5x5_qstar):
     started = time.perf_counter()
     finals_1 = [
-        run_cfg(map5x5_noisy, map5x5_qstar, compressor="top_k", k=5, seed=seed,
-                agents=1, rounds=2000, eta=0.1, beta=0.8).metrics[-1].rmse
-        for seed in range(10)
+        result.metrics[-1].rmse
+        for result in run_seeds(map5x5_noisy, map5x5_qstar, range(10), compressor="top_k", k=5,
+                                agents=1, rounds=2000, eta=0.1, beta=0.8)
     ]
     finals_50 = [
-        run_cfg(map5x5_noisy, map5x5_qstar, compressor="top_k", k=5, seed=seed,
-                agents=50, rounds=2000, eta=0.1, beta=0.8).metrics[-1].rmse
-        for seed in range(10)
+        result.metrics[-1].rmse
+        for result in run_seeds(map5x5_noisy, map5x5_qstar, range(10), compressor="top_k", k=5,
+                                agents=50, rounds=2000, eta=0.1, beta=0.8)
     ]
     mean_1, mean_50 = float(np.mean(finals_1)), float(np.mean(finals_50))
     elapsed = time.perf_counter() - started
@@ -330,9 +338,8 @@ def test_criterion_08_eta_tradeoff(map5x5_noisy, map5x5_qstar):
     for eta in (0.01, 0.1, 0.5):
         cross_per_seed = []
         plateau_per_seed = []
-        for seed in range(10):
-            result = run_cfg(map5x5_noisy, map5x5_qstar, compressor="top_k", k=5, seed=seed,
-                             agents=50, rounds=rounds, eta=eta, beta=0.8)
+        for result in run_seeds(map5x5_noisy, map5x5_qstar, range(10), compressor="top_k", k=5,
+                                agents=50, rounds=rounds, eta=eta, beta=0.8):
             cross = next(m.round for m in result.metrics if m.rmse <= 0.5)
             cross_per_seed.append(cross)
             plateau_per_seed.append(np.mean([m.rmse for m in result.metrics[-50:]]))

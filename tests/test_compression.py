@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import fedq
-from fedq.compression import RULE_UNIFORM
+from fedq.compression import RULE_UNIFORM, compress_batch
 from fedq.errors import (
     BudgetOutOfRangeError,
     DimensionMismatchError,
@@ -96,6 +96,19 @@ class TestContractionAlpha:
         with pytest.raises(ZeroVectorError):
             fedq.contraction_alpha(np.zeros(3), 1)
 
+    def test_batch_gives_one_alpha_per_row_nan_for_zero_rows(self):
+        rng = np.random.default_rng(4)
+        rows = rng.normal(size=(5, 6))
+        rows[[1, 4]] = 0.0
+        rows[2, 3] = -0.0
+        alpha = compress_batch(rows, fedq.CompressorSpec("top_k", k=2)).alpha
+        assert alpha.shape == (5,)
+        for row, a in zip(rows, alpha):
+            if np.any(row):
+                assert a == fedq.contraction_alpha(row, 2)
+            else:
+                assert np.isnan(a)
+
     def test_sup_error_equals_largest_excluded_exactly(self):
         rng = np.random.default_rng(1)
         for _ in range(500):
@@ -125,6 +138,10 @@ class TestSelectionProbabilities:
     def test_budget_saturates_at_one(self):
         p = fedq.selection_probabilities(np.array([1.0, 1.0]), 2)
         assert np.array_equal(p, [1.0, 1.0])
+
+    def test_scalar_rejected(self):
+        with pytest.raises(ShapeMismatchError):
+            fedq.selection_probabilities(np.array(3.0), 1)
 
 
 class TestSparsifiedK:
@@ -228,6 +245,11 @@ class TestErrorFeedback:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             fedq.ef_compress(fedq.EfState.zeros(3), np.zeros(4), fedq.CompressorSpec("identity"))
+
+    @pytest.mark.parametrize("dimension", [-1, 0, 2.5, True, "3"])
+    def test_zeros_dimension_checked(self, dimension):
+        with pytest.raises(ParamOutOfRangeError):
+            fedq.EfState.zeros(dimension)
 
     def test_long_run_conservation_and_bounded_memory(self):
         # transmitted + banked equals the exact delta sum; memory obeys the

@@ -73,7 +73,7 @@ class TestLocalPhase:
     def test_single_epoch_reduces_to_local_epoch(self, map5x5_noisy):
         q0 = np.zeros((25, 4))
         root = fedq.RngStream(5)
-        phase = _local_phases(q0, map5x5_noisy, 0.3, next(_round_words(5, 1, 1, 1)))
+        phase = _local_phases(q0[None], map5x5_noisy, 0.3, next(_round_words([5], 1, 1, 1)))
         single = _epoch(q0[None], map5x5_noisy, 0.3, [root.child(0, 0, 0).generator()])
         assert np.array_equal(phase, single)
 
@@ -90,8 +90,8 @@ class TestLocalPhase:
 
     def test_identical_streams_identical_phases(self, map5x5_noisy):
         q0 = np.zeros((25, 4))
-        a = _local_phases(q0, map5x5_noisy, 0.3, list(_round_words(9, 3, 8, 4))[7])
-        b = _local_phases(q0, map5x5_noisy, 0.3, list(_round_words(9, 3, 8, 4))[7])
+        a = _local_phases(q0[None], map5x5_noisy, 0.3, list(_round_words([9], 3, 8, 4))[7])
+        b = _local_phases(q0[None], map5x5_noisy, 0.3, list(_round_words([9], 3, 8, 4))[7])
         assert np.array_equal(a, b)
 
 
@@ -104,16 +104,16 @@ class TestAggregate:
     def test_identity_telescopes(self):
         q_bar = np.array([[1.0]])
         q_local = np.array([[3.0]])
-        out = _server_step(q_bar, (q_local - q_bar).reshape(1, -1), 1.0)
+        out = _server_step(q_bar[None], (q_local - q_bar).reshape(1, -1), 1.0)[0]
         assert np.array_equal(out, q_local)
 
     def test_two_agent_average(self):
         # agent 0 ships 2.0, agent 1 ships nothing
-        out = _server_step(np.zeros((1, 1)), np.array([[2.0], [0.0]]), 1.0)
+        out = _server_step(np.zeros((1, 1, 1)), np.array([[2.0], [0.0]]), 1.0)[0]
         assert out[0, 0] == 1.0
 
     def test_server_step_scaling(self):
-        out = _server_step(np.array([[1.0]]), np.array([[2.0]]), 0.5)
+        out = _server_step(np.array([[[1.0]]]), np.array([[2.0]]), 0.5)[0]
         assert out[0, 0] == 2.0
 
     @pytest.mark.parametrize("beta", [1.0, 0.7])
@@ -131,7 +131,7 @@ class TestAggregate:
             for h in h_list:
                 acc += h.densify()
             expected = q_bar + (beta / len(h_list)) * acc.reshape(q_bar.shape)
-            out = _server_step(q_bar, dense_rows(h_list), beta)
+            out = _server_step(q_bar[None], dense_rows(h_list), beta)[0]
             assert out.tobytes() == expected.tobytes()
 
     def test_gather_order_not_schedule_dependent(self, map5x5_noisy):
@@ -147,12 +147,12 @@ class TestAggregate:
 
         forward = [payload(i) for i in (0, 1, 2)]
         backward = list(reversed([payload(i) for i in (2, 1, 0)]))
-        out_f = _server_step(q_bar, dense_rows(forward), 0.7)
-        out_b = _server_step(q_bar, dense_rows(backward), 0.7)
+        out_f = _server_step(q_bar[None], dense_rows(forward), 0.7)[0]
+        out_b = _server_step(q_bar[None], dense_rows(backward), 0.7)[0]
         assert np.array_equal(out_f, out_b)
         batched = [sparse_from_dense((q - q_bar).ravel())
-                   for q in _local_phases(q_bar, map5x5_noisy, 0.2, next(_round_words(21, 3, 1, 2)))]
-        assert _server_step(q_bar, dense_rows(batched), 0.7).tobytes() == out_f.tobytes()
+                   for q in _local_phases(q_bar[None], map5x5_noisy, 0.2, next(_round_words([21], 3, 1, 2)))]
+        assert _server_step(q_bar[None], dense_rows(batched), 0.7)[0].tobytes() == out_f.tobytes()
 
 
 class TestConfigValidation:
@@ -424,3 +424,97 @@ def test_one_entry_table_matches_per_agent_reference(n_agents):
         assert result.q_final.tobytes() == q_final.tobytes()
         assert [(m.rmse, m.linf_error, m.bits_round, m.bits_cumulative, m.payload_entries)
                 for m in result.metrics] == rows
+
+
+def assert_same_run(batched, lone):
+    assert batched.metrics == lone.metrics
+    assert batched.q_final.tobytes() == lone.q_final.tobytes()
+    assert batched.alpha_min == lone.alpha_min
+    assert batched.p_support_min == lone.p_support_min
+
+
+# a repeated seed, and seeds of two and five uint32 words
+BATCH_SEEDS = [0, 3, 3, 2**40 + 1, 2**130 + 7]
+
+
+class TestRunFederatedBatch:
+    @pytest.mark.parametrize(
+        "compressor, mode, epochs, q0",
+        list(itertools.product(COMPRESSORS, (DIRECT, ERROR_FEEDBACK), (1, 3), (0.0, 1.5))),
+    )
+    def test_batch_matches_lone_runs(self, compressor, mode, epochs, q0, map5x5_noisy, map5x5_qstar):
+        configs = [make_config(n_agents=3, local_epochs=epochs, rounds=4, eta=0.3, q0=q0,
+                               compressor=COMPRESSORS[compressor], mode=mode, master_seed=seed)
+                   for seed in BATCH_SEEDS]
+        results = fedq.run_federated_batch(configs, map5x5_noisy, map5x5_qstar)
+        assert len(results) == len(configs)
+        for cfg, batched in zip(configs, results):
+            assert_same_run(batched, fedq.run_federated(cfg, map5x5_noisy, map5x5_qstar))
+
+    def test_batch_of_one(self, map5x5_noisy, map5x5_qstar):
+        cfg = make_config(n_agents=4, rounds=6, master_seed=9,
+                          compressor=fedq.CompressorSpec("sparsified_k", k=5))
+        [batched] = fedq.run_federated_batch([cfg], map5x5_noisy, map5x5_qstar)
+        assert_same_run(batched, fedq.run_federated(cfg, map5x5_noisy, map5x5_qstar))
+
+    def test_all_zero_uploads_leave_alpha_unset(self):
+        # zero rewards from a zero table: every upload of every seed is the zero vector
+        mdp = dense_mdp(np.ones((1, 1, 1)), np.array([[0.0]]), gamma=0.8)
+        configs = [make_config(n_agents=2, rounds=3, compressor=fedq.CompressorSpec("top_k", k=1),
+                               master_seed=seed) for seed in (1, 2)]
+        results = fedq.run_federated_batch(configs, mdp, np.zeros((1, 1)))
+        for cfg, batched in zip(configs, results):
+            assert batched.alpha_min is None
+            assert_same_run(batched, fedq.run_federated(cfg, mdp, np.zeros((1, 1))))
+
+    def test_groups_bound_the_batch(self, map5x5_noisy, map5x5_qstar, monkeypatch):
+        # room for two runs of 2 agents x 100 entries per group: 5 seeds run as 2 + 2 + 1
+        groups = []
+        run_group = fedq.engine._run_group
+
+        def spy(config, seeds, *args):
+            groups.append(len(seeds))
+            return run_group(config, seeds, *args)
+
+        monkeypatch.setattr(fedq.engine, "BATCH_CELLS", 2 * 2 * 100 + 1)
+        monkeypatch.setattr(fedq.engine, "_run_group", spy)
+        configs = [make_config(rounds=5, compressor=fedq.CompressorSpec("top_k", k=5), master_seed=seed)
+                   for seed in BATCH_SEEDS]
+        results = fedq.run_federated_batch(configs, map5x5_noisy, map5x5_qstar)
+        assert groups == [2, 2, 1]
+        for cfg, batched in zip(configs, results):
+            assert_same_run(batched, fedq.run_federated(cfg, map5x5_noisy, map5x5_qstar))
+
+    def test_seed_blocks_count_every_row(self, map5x5_noisy, map5x5_qstar, monkeypatch):
+        # 3 seeds x 2 agents x 2 streams = 12 paths a round: 8 rounds per block of at most
+        # 100 paths, one seed_words call per seed and block
+        calls = []
+        seed_words = fedq.engine.seed_words
+
+        def spy(seed, paths):
+            calls.append(len(paths))
+            return seed_words(seed, paths)
+
+        monkeypatch.setattr(fedq.engine, "SEED_BLOCK", 100)
+        monkeypatch.setattr(fedq.engine, "seed_words", spy)
+        configs = [make_config(rounds=20, compressor=fedq.CompressorSpec("sparsified_k", k=5),
+                               master_seed=seed) for seed in (4, 5, 6)]
+        results = fedq.run_federated_batch(configs, map5x5_noisy, map5x5_qstar)
+        assert calls == [32] * 6 + [16] * 3
+        monkeypatch.setattr(fedq.engine, "seed_words", seed_words)
+        for cfg, batched in zip(configs, results):
+            assert_same_run(batched, fedq.run_federated(cfg, map5x5_noisy, map5x5_qstar))
+
+    @pytest.mark.parametrize("change", [
+        dict(n_agents=3), dict(local_epochs=2), dict(rounds=4), dict(eta=0.3), dict(beta=0.5),
+        dict(compressor=fedq.CompressorSpec("top_k", k=5)), dict(mode=DIRECT), dict(q0=1.0),
+        dict(fpp=16),
+    ])
+    def test_configs_must_differ_only_in_seed(self, change, map5x5_noisy, map5x5_qstar):
+        configs = [make_config(master_seed=0), make_config(master_seed=1, **change)]
+        with pytest.raises(ParamOutOfRangeError, match=next(iter(change))):
+            fedq.run_federated_batch(configs, map5x5_noisy, map5x5_qstar)
+
+    def test_empty_batch_rejected(self, map5x5_noisy, map5x5_qstar):
+        with pytest.raises(ParamOutOfRangeError):
+            fedq.run_federated_batch([], map5x5_noisy, map5x5_qstar)

@@ -131,6 +131,31 @@ class TestRunExperiment:
         second = {p: p.read_bytes() for p in run_experiment(manifest) if p.suffix == ".csv"}
         assert first == second
 
+    def test_seeds_of_a_point_run_as_one_batch(self, tmp_path, monkeypatch):
+        batches = []
+        run_batch = fedq.harness.run_federated_batch
+
+        def spy(configs, *args):
+            batches.append([c.master_seed for c in configs])
+            return run_batch(configs, *args)
+
+        monkeypatch.setattr(fedq.harness, "run_federated_batch", spy)
+        manifest = small_manifest(tmp_path, n_seeds=3, master_seed=4, sweep={"k": [5, 10]})
+        written = run_experiment(manifest)
+        assert batches == [[4, 5, 6], [4, 5, 6]]
+        # each seed's trace is the bytes of its lone run
+        mdp = fedq.harness.load_environment(manifest)
+        q_star = fedq.value_iteration(mdp, tol=manifest.qstar_tol)
+        for point in expand_grid(manifest):
+            for seed in (4, 5, 6):
+                lone = fedq.run_federated(fedq.harness._config_for(point, seed), mdp, q_star)
+                expected = tmp_path / "lone.csv"
+                fedq.harness.write_trace_csv(expected, lone.metrics)
+                trace = next(p for p in written if p.name == f"{fedq.harness.grid_slug(point, seed)}.csv")
+                assert trace.read_bytes() == expected.read_bytes()
+                summary = json.loads(trace.with_name(trace.stem + "_summary.json").read_text())
+                assert summary["runtime_seconds"] > 0
+
     def test_agg_band_contains_mean(self, tmp_path):
         manifest = small_manifest(tmp_path, n_seeds=3)
         written = run_experiment(manifest)
