@@ -26,7 +26,7 @@ config = fedq.ExperimentConfig(
 )
 result = fedq.run_federated(config, mdp, q_star)
 
-print(f"mode resolved to: {config.resolved_mode()} (top_k pairs with error feedback)")
+print(f"mode: {config.mode} (top_k pairs with error feedback)")
 print("round    rmse      linf    bits/agent (cumulative)")
 for m in result.metrics[:: len(result.metrics) // 10]:
     print(f"{m.round:5d}  {m.rmse:7.4f}  {m.linf_error:7.4f}  {m.bits_cumulative:12.0f}")

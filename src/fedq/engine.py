@@ -55,10 +55,11 @@ DIRECT = "direct"
 ERROR_FEEDBACK = "error_feedback"
 MODES = (DIRECT, ERROR_FEEDBACK)
 
-# Default operator/mode pairing: the unbiased operators upload directly,
-# the biased one goes through error feedback.  Any pairing can be forced
-# explicitly for ablations.
-_DEFAULT_MODE = {IDENTITY: DIRECT, SPARSIFIED_K: DIRECT, TOP_K: ERROR_FEEDBACK}
+# The operator/mode pairing: the unbiased operators upload directly, the
+# biased one goes through error feedback.  A config without a mode takes its
+# kind's; any pairing can be forced explicitly for ablations, but the overlay
+# draws a bound only for these pairings and for the identity in either mode.
+DEFAULT_MODE = {IDENTITY: DIRECT, SPARSIFIED_K: DIRECT, TOP_K: ERROR_FEEDBACK}
 
 SEED_BLOCK = 2**16  # most stream paths derived in one seed_words call
 BATCH_CELLS = 2**20  # most entries (R·I rows times d) of one batch's (R·I, d) arrays
@@ -75,7 +76,7 @@ class ExperimentConfig:
     beta: float  # server step size in (0, 1]
     gamma: float  # discount factor in (0, 1)
     compressor: CompressorSpec = CompressorSpec()
-    mode: str | None = None  # None = pair by compressor kind
+    mode: str | None = None  # None = DEFAULT_MODE of the compressor kind, set at construction
     master_seed: int = 0
     q0: float = 0.0  # constant initial Q value; 0.0 = zero table
     fpp: int = 32  # floating-point precision assumed on the wire, in bits per value
@@ -89,11 +90,10 @@ class ExperimentConfig:
         check_interval("beta", self.beta, 0, 1, "(]")
         check_interval("gamma", self.gamma, 0, 1)
         check_interval("q0", self.q0, -math.inf, math.inf)  # finite; check_against bounds |q0|
-        if self.mode is not None and self.mode not in MODES:
+        if self.mode is None:
+            object.__setattr__(self, "mode", DEFAULT_MODE[self.compressor.kind])
+        elif self.mode not in MODES:
             raise ParamOutOfRangeError(f"mode must be one of {MODES}, got {self.mode!r}")
-
-    def resolved_mode(self) -> str:
-        return self.mode if self.mode is not None else _DEFAULT_MODE[self.compressor.kind]
 
     def check_against(self, mdp: TabularMDP) -> None:
         """Check the ranges that depend on the MDP: gamma, |q0| and the budget k."""
@@ -257,7 +257,7 @@ def _run_group(config: ExperimentConfig, seeds: list[int], mdp: TabularMDP,
     n_streams = n_epochs + 1 if spec.kind == SPARSIFIED_K else n_epochs
 
     q_bar = np.full((n_runs, mdp.n_states, mdp.n_actions), float(config.q0))
-    residual = np.zeros((n_runs * n_agents, d)) if config.resolved_mode() == ERROR_FEEDBACK else None
+    residual = np.zeros((n_runs * n_agents, d)) if config.mode == ERROR_FEEDBACK else None
 
     alpha_min = p_support_min = np.full(n_runs, np.nan)
     traces = [[RoundMetrics(0, rmse(q, q_star), linf_error(q, q_star), 0.0, 0.0, 0)] for q in q_bar]

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import time
 from collections.abc import Callable
@@ -32,7 +33,7 @@ import numpy as np
 from .bellman import greedy_policy, value_iteration
 from .bounds import BoundParams, direct_bound, error_feedback_bound
 from .compression import IDENTITY, RULE_L1, SPARSIFIED_K, TOP_K, CompressorSpec, unbiased_constants
-from .engine import DIRECT, ExperimentConfig, RoundMetrics, RunResult, run_federated_batch
+from .engine import DEFAULT_MODE, DIRECT, ExperimentConfig, RoundMetrics, RunResult, run_federated_batch
 from .errors import FileFormatError, ParamOutOfRangeError, check_count, check_interval, read_text
 from .grids import build_gridworld, load_map
 from .mdp import NoiseSpec, TabularMDP
@@ -236,17 +237,33 @@ def read_trace_csv(path: str | Path) -> list[RoundMetrics]:
     return rows
 
 
-def _bound_params_for(
+def _overlay_bound(
     config: ExperimentConfig, delta: float, mdp: TabularMDP, result: RunResult
-) -> tuple[Callable[[BoundParams], float], BoundParams] | None:
-    """Pick the applicable bound evaluator for the run's operator/mode pairing.
+) -> Callable[[int], float] | None:
+    """The run's bound after t rounds, as a function of t; None where no bound applies.
 
-    The parameters are those of the whole run (``rounds = config.rounds``);
-    the initial gap is the trace's round-0 sup-norm error.
-    Returns None for pairings outside the analyzed ones (e.g. direct
-    top_k), in which case the overlay carries NaNs.
+    A run is analyzed when its kind is the identity or its mode is the
+    kind's ``DEFAULT_MODE``.  The mode picks the evaluator and the kind the
+    compressor constants: the ``BoundParams`` defaults for the identity,
+    the run's smallest alpha for top_k and the constants of its smallest
+    selection probability for sparsified_k; a run that realized no such
+    constant, or an alpha of 0, gets None.  The initial gap is the trace's
+    round-0 sup-norm error.
     """
-    common = dict(
+    kind = config.compressor.kind
+    if kind != IDENTITY and config.mode != DEFAULT_MODE[kind]:
+        return None
+    constants = {}
+    if kind == TOP_K:
+        if result.alpha_min is None or result.alpha_min <= 0:
+            return None
+        constants = dict(alpha=result.alpha_min)
+    elif kind == SPARSIFIED_K:
+        if result.p_support_min is None:
+            return None
+        q2, q_inf = unbiased_constants([result.p_support_min])
+        constants = dict(q2=q2, q_inf=q_inf)
+    params = BoundParams(
         beta=config.beta,
         eta=config.eta,
         gamma=config.gamma,
@@ -257,25 +274,10 @@ def _bound_params_for(
         n_states=mdp.n_states,
         n_actions=mdp.n_actions,
         q0_gap=result.metrics[0].linf_error,
+        **constants,
     )
-    kind = config.compressor.kind
-    if config.resolved_mode() == DIRECT:
-        if kind == IDENTITY:
-            return direct_bound, BoundParams(**common, q2=0.0, q_inf=0.0)
-        if kind == SPARSIFIED_K:
-            if result.p_support_min is None:
-                return None
-            q2, q_inf = unbiased_constants([result.p_support_min])
-            return direct_bound, BoundParams(**common, q2=q2, q_inf=q_inf)
-        return None
-    if kind == IDENTITY:
-        return error_feedback_bound, BoundParams(**common, alpha=1.0)
-    if kind == TOP_K:
-        alpha = result.alpha_min
-        if alpha is None or alpha <= 0:
-            return None
-        return error_feedback_bound, BoundParams(**common, alpha=alpha)
-    return None
+    evaluator = direct_bound if config.mode == DIRECT else error_feedback_bound
+    return lambda t: evaluator(replace(params, rounds=t))
 
 
 def write_overlay_csv(
@@ -285,16 +287,9 @@ def write_overlay_csv(
     mdp: TabularMDP,
     result: RunResult,
 ) -> None:
-    """Per round t, the empirical sup-norm error and the bound after t rounds."""
-    picked = _bound_params_for(config, delta, mdp, result)
-    rows = []
-    for m in result.metrics[1:]:
-        if picked is None:
-            bound = float("nan")
-        else:
-            evaluator, params = picked
-            bound = evaluator(replace(params, rounds=m.round))
-        rows.append((m.round, m.linf_error, bound))
+    """Per round t, the empirical sup-norm error and the bound after t rounds (NaN if none applies)."""
+    bound = _overlay_bound(config, delta, mdp, result)
+    rows = ((m.round, m.linf_error, bound(m.round) if bound else math.nan) for m in result.metrics[1:])
     _write_csv(path, "round,empirical_linf,theory_bound", rows)
 
 

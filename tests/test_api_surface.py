@@ -1,5 +1,8 @@
 """The package's public surface and its documented entry point stay in step."""
 import ast
+import dataclasses
+import itertools
+import json
 import re
 from pathlib import Path
 
@@ -22,6 +25,30 @@ def test_readme_quick_start_runs():
     exec(compile(block, "README.md quick start", "exec"), namespace)
     metrics = namespace["result"].metrics
     assert len(metrics) == namespace["config"].rounds + 1
+
+
+def _readme_default(field: dataclasses.Field) -> str:
+    """A manifest field's default as the README's table writes it: JSON, strings in backticks."""
+    if field.default is not dataclasses.MISSING:
+        value = field.default
+    elif field.default_factory is not dataclasses.MISSING:
+        value = field.default_factory()
+    else:
+        return "—"  # required
+    return f"`{value}`" if isinstance(value, str) else json.dumps(value)
+
+
+def test_readme_manifest_table_matches_run_manifest():
+    # one row per RunManifest field with its default; a row naming two keys lists two defaults
+    table = README.read_text(encoding="utf-8").split("| key | default | meaning |", 1)[1]
+    documented = {}
+    for row in itertools.takewhile(lambda line: line.startswith("|"), table.strip().splitlines()[1:]):
+        keys_cell, defaults_cell = (cell.strip() for cell in row.strip("|").split("|")[:2])
+        keys = re.findall(r"`(\w+)`", keys_cell)
+        defaults = defaults_cell.split(", ") if len(keys) > 1 else [defaults_cell]
+        assert len(defaults) == len(keys), row
+        documented.update(zip(keys, defaults))
+    assert documented == {f.name: _readme_default(f) for f in dataclasses.fields(fedq.RunManifest)}
 
 
 def test_library_never_validates_with_assert():

@@ -9,6 +9,7 @@ from fedq.compression import RULE_UNIFORM, EfState
 from fedq.engine import (
     DIRECT,
     ERROR_FEEDBACK,
+    MODES,
     SEED_BLOCK,
     _epoch,
     _local_phases,
@@ -189,13 +190,14 @@ class TestConfigValidation:
         make_config(n_agents=2**32 - 1, rounds=2**32 - 1, local_epochs=2**32 - 2)
 
     def test_default_mode_pairing(self):
-        assert make_config().resolved_mode() == DIRECT
-        assert make_config(compressor=fedq.CompressorSpec("sparsified_k", k=3)).resolved_mode() == DIRECT
-        assert make_config(compressor=fedq.CompressorSpec("top_k", k=3)).resolved_mode() == ERROR_FEEDBACK
+        assert make_config().mode == DIRECT
+        assert make_config(compressor=fedq.CompressorSpec("sparsified_k", k=3)).mode == DIRECT
+        assert make_config(compressor=fedq.CompressorSpec("top_k", k=3)).mode == ERROR_FEEDBACK
+        assert all(make_config(compressor=spec).mode in MODES for spec in COMPRESSORS.values())
 
     def test_explicit_mode_overrides(self):
         cfg = make_config(compressor=fedq.CompressorSpec("top_k", k=3), mode=DIRECT)
-        assert cfg.resolved_mode() == DIRECT
+        assert cfg.mode == DIRECT
 
     def test_q0_bound_enforced(self, map5x5_mdp, map5x5_qstar):
         for q0 in (5.5, float("nan")):  # r_max/(1-gamma) = 5 for the noiseless map
@@ -343,7 +345,7 @@ class TestPayloadEntries:
 
 def per_agent_reference(config, mdp, q_star):
     """The federated loop one agent at a time, summing densified payloads."""
-    spec, mode, d = config.compressor, config.resolved_mode(), mdp.table_size
+    spec, mode, d = config.compressor, config.mode, mdp.table_size
     root = fedq.RngStream(config.master_seed)
     q_bar = np.full((mdp.n_states, mdp.n_actions), float(config.q0))
     ef_states = [EfState.zeros(d) for _ in range(config.n_agents)]
@@ -451,6 +453,21 @@ class TestRunFederatedBatch:
         for cfg, batched in zip(configs, results):
             assert_same_run(batched, fedq.run_federated(cfg, map5x5_noisy, map5x5_qstar))
 
+    @pytest.mark.parametrize("compressor, default", [("top_k", ERROR_FEEDBACK), ("sparsified_l1", DIRECT)])
+    def test_unset_and_default_mode_batch_together(self, compressor, default, map5x5_noisy, map5x5_qstar):
+        # mode=None is resolved at construction, so it batches with its explicit spelling
+        configs = [make_config(n_agents=3, rounds=4, compressor=COMPRESSORS[compressor], master_seed=seed,
+                               mode=mode) for seed, mode in ((0, None), (1, default), (2, None))]
+        results = fedq.run_federated_batch(configs, map5x5_noisy, map5x5_qstar)
+        for cfg, batched in zip(configs, results):
+            assert cfg.mode == default
+            assert_same_run(batched, fedq.run_federated(cfg, map5x5_noisy, map5x5_qstar))
+
+    def test_unset_mode_equals_default_mode(self):
+        spec = fedq.CompressorSpec("top_k", k=5)
+        assert make_config(compressor=spec) == make_config(compressor=spec, mode=ERROR_FEEDBACK)
+        assert make_config(compressor=spec) != make_config(compressor=spec, mode=DIRECT)
+
     def test_batch_of_one(self, map5x5_noisy, map5x5_qstar):
         cfg = make_config(n_agents=4, rounds=6, master_seed=9,
                           compressor=fedq.CompressorSpec("sparsified_k", k=5))
@@ -507,7 +524,7 @@ class TestRunFederatedBatch:
 
     @pytest.mark.parametrize("change", [
         dict(n_agents=3), dict(local_epochs=2), dict(rounds=4), dict(eta=0.3), dict(beta=0.5),
-        dict(compressor=fedq.CompressorSpec("top_k", k=5)), dict(mode=DIRECT), dict(q0=1.0),
+        dict(compressor=fedq.CompressorSpec("top_k", k=5)), dict(mode=ERROR_FEEDBACK), dict(q0=1.0),
         dict(fpp=16),
     ])
     def test_configs_must_differ_only_in_seed(self, change, map5x5_noisy, map5x5_qstar):

@@ -164,23 +164,30 @@ class TestRunExperiment:
             _, mean, lo, hi, _ = line.split(",")
             assert float(lo) <= float(mean) <= float(hi)
 
-    def test_overlay_written_with_finite_bound(self, tmp_path):
-        manifest = small_manifest(tmp_path, n_seeds=1, compressor="identity", k=0)
+    @pytest.mark.parametrize("compressor, k, mode", [
+        ("identity", 0, "direct"), ("identity", 0, "error_feedback"), ("top_k", 5, "error_feedback"),
+        ("sparsified_k", 5, "direct"), ("identity", 0, None), ("top_k", 5, None), ("sparsified_k", 5, None),
+    ])
+    def test_overlay_written_with_finite_bound(self, tmp_path, compressor, k, mode):
+        # the analyzed pairings: the identity in either mode, every other kind in its default mode;
+        # a wide clip keeps rewards atom-free, so top-k uploads never tie and alpha stays positive
+        manifest = small_manifest(tmp_path, n_seeds=1, compressor=compressor, k=k, mode=mode, noise_clip=5.0)
         written = run_experiment(manifest)
         trace = next(p for p in written if p.suffix == ".csv" and "_agg" not in p.name)
         overlay = trace.with_name(trace.stem + "_overlay.csv")
         lines = overlay.read_text().splitlines()
         assert lines[0] == "round,empirical_linf,theory_bound"
+        assert all(np.isfinite(float(line.split(",")[2])) for line in lines[1:])
         last = lines[-1].split(",")
         assert float(last[2]) > float(last[1])
 
-    def test_overlay_nan_for_unanalyzed_pairing(self, tmp_path):
-        manifest = small_manifest(tmp_path, n_seeds=1, compressor="top_k", k=5, mode="direct")
+    @pytest.mark.parametrize("compressor, mode", [("top_k", "direct"), ("sparsified_k", "error_feedback")])
+    def test_overlay_nan_for_unanalyzed_pairing(self, tmp_path, compressor, mode):
+        manifest = small_manifest(tmp_path, n_seeds=1, compressor=compressor, k=5, mode=mode)
         written = run_experiment(manifest)
         trace = next(p for p in written if p.suffix == ".csv" and "_agg" not in p.name)
         overlay = trace.with_name(trace.stem + "_overlay.csv")
-        bound = overlay.read_text().splitlines()[1].split(",")[2]
-        assert bound == "nan"
+        assert [line.split(",")[2] for line in overlay.read_text().splitlines()[1:]] == ["nan"] * manifest.rounds
 
     @pytest.mark.parametrize("q0", [0.0, 1.5, -2.25])
     def test_overlay_bound_uses_initial_gap(self, tmp_path, q0):
