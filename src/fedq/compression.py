@@ -142,8 +142,12 @@ def compress_batch(
 
     Row i is compressed exactly as :func:`direct_compress` would compress
     it alone, into row i of ``sent``; sparsified_k draws its d uniforms from
-    the generator ``rngs[i]``.  top_k ranks each row with one stable sort,
-    which also gives the realized contraction factor.
+    the generator ``rngs[i]``.  top_k needs only each row's k-th and
+    (k+1)-th largest magnitudes, which one partition finds: it keeps every
+    entry above the k-th, then the lowest-index entries equal to it, and
+    the (k+1)-th gives the realized contraction factor.  The result is that
+    of a stable sort of ``-|v|``: ties keep the lower index, and NaN ranks
+    below every number and is never kept.
     """
     pending = np.asarray(pending, dtype=np.float64)
     if spec.kind == IDENTITY:
@@ -151,14 +155,20 @@ def compress_batch(
     n_rows, d = pending.shape
     check_budget(spec.k, d)
     if spec.kind == TOP_K:
-        mags = np.abs(pending)
-        order = np.argsort(-mags, axis=-1, kind="stable")  # ties: lower index first
-        kept = np.zeros(pending.shape, dtype=bool)
-        np.put_along_axis(kept, order[:, : spec.k], True, axis=-1)
-        kept &= mags > 0
-        ranked = np.take_along_axis(mags, order[:, : spec.k + 1], axis=-1)
-        top = ranked[:, 0]
-        excluded = ranked[:, spec.k] if spec.k < d else np.zeros(n_rows)
+        # |v| with NaN as -1.0: it ranks below every magnitude and is never kept,
+        # as it does at the end of a stable sort of -|v|
+        key = np.fmax(np.abs(pending), -1.0)
+        top = key.max(axis=1)
+        if spec.k == d:
+            kept, excluded = key > 0, np.zeros(n_rows)
+        else:
+            # the k-th and (k+1)-th largest keys; ties at the k-th go to the lowest indices
+            part = np.partition(key, (d - spec.k - 1, d - spec.k), axis=1)
+            kth, nxt = part[:, d - spec.k, None], part[:, d - spec.k - 1]
+            above, tied = key > kth, key == kth
+            kept = above | (tied & (tied.cumsum(axis=1) <= spec.k - above.sum(axis=1, keepdims=True)))
+            kept &= key > 0
+            excluded = np.where(nxt < 0, np.nan, nxt)
         alpha = 1.0 - np.divide(excluded, top, out=np.full(n_rows, np.nan), where=top > 0)
         return BatchPayload(kept, np.where(kept, pending, 0.0), alpha=alpha)
     p = selection_probabilities(pending, spec.k, spec.probability_rule)

@@ -82,6 +82,8 @@ class ExperimentConfig:
     fpp: int = 32  # floating-point precision assumed on the wire, in bits per value
 
     def __post_init__(self) -> None:
+        if not isinstance(self.compressor, CompressorSpec):
+            raise ParamOutOfRangeError(f"compressor must be a CompressorSpec, got {self.compressor!r}")
         # n_agents, rounds and local_epochs + 1 index stream paths, whose ids are uint32
         for name, low, high in (("n_agents", 1, ID_LIMIT), ("local_epochs", 1, ID_LIMIT - 1),
                                 ("rounds", 1, ID_LIMIT), ("fpp", 1, math.inf), ("master_seed", 0, math.inf)):

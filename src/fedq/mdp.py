@@ -146,6 +146,15 @@ def synchronous_sample(mdp: TabularMDP, rng: np.random.Generator) -> tuple[np.nd
     skipped when the noise std is zero).  Entries are mutually
     independent given the stream, and identical stream state reproduces
     identical tables bit for bit.
+
+    A table with one successor per row (w = 1, every grid world) knows
+    its next states before any draw, so it skips its uniform block with
+    ``rng.bit_generator.advance(S * A)``, which leaves a PCG64 or
+    PCG64DXSM stream (every :class:`~fedq.rng.RngStream` and
+    ``default_rng`` generator) at the same position as drawing the block;
+    other bit generators either lack ``advance`` or count it differently.
+    numpy drops a buffered 32-bit half on ``advance``, so the next double,
+    normal or 64-bit draw is unchanged.
     """
     next_states, rewards = synchronous_sample_batch(mdp, [rng])
     return next_states[0], rewards[0]
@@ -154,22 +163,30 @@ def synchronous_sample(mdp: TabularMDP, rng: np.random.Generator) -> tuple[np.nd
 def synchronous_sample_batch(mdp: TabularMDP, rngs) -> tuple[np.ndarray, np.ndarray]:
     """One :func:`synchronous_sample` table per generator, stacked: shape (I, S, A).
 
-    Generator i draws its uniform block and then its Gaussian block into
-    row i, exactly as :func:`synchronous_sample` would; the inverse-CDF
-    lookup and the reward clip then run once on the whole batch.
+    Generator i draws (or, when w = 1, skips) its uniform block and then
+    draws its Gaussian block into row i, exactly as
+    :func:`synchronous_sample` would; the inverse-CDF lookup and the
+    reward clip then run once on the whole batch.
     """
     shape = (len(rngs), mdp.n_states, mdp.n_actions)
     noisy = mdp.noise.std > 0.0
-    u = np.empty(shape)
+    certain = mdp.succ.shape[1] == 1  # w = 1: no uniform decides anything
+    u = None if certain else np.empty(shape)
     g = np.empty(shape) if noisy else None
     for i, gen in enumerate(rngs):
-        u[i] = gen.random(shape[1:])
+        if certain:
+            gen.bit_generator.advance(mdp.table_size)
+        else:
+            u[i] = gen.random(shape[1:])
         if noisy:
             g[i] = gen.normal(0.0, mdp.noise.std, shape[1:])
-    # Running sums below 1.0 are non-decreasing and u < 1.0, so the count of
-    # sums <= u is the first slot with u < sum: the inverse-CDF pick.
-    slot = (u.reshape(len(rngs), -1, 1) >= mdp.succ_cum).sum(axis=-1)
-    next_states = mdp.succ.take(mdp._row_start + slot).reshape(shape)
+    if certain:
+        next_states = np.repeat(mdp.succ.reshape(1, *shape[1:]), len(rngs), axis=0)  # fresh and writable
+    else:
+        # Running sums below 1.0 are non-decreasing and u < 1.0, so the count of
+        # sums <= u is the first slot with u < sum: the inverse-CDF pick.
+        slot = (u.reshape(len(rngs), -1, 1) >= mdp.succ_cum).sum(axis=-1)
+        next_states = mdp.succ.take(mdp._row_start + slot).reshape(shape)
     if noisy:
         np.clip(g, -mdp.noise.clip, mdp.noise.clip, out=g)
         rewards = mdp.reward_mean + g

@@ -121,6 +121,84 @@ class TestContractionAlpha:
             assert err == excluded_max  # bit-exact: dropped entries are copies
 
 
+def stable_sort_top_k(pending, k):
+    """Reference top_k of every row: ``kept``, ``sent`` and ``alpha`` from a stable sort of -|v|.
+
+    The sort puts ties in index order and NaN after every number, so the
+    first k positions are the kept set (less its zeros and NaNs), the first
+    is the largest magnitude and the (k+1)-th is the largest excluded one.
+    """
+    n_rows, d = pending.shape
+    mags = np.abs(pending)
+    order = np.argsort(-mags, axis=-1, kind="stable")
+    kept = np.zeros(pending.shape, dtype=bool)
+    np.put_along_axis(kept, order[:, :k], True, axis=-1)
+    kept &= mags > 0
+    ranked = np.take_along_axis(mags, order[:, : k + 1], axis=-1)
+    top = ranked[:, 0]
+    excluded = ranked[:, k] if k < d else np.zeros(n_rows)
+    alpha = 1.0 - np.divide(excluded, top, out=np.full(n_rows, np.nan), where=top > 0)
+    return kept, np.where(kept, pending, 0.0), alpha
+
+
+# ties, signed zeros, infinities and NaN, drawn with replacement
+_SPECIAL = np.array([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, np.inf, -np.inf, np.nan])
+
+
+def random_batch(rng, n_rows, d, values):
+    if values == "special":
+        batch = rng.choice(_SPECIAL, size=(n_rows, d))
+    else:  # normals rounded to one decimal: frequent ties, and ±0.0
+        batch = rng.normal(size=(n_rows, d)).round(1)
+    batch[rng.random(n_rows) < 0.2] = 0.0  # some all-zero rows
+    return batch
+
+
+class TestTopKMatchesStableSort:
+    def assert_matches(self, batch, k):
+        with np.errstate(invalid="ignore"):  # inf / inf in alpha
+            payload = compress_batch(batch, fedq.CompressorSpec("top_k", k))
+            kept, sent, alpha = stable_sort_top_k(batch, k)
+        assert np.array_equal(payload.kept, kept)
+        assert payload.sent.tobytes() == sent.tobytes()
+        assert payload.alpha.tobytes() == alpha.tobytes()
+
+    @pytest.mark.parametrize("values", ["special", "rounded"])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_batches(self, seed, values):
+        rng = np.random.default_rng(seed)
+        for _ in range(30):
+            d = int(rng.integers(1, 13))
+            batch = random_batch(rng, int(rng.integers(1, 6)), d, values)
+            for k in {1, max(d - 1, 1), d, int(rng.integers(1, d + 1))}:
+                self.assert_matches(batch, k)
+
+    def test_batches_hold_every_special_value(self):
+        batch = random_batch(np.random.default_rng(0), 20, 12, "special")
+        assert np.isnan(batch).any() and np.isposinf(batch).any() and np.isneginf(batch).any()
+        assert np.signbit(batch[batch == 0]).any() and (~batch.any(axis=1)).any()
+
+    def test_nan_ranks_below_zero(self):
+        row = np.array([[np.nan, 0.0, 3.0, np.nan, -1.0]])
+        for k, kept, alpha in ((1, [2], 1 - 1 / 3), (2, [2, 4], 1.0), (3, [2, 4], np.nan)):
+            payload = compress_batch(row, fedq.CompressorSpec("top_k", k))
+            assert np.flatnonzero(payload.kept).tolist() == kept
+            np.testing.assert_equal(payload.alpha[0], alpha)
+            self.assert_matches(row, k)
+
+    def test_one_coordinate(self):
+        for v in (0.0, -0.0, 1.5, -np.inf, np.nan):
+            self.assert_matches(np.array([[v], [0.0]]), 1)
+
+    def test_large_rows(self):
+        rng = np.random.default_rng(7)
+        batch = rng.normal(size=(4, 3616))
+        batch[1, ::3] = 0.0
+        batch[2] = batch[2].round(1)
+        batch[3, rng.integers(0, 3616, 40)] = np.nan
+        self.assert_matches(batch, 180)
+
+
 class TestSelectionProbabilities:
     def test_l1_rule(self):
         p = fedq.selection_probabilities(np.array([2.0, -1.0, 1.0]), 2)

@@ -174,6 +174,11 @@ class TestConfigValidation:
         with pytest.raises(BudgetOutOfRangeError):
             fedq.CompressorSpec("identity", -1)
 
+    @pytest.mark.parametrize("compressor", ["top_k", None, {"kind": "top_k", "k": 5}])
+    def test_compressor_must_be_a_spec(self, compressor):
+        with pytest.raises(ParamOutOfRangeError, match="compressor must be a CompressorSpec"):
+            make_config(compressor=compressor)
+
     def test_numpy_integers_accepted(self, map5x5_noisy, map5x5_qstar):
         counts = dict(n_agents=3, local_epochs=2, rounds=4, master_seed=11, fpp=16)
         spec = fedq.CompressorSpec("sparsified_k", 5)

@@ -123,6 +123,55 @@ class TestSampleNextState:
         fedq.synchronous_sample(mdp, gen)
         assert gen.random() == raw[2]
 
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_grid_world_skips_uniforms_to_the_same_stream_position(self, noisy):
+        noise = fedq.NoiseSpec(std=0.5, clip=0.5) if noisy else fedq.NoiseSpec()
+        mdp = fedq.build_gridworld(fedq.load_map("map6x6w"), noise=noise, gamma=0.8)
+        shape = (mdp.n_states, mdp.n_actions)
+        stream = fedq.RngStream(4, (2, 7))
+        gen, ref = stream.generator(), stream.generator()
+        next_states, rewards = fedq.synchronous_sample(mdp, gen)
+        ref.random(mdp.table_size)  # the uniform block a w = 1 table skips
+        if noisy:
+            clipped = np.clip(ref.normal(0.0, noise.std, shape), -noise.clip, noise.clip)
+            assert rewards.tobytes() == (mdp.reward_mean + clipped).tobytes()
+        assert gen.random() == ref.random()
+        assert np.array_equal(next_states, mdp.succ.reshape(shape))
+        assert next_states.dtype == np.int64 and next_states.flags.writeable
+        assert not np.shares_memory(next_states, mdp.succ)
+
+    @pytest.mark.parametrize("draw", ["random", "standard_normal", "uint64"])
+    @pytest.mark.parametrize("bit_generator", ["PCG64", "PCG64DXSM"])
+    def test_advance_drops_only_a_buffered_32_bit_half(self, bit_generator, draw):
+        mdp = fedq.build_gridworld(fedq.load_map("map5x5"), gamma=0.8)
+        gen, ref = (np.random.Generator(getattr(np.random, bit_generator)(6)) for _ in range(2))
+        for g in (gen, ref):
+            g.integers(2**32, dtype=np.uint32)  # buffers the other 32-bit half of a 64-bit draw
+        fedq.synchronous_sample(mdp, gen)
+        ref.random(mdp.table_size)
+        assert ref.bit_generator.state["has_uint32"] == 1
+        assert gen.bit_generator.state["has_uint32"] == 0
+        take = {"random": lambda g: g.random(), "standard_normal": lambda g: g.standard_normal(),
+                "uint64": lambda g: g.bit_generator.random_raw()}[draw]
+        assert take(gen) == take(ref)
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_padded_grid_world_takes_general_path_to_same_bytes(self, noisy):
+        noise = fedq.NoiseSpec(std=0.5, clip=0.5) if noisy else fedq.NoiseSpec()
+        grid = fedq.build_gridworld(fedq.load_map("map6x6w"), noise=noise, gamma=0.8)
+        padded = fedq.TabularMDP(np.repeat(grid.succ, 2, axis=1),
+                                 np.column_stack([np.ones(grid.table_size), np.zeros(grid.table_size)]),
+                                 grid.reward_mean, grid.gamma, grid.noise, grid.r_max)
+        assert (grid.succ.shape[1], padded.succ.shape[1]) == (1, 2)
+        streams = [fedq.RngStream(12, (i, 3)) for i in range(4)]
+        gens, ref_gens = [s.generator() for s in streams], [s.generator() for s in streams]
+        out = fedq.mdp.synchronous_sample_batch(grid, gens)
+        ref = fedq.mdp.synchronous_sample_batch(padded, ref_gens)
+        for a, b in zip(out, ref):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for gen, ref_gen in zip(gens, ref_gens):
+            assert gen.random() == ref_gen.random()
+
     def test_monte_carlo_frequency_matches_kernel(self):
         # empirical frequency of s'=1 under P = [0.3, 0.7]
         mdp = two_state_mdp()
@@ -133,12 +182,23 @@ class TestSampleNextState:
         assert abs(freq - 0.7) <= 3.0 * np.sqrt(0.21 / n)
 
 
+class _StubBitGenerator:
+    """Records the block sizes a w = 1 sampler skips with ``advance``."""
+
+    def __init__(self):
+        self.advanced = []
+
+    def advance(self, n):
+        self.advanced.append(n)
+
+
 class _StubRng:
     """Deterministic stand-in exposing the generator methods sampling uses."""
 
     def __init__(self, normal_value=0.0, uniform_value=0.0):
         self._normal = normal_value
         self._uniform = uniform_value
+        self.bit_generator = _StubBitGenerator()
 
     def normal(self, loc, scale, size):
         return np.full(size, self._normal)
@@ -158,8 +218,10 @@ class TestSampleReward:
     def test_large_draw_clips_at_threshold(self):
         grid = fedq.parse_map("G.")
         mdp = fedq.build_gridworld(grid, noise=fedq.NoiseSpec(std=0.5, clip=0.5), gamma=0.8)
-        assert fedq.synchronous_sample(mdp, _StubRng(0.9))[1][1, 2] == 1.0 + 0.5
-        assert fedq.synchronous_sample(mdp, _StubRng(-3.0))[1][1, 2] == 1.0 - 0.5
+        for value, clipped in ((0.9, 1.0 + 0.5), (-3.0, 1.0 - 0.5)):
+            stub = _StubRng(value)
+            assert fedq.synchronous_sample(mdp, stub)[1][1, 2] == clipped
+            assert stub.bit_generator.advanced == [mdp.table_size]  # w = 1 skips its uniform block
 
     def test_samples_stay_in_clip_band_and_mean_is_unbiased(self):
         noise = fedq.NoiseSpec(std=0.5, clip=0.5)
