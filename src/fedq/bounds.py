@@ -50,12 +50,27 @@ class BoundParams:
         for name in ("q2", "q_inf", "q0_gap"):
             check_interval(name, getattr(self, name), closed="[)")
 
+    def with_rounds(self, rounds: int) -> "BoundParams":
+        """These parameters after ``rounds`` rounds instead of ``self.rounds``.
+
+        Only ``rounds`` is checked: every other field was checked when
+        ``self`` was built, so a bound curve over many rounds validates its
+        parameters once instead of once per round.
+        """
+        params = object.__new__(BoundParams)
+        params.__dict__.update(self.__dict__, rounds=check_count("rounds", rounds, 1))
+        return params
+
 
 def decay_factor(beta: float, eta: float, local_epochs: int) -> float:
     """Per-round linear contraction factor ``1 - beta + beta (1-eta)^K``."""
     check_interval("beta", beta, 0, 1, "(]")
     check_interval("eta", eta, 0, 1, "(]")
-    local_epochs = check_count("local_epochs", local_epochs, 1)
+    return _decay(beta, eta, check_count("local_epochs", local_epochs, 1))
+
+
+def _decay(beta: float, eta: float, local_epochs: int) -> float:
+    """:func:`decay_factor` on parameters that are already checked."""
     return 1.0 - beta + beta * (1.0 - eta) ** local_epochs
 
 
@@ -76,7 +91,7 @@ def direct_bound(p: BoundParams) -> float:
       + (4/3) * 2 q_inf sqrt(I) / (1-gamma) * L2) / (1-(1-eta)^K)``,
       ``L2 = log(4 T / delta)``
     """
-    r = decay_factor(p.beta, p.eta, p.local_epochs)
+    r = _decay(p.beta, p.eta, p.local_epochs)
     shrink = _shrink(p.eta, p.local_epochs)
     c = (1.0 - p.gamma) * shrink
     sa = p.n_states * p.n_actions
@@ -106,7 +121,7 @@ def error_feedback_bound(p: BoundParams) -> float:
     * ``e1 = 1 + sqrt(M / (eta I))``
     * ``D  = 1 + (1+(1-eta)^K) / (1-(1-eta)^K)``
     """
-    r = decay_factor(p.beta, p.eta, p.local_epochs)
+    r = _decay(p.beta, p.eta, p.local_epochs)
     shrink = _shrink(p.eta, p.local_epochs)
     decay = (1.0 - p.eta) ** p.local_epochs
     c = (1.0 - p.gamma) * shrink

@@ -31,6 +31,7 @@ import numpy as np
 from .errors import (
     BudgetOutOfRangeError,
     DimensionMismatchError,
+    NonFiniteError,
     ParamOutOfRangeError,
     ShapeMismatchError,
     ZeroVectorError,
@@ -169,7 +170,10 @@ def compress_batch(
             kept = above | (tied & (tied.cumsum(axis=1) <= spec.k - above.sum(axis=1, keepdims=True)))
             kept &= key > 0
             excluded = np.where(nxt < 0, np.nan, nxt)
-        alpha = 1.0 - np.divide(excluded, top, out=np.full(n_rows, np.nan), where=top > 0)
+        # a row that keeps and drops infinities divides inf by inf: its alpha is NaN, as a zero
+        # row's is, with no warning
+        with np.errstate(invalid="ignore"):
+            alpha = 1.0 - np.divide(excluded, top, out=np.full(n_rows, np.nan), where=top > 0)
         return BatchPayload(kept, np.where(kept, pending, 0.0), alpha=alpha)
     p = selection_probabilities(pending, spec.k, spec.probability_rule)
     u = np.empty(pending.shape)
@@ -208,9 +212,16 @@ def contraction_alpha(v: np.ndarray, k: int) -> float:
     ``alpha = 1 - max(excluded |v_j|) / ||v||_inf``; 1 when everything
     outside the kept set is zero (including k = d), 0 when a dropped
     entry ties the largest magnitude (the contraction hypothesis fails).
+    It is undefined, and raises, for the zero vector (``ZeroVectorError``)
+    and where a NaN or infinity leaves no ratio (``NonFiniteError``, e.g.
+    a NaN excluded entry or infinities kept and excluded).
     """
+    v = np.asarray(v, dtype=np.float64)
     alpha = float(_apply(v, CompressorSpec(TOP_K, k), None).alpha[0])
     if np.isnan(alpha):
+        bad = v[~np.isfinite(v)]
+        if bad.size:
+            raise NonFiniteError(f"contraction factor undefined for non-finite input {bad.tolist()}")
         raise ZeroVectorError("contraction factor undefined for the zero vector")
     return alpha
 

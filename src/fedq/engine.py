@@ -16,14 +16,19 @@ error-feedback residuals are (I, d) arrays compressed in one call into an
 error-feedback residual is the pending table minus it, and the server adds
 its rows onto the global table.
 
-Seeds are a second batch axis.  :func:`run_federated_batch` runs R
-configs that differ only in their master seed as one computation of
-R·I rows, run r's agents in rows r·I to r·I + I - 1: one sampling, one
-Bellman update and one compression per round for the whole batch, and a
-server step that keeps R tables.  The trace metrics, bits and realized
-compressor constants are then taken per run.  :func:`run_federated` is
-the batch of one.  A batch runs in groups of at most ``BATCH_CELLS``
-table entries per (R·I, d) array, so its memory does not grow with R.
+Runs are a batch axis too.  :func:`run_federated_batch` runs R configs
+that differ at most in their master seed, compressor and mode (the
+fields named in ``BATCH_FREE``) as one computation of R·I rows, run r's
+agents in rows r·I to r·I + I - 1.  Streams are shared by seed: a
+stream is a pure function of (master seed, path), so each epoch draws
+the sample tables of each distinct seed once and every run with that
+seed updates from them.  Each round then makes one Bellman update per
+epoch over all rows, one compression per contiguous block of runs with
+the same compressor and mode, and one server step that keeps R tables.
+The trace metrics, bits and realized compressor constants are taken per
+run.  :func:`run_federated` is the batch of one.  A batch runs in groups
+of at most ``BATCH_CELLS`` table entries per (R·I, d) array, so its
+memory does not grow with R.
 
 Everything is deterministic given the master seed: sampling streams are
 derived per (agent, round, epoch), the compressor stream per
@@ -32,21 +37,22 @@ order, so the result is the same bits as running the agents one by one,
 in any order, and summing their densified payloads, and a run batched
 with others is the same bits as the run alone.  The seed words of the
 streams are computed by :func:`~fedq.rng.seed_words` for a block of
-rounds at a time, at most ``SEED_BLOCK`` streams over all rows of the
-batch unless one round alone has more, so seeding memory does not grow
-with the number of rounds; each epoch builds only its own R·I generators
-from them.
+rounds at a time, at most ``SEED_BLOCK`` streams over the distinct seeds'
+rows unless one round alone has more, so seeding memory does not grow
+with the number of rounds; each epoch builds only its own generators from
+them, I per distinct seed.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bellman import empirical_bellman, linf_error, rmse
+from .bellman import empirical_bellman
 from .bounds import payload_bits
-from .compression import IDENTITY, SPARSIFIED_K, TOP_K, CompressorSpec, compress_batch
+from .compression import IDENTITY, KINDS, SPARSIFIED_K, TOP_K, CompressorSpec, compress_batch
 from .errors import ParamOutOfRangeError, ShapeMismatchError, check_budget, check_count, check_interval
 from .mdp import TabularMDP, synchronous_sample_batch
 from .rng import ID_LIMIT, generators, seed_words
@@ -63,6 +69,7 @@ DEFAULT_MODE = {IDENTITY: DIRECT, SPARSIFIED_K: DIRECT, TOP_K: ERROR_FEEDBACK}
 
 SEED_BLOCK = 2**16  # most stream paths derived in one seed_words call
 BATCH_CELLS = 2**20  # most entries (R·I rows times d) of one batch's (R·I, d) arrays
+BATCH_FREE = ("master_seed", "compressor", "mode")  # the only fields a batch's configs may differ in
 
 
 @dataclass(frozen=True)
@@ -137,20 +144,26 @@ class RunResult:
     p_support_min: float | None = None  # smallest realized selection probability
 
 
-def _epoch(q: np.ndarray, mdp: TabularMDP, eta: float, rngs) -> np.ndarray:
-    """One damped empirical-Bellman update of an (I, S, A) batch; row i draws from rngs[i]."""
+def _epoch(q: np.ndarray, mdp: TabularMDP, eta: float, rngs, rows: np.ndarray | None = None) -> np.ndarray:
+    """One damped empirical-Bellman update of an (N, S, A) batch.
+
+    Generator j draws sample table j; row i of ``q`` reads table ``rows[i]``,
+    or table i when ``rows`` is None.
+    """
     next_states, rewards = synchronous_sample_batch(mdp, rngs)
+    if rows is not None:
+        next_states, rewards = next_states[rows], rewards[rows]
     return (1.0 - eta) * q + eta * empirical_bellman(q, next_states, rewards, mdp.gamma)
 
 
 def _round_words(seeds, n_agents: int, rounds: int, n_streams: int):
-    """Seed words of each round's streams for R runs, one (n_streams, R·I, 4) array per round.
+    """Seed words of each round's streams for U seeds, one (n_streams, U·I, 4) array per round.
 
-    Entry ``[k, r·I + i]`` of round t seeds the stream of path ``(i, t, k)``
-    under ``seeds[r]``: agent i's epoch k of round t for k < K, its
+    Entry ``[k, u·I + i]`` of round t seeds the stream of path ``(i, t, k)``
+    under ``seeds[u]``: agent i's epoch k of round t for k < K, its
     compressor draw for k = K.  The words are derived a block of rounds at
     a time, one :func:`~fedq.rng.seed_words` call per seed, at most
-    ``SEED_BLOCK`` paths over all R·I rows per block (one round per block
+    ``SEED_BLOCK`` paths over all U·I rows per block (one round per block
     if a round alone has more).
     """
     rows = len(seeds) * n_agents
@@ -163,17 +176,21 @@ def _round_words(seeds, n_agents: int, rounds: int, n_streams: int):
         yield from np.stack(words, axis=2).reshape(n, n_streams, rows, 4)
 
 
-def _local_phases(q_bar: np.ndarray, mdp: TabularMDP, eta: float, words: np.ndarray) -> np.ndarray:
+def _local_phases(q_bar: np.ndarray, mdp: TabularMDP, eta: float, words: np.ndarray,
+                  rows: np.ndarray | None = None) -> np.ndarray:
     """One round's local phases of every agent of R runs: shape (R·I, S, A).
 
     ``q_bar`` holds the R broadcast tables and ``words`` that round's
-    (K, R·I, 4) slice of :func:`_round_words`; row r·I + i starts from
-    ``q_bar[r]``, and its epoch k draws from the stream seeded by
-    ``words[k, r·I + i]``.
+    (K, U·I, 4) slice of :func:`_round_words`; row r·I + i starts from
+    ``q_bar[r]``, and its epoch k updates from the sample table of the
+    stream seeded by ``words[k, rows[r·I + i]]`` (``rows`` None: by
+    ``words[k, r·I + i]``).  Each stream's table is drawn once, however
+    many rows read it.
     """
-    q = np.repeat(q_bar, words.shape[1] // len(q_bar), axis=0)
+    n_rows = words.shape[1] if rows is None else len(rows)
+    q = np.repeat(q_bar, n_rows // len(q_bar), axis=0)
     for epoch_words in words:
-        q = _epoch(q, mdp, eta, generators(epoch_words))
+        q = _epoch(q, mdp, eta, generators(epoch_words), rows)
     return q
 
 
@@ -197,8 +214,33 @@ def _server_step(q_bar: np.ndarray, sent: np.ndarray, beta: float) -> np.ndarray
 
 
 def _running_min(current: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Fold row r of an (R, n) array into ``current[r]``; NaN stands for no value and is skipped."""
-    return np.fmin(current, np.fmin.reduce(values, axis=1))
+    """Fold run r's row of ``values`` into ``current[r]``; NaN stands for no value and is skipped."""
+    return np.fmin(current, np.fmin.reduce(values.reshape(len(current), -1), axis=1))
+
+
+def _errors(q_bar: np.ndarray, q_star: np.ndarray) -> tuple[list[float], list[float]]:
+    """The :func:`~fedq.bellman.rmse` and :func:`~fedq.bellman.linf_error` of each of R tables.
+
+    Both are taken against ``q_star``, with one numpy call per metric
+    over the (R, d) differences: each row is contiguous and reduced as the
+    lone table is, so every value is the same bits as the one-table
+    function's.
+    """
+    diff = q_bar.reshape(len(q_bar), -1) - q_star.reshape(1, -1)
+    return np.sqrt(np.mean(diff**2, axis=1)).tolist(), np.max(np.abs(diff), axis=1).tolist()
+
+
+def _arms(configs: list[ExperimentConfig], n_agents: int) -> list[tuple[CompressorSpec, str, slice, slice]]:
+    """Each contiguous block of configs with one compressor and mode: (spec, mode, runs, rows).
+
+    ``runs`` slices the block's runs out of the batch and ``rows`` their agents' rows.
+    """
+    arms, start = [], 0
+    for (spec, mode), block in itertools.groupby(configs, key=lambda c: (c.compressor, c.mode)):
+        stop = start + len(list(block))
+        arms.append((spec, mode, slice(start, stop), slice(start * n_agents, stop * n_agents)))
+        start = stop
+    return arms
 
 
 def run_federated(
@@ -222,13 +264,18 @@ def run_federated_batch(
     mdp: TabularMDP,
     q_star: np.ndarray,
 ) -> list[RunResult]:
-    """Run R configs that differ only in ``master_seed``; one result per config, in order.
+    """Run R configs that differ at most in ``BATCH_FREE``; one result per config, in order.
 
-    The runs are computed together: each round samples, updates and
-    compresses all R·I agents as one batch, and the server keeps R
-    tables.  Result r is the same bits as :func:`run_federated` on
-    ``configs[r]`` alone.  The configs run in groups of at most
-    ``BATCH_CELLS // (I·d)``, so the batch's memory does not grow with R.
+    The configs may differ in master seed, compressor and mode; a
+    difference in any other field raises ``ParamOutOfRangeError`` naming
+    the fields.  The runs are computed together: each epoch draws the
+    sample tables of each distinct seed once and every run with that seed
+    updates from them, one Bellman update covers all R·I agents, each
+    contiguous block of configs with one compressor and mode is compressed
+    in one call, and the server keeps R tables.  Result r is the same bits
+    as :func:`run_federated` on ``configs[r]`` alone.  The configs run in
+    groups of at most ``BATCH_CELLS // (I·d)``, so the batch's memory does
+    not grow with R.
     """
     configs = list(configs)
     if not configs:
@@ -236,65 +283,91 @@ def run_federated_batch(
     config = configs[0]
     for other in configs[1:]:
         differ = [f.name for f in fields(config)
-                  if f.name != "master_seed" and getattr(other, f.name) != getattr(config, f.name)]
+                  if f.name not in BATCH_FREE and getattr(other, f.name) != getattr(config, f.name)]
         if differ:
-            raise ParamOutOfRangeError(f"batched configs may differ only in master_seed, not in {differ}")
+            raise ParamOutOfRangeError(
+                f"batched configs may differ only in {', '.join(BATCH_FREE)}, not in {differ}"
+            )
     if q_star.shape != (mdp.n_states, mdp.n_actions):
         raise ShapeMismatchError("q_star shape does not match the MDP")
-    config.check_against(mdp)
+    for other in configs:
+        other.check_against(mdp)
 
-    seeds = [c.master_seed for c in configs]
     group = max(1, BATCH_CELLS // (config.n_agents * mdp.table_size))
-    return [result for start in range(0, len(seeds), group)
-            for result in _run_group(config, seeds[start:start + group], mdp, q_star)]
+    return [result for start in range(0, len(configs), group)
+            for result in _run_group(configs[start:start + group], mdp, q_star)]
 
 
-def _run_group(config: ExperimentConfig, seeds: list[int], mdp: TabularMDP,
-               q_star: np.ndarray) -> list[RunResult]:
-    """The federated loop of one run per seed in ``seeds``, all other settings from ``config``."""
-    spec = config.compressor
-    n_runs, n_agents, d = len(seeds), config.n_agents, mdp.table_size
+def _run_group(configs: list[ExperimentConfig], mdp: TabularMDP, q_star: np.ndarray) -> list[RunResult]:
+    """The federated loop of one run per config; the configs share every field but ``BATCH_FREE``."""
+    config = configs[0]
+    n_runs, n_agents, d = len(configs), config.n_agents, mdp.table_size
     n_epochs = config.local_epochs
+    # Each distinct seed's streams fill U·I stream rows; stream_rows[r·I + i] is the stream row
+    # of run r's agent i, None when every seed is distinct and the rows coincide.
+    seeds = list(dict.fromkeys(c.master_seed for c in configs))
+    stream_rows = None
+    if len(seeds) < n_runs:
+        slot = {seed: u for u, seed in enumerate(seeds)}
+        stream_rows = (np.array([slot[c.master_seed] for c in configs])[:, None] * n_agents
+                       + np.arange(n_agents)).ravel()
+    arms = _arms(configs, n_agents)
     # only random compressors consume a stream; its path is pinned to (agent, round, K)
-    n_streams = n_epochs + 1 if spec.kind == SPARSIFIED_K else n_epochs
+    sparsified = any(spec.kind == SPARSIFIED_K for spec, _, _, _ in arms)
+    n_streams = n_epochs + 1 if sparsified else n_epochs
+    # an upload's price depends on its kind and size only: key = kind code * (d + 1) + size
+    row_kind = np.repeat([KINDS.index(c.compressor.kind) * (d + 1) for c in configs], n_agents)
 
     q_bar = np.full((n_runs, mdp.n_states, mdp.n_actions), float(config.q0))
-    residual = np.zeros((n_runs * n_agents, d)) if config.mode == ERROR_FEEDBACK else None
-
-    alpha_min = p_support_min = np.full(n_runs, np.nan)
-    traces = [[RoundMetrics(0, rmse(q, q_star), linf_error(q, q_star), 0.0, 0.0, 0)] for q in q_bar]
+    # error-feedback memory; only the rows of error-feedback arms are read or written
+    has_ef = any(mode == ERROR_FEEDBACK for _, mode, _, _ in arms)
+    residual = np.zeros((n_runs * n_agents, d)) if has_ef else None
+    alpha_min, p_support_min = np.full(n_runs, np.nan), np.full(n_runs, np.nan)
+    traces = [[RoundMetrics(0, e2, e_inf, 0.0, 0.0, 0)] for e2, e_inf in zip(*_errors(q_bar, q_star))]
 
     for t, words in enumerate(_round_words(seeds, n_agents, config.rounds, n_streams)):
-        q_local = _local_phases(q_bar, mdp, config.eta, words[:n_epochs])
+        q_local = _local_phases(q_bar, mdp, config.eta, words[:n_epochs], stream_rows)
         pending = (q_local.reshape(n_runs, n_agents, d) - q_bar.reshape(n_runs, 1, d)).reshape(-1, d)
-        if residual is not None:
-            pending += residual
-        comp_rngs = generators(words[n_epochs]) if spec.kind == SPARSIFIED_K else None
-        payload = compress_batch(pending, spec, comp_rngs)
-        if residual is not None:
-            residual = pending - payload.sent
-        if payload.alpha is not None:
-            alpha_min = _running_min(alpha_min, payload.alpha.reshape(n_runs, -1))
-        if payload.p is not None:
-            support = np.where(payload.p > 0, payload.p, np.nan)
-            p_support_min = _running_min(p_support_min, support.reshape(n_runs, -1))
+        comp_words = None
+        if sparsified:
+            comp_words = words[n_epochs] if stream_rows is None else words[n_epochs][stream_rows]
+        uploads = np.empty(n_runs * n_agents, dtype=np.int64)
+        for spec, mode, runs, rows in arms:
+            arm_pending = pending[rows]
+            if mode == ERROR_FEEDBACK:
+                arm_pending += residual[rows]
+            rngs = generators(comp_words[rows]) if spec.kind == SPARSIFIED_K else None
+            payload = compress_batch(arm_pending, spec, rngs)
+            if mode == ERROR_FEEDBACK:
+                np.subtract(arm_pending, payload.sent, out=residual[rows])
+            if payload.alpha is not None:
+                alpha_min[runs] = _running_min(alpha_min[runs], payload.alpha)
+            if payload.p is not None:
+                support = np.where(payload.p > 0, payload.p, np.nan)
+                p_support_min[runs] = _running_min(p_support_min[runs], support)
+            uploads[rows] = payload.kept.sum(axis=1)
+            if len(arms) > 1:
+                arm_pending[...] = payload.sent  # pending's rows become the uploads
+        sent = payload.sent if len(arms) == 1 else pending
 
-        q_bar = _server_step(q_bar, payload.sent, config.beta)
+        q_bar = _server_step(q_bar, sent, config.beta)
 
-        # price each distinct upload size once; counts[r, j] is run r's number of uploads of sizes[j]
-        uploads = payload.kept.sum(axis=1)
-        sizes, size_index = np.unique(uploads, return_inverse=True)
-        prices = [payload_bits(spec.kind, d, size, config.fpp) for size in sizes.tolist()]
-        run_offset = np.arange(n_runs).repeat(n_agents) * len(sizes)
-        counts = np.bincount(size_index + run_offset, minlength=n_runs * len(sizes)).reshape(n_runs, -1)
-        entries = uploads.reshape(n_runs, n_agents).sum(axis=1)
-        for q, trace, run_counts, run_entries in zip(q_bar, traces, counts.tolist(), entries.tolist()):
-            bits_round = float(sum(price * n for price, n in zip(prices, run_counts))) / n_agents
+        # price each distinct (kind, size) once; a run's bits are its agents' prices summed
+        row_keys = row_kind + uploads
+        keys = sorted(set(row_keys.tolist()))  # cheaper than np.unique on a few hundred rows
+        # Python ints (dtype=object), so a run's sum is exact at any fpp, as int64 or float64 is not
+        prices = np.array([payload_bits(KINDS[kind], d, size, config.fpp)
+                           for kind, size in (divmod(key, d + 1) for key in keys)], dtype=object)
+        row_bits = prices[np.searchsorted(keys, row_keys)]
+        bits = [float(total) / n_agents for total in row_bits.reshape(n_runs, n_agents).sum(axis=1).tolist()]
+        entries = uploads.reshape(n_runs, n_agents).sum(axis=1).tolist()
+        rmses, linfs = _errors(q_bar, q_star)
+        for trace, e2, e_inf, bits_round, run_entries in zip(traces, rmses, linfs, bits, entries):
             trace.append(
                 RoundMetrics(
                     round=t + 1,
-                    rmse=rmse(q, q_star),
-                    linf_error=linf_error(q, q_star),
+                    rmse=e2,
+                    linf_error=e_inf,
                     bits_round=bits_round,
                     bits_cumulative=trace[-1].bits_cumulative + bits_round,
                     payload_entries=run_entries,

@@ -59,6 +59,10 @@ class ZeroVectorError(FedqError, ValueError):
     """Operation undefined on the all-zero vector."""
 
 
+class NonFiniteError(FedqError, ValueError):
+    """Operation undefined on a vector holding NaN or an infinity."""
+
+
 class ParamOutOfRangeError(FedqError, ValueError):
     """A hyperparameter violates its documented range."""
 

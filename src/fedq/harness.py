@@ -7,9 +7,10 @@ seed:
 
 * ``<slug>.csv``          trace with header
   ``round,rmse,linf_error,bits_round,bits_cumulative,payload_entries``
-* ``<slug>_summary.json`` final metrics plus wall time (a point's seeds run
-  as one batch, and each records the batch's wall time divided by the
-  number of seeds)
+* ``<slug>_summary.json`` final metrics plus wall time (grid points that
+  differ only in compressor, k or mode run with all their seeds as one
+  batch, and each run records the batch's wall time divided by its number
+  of runs)
 * ``<slug>_overlay.csv``  ``round,empirical_linf,theory_bound``
 
 plus one ``<base>_agg.csv`` per grid point with the across-seed band.
@@ -33,7 +34,15 @@ import numpy as np
 from .bellman import greedy_policy, value_iteration
 from .bounds import BoundParams, direct_bound, error_feedback_bound
 from .compression import IDENTITY, RULE_L1, SPARSIFIED_K, TOP_K, CompressorSpec, unbiased_constants
-from .engine import DEFAULT_MODE, DIRECT, ExperimentConfig, RoundMetrics, RunResult, run_federated_batch
+from .engine import (
+    BATCH_FREE,
+    DEFAULT_MODE,
+    DIRECT,
+    ExperimentConfig,
+    RoundMetrics,
+    RunResult,
+    run_federated_batch,
+)
 from .errors import FileFormatError, ParamOutOfRangeError, check_count, check_interval, read_text
 from .grids import build_gridworld, load_map
 from .mdp import NoiseSpec, TabularMDP
@@ -248,7 +257,7 @@ def _overlay_bound(
     the run's smallest alpha for top_k and the constants of its smallest
     selection probability for sparsified_k; a run that realized no such
     constant, or an alpha of 0, gets None.  The initial gap is the trace's
-    round-0 sup-norm error.
+    round-0 sup-norm error.  The parameters are checked once, not per round.
     """
     kind = config.compressor.kind
     if kind != IDENTITY and config.mode != DEFAULT_MODE[kind]:
@@ -277,7 +286,7 @@ def _overlay_bound(
         **constants,
     )
     evaluator = direct_bound if config.mode == DIRECT else error_feedback_bound
-    return lambda t: evaluator(replace(params, rounds=t))
+    return lambda t: evaluator(params.with_rounds(t))
 
 
 def write_overlay_csv(
@@ -361,13 +370,15 @@ def _write_run(
 def run_experiment(manifest: RunManifest) -> list[Path]:
     """Run every grid point's seeds and return the written trace paths, then the agg paths.
 
-    A grid point's ``n_seeds`` runs are computed as one batch by
-    :func:`~fedq.engine.run_federated_batch`; each summary's
-    ``runtime_seconds`` is the batch's wall time divided by the number of
-    seeds.  Each run writes its own files, whose content (all but that
-    wall time) is a pure function of the manifest, so a rerun rewrites
-    the same bytes.  Every point's parameters are checked, the map is
-    loaded and its oracle solved, before anything is written.
+    Consecutive grid points whose configs differ only in the fields of
+    ``fedq.engine.BATCH_FREE`` (compressor, k and mode; seeds always do)
+    form one group, and each group's ``n_seeds`` runs per point are
+    computed as one batch by :func:`~fedq.engine.run_federated_batch`;
+    each summary's ``runtime_seconds`` is the group's wall time divided by
+    its number of runs.  Each run writes its own files, whose content (all
+    but that wall time) is a pure function of the manifest, so a rerun
+    rewrites the same bytes.  Every point's parameters are checked, the
+    map is loaded and its oracle solved, before anything is written.
     """
     points = expand_grid(manifest)
     batches = [
@@ -381,16 +392,22 @@ def run_experiment(manifest: RunManifest) -> list[Path]:
     out_dir = output_root(manifest.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    shared = [f.name for f in fields(ExperimentConfig) if f.name not in BATCH_FREE]
+    n_seeds = manifest.n_seeds
     traces, aggs = [], []
-    for point, configs in zip(points, batches):
+    for _, group in itertools.groupby(zip(points, batches),
+                                      key=lambda item: [getattr(item[1][0], name) for name in shared]):
+        group = list(group)
         started = time.perf_counter()
-        results = run_federated_batch(configs, mdp, q_star)
-        elapsed = (time.perf_counter() - started) / len(configs)
-        traces.extend(_write_run(point, config, result, elapsed, mdp, out_dir)
-                      for config, result in zip(configs, results))
-        if manifest.n_seeds > 1:
-            base = grid_slug(point, manifest.master_seed).rsplit("_seed", 1)[0]
-            agg_path = out_dir / f"{base}_agg.csv"
-            write_agg_csv(agg_path, [result.metrics for result in results])
-            aggs.append(agg_path)
+        results = run_federated_batch([c for _, configs in group for c in configs], mdp, q_star)
+        elapsed = (time.perf_counter() - started) / len(results)
+        for j, (point, configs) in enumerate(group):
+            point_results = results[j * n_seeds:(j + 1) * n_seeds]
+            traces.extend(_write_run(point, config, result, elapsed, mdp, out_dir)
+                          for config, result in zip(configs, point_results))
+            if n_seeds > 1:
+                base = grid_slug(point, manifest.master_seed).rsplit("_seed", 1)[0]
+                agg_path = out_dir / f"{base}_agg.csv"
+                write_agg_csv(agg_path, [result.metrics for result in point_results])
+                aggs.append(agg_path)
     return traces + aggs

@@ -147,6 +147,25 @@ class TestErrorFeedbackBound:
             params(**{name: value})
 
 
+class TestWithRounds:
+    @pytest.mark.parametrize("evaluator", [fedq.direct_bound, fedq.error_feedback_bound])
+    def test_same_bits_as_rebuilt_params(self, evaluator):
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            p = params(beta=float(rng.uniform(0.05, 1.0)), eta=float(rng.uniform(0.05, 1.0)),
+                       local_epochs=int(rng.integers(1, 6)), rounds=int(rng.integers(1, 500)),
+                       alpha=float(rng.uniform(0.05, 1.0)), q0_gap=float(rng.uniform(0, 5)))
+            for t in (1, 2, p.rounds, 7 * p.rounds):
+                moved = p.with_rounds(t)
+                assert moved == dataclasses.replace(p, rounds=t)
+                assert evaluator(moved) == evaluator(dataclasses.replace(p, rounds=t))
+
+    @pytest.mark.parametrize("value", [0, -1, 1.5, True])
+    def test_rounds_still_checked(self, value):
+        with pytest.raises(ParamOutOfRangeError, match="rounds"):
+            params().with_rounds(value)
+
+
 class TestPayloadBits:
     def test_uncompressed_map11x11(self):
         assert fedq.payload_bits("identity", 484, 484) == 15488

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from fedq.compression import RULE_UNIFORM, compress_batch
 from fedq.errors import (
     BudgetOutOfRangeError,
     DimensionMismatchError,
+    NonFiniteError,
     ParamOutOfRangeError,
     ShapeMismatchError,
     ZeroVectorError,
@@ -95,6 +98,30 @@ class TestContractionAlpha:
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroVectorError):
             fedq.contraction_alpha(np.zeros(3), 1)
+
+    @pytest.mark.parametrize("v, named", [
+        ([np.nan, 1.0], r"\[nan\]"),  # the excluded entry is NaN
+        ([np.inf, np.inf], r"\[inf, inf\]"),  # inf / inf
+        ([np.nan, 0.0, -0.0], r"\[nan\]"),  # no number but zeros
+    ])
+    def test_non_finite_input_rejected_by_name(self, v, named):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no RuntimeWarning on the way
+            with pytest.raises(NonFiniteError, match=f"non-finite input {named}"):
+                fedq.contraction_alpha(np.array(v), 1)
+        assert not issubclass(NonFiniteError, ZeroVectorError)
+
+    def test_non_finite_input_with_a_ratio_keeps_its_alpha(self):
+        assert fedq.contraction_alpha(np.array([np.inf, 1.0]), 1) == 1.0
+        assert fedq.contraction_alpha(np.array([np.nan, 4.0, -2.0]), 1) == 0.5
+
+    def test_infinite_row_gets_nan_alpha_without_warning(self):
+        rows = np.array([[np.inf, -np.inf, 1.0], [3.0, -5.0, 2.0], [0.0, -0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alpha = compress_batch(rows, fedq.CompressorSpec("top_k", k=1)).alpha
+        assert np.isnan(alpha[0]) and np.isnan(alpha[2])
+        assert alpha[1] == fedq.contraction_alpha(rows[1], 1)
 
     def test_batch_gives_one_alpha_per_row_nan_for_zero_rows(self):
         rng = np.random.default_rng(4)

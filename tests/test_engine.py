@@ -7,11 +7,13 @@ import pytest
 import fedq
 from fedq.compression import RULE_UNIFORM, EfState
 from fedq.engine import (
+    BATCH_FREE,
     DIRECT,
     ERROR_FEEDBACK,
     MODES,
     SEED_BLOCK,
     _epoch,
+    _errors,
     _local_phases,
     _round_words,
     _server_step,
@@ -433,6 +435,20 @@ def test_one_entry_table_matches_per_agent_reference(n_agents):
                 for m in result.metrics] == rows
 
 
+@pytest.mark.parametrize("n_states, n_actions", [(1, 1), (7, 1), (25, 4), (904, 4), (16512, 4)])
+def test_batched_errors_equal_one_table_metrics(n_states, n_actions):
+    # one numpy reduction per metric over (R, d) gives each table's rmse and linf_error bit for bit,
+    # up to the d = 66 048 of a 128 x 128 map
+    rng = np.random.default_rng(n_states)
+    q_star = rng.normal(size=(n_states, n_actions))
+    scales = np.array([1e-12, 1e-3, 1.0, 1e3, 1e12])[:, None, None]
+    q_bar = q_star + rng.normal(size=(5, n_states, n_actions)) * scales
+    q_bar[0] = q_star  # an exact match
+    rmses, linfs = _errors(q_bar, q_star)
+    assert rmses == [fedq.rmse(q, q_star) for q in q_bar]
+    assert linfs == [fedq.linf_error(q, q_star) for q in q_bar]
+
+
 def assert_same_run(batched, lone):
     assert batched.metrics == lone.metrics
     assert batched.q_final.tobytes() == lone.q_final.tobytes()
@@ -442,6 +458,8 @@ def assert_same_run(batched, lone):
 
 # a repeated seed, and seeds of two and five uint32 words
 BATCH_SEEDS = [0, 3, 3, 2**40 + 1, 2**130 + 7]
+# a seed repeated apart from itself, and a seed of two uint32 words
+MIXED_SEEDS = [3, 0, 3, 2**40 + 1]
 
 
 class TestRunFederatedBatch:
@@ -494,9 +512,9 @@ class TestRunFederatedBatch:
         groups = []
         run_group = fedq.engine._run_group
 
-        def spy(config, seeds, *args):
-            groups.append(len(seeds))
-            return run_group(config, seeds, *args)
+        def spy(configs, *args):
+            groups.append(len(configs))
+            return run_group(configs, *args)
 
         monkeypatch.setattr(fedq.engine, "BATCH_CELLS", 2 * 2 * 100 + 1)
         monkeypatch.setattr(fedq.engine, "_run_group", spy)
@@ -529,13 +547,78 @@ class TestRunFederatedBatch:
 
     @pytest.mark.parametrize("change", [
         dict(n_agents=3), dict(local_epochs=2), dict(rounds=4), dict(eta=0.3), dict(beta=0.5),
-        dict(compressor=fedq.CompressorSpec("top_k", k=5)), dict(mode=ERROR_FEEDBACK), dict(q0=1.0),
-        dict(fpp=16),
+        dict(q0=1.0), dict(fpp=16),
     ])
-    def test_configs_must_differ_only_in_seed(self, change, map5x5_noisy, map5x5_qstar):
+    def test_configs_must_differ_only_in_free_fields(self, change, map5x5_noisy, map5x5_qstar):
         configs = [make_config(master_seed=0), make_config(master_seed=1, **change)]
         with pytest.raises(ParamOutOfRangeError, match=next(iter(change))):
             fedq.run_federated_batch(configs, map5x5_noisy, map5x5_qstar)
+
+    @pytest.mark.parametrize("change", [dict(compressor=fedq.CompressorSpec("top_k", k=5)),
+                                        dict(mode=ERROR_FEEDBACK)])
+    def test_compressor_and_mode_may_differ(self, change, map5x5_noisy, map5x5_qstar):
+        assert set(change) < set(BATCH_FREE)
+        configs = [make_config(master_seed=0), make_config(master_seed=1, **change)]
+        results = fedq.run_federated_batch(configs, map5x5_noisy, map5x5_qstar)
+        for cfg, batched in zip(configs, results):
+            assert_same_run(batched, fedq.run_federated(cfg, map5x5_noisy, map5x5_qstar))
+
+    @pytest.mark.parametrize("epochs, q0, interleaved",
+                             list(itertools.product((1, 3), (0.0, 1.5), (False, True))))
+    def test_mixed_batch_matches_lone_runs(self, epochs, q0, interleaved, map5x5_noisy, map5x5_qstar):
+        # every compressor in both modes, with a repeated seed: blocked, each (compressor, mode)
+        # is one block of four runs; interleaved, every run is a block of its own and equal
+        # pairings recur apart
+        arms = list(itertools.product(COMPRESSORS.values(), (DIRECT, ERROR_FEEDBACK)))
+        order = ([(arm, seed) for seed in MIXED_SEEDS for arm in arms] if interleaved
+                 else [(arm, seed) for arm in arms for seed in MIXED_SEEDS])
+        configs = [make_config(n_agents=3, local_epochs=epochs, rounds=4, eta=0.3, q0=q0,
+                               compressor=spec, mode=mode, master_seed=seed)
+                   for (spec, mode), seed in order]
+        results = fedq.run_federated_batch(configs, map5x5_noisy, map5x5_qstar)
+        assert len(results) == len(configs) == 32
+        for cfg, batched in zip(configs, results):
+            assert_same_run(batched, fedq.run_federated(cfg, map5x5_noisy, map5x5_qstar))
+
+    def test_streams_built_once_per_distinct_seed(self, map5x5_noisy, map5x5_qstar, monkeypatch):
+        # seeds [3, 0, 3, 2**40 + 1] hold 3 distinct seeds: each epoch builds 3 x I generators;
+        # the compressor draws build one generator per agent of each sparsified_k run
+        calls = []
+        build = fedq.engine.generators
+
+        def spy(words):
+            calls.append(len(words))
+            return build(words)
+
+        monkeypatch.setattr(fedq.engine, "generators", spy)
+        n_agents, epochs, rounds = 3, 2, 4
+        specs = (COMPRESSORS["top_k"], COMPRESSORS["identity"], COMPRESSORS["sparsified_l1"])
+        configs = [make_config(n_agents=n_agents, local_epochs=epochs, rounds=rounds, compressor=spec,
+                               master_seed=seed) for spec in specs for seed in MIXED_SEEDS]
+        results = fedq.run_federated_batch(configs, map5x5_noisy, map5x5_qstar)
+        assert calls == ([3 * n_agents] * epochs + [len(MIXED_SEEDS) * n_agents]) * rounds
+        monkeypatch.setattr(fedq.engine, "generators", build)
+        for cfg, batched in zip(configs, results):
+            assert_same_run(batched, fedq.run_federated(cfg, map5x5_noisy, map5x5_qstar))
+
+    def test_bits_exact_at_large_fpp(self, map5x5_noisy, map5x5_qstar):
+        # a run's upload prices summed past 2**63 (and past float64's 2**53) are still the exact
+        # integer, rounded to float once: d = 100, so identity costs I * 100 * fpp per round
+        n_agents, fpp = 3, 2**56 + 1
+        configs = [make_config(n_agents=n_agents, rounds=3, fpp=fpp, compressor=spec, master_seed=seed)
+                   for spec in COMPRESSORS.values() for seed in (0, 1)]
+        results = fedq.run_federated_batch(configs, map5x5_noisy, map5x5_qstar)
+        for cfg, batched in zip(configs, results):
+            assert_same_run(batched, fedq.run_federated(cfg, map5x5_noisy, map5x5_qstar))
+            cumulative = 0.0
+            for m in batched.metrics[1:]:
+                if cfg.compressor.kind == "identity":
+                    total = n_agents * 100 * fpp
+                else:
+                    total = m.payload_entries * (7 + fpp)
+                cumulative += float(total) / n_agents
+                assert m.bits_round == float(total) / n_agents > 0
+                assert m.bits_cumulative == cumulative
 
     def test_empty_batch_rejected(self, map5x5_noisy, map5x5_qstar):
         with pytest.raises(ParamOutOfRangeError):

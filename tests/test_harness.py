@@ -131,7 +131,13 @@ class TestRunExperiment:
         second = {p: p.read_bytes() for p in run_experiment(manifest) if p.suffix == ".csv"}
         assert first == second
 
-    def test_seeds_of_a_point_run_as_one_batch(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("sweep, expected", [
+        # points that differ only in k (a compressor field) share one batch
+        ({"k": [5, 10]}, [[4, 5, 6, 4, 5, 6]]),
+        # eta is shared by every run of a batch: one batch per eta
+        ({"eta": [0.2, 0.3]}, [[4, 5, 6], [4, 5, 6]]),
+    ])
+    def test_seeds_of_a_point_run_as_one_batch(self, tmp_path, monkeypatch, sweep, expected):
         batches = []
         run_batch = fedq.harness.run_federated_batch
 
@@ -140,9 +146,9 @@ class TestRunExperiment:
             return run_batch(configs, *args)
 
         monkeypatch.setattr(fedq.harness, "run_federated_batch", spy)
-        manifest = small_manifest(tmp_path, n_seeds=3, master_seed=4, sweep={"k": [5, 10]})
+        manifest = small_manifest(tmp_path, n_seeds=3, master_seed=4, sweep=sweep)
         written = run_experiment(manifest)
-        assert batches == [[4, 5, 6], [4, 5, 6]]
+        assert batches == expected
         # each seed's trace is the bytes of its lone run
         mdp = fedq.harness.load_environment(manifest)
         q_star = fedq.value_iteration(mdp, tol=manifest.qstar_tol)
