@@ -213,15 +213,16 @@ def contraction_alpha(v: np.ndarray, k: int) -> float:
     outside the kept set is zero (including k = d), 0 when a dropped
     entry ties the largest magnitude (the contraction hypothesis fails).
     It is undefined, and raises, for the zero vector (``ZeroVectorError``)
-    and where a NaN or infinity leaves no ratio (``NonFiniteError``, e.g.
-    a NaN excluded entry or infinities kept and excluded).
+    and for any input with a NaN or infinite entry (``NonFiniteError``,
+    naming those entries): the law ``||C(v) - v||_inf = (1 - alpha)
+    ||v||_inf`` means nothing there.
     """
     v = np.asarray(v, dtype=np.float64)
     alpha = float(_apply(v, CompressorSpec(TOP_K, k), None).alpha[0])
+    bad = v[~np.isfinite(v)]
+    if bad.size:
+        raise NonFiniteError(f"contraction factor undefined for non-finite input {bad.tolist()}")
     if np.isnan(alpha):
-        bad = v[~np.isfinite(v)]
-        if bad.size:
-            raise NonFiniteError(f"contraction factor undefined for non-finite input {bad.tolist()}")
         raise ZeroVectorError("contraction factor undefined for the zero vector")
     return alpha
 

@@ -21,10 +21,13 @@ that differ at most in their master seed, compressor and mode (the
 fields named in ``BATCH_FREE``) as one computation of R·I rows, run r's
 agents in rows r·I to r·I + I - 1.  Streams are shared by seed: a
 stream is a pure function of (master seed, path), so each epoch draws
-the sample tables of each distinct seed once and every run with that
-seed updates from them.  Each round then makes one Bellman update per
-epoch over all rows, one compression per contiguous block of runs with
-the same compressor and mode, and one server step that keeps R tables.
+the sample tables of the U distinct seeds once, into U·I stream rows,
+and an index array names the stream row each of the R·I rows reads (the
+identity when every seed is distinct).  Each round then makes one
+Bellman update per epoch over all rows, one compression per contiguous
+block of runs with the same compressor and mode, which writes its
+uploads into its rows of the pending table and prices them by its own
+kind, and one server step over the pending table that keeps R tables.
 The trace metrics, bits and realized compressor constants are taken per
 run.  :func:`run_federated` is the batch of one.  A batch runs in groups
 of at most ``BATCH_CELLS`` table entries per (R·I, d) array, so its
@@ -52,7 +55,7 @@ import numpy as np
 
 from .bellman import empirical_bellman
 from .bounds import payload_bits
-from .compression import IDENTITY, KINDS, SPARSIFIED_K, TOP_K, CompressorSpec, compress_batch
+from .compression import IDENTITY, SPARSIFIED_K, TOP_K, CompressorSpec, compress_batch
 from .errors import ParamOutOfRangeError, ShapeMismatchError, check_budget, check_count, check_interval
 from .mdp import TabularMDP, synchronous_sample_batch
 from .rng import ID_LIMIT, generators, seed_words
@@ -144,16 +147,13 @@ class RunResult:
     p_support_min: float | None = None  # smallest realized selection probability
 
 
-def _epoch(q: np.ndarray, mdp: TabularMDP, eta: float, rngs, rows: np.ndarray | None = None) -> np.ndarray:
+def _epoch(q: np.ndarray, mdp: TabularMDP, eta: float, rngs, rows: np.ndarray) -> np.ndarray:
     """One damped empirical-Bellman update of an (N, S, A) batch.
 
-    Generator j draws sample table j; row i of ``q`` reads table ``rows[i]``,
-    or table i when ``rows`` is None.
+    Generator j draws sample table j, and row i of ``q`` reads table ``rows[i]``.
     """
     next_states, rewards = synchronous_sample_batch(mdp, rngs)
-    if rows is not None:
-        next_states, rewards = next_states[rows], rewards[rows]
-    return (1.0 - eta) * q + eta * empirical_bellman(q, next_states, rewards, mdp.gamma)
+    return (1.0 - eta) * q + eta * empirical_bellman(q, next_states[rows], rewards[rows], mdp.gamma)
 
 
 def _round_words(seeds, n_agents: int, rounds: int, n_streams: int):
@@ -177,18 +177,16 @@ def _round_words(seeds, n_agents: int, rounds: int, n_streams: int):
 
 
 def _local_phases(q_bar: np.ndarray, mdp: TabularMDP, eta: float, words: np.ndarray,
-                  rows: np.ndarray | None = None) -> np.ndarray:
+                  rows: np.ndarray) -> np.ndarray:
     """One round's local phases of every agent of R runs: shape (R·I, S, A).
 
     ``q_bar`` holds the R broadcast tables and ``words`` that round's
     (K, U·I, 4) slice of :func:`_round_words`; row r·I + i starts from
     ``q_bar[r]``, and its epoch k updates from the sample table of the
-    stream seeded by ``words[k, rows[r·I + i]]`` (``rows`` None: by
-    ``words[k, r·I + i]``).  Each stream's table is drawn once, however
-    many rows read it.
+    stream seeded by ``words[k, rows[r·I + i]]``.  Each stream's table is
+    drawn once, however many rows read it.
     """
-    n_rows = words.shape[1] if rows is None else len(rows)
-    q = np.repeat(q_bar, n_rows // len(q_bar), axis=0)
+    q = np.repeat(q_bar, len(rows) // len(q_bar), axis=0)
     for epoch_words in words:
         q = _epoch(q, mdp, eta, generators(epoch_words), rows)
     return q
@@ -303,20 +301,16 @@ def _run_group(configs: list[ExperimentConfig], mdp: TabularMDP, q_star: np.ndar
     config = configs[0]
     n_runs, n_agents, d = len(configs), config.n_agents, mdp.table_size
     n_epochs = config.local_epochs
-    # Each distinct seed's streams fill U·I stream rows; stream_rows[r·I + i] is the stream row
-    # of run r's agent i, None when every seed is distinct and the rows coincide.
+    # Each distinct seed's streams fill I of the U·I stream rows; stream_rows[r·I + i] is the
+    # stream row of run r's agent i
     seeds = list(dict.fromkeys(c.master_seed for c in configs))
-    stream_rows = None
-    if len(seeds) < n_runs:
-        slot = {seed: u for u, seed in enumerate(seeds)}
-        stream_rows = (np.array([slot[c.master_seed] for c in configs])[:, None] * n_agents
-                       + np.arange(n_agents)).ravel()
+    slot = {seed: u for u, seed in enumerate(seeds)}
+    stream_rows = (np.array([slot[c.master_seed] for c in configs])[:, None] * n_agents
+                   + np.arange(n_agents)).ravel()
     arms = _arms(configs, n_agents)
     # only random compressors consume a stream; its path is pinned to (agent, round, K)
     sparsified = any(spec.kind == SPARSIFIED_K for spec, _, _, _ in arms)
     n_streams = n_epochs + 1 if sparsified else n_epochs
-    # an upload's price depends on its kind and size only: key = kind code * (d + 1) + size
-    row_kind = np.repeat([KINDS.index(c.compressor.kind) * (d + 1) for c in configs], n_agents)
 
     q_bar = np.full((n_runs, mdp.n_states, mdp.n_actions), float(config.q0))
     # error-feedback memory; only the rows of error-feedback arms are read or written
@@ -328,15 +322,12 @@ def _run_group(configs: list[ExperimentConfig], mdp: TabularMDP, q_star: np.ndar
     for t, words in enumerate(_round_words(seeds, n_agents, config.rounds, n_streams)):
         q_local = _local_phases(q_bar, mdp, config.eta, words[:n_epochs], stream_rows)
         pending = (q_local.reshape(n_runs, n_agents, d) - q_bar.reshape(n_runs, 1, d)).reshape(-1, d)
-        comp_words = None
-        if sparsified:
-            comp_words = words[n_epochs] if stream_rows is None else words[n_epochs][stream_rows]
-        uploads = np.empty(n_runs * n_agents, dtype=np.int64)
+        bits, entries = [0.0] * n_runs, [0] * n_runs
         for spec, mode, runs, rows in arms:
             arm_pending = pending[rows]
             if mode == ERROR_FEEDBACK:
                 arm_pending += residual[rows]
-            rngs = generators(comp_words[rows]) if spec.kind == SPARSIFIED_K else None
+            rngs = generators(words[n_epochs][stream_rows[rows]]) if spec.kind == SPARSIFIED_K else None
             payload = compress_batch(arm_pending, spec, rngs)
             if mode == ERROR_FEEDBACK:
                 np.subtract(arm_pending, payload.sent, out=residual[rows])
@@ -345,22 +336,15 @@ def _run_group(configs: list[ExperimentConfig], mdp: TabularMDP, q_star: np.ndar
             if payload.p is not None:
                 support = np.where(payload.p > 0, payload.p, np.nan)
                 p_support_min[runs] = _running_min(p_support_min[runs], support)
-            uploads[rows] = payload.kept.sum(axis=1)
-            if len(arms) > 1:
-                arm_pending[...] = payload.sent  # pending's rows become the uploads
-        sent = payload.sent if len(arms) == 1 else pending
+            arm_pending[...] = payload.sent  # pending's rows become the uploads
+            # an arm has one kind, so an upload's price depends on its size only; a run's bits are
+            # its agents' prices summed as Python ints, exact at any fpp, then divided by I once
+            sizes = payload.kept.sum(axis=1).reshape(-1, n_agents).tolist()
+            prices = {n: payload_bits(spec.kind, d, n, config.fpp) for n in set(itertools.chain(*sizes))}
+            bits[runs] = [float(sum(map(prices.get, run))) / n_agents for run in sizes]
+            entries[runs] = [sum(run) for run in sizes]
 
-        q_bar = _server_step(q_bar, sent, config.beta)
-
-        # price each distinct (kind, size) once; a run's bits are its agents' prices summed
-        row_keys = row_kind + uploads
-        keys = sorted(set(row_keys.tolist()))  # cheaper than np.unique on a few hundred rows
-        # Python ints (dtype=object), so a run's sum is exact at any fpp, as int64 or float64 is not
-        prices = np.array([payload_bits(KINDS[kind], d, size, config.fpp)
-                           for kind, size in (divmod(key, d + 1) for key in keys)], dtype=object)
-        row_bits = prices[np.searchsorted(keys, row_keys)]
-        bits = [float(total) / n_agents for total in row_bits.reshape(n_runs, n_agents).sum(axis=1).tolist()]
-        entries = uploads.reshape(n_runs, n_agents).sum(axis=1).tolist()
+        q_bar = _server_step(q_bar, pending, config.beta)
         rmses, linfs = _errors(q_bar, q_star)
         for trace, e2, e_inf, bits_round, run_entries in zip(traces, rmses, linfs, bits, entries):
             trace.append(

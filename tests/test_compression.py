@@ -103,6 +103,10 @@ class TestContractionAlpha:
         ([np.nan, 1.0], r"\[nan\]"),  # the excluded entry is NaN
         ([np.inf, np.inf], r"\[inf, inf\]"),  # inf / inf
         ([np.nan, 0.0, -0.0], r"\[nan\]"),  # no number but zeros
+        # a ratio exists, but ||v||_inf is infinite or undefined, so the law has no meaning
+        ([np.inf, 1.0], r"\[inf\]"),
+        ([-np.inf, np.nan, 2.0], r"\[-inf, nan\]"),
+        ([np.nan, 4.0, -2.0], r"\[nan\]"),
     ])
     def test_non_finite_input_rejected_by_name(self, v, named):
         with warnings.catch_warnings():
@@ -110,10 +114,6 @@ class TestContractionAlpha:
             with pytest.raises(NonFiniteError, match=f"non-finite input {named}"):
                 fedq.contraction_alpha(np.array(v), 1)
         assert not issubclass(NonFiniteError, ZeroVectorError)
-
-    def test_non_finite_input_with_a_ratio_keeps_its_alpha(self):
-        assert fedq.contraction_alpha(np.array([np.inf, 1.0]), 1) == 1.0
-        assert fedq.contraction_alpha(np.array([np.nan, 4.0, -2.0]), 1) == 0.5
 
     def test_infinite_row_gets_nan_alpha_without_warning(self):
         rows = np.array([[np.inf, -np.inf, 1.0], [3.0, -5.0, 2.0], [0.0, -0.0, 0.0]])

@@ -50,7 +50,7 @@ class TestLocalEpoch:
     def test_full_step_equals_exact_operator_when_deterministic(self, map5x5_mdp):
         rng = np.random.default_rng(0)
         q = rng.uniform(-2, 2, (25, 4))
-        out = _epoch(q[None], map5x5_mdp, 1.0, [fedq.RngStream(0).generator()])[0]
+        out = _epoch(q[None], map5x5_mdp, 1.0, [fedq.RngStream(0).generator()], np.arange(1))[0]
         assert np.allclose(out, fedq.exact_bellman(map5x5_mdp, q), rtol=0, atol=1e-12)
 
     def test_half_step_arithmetic(self):
@@ -66,18 +66,31 @@ class TestLocalEpoch:
         reward_cap = map5x5_noisy.r_max  # mean capped at 1, noise at 0.5
         q = rng.uniform(-6, 6, (20, 25, 4))
         gens = [fedq.RngStream(2, (trial,)).generator() for trial in range(20)]
-        out = _epoch(q, map5x5_noisy, 0.3, gens)
+        out = _epoch(q, map5x5_noisy, 0.3, gens, np.arange(20))
         for q_i, out_i in zip(q, out):
             cap = max(np.max(np.abs(q_i)), reward_cap + gamma * np.max(np.abs(q_i)))
             assert np.max(np.abs(out_i)) <= cap + 1e-12
+
+    def test_row_reads_the_stream_its_index_names(self, map5x5_noisy):
+        # rows [1, 0] over two streams: row i gets exactly stream rows[i]'s update alone
+        q = np.random.default_rng(3).uniform(-2, 2, (2, 25, 4))
+        streams = [fedq.RngStream(4, (j,)) for j in range(2)]
+        rows = np.array([1, 0])
+        out = _epoch(q, map5x5_noisy, 0.3, [stream.generator() for stream in streams], rows)
+        for i, j in enumerate(rows):
+            alone = _epoch(q[i][None], map5x5_noisy, 0.3, [streams[j].generator()], np.arange(1))
+            assert out[i].tobytes() == alone[0].tobytes()
+        # and the streams differ, so reading the other one would show
+        other = _epoch(q[:1], map5x5_noisy, 0.3, [streams[0].generator()], np.arange(1))
+        assert not np.array_equal(out[0], other[0])
 
 
 class TestLocalPhase:
     def test_single_epoch_reduces_to_local_epoch(self, map5x5_noisy):
         q0 = np.zeros((25, 4))
         root = fedq.RngStream(5)
-        phase = _local_phases(q0[None], map5x5_noisy, 0.3, next(_round_words([5], 1, 1, 1)))
-        single = _epoch(q0[None], map5x5_noisy, 0.3, [root.child(0, 0, 0).generator()])
+        phase = _local_phases(q0[None], map5x5_noisy, 0.3, next(_round_words([5], 1, 1, 1)), np.arange(1))
+        single = _epoch(q0[None], map5x5_noisy, 0.3, [root.child(0, 0, 0).generator()], np.arange(1))
         assert np.array_equal(phase, single)
 
     def test_full_steps_compose_exact_operator(self, map5x5_mdp, map5x5_qstar, server_tables):
@@ -93,8 +106,8 @@ class TestLocalPhase:
 
     def test_identical_streams_identical_phases(self, map5x5_noisy):
         q0 = np.zeros((25, 4))
-        a = _local_phases(q0[None], map5x5_noisy, 0.3, list(_round_words([9], 3, 8, 4))[7])
-        b = _local_phases(q0[None], map5x5_noisy, 0.3, list(_round_words([9], 3, 8, 4))[7])
+        a = _local_phases(q0[None], map5x5_noisy, 0.3, list(_round_words([9], 3, 8, 4))[7], np.arange(3))
+        b = _local_phases(q0[None], map5x5_noisy, 0.3, list(_round_words([9], 3, 8, 4))[7], np.arange(3))
         assert np.array_equal(a, b)
 
 
@@ -154,7 +167,8 @@ class TestAggregate:
         out_b = _server_step(q_bar[None], dense_rows(backward), 0.7)[0]
         assert np.array_equal(out_f, out_b)
         batched = [sparse_from_dense((q - q_bar).ravel())
-                   for q in _local_phases(q_bar[None], map5x5_noisy, 0.2, next(_round_words([21], 3, 1, 2)))]
+                   for q in _local_phases(q_bar[None], map5x5_noisy, 0.2, next(_round_words([21], 3, 1, 2)),
+                                          np.arange(3))]
         assert _server_step(q_bar[None], dense_rows(batched), 0.7)[0].tobytes() == out_f.tobytes()
 
 

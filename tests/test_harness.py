@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import pytest
 import fedq
 from fedq.cli import main as cli_main
 from fedq.errors import FileFormatError, MapFormatError, ParamOutOfRangeError
-from fedq.harness import RunManifest, expand_grid, read_trace_csv, run_experiment
+from fedq.harness import RunManifest, expand_grid, grid_slug, read_trace_csv, run_experiment
 from tests.conftest import read_qtable_csv
 
 
@@ -623,3 +625,47 @@ class TestCli:
         assert cli_main(["qstar", "map5x5", "--gamma", "0.8", "--tol", "inf",
                          "--output-dir", str(out)]) == 2
         assert not out.exists()
+
+
+# The overlay audit grid: every analyzed pairing on map5x5, each cell over ten seeds.
+AUDIT_SWEEP = dict(compressor=["identity", "top_k", "sparsified_k"], k=[5, 20], agents=[1, 2, 5], beta=[0.8, 0.2])
+DIVERGENT_CELL = ("sparsified_k", 5, 1, 0.8)
+
+
+def _audit_cell(compressor, k, agents, beta):
+    if (compressor, k, agents, beta) != DIVERGENT_CELL:
+        return pytest.param(compressor, k, agents, beta)
+    return pytest.param(compressor, k, agents, beta, marks=pytest.mark.xfail(strict=True, reason=(
+        "direct sparsified_k at I=1, k=5, beta=0.8 diverges: seed 0 exceeds its bound in 46 of 300 rounds"
+        " and seed 5 in 7, while the realized p_min falls and the plug-in q2 = 1/p_min - 1 keeps raising"
+        " the bound behind the blow-up; every other cell of the grid stays under its bound")))
+
+
+@pytest.fixture(scope="module")
+def audit_sweep(tmp_path_factory):
+    manifest = RunManifest.from_mapping(dict(
+        map="map5x5", rounds=300, local_epochs=2, eta=0.1, gamma=0.8, noise_std=0.5, noise_clip=0.5,
+        delta=0.05, n_seeds=10, sweep=AUDIT_SWEEP, output_dir=str(tmp_path_factory.mktemp("audit")),
+    ))
+    run_experiment(manifest)
+    return manifest
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("compressor, k, agents, beta", [_audit_cell(*cell) for cell in dict.fromkeys(
+    # the identity ignores k, so its points collapse to k = 0 as expand_grid's do
+    (compressor, 0 if compressor == "identity" else k, agents, beta)
+    for compressor, k, agents, beta in itertools.product(*AUDIT_SWEEP.values()))])
+def test_overlay_bound_holds_on_every_round(audit_sweep, compressor, k, agents, beta):
+    # the overlay claims empirical_linf <= theory_bound with probability at least 1 - delta per run;
+    # audit it on every row of every seed's overlay, and that each analyzed cell's bound is finite
+    point = dataclasses.replace(audit_sweep, sweep={}, compressor=compressor, k=k, agents=agents, beta=beta)
+    exceeded = {}
+    for seed in range(audit_sweep.n_seeds):
+        overlay = Path(audit_sweep.output_dir) / f"{grid_slug(point, seed)}_overlay.csv"
+        t, empirical, bound = np.loadtxt(overlay, delimiter=",", skiprows=1, ndmin=2).T
+        assert t.tolist() == list(range(1, point.rounds + 1))
+        assert np.isfinite(bound).all(), f"seed {seed} has a non-finite bound"
+        if np.any(empirical > bound):
+            exceeded[seed] = int(np.sum(empirical > bound))
+    assert not exceeded, f"rounds above the bound, by seed: {exceeded}"
