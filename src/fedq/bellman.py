@@ -48,27 +48,47 @@ def exact_bellman(mdp: TabularMDP, q: np.ndarray) -> np.ndarray:
 
 
 def empirical_bellman(
-    q: np.ndarray, next_states: np.ndarray, rewards: np.ndarray, gamma: float
+    q: np.ndarray, next_states: np.ndarray, rewards: np.ndarray, gamma: float, rows=None
 ) -> np.ndarray:
     """Single-sample Bellman estimate from one synchronous sample table.
 
     ``out[s, a] = rewards[s, a] + gamma * max_a' q[next_states[s, a], a']``
 
     Leading axes are a batch: with arrays of shape (I, S, A), table i reads
-    its next states and rewards from row i.
+    its next states and rewards from row i.  ``rows`` lets N tables share U
+    sample tables: with ``q`` of shape (N, S, A) and samples of shape
+    (U, S, A), table i reads sample table ``rows[i]``, indexed as numpy
+    indexes (a negative row counts from the end).  Either way the tables
+    are gathered into the index and reward arrays the update builds
+    anyway, so no sample table is copied first.
     """
     q = np.asarray(q, dtype=np.float64)
     next_states = np.asarray(next_states)
     rewards = np.asarray(rewards, dtype=np.float64)
-    if q.shape != next_states.shape or q.shape != rewards.shape:
+    table = q.shape[-2:]
+    if rows is None:
+        rows, samples = np.arange(int(np.prod(q.shape[:-2]))), q.shape
+    else:
+        rows = np.asarray(rows)
+        samples = next_states.shape[:1] + table
+        if q.ndim != 3 or rows.shape != q.shape[:1]:
+            raise ShapeMismatchError(f"rows must name one sample table per table of q {q.shape}, "
+                                     f"got shape {rows.shape}")
+    if next_states.shape != samples or rewards.shape != samples:
         raise ShapeMismatchError(
             f"shapes differ: q {q.shape}, next_states {next_states.shape}, rewards {rewards.shape}"
         )
     v = state_values(q)
     # offset each table's next states into the flattened batch of state values
-    n_states = q.shape[-2]
-    offsets = np.arange(0, v.size, n_states).reshape(q.shape[:-2] + (1, 1))
-    return rewards + gamma * v.take(next_states + offsets)
+    try:
+        index = next_states.reshape((-1,) + table).take(rows, axis=0)
+    except IndexError as exc:  # a row past the last sample table
+        raise ShapeMismatchError(f"rows name a missing sample table: {exc}") from None
+    index += np.arange(0, v.size, table[0]).reshape(-1, 1, 1)
+    out = v.take(index)
+    out *= gamma
+    out += rewards.reshape((-1,) + table).take(rows, axis=0)
+    return out.reshape(q.shape)
 
 
 def value_iteration(mdp: TabularMDP, tol: float = 1e-10, max_iter: int = 100_000) -> np.ndarray:

@@ -137,18 +137,21 @@ def error_feedback_bound(p: BoundParams) -> float:
     )
 
 
-def payload_bits(kind: str, dimension: int, entries: int, fpp: int = 32) -> int:
-    """Bits one upload of a d-vector costs on the wire, at ``fpp`` bits per value.
+def payload_bits(kind: str, dimension: int, entries: int, fpp: int = 32, uploads: int = 1) -> int:
+    """Bits that ``uploads`` uploads of a d-vector cost on the wire, at ``fpp`` bits per value.
 
+    ``entries`` counts the stored values of all the uploads together.
     Uncompressed payloads ship every value and no indices:
-    ``d * fpp``.  Sparse payloads ship ``entries`` (index, value) pairs,
-    naming each index in ceil(log2 d) bits: ``entries * (ceil(log2 d) + fpp)``.
+    ``uploads * d * fpp``.  Sparse payloads ship ``entries`` (index, value)
+    pairs, naming each index in ceil(log2 d) bits:
+    ``entries * (ceil(log2 d) + fpp)``.  The result is an exact integer.
     """
     if kind not in KINDS:
         raise ParamOutOfRangeError(f"unknown compressor kind {kind!r}")
     fpp = check_count("fpp", fpp, 1)
     dimension = check_count("dimension", dimension, 1)
-    entries = check_count("entries", entries, 0, dimension + 1)
+    uploads = check_count("uploads", uploads, 1)
+    entries = check_count("entries", entries, 0, uploads * dimension + 1)
     if kind == IDENTITY:
-        return dimension * fpp
+        return uploads * dimension * fpp
     return entries * ((dimension - 1).bit_length() + fpp)

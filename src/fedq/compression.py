@@ -137,18 +137,20 @@ class BatchPayload:
 
 
 def compress_batch(
-    pending: np.ndarray, spec: CompressorSpec, rngs: list[np.random.Generator] | None = None
+    pending: np.ndarray, spec: CompressorSpec, uniforms: np.ndarray | None = None
 ) -> BatchPayload:
-    """Compress every row of an (I, d) array at once.
+    """Compress every row of an (I, d) array at once; draws no random numbers.
 
     Row i is compressed exactly as :func:`direct_compress` would compress
-    it alone, into row i of ``sent``; sparsified_k draws its d uniforms from
-    the generator ``rngs[i]``.  top_k needs only each row's k-th and
-    (k+1)-th largest magnitudes, which one partition finds: it keeps every
-    entry above the k-th, then the lowest-index entries equal to it, and
-    the (k+1)-th gives the realized contraction factor.  The result is that
-    of a stable sort of ``-|v|``: ties keep the lower index, and NaN ranks
-    below every number and is never kept.
+    it alone, into row i of ``sent``; sparsified_k keeps entry j of row i
+    where ``uniforms[i, j]`` falls below its selection probability, so it
+    needs an (I, d) array of uniforms in [0, 1), the other operators none.
+    top_k needs only each row's k-th and (k+1)-th largest magnitudes, which
+    one sort of each row finds: it keeps every entry above the k-th, then
+    the lowest-index entries equal to it, and the (k+1)-th gives the
+    realized contraction factor.  The result is that of a stable sort of
+    ``-|v|``: ties keep the lower index, and NaN ranks below every number
+    and is never kept.
     """
     pending = np.asarray(pending, dtype=np.float64)
     if spec.kind == IDENTITY:
@@ -163,9 +165,10 @@ def compress_batch(
         if spec.k == d:
             kept, excluded = key > 0, np.zeros(n_rows)
         else:
-            # the k-th and (k+1)-th largest keys; ties at the k-th go to the lowest indices
-            part = np.partition(key, (d - spec.k - 1, d - spec.k), axis=1)
-            kth, nxt = part[:, d - spec.k, None], part[:, d - spec.k - 1]
+            # the k-th and (k+1)-th largest keys; ties at the k-th go to the lowest indices.  key
+            # holds no NaN and no -0.0, so a plain sort puts the same values there as a partition
+            ordered = np.sort(key, axis=1)
+            kth, nxt = ordered[:, d - spec.k, None], ordered[:, d - spec.k - 1]
             above, tied = key > kth, key == kth
             kept = above | (tied & (tied.cumsum(axis=1) <= spec.k - above.sum(axis=1, keepdims=True)))
             kept &= key > 0
@@ -175,20 +178,22 @@ def compress_batch(
         with np.errstate(invalid="ignore"):
             alpha = 1.0 - np.divide(excluded, top, out=np.full(n_rows, np.nan), where=top > 0)
         return BatchPayload(kept, np.where(kept, pending, 0.0), alpha=alpha)
+    if np.shape(uniforms) != pending.shape:
+        raise ShapeMismatchError(
+            f"sparsified_k needs uniforms of shape {pending.shape}, got {np.shape(uniforms)}"
+        )
     p = selection_probabilities(pending, spec.k, spec.probability_rule)
-    u = np.empty(pending.shape)
-    for i, rng in enumerate(rngs):
-        u[i] = rng.random(d)
-    kept = u < p
+    kept = uniforms < p
     return BatchPayload(kept, np.divide(pending, p, out=np.zeros(pending.shape), where=kept), p=p)
 
 
 def _apply(v: np.ndarray, spec: CompressorSpec, rng: np.random.Generator | None) -> BatchPayload:
-    """Compress one vector: the batch of one."""
+    """Compress one vector: the batch of one, drawing sparsified_k's d uniforms from ``rng``."""
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1:
         raise ShapeMismatchError(f"expected a 1-D vector, got shape {v.shape}")
-    return compress_batch(v[None], spec, [rng])
+    uniforms = rng.random((1, v.size)) if spec.kind == SPARSIFIED_K else None
+    return compress_batch(v[None], spec, uniforms)
 
 
 def _as_sparse(payload: BatchPayload) -> SparseVector:

@@ -26,12 +26,14 @@ and an index array names the stream row each of the R·I rows reads (the
 identity when every seed is distinct).  Each round then makes one
 Bellman update per epoch over all rows, one compression per contiguous
 block of runs with the same compressor and mode, which writes its
-uploads into its rows of the pending table and prices them by its own
-kind, and one server step over the pending table that keeps R tables.
-The trace metrics, bits and realized compressor constants are taken per
-run.  :func:`run_federated` is the batch of one.  A batch runs in groups
-of at most ``BATCH_CELLS`` table entries per (R·I, d) array, so its
-memory does not grow with R.
+uploads into its rows of the pending table, and one server step over the
+pending table that keeps R tables.  The round records only each run's
+kept entries, errors and realized compressor constants; the bits and
+trace rows are built per run once the rounds are done, each round's
+uploads priced as one exact :func:`~fedq.bounds.payload_bits` total.
+:func:`run_federated` is the batch of one.  A batch runs in groups of at
+most ``BATCH_CELLS`` table entries per (R·I, d) array, so its memory
+does not grow with R.
 
 Everything is deterministic given the master seed: sampling streams are
 derived per (agent, round, epoch), the compressor stream per
@@ -43,7 +45,10 @@ streams are computed by :func:`~fedq.rng.seed_words` for a block of
 rounds at a time, at most ``SEED_BLOCK`` streams over the distinct seeds'
 rows unless one round alone has more, so seeding memory does not grow
 with the number of rounds; each epoch builds only its own generators from
-them, I per distinct seed.
+them, I per distinct seed.  So does a round's compressor draw: when any
+run uses sparsified_k, the round draws d uniforms from each of the U·I
+compressor streams once, and every sparsified_k run reads its rows of
+that block, as the runs share sample tables.
 """
 from __future__ import annotations
 
@@ -153,7 +158,7 @@ def _epoch(q: np.ndarray, mdp: TabularMDP, eta: float, rngs, rows: np.ndarray) -
     Generator j draws sample table j, and row i of ``q`` reads table ``rows[i]``.
     """
     next_states, rewards = synchronous_sample_batch(mdp, rngs)
-    return (1.0 - eta) * q + eta * empirical_bellman(q, next_states[rows], rewards[rows], mdp.gamma)
+    return (1.0 - eta) * q + eta * empirical_bellman(q, next_states, rewards, mdp.gamma, rows)
 
 
 def _round_words(seeds, n_agents: int, rounds: int, n_streams: int):
@@ -216,7 +221,7 @@ def _running_min(current: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.fmin(current, np.fmin.reduce(values.reshape(len(current), -1), axis=1))
 
 
-def _errors(q_bar: np.ndarray, q_star: np.ndarray) -> tuple[list[float], list[float]]:
+def _errors(q_bar: np.ndarray, q_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The :func:`~fedq.bellman.rmse` and :func:`~fedq.bellman.linf_error` of each of R tables.
 
     Both are taken against ``q_star``, with one numpy call per metric
@@ -225,7 +230,7 @@ def _errors(q_bar: np.ndarray, q_star: np.ndarray) -> tuple[list[float], list[fl
     function's.
     """
     diff = q_bar.reshape(len(q_bar), -1) - q_star.reshape(1, -1)
-    return np.sqrt(np.mean(diff**2, axis=1)).tolist(), np.max(np.abs(diff), axis=1).tolist()
+    return np.sqrt(np.mean(diff**2, axis=1)), np.max(np.abs(diff), axis=1)
 
 
 def _arms(configs: list[ExperimentConfig], n_agents: int) -> list[tuple[CompressorSpec, str, slice, slice]]:
@@ -297,10 +302,18 @@ def run_federated_batch(
 
 
 def _run_group(configs: list[ExperimentConfig], mdp: TabularMDP, q_star: np.ndarray) -> list[RunResult]:
-    """The federated loop of one run per config; the configs share every field but ``BATCH_FREE``."""
+    """The federated loop of one run per config; the configs share every field but ``BATCH_FREE``.
+
+    The round loop does only what the next round needs: local phases,
+    compression, residual, server step and errors.  It records each run's
+    kept entries per round in a (T, R) array and its two errors in
+    (T+1, R) arrays; the bits and trace rows are built from them once the
+    loop ends.  A sparsified_k arm reads its uniforms from one (U·I, d)
+    block per round, drawn once per distinct compressor stream.
+    """
     config = configs[0]
     n_runs, n_agents, d = len(configs), config.n_agents, mdp.table_size
-    n_epochs = config.local_epochs
+    n_epochs, n_rounds = config.local_epochs, config.rounds
     # Each distinct seed's streams fill I of the U·I stream rows; stream_rows[r·I + i] is the
     # stream row of run r's agent i
     seeds = list(dict.fromkeys(c.master_seed for c in configs))
@@ -317,18 +330,21 @@ def _run_group(configs: list[ExperimentConfig], mdp: TabularMDP, q_star: np.ndar
     has_ef = any(mode == ERROR_FEEDBACK for _, mode, _, _ in arms)
     residual = np.zeros((n_runs * n_agents, d)) if has_ef else None
     alpha_min, p_support_min = np.full(n_runs, np.nan), np.full(n_runs, np.nan)
-    traces = [[RoundMetrics(0, e2, e_inf, 0.0, 0.0, 0)] for e2, e_inf in zip(*_errors(q_bar, q_star))]
+    entries = np.zeros((n_rounds, n_runs), dtype=np.int64)
+    rmses, linfs = np.empty((n_rounds + 1, n_runs)), np.empty((n_rounds + 1, n_runs))
+    rmses[0], linfs[0] = _errors(q_bar, q_star)
 
-    for t, words in enumerate(_round_words(seeds, n_agents, config.rounds, n_streams)):
+    for t, words in enumerate(_round_words(seeds, n_agents, n_rounds, n_streams)):
         q_local = _local_phases(q_bar, mdp, config.eta, words[:n_epochs], stream_rows)
         pending = (q_local.reshape(n_runs, n_agents, d) - q_bar.reshape(n_runs, 1, d)).reshape(-1, d)
-        bits, entries = [0.0] * n_runs, [0] * n_runs
+        if sparsified:
+            uniforms = np.array([rng.random(d) for rng in generators(words[n_epochs])])
         for spec, mode, runs, rows in arms:
             arm_pending = pending[rows]
             if mode == ERROR_FEEDBACK:
                 arm_pending += residual[rows]
-            rngs = generators(words[n_epochs][stream_rows[rows]]) if spec.kind == SPARSIFIED_K else None
-            payload = compress_batch(arm_pending, spec, rngs)
+            payload = compress_batch(arm_pending, spec,
+                                     uniforms[stream_rows[rows]] if spec.kind == SPARSIFIED_K else None)
             if mode == ERROR_FEEDBACK:
                 np.subtract(arm_pending, payload.sent, out=residual[rows])
             if payload.alpha is not None:
@@ -337,31 +353,33 @@ def _run_group(configs: list[ExperimentConfig], mdp: TabularMDP, q_star: np.ndar
                 support = np.where(payload.p > 0, payload.p, np.nan)
                 p_support_min[runs] = _running_min(p_support_min[runs], support)
             arm_pending[...] = payload.sent  # pending's rows become the uploads
-            # an arm has one kind, so an upload's price depends on its size only; a run's bits are
-            # its agents' prices summed as Python ints, exact at any fpp, then divided by I once
-            sizes = payload.kept.sum(axis=1).reshape(-1, n_agents).tolist()
-            prices = {n: payload_bits(spec.kind, d, n, config.fpp) for n in set(itertools.chain(*sizes))}
-            bits[runs] = [float(sum(map(prices.get, run))) / n_agents for run in sizes]
-            entries[runs] = [sum(run) for run in sizes]
+            entries[t, runs] = payload.kept.reshape(-1, n_agents * d).sum(axis=1)
 
         q_bar = _server_step(q_bar, pending, config.beta)
-        rmses, linfs = _errors(q_bar, q_star)
-        for trace, e2, e_inf, bits_round, run_entries in zip(traces, rmses, linfs, bits, entries):
-            trace.append(
-                RoundMetrics(
-                    round=t + 1,
-                    rmse=e2,
-                    linf_error=e_inf,
-                    bits_round=bits_round,
-                    bits_cumulative=trace[-1].bits_cumulative + bits_round,
-                    payload_entries=run_entries,
-                )
-            )
+        rmses[t + 1], linfs[t + 1] = _errors(q_bar, q_star)
 
     return [
-        RunResult(metrics=trace, q_final=q, alpha_min=_or_none(alpha), p_support_min=_or_none(p))
-        for trace, q, alpha, p in zip(traces, q_bar, alpha_min, p_support_min)
+        RunResult(metrics=_trace(c, d, run_entries, e2, e_inf), q_final=q,
+                  alpha_min=_or_none(alpha), p_support_min=_or_none(p))
+        for c, run_entries, e2, e_inf, q, alpha, p in zip(
+            configs, entries.T.tolist(), rmses.T.tolist(), linfs.T.tolist(), q_bar, alpha_min, p_support_min)
     ]
+
+
+def _trace(config: ExperimentConfig, d: int, entries: list[int], rmses: list[float],
+           linfs: list[float]) -> list[RoundMetrics]:
+    """A run's trace rows from its kept entries per round and its errors per trace row.
+
+    Each round's uploads are priced as one total: the exact integer
+    :func:`~fedq.bounds.payload_bits` of the round's I uploads, turned to
+    float and divided by I, which gives the same bits as summing the
+    agents' exact prices.
+    """
+    n_agents = config.n_agents
+    bits = [0.0] + [float(payload_bits(config.compressor.kind, d, n, config.fpp, n_agents)) / n_agents
+                    for n in entries]
+    return list(map(RoundMetrics, range(len(rmses)), rmses, linfs, bits, itertools.accumulate(bits),
+                    [0] + entries))
 
 
 def _or_none(value: np.floating) -> float | None:

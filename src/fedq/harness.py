@@ -217,8 +217,9 @@ def compute_qstar(map_ref: str, gamma: float, tol: float, out_dir: str | Path) -
 
 def _write_csv(path: Path, header: str, rows) -> None:
     """Write ``header``, then one line per row with each value as its ``repr``."""
+    line = ",".join(["%r"] * (header.count(",") + 1))  # one format for every row
     lines = [header]
-    lines.extend(",".join(map(repr, row)) for row in rows)
+    lines.extend(line % tuple(row) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -137,9 +137,31 @@ class TestEmpiricalBellman:
             single = fedq.empirical_bellman(q[i], next_states[i], rewards[i], 0.8)
             assert batch[i].tobytes() == single.tobytes()
 
+    def test_rows_share_sample_tables(self, map5x5_noisy):
+        # four tables over two sample tables: table i gets exactly sample table rows[i]'s update
+        rng = np.random.default_rng(5)
+        q = rng.uniform(-2, 2, (4, 25, 4))
+        samples = [fedq.synchronous_sample(map5x5_noisy, fedq.RngStream(5, (j,)).generator()) for j in range(2)]
+        next_states = np.stack([ns for ns, _ in samples])
+        rewards = np.stack([r for _, r in samples])
+        rows = np.array([1, 0, 0, 1])
+        batch = fedq.empirical_bellman(q, next_states, rewards, 0.8, rows)
+        for i, j in enumerate(rows):
+            single = fedq.empirical_bellman(q[i], next_states[j], rewards[j], 0.8)
+            assert batch[i].tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("rows", [[0], [0, 1, 0], [[0, 1]], [0, 2]])
+    def test_rows_must_name_one_sample_table_per_table(self, rows):
+        samples = np.zeros((2, 3, 2), dtype=int), np.zeros((2, 3, 2))
+        with pytest.raises(ShapeMismatchError):
+            fedq.empirical_bellman(np.zeros((2, 3, 2)), *samples, 0.8, np.array(rows))
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             fedq.empirical_bellman(np.zeros((2, 2)), np.zeros((2, 3), dtype=int), np.zeros((2, 2)), 0.8)
+        with pytest.raises(ShapeMismatchError):  # sample tables of another size than q's
+            fedq.empirical_bellman(np.zeros((2, 3, 2)), np.zeros((2, 2, 2), dtype=int), np.zeros((2, 2, 2)), 0.8,
+                                   np.arange(2))
 
 
 class TestValueIteration:

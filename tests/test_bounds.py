@@ -183,6 +183,23 @@ class TestPayloadBits:
         with pytest.raises(ParamOutOfRangeError):
             fedq.payload_bits("top_k", 4, 5)
 
+    def test_several_uploads_price_as_their_sum(self):
+        # exact integers past 2**63: a total over uploads is the sum of the single-upload prices
+        fpp = 2**56 + 1
+        for kind in ("identity", "top_k", "sparsified_k"):
+            sizes = [0, 7, 100, 3]
+            total = fedq.payload_bits(kind, 100, sum(sizes), fpp, uploads=len(sizes))
+            assert total == sum(fedq.payload_bits(kind, 100, n, fpp) for n in sizes)
+        assert fedq.payload_bits("identity", 100, 0, fpp, uploads=3) == 3 * 100 * fpp
+        total = fedq.payload_bits("top_k", 100, 250, fpp, uploads=3)
+        assert total == 250 * 7 + 250 * fpp > 2**63
+        assert total != int(250 * float(7 + fpp))  # float64 arithmetic would round it
+
+    @pytest.mark.parametrize("uploads, entries", [(0, 0), (1.5, 2), (True, 2), (2, 201), (-1, 0)])
+    def test_uploads_validated_and_bound_entries(self, uploads, entries):
+        with pytest.raises(ParamOutOfRangeError):
+            fedq.payload_bits("top_k", 100, entries, uploads=uploads)
+
     def test_index_bits(self):
         # one entry at one bit per value: the rest is the ceil(log2 d) index
         for d, bits in ((1, 0), (2, 1), (484, 9), (512, 9), (513, 10)):

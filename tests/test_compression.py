@@ -296,6 +296,23 @@ class TestSparsifiedK:
             deviation = np.max(np.abs(out - v))
             assert deviation <= q_inf * np.max(np.abs(v)) * (1 + 1e-12)
 
+    def test_batch_rows_read_their_uniforms(self):
+        # compress_batch draws nothing: row i keeps where uniforms[i] falls below p, as sparsified_k
+        # does with a generator whose next d uniforms are uniforms[i]; sparsified_k draws exactly d
+        batch = np.random.default_rng(8).normal(size=(3, 6))
+        uniforms = np.stack([fedq.RngStream(8, (i,)).generator().random(6) for i in range(3)])
+        payload = compress_batch(batch, fedq.CompressorSpec("sparsified_k", 2), uniforms)
+        for i in range(3):
+            gen = fedq.RngStream(8, (i,)).generator()
+            alone = fedq.sparsified_k(batch[i], 2, gen)
+            assert payload.sent[i].tobytes() == alone.densify().tobytes()
+            assert gen.random() == fedq.RngStream(8, (i,)).generator().random(7)[6]
+
+    @pytest.mark.parametrize("uniforms", [None, np.zeros(6), np.zeros((3, 6))])
+    def test_batch_needs_one_uniform_per_entry(self, uniforms):
+        with pytest.raises(ShapeMismatchError):
+            compress_batch(np.ones((2, 6)), fedq.CompressorSpec("sparsified_k", 2), uniforms)
+
     def test_budget_range(self):
         with pytest.raises(BudgetOutOfRangeError):
             fedq.sparsified_k(np.ones(3), 0, fedq.RngStream(0).generator())

@@ -459,8 +459,8 @@ def test_batched_errors_equal_one_table_metrics(n_states, n_actions):
     q_bar = q_star + rng.normal(size=(5, n_states, n_actions)) * scales
     q_bar[0] = q_star  # an exact match
     rmses, linfs = _errors(q_bar, q_star)
-    assert rmses == [fedq.rmse(q, q_star) for q in q_bar]
-    assert linfs == [fedq.linf_error(q, q_star) for q in q_bar]
+    assert rmses.tolist() == [fedq.rmse(q, q_star) for q in q_bar]
+    assert linfs.tolist() == [fedq.linf_error(q, q_star) for q in q_bar]
 
 
 def assert_same_run(batched, lone):
@@ -595,8 +595,8 @@ class TestRunFederatedBatch:
             assert_same_run(batched, fedq.run_federated(cfg, map5x5_noisy, map5x5_qstar))
 
     def test_streams_built_once_per_distinct_seed(self, map5x5_noisy, map5x5_qstar, monkeypatch):
-        # seeds [3, 0, 3, 2**40 + 1] hold 3 distinct seeds: each epoch builds 3 x I generators;
-        # the compressor draws build one generator per agent of each sparsified_k run
+        # seeds [3, 0, 3, 2**40 + 1] hold 3 distinct seeds: each epoch builds 3 x I generators, and
+        # so does each round's compressor draw, which the sparsified_k runs of a seed share
         calls = []
         build = fedq.engine.generators
 
@@ -610,7 +610,7 @@ class TestRunFederatedBatch:
         configs = [make_config(n_agents=n_agents, local_epochs=epochs, rounds=rounds, compressor=spec,
                                master_seed=seed) for spec in specs for seed in MIXED_SEEDS]
         results = fedq.run_federated_batch(configs, map5x5_noisy, map5x5_qstar)
-        assert calls == ([3 * n_agents] * epochs + [len(MIXED_SEEDS) * n_agents]) * rounds
+        assert calls == ([3 * n_agents] * epochs + [3 * n_agents]) * rounds
         monkeypatch.setattr(fedq.engine, "generators", build)
         for cfg, batched in zip(configs, results):
             assert_same_run(batched, fedq.run_federated(cfg, map5x5_noisy, map5x5_qstar))
@@ -633,6 +633,14 @@ class TestRunFederatedBatch:
                 cumulative += float(total) / n_agents
                 assert m.bits_round == float(total) / n_agents > 0
                 assert m.bits_cumulative == cumulative
+
+    def test_trace_fields_are_python_numbers(self, map5x5_noisy, map5x5_qstar):
+        # the trace CSV writes each field's repr: a numpy scalar would print as np.float64(...)
+        configs = [make_config(rounds=3, compressor=spec, master_seed=seed)
+                   for spec in COMPRESSORS.values() for seed in (0, 1)]
+        for result in fedq.run_federated_batch(configs, map5x5_noisy, map5x5_qstar):
+            for m in result.metrics:
+                assert [type(v) for v in vars(m).values()] == [int, float, float, float, float, int]
 
     def test_empty_batch_rejected(self, map5x5_noisy, map5x5_qstar):
         with pytest.raises(ParamOutOfRangeError):
