@@ -153,6 +153,8 @@ def compress_batch(
     and is never kept.
     """
     pending = np.asarray(pending, dtype=np.float64)
+    if pending.ndim != 2:
+        raise ShapeMismatchError(f"compress_batch needs an (I, d) table, got shape {pending.shape}")
     if spec.kind == IDENTITY:
         return BatchPayload(np.ones(pending.shape, dtype=bool), pending)
     n_rows, d = pending.shape

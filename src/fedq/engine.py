@@ -16,23 +16,25 @@ error-feedback residuals are (I, d) arrays compressed in one call into an
 error-feedback residual is the pending table minus it, and the server adds
 its rows onto the global table.
 
-Runs are a batch axis too.  :func:`run_federated_batch` runs R configs
-that differ at most in their master seed, compressor and mode (the
-fields named in ``BATCH_FREE``) as one computation of R·I rows, run r's
-agents in rows r·I to r·I + I - 1.  Streams are shared by seed: a
-stream is a pure function of (master seed, path), so each epoch draws
-the sample tables of the U distinct seeds once, into U·I stream rows,
-and an index array names the stream row each of the R·I rows reads (the
-identity when every seed is distinct).  Each round then makes one
-Bellman update per epoch over all rows, one compression per contiguous
-block of runs with the same compressor and mode, which writes its
-uploads into its rows of the pending table, and one server step over the
-pending table that keeps R tables.  The round records only each run's
+Runs are a batch axis too.  :func:`run_federated_batch` takes any list
+of configs and alone decides which of them share a batch: each stretch
+of consecutive configs that agree on the values a batch reads once
+(agents, local epochs, rounds, eta, beta and q0) runs as one computation
+of R·I rows, run r's agents in rows r·I to r·I + I - 1, whatever their
+master seeds, compressors, modes and bits per value.  Streams are shared
+by seed: a stream is a pure function of (master seed, path), so each
+epoch draws the sample tables of the U distinct seeds once, into U·I
+stream rows, and an index array names the stream row each of the R·I
+rows reads (the identity when every seed is distinct).  Each round then
+makes one Bellman update per epoch over all rows, one compression per
+contiguous block of runs with the same compressor and mode, which writes
+its uploads into its rows of the pending table, and one server step over
+the pending table that keeps R tables.  The round records only each run's
 kept entries, errors and realized compressor constants; the bits and
 trace rows are built per run once the rounds are done, each round's
 uploads priced as one exact :func:`~fedq.bounds.payload_bits` total.
-:func:`run_federated` is the batch of one.  A batch runs in groups of at
-most ``BATCH_CELLS`` table entries per (R·I, d) array, so its memory
+:func:`run_federated` is the batch of one.  A stretch runs in batches of
+at most ``BATCH_CELLS`` table entries per (R·I, d) array, so its memory
 does not grow with R.
 
 Everything is deterministic given the master seed: sampling streams are
@@ -54,7 +56,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
+import operator
+import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,7 +81,8 @@ DEFAULT_MODE = {IDENTITY: DIRECT, SPARSIFIED_K: DIRECT, TOP_K: ERROR_FEEDBACK}
 
 SEED_BLOCK = 2**16  # most stream paths derived in one seed_words call
 BATCH_CELLS = 2**20  # most entries (R·I rows times d) of one batch's (R·I, d) arrays
-BATCH_FREE = ("master_seed", "compressor", "mode")  # the only fields a batch's configs may differ in
+# the config values a batch reads once for all its runs; consecutive configs that agree on them share a batch
+_SHARED = operator.attrgetter("n_agents", "local_epochs", "rounds", "eta", "beta", "q0")
 
 
 @dataclass(frozen=True)
@@ -144,12 +149,13 @@ class RoundMetrics:
 
 @dataclass
 class RunResult:
-    """A run's trace rows, its final global table and its realized compressor constants."""
+    """A run's trace rows, its final global table, its realized compressor constants and its wall time."""
 
     metrics: list[RoundMetrics]
     q_final: np.ndarray
     alpha_min: float | None = None  # smallest realized top_k contraction factor
     p_support_min: float | None = None  # smallest realized selection probability
+    seconds: float = 0.0  # wall time of the batch that computed the run, divided by its number of runs
 
 
 def _epoch(q: np.ndarray, mdp: TabularMDP, eta: float, rngs, rows: np.ndarray) -> np.ndarray:
@@ -267,42 +273,45 @@ def run_federated_batch(
     mdp: TabularMDP,
     q_star: np.ndarray,
 ) -> list[RunResult]:
-    """Run R configs that differ at most in ``BATCH_FREE``; one result per config, in order.
+    """Run every config; one result per config, in input order.
 
-    The configs may differ in master seed, compressor and mode; a
-    difference in any other field raises ``ParamOutOfRangeError`` naming
-    the fields.  The runs are computed together: each epoch draws the
-    sample tables of each distinct seed once and every run with that seed
-    updates from them, one Bellman update covers all R·I agents, each
+    Every config is checked against the MDP before anything is computed.
+    Each stretch of consecutive configs that agree on agents, local
+    epochs, rounds, eta, beta and q0 is computed together, whatever their
+    master seeds, compressors, modes and bits per value: each epoch draws
+    the sample tables of each distinct seed once and every run with that
+    seed updates from them, one Bellman update covers all R·I agents, each
     contiguous block of configs with one compressor and mode is compressed
-    in one call, and the server keeps R tables.  Result r is the same bits
-    as :func:`run_federated` on ``configs[r]`` alone.  The configs run in
-    groups of at most ``BATCH_CELLS // (I·d)``, so the batch's memory does
-    not grow with R.
+    in one call, and the server keeps R tables.  A stretch runs in batches
+    of at most ``BATCH_CELLS // (I·d)`` configs, so its memory does not
+    grow with R, and each result's ``seconds`` is its batch's wall time
+    divided by the batch's number of runs.  Result r is the same bits as
+    :func:`run_federated` on ``configs[r]`` alone.
     """
     configs = list(configs)
     if not configs:
         raise ParamOutOfRangeError("run_federated_batch needs at least one config")
-    config = configs[0]
-    for other in configs[1:]:
-        differ = [f.name for f in fields(config)
-                  if f.name not in BATCH_FREE and getattr(other, f.name) != getattr(config, f.name)]
-        if differ:
-            raise ParamOutOfRangeError(
-                f"batched configs may differ only in {', '.join(BATCH_FREE)}, not in {differ}"
-            )
+    for config in configs:
+        config.check_against(mdp)
     if q_star.shape != (mdp.n_states, mdp.n_actions):
         raise ShapeMismatchError("q_star shape does not match the MDP")
-    for other in configs:
-        other.check_against(mdp)
 
-    group = max(1, BATCH_CELLS // (config.n_agents * mdp.table_size))
-    return [result for start in range(0, len(configs), group)
-            for result in _run_group(configs[start:start + group], mdp, q_star)]
+    results = []
+    for _, stretch in itertools.groupby(configs, key=_SHARED):
+        stretch = list(stretch)
+        size = max(1, BATCH_CELLS // (stretch[0].n_agents * mdp.table_size))
+        for start in range(0, len(stretch), size):
+            started = time.perf_counter()
+            batch = _run_group(stretch[start:start + size], mdp, q_star)
+            seconds = (time.perf_counter() - started) / len(batch)
+            for result in batch:
+                result.seconds = seconds
+            results.extend(batch)
+    return results
 
 
 def _run_group(configs: list[ExperimentConfig], mdp: TabularMDP, q_star: np.ndarray) -> list[RunResult]:
-    """The federated loop of one run per config; the configs share every field but ``BATCH_FREE``.
+    """The federated loop of one run per config; the configs agree on every value of ``_SHARED``.
 
     The round loop does only what the next round needs: local phases,
     compression, residual, server step and errors.  It records each run's

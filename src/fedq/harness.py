@@ -7,10 +7,10 @@ seed:
 
 * ``<slug>.csv``          trace with header
   ``round,rmse,linf_error,bits_round,bits_cumulative,payload_entries``
-* ``<slug>_summary.json`` final metrics plus wall time (grid points that
-  differ only in compressor, k or mode run with all their seeds as one
-  batch, and each run records the batch's wall time divided by its number
-  of runs)
+* ``<slug>_summary.json`` final metrics plus wall time (the whole manifest
+  is one :func:`~fedq.engine.run_federated_batch` call, which decides
+  which runs share a batch, and each run records its batch's wall time
+  divided by the batch's number of runs)
 * ``<slug>_overlay.csv``  ``round,empirical_linf,theory_bound``
 
 plus one ``<base>_agg.csv`` per grid point with the across-seed band.
@@ -24,7 +24,6 @@ import itertools
 import json
 import math
 import os
-import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -34,15 +33,7 @@ import numpy as np
 from .bellman import greedy_policy, value_iteration
 from .bounds import BoundParams, direct_bound, error_feedback_bound
 from .compression import IDENTITY, RULE_L1, SPARSIFIED_K, TOP_K, CompressorSpec, unbiased_constants
-from .engine import (
-    BATCH_FREE,
-    DEFAULT_MODE,
-    DIRECT,
-    ExperimentConfig,
-    RoundMetrics,
-    RunResult,
-    run_federated_batch,
-)
+from .engine import DEFAULT_MODE, DIRECT, ExperimentConfig, RoundMetrics, RunResult, run_federated_batch
 from .errors import FileFormatError, ParamOutOfRangeError, check_count, check_interval, read_text
 from .grids import build_gridworld, load_map
 from .mdp import NoiseSpec, TabularMDP
@@ -333,7 +324,6 @@ def _write_run(
     point: RunManifest,
     config: ExperimentConfig,
     result: RunResult,
-    elapsed: float,
     mdp: TabularMDP,
     out_dir: Path,
 ) -> Path:
@@ -358,7 +348,7 @@ def _write_run(
             "final_linf_error": last.linf_error,
             "total_bits_per_agent": last.bits_cumulative,
             "payload_entries_total": sum(m.payload_entries for m in result.metrics),
-            "runtime_seconds": elapsed,
+            "runtime_seconds": result.seconds,
         }
         summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     except BaseException:
@@ -371,44 +361,34 @@ def _write_run(
 def run_experiment(manifest: RunManifest) -> list[Path]:
     """Run every grid point's seeds and return the written trace paths, then the agg paths.
 
-    Consecutive grid points whose configs differ only in the fields of
-    ``fedq.engine.BATCH_FREE`` (compressor, k and mode; seeds always do)
-    form one group, and each group's ``n_seeds`` runs per point are
-    computed as one batch by :func:`~fedq.engine.run_federated_batch`;
-    each summary's ``runtime_seconds`` is the group's wall time divided by
-    its number of runs.  Each run writes its own files, whose content (all
-    but that wall time) is a pure function of the manifest, so a rerun
-    rewrites the same bytes.  Every point's parameters are checked, the
-    map is loaded and its oracle solved, before anything is written.
+    The configs of every point and seed are built, the map is loaded and
+    its oracle solved, and the whole manifest runs as one
+    :func:`~fedq.engine.run_federated_batch` call, which checks every
+    config before it computes anything and decides which runs share a
+    batch; only then is the output directory created, so bad input writes
+    nothing.  Every result is held until that call returns, at most
+    ``max_runs`` of them.  Each run writes its own files, whose content
+    (all but ``runtime_seconds``, its batch's wall time divided by the
+    batch's number of runs) is a pure function of the manifest, so a rerun
+    rewrites the same bytes.
     """
     points = expand_grid(manifest)
-    batches = [
-        [_config_for(point, manifest.master_seed + rep) for rep in range(manifest.n_seeds)]
-        for point in points
-    ]
+    n_seeds = manifest.n_seeds
+    configs = [_config_for(point, manifest.master_seed + rep) for point in points for rep in range(n_seeds)]
     mdp = load_environment(manifest)
-    for configs in batches:
-        configs[0].check_against(mdp)  # the seeds of a point share every other setting
     q_star = value_iteration(mdp, tol=manifest.qstar_tol)
+    results = run_federated_batch(configs, mdp, q_star)
     out_dir = output_root(manifest.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    shared = [f.name for f in fields(ExperimentConfig) if f.name not in BATCH_FREE]
-    n_seeds = manifest.n_seeds
     traces, aggs = [], []
-    for _, group in itertools.groupby(zip(points, batches),
-                                      key=lambda item: [getattr(item[1][0], name) for name in shared]):
-        group = list(group)
-        started = time.perf_counter()
-        results = run_federated_batch([c for _, configs in group for c in configs], mdp, q_star)
-        elapsed = (time.perf_counter() - started) / len(results)
-        for j, (point, configs) in enumerate(group):
-            point_results = results[j * n_seeds:(j + 1) * n_seeds]
-            traces.extend(_write_run(point, config, result, elapsed, mdp, out_dir)
-                          for config, result in zip(configs, point_results))
-            if n_seeds > 1:
-                base = grid_slug(point, manifest.master_seed).rsplit("_seed", 1)[0]
-                agg_path = out_dir / f"{base}_agg.csv"
-                write_agg_csv(agg_path, [result.metrics for result in point_results])
-                aggs.append(agg_path)
+    for j, point in enumerate(points):
+        runs = slice(j * n_seeds, (j + 1) * n_seeds)
+        traces.extend(_write_run(point, config, result, mdp, out_dir)
+                      for config, result in zip(configs[runs], results[runs]))
+        if n_seeds > 1:
+            base = grid_slug(point, manifest.master_seed).rsplit("_seed", 1)[0]
+            agg_path = out_dir / f"{base}_agg.csv"
+            write_agg_csv(agg_path, [result.metrics for result in results[runs]])
+            aggs.append(agg_path)
     return traces + aggs

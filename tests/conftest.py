@@ -48,6 +48,20 @@ def server_tables(monkeypatch):
     return tables
 
 
+@pytest.fixture
+def run_groups(monkeypatch):
+    """The master seeds of each batch the engine computes, one list per ``_run_group`` call, in order."""
+    groups = []
+    run_group = fedq.engine._run_group
+
+    def recording_group(configs, *args):
+        groups.append([c.master_seed for c in configs])
+        return run_group(configs, *args)
+
+    monkeypatch.setattr(fedq.engine, "_run_group", recording_group)
+    return groups
+
+
 def sparse_from_dense(v) -> fedq.SparseVector:
     """Sparse view of a dense vector, dropping exact zeros."""
     v = np.asarray(v, dtype=np.float64)

@@ -7,6 +7,7 @@ import re
 from pathlib import Path
 
 import fedq
+import fedq.cli
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -25,6 +26,27 @@ def test_readme_quick_start_runs():
     exec(compile(block, "README.md quick start", "exec"), namespace)
     metrics = namespace["result"].metrics
     assert len(metrics) == namespace["config"].rounds + 1
+
+
+def _resolves(name: str) -> bool:
+    """Whether a dotted name, ``fedq.``-prefixed or starting at a fedq module, names an attribute."""
+    obj = fedq
+    for part in name.removeprefix("fedq.").split("."):
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_readme_names_resolve():
+    # every backticked dotted name under fedq, like `fedq.rng.seed_words` or `engine.BATCH_CELLS`, exists
+    prose = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.DOTALL)
+    roots = {"fedq"} | {path.stem for path in (ROOT / "src" / "fedq").glob("*.py")}
+    names = {name for span in re.findall(r"`([^`]+)`", prose)
+             for name in re.findall(r"(?<![\w.])[A-Za-z_]\w*(?:\.\w+)+", span)
+             if name.split(".")[0] in roots}
+    assert len(names) > 10  # the pattern still finds the README's names
+    assert sorted(name for name in names if not _resolves(name)) == []
 
 
 def _readme_default(field: dataclasses.Field) -> str:

@@ -422,3 +422,12 @@ class TestSpecValidation:
     def test_missing_budget(self):
         with pytest.raises(BudgetOutOfRangeError):
             fedq.CompressorSpec("top_k", k=0)
+
+
+@pytest.mark.parametrize("kind", ["identity", "top_k", "sparsified_k"])
+@pytest.mark.parametrize("shape", [(5,), (2, 3, 5)])
+def test_batch_input_must_be_a_table(kind, shape):
+    # uniforms of the same shape, so the only fault is that pending is not (I, d)
+    spec = fedq.CompressorSpec(kind, k=0 if kind == "identity" else 2)
+    with pytest.raises(ShapeMismatchError, match="table"):
+        compress_batch(np.ones(shape), spec, np.zeros(shape))

@@ -7,7 +7,6 @@ import pytest
 import fedq
 from fedq.compression import RULE_UNIFORM, EfState
 from fedq.engine import (
-    BATCH_FREE,
     DIRECT,
     ERROR_FEEDBACK,
     MODES,
@@ -521,21 +520,13 @@ class TestRunFederatedBatch:
             assert batched.alpha_min is None
             assert_same_run(batched, fedq.run_federated(cfg, mdp, np.zeros((1, 1))))
 
-    def test_groups_bound_the_batch(self, map5x5_noisy, map5x5_qstar, monkeypatch):
+    def test_groups_bound_the_batch(self, map5x5_noisy, map5x5_qstar, monkeypatch, run_groups):
         # room for two runs of 2 agents x 100 entries per group: 5 seeds run as 2 + 2 + 1
-        groups = []
-        run_group = fedq.engine._run_group
-
-        def spy(configs, *args):
-            groups.append(len(configs))
-            return run_group(configs, *args)
-
         monkeypatch.setattr(fedq.engine, "BATCH_CELLS", 2 * 2 * 100 + 1)
-        monkeypatch.setattr(fedq.engine, "_run_group", spy)
         configs = [make_config(rounds=5, compressor=fedq.CompressorSpec("top_k", k=5), master_seed=seed)
                    for seed in BATCH_SEEDS]
         results = fedq.run_federated_batch(configs, map5x5_noisy, map5x5_qstar)
-        assert groups == [2, 2, 1]
+        assert [len(group) for group in run_groups] == [2, 2, 1]
         for cfg, batched in zip(configs, results):
             assert_same_run(batched, fedq.run_federated(cfg, map5x5_noisy, map5x5_qstar))
 
@@ -561,19 +552,22 @@ class TestRunFederatedBatch:
 
     @pytest.mark.parametrize("change", [
         dict(n_agents=3), dict(local_epochs=2), dict(rounds=4), dict(eta=0.3), dict(beta=0.5),
-        dict(q0=1.0), dict(fpp=16),
+        dict(q0=1.0),
     ])
-    def test_configs_must_differ_only_in_free_fields(self, change, map5x5_noisy, map5x5_qstar):
-        configs = [make_config(master_seed=0), make_config(master_seed=1, **change)]
-        with pytest.raises(ParamOutOfRangeError, match=next(iter(change))):
-            fedq.run_federated_batch(configs, map5x5_noisy, map5x5_qstar)
-
-    @pytest.mark.parametrize("change", [dict(compressor=fedq.CompressorSpec("top_k", k=5)),
-                                        dict(mode=ERROR_FEEDBACK)])
-    def test_compressor_and_mode_may_differ(self, change, map5x5_noisy, map5x5_qstar):
-        assert set(change) < set(BATCH_FREE)
+    def test_shared_field_change_starts_a_new_batch(self, change, map5x5_noisy, map5x5_qstar, run_groups):
         configs = [make_config(master_seed=0), make_config(master_seed=1, **change)]
         results = fedq.run_federated_batch(configs, map5x5_noisy, map5x5_qstar)
+        assert run_groups == [[0], [1]]
+        for cfg, batched in zip(configs, results):
+            assert_same_run(batched, fedq.run_federated(cfg, map5x5_noisy, map5x5_qstar))
+
+    @pytest.mark.parametrize("change", [dict(compressor=fedq.CompressorSpec("top_k", k=5)),
+                                        dict(mode=ERROR_FEEDBACK), dict(fpp=16)])
+    def test_compressor_and_mode_may_differ(self, change, map5x5_noisy, map5x5_qstar, run_groups):
+        configs = [make_config(master_seed=0), make_config(master_seed=1, **change)]
+        results = fedq.run_federated_batch(configs, map5x5_noisy, map5x5_qstar)
+        assert run_groups == [[0, 1]]
+        assert results[0].seconds == results[1].seconds > 0  # the batch's wall time, split evenly
         for cfg, batched in zip(configs, results):
             assert_same_run(batched, fedq.run_federated(cfg, map5x5_noisy, map5x5_qstar))
 

@@ -138,31 +138,31 @@ class TestRunExperiment:
         ({"k": [5, 10]}, [[4, 5, 6, 4, 5, 6]]),
         # eta is shared by every run of a batch: one batch per eta
         ({"eta": [0.2, 0.3]}, [[4, 5, 6], [4, 5, 6]]),
+        # so is the number of agents
+        ({"agents": [1, 2]}, [[4, 5, 6], [4, 5, 6]]),
     ])
-    def test_seeds_of_a_point_run_as_one_batch(self, tmp_path, monkeypatch, sweep, expected):
-        batches = []
-        run_batch = fedq.harness.run_federated_batch
-
-        def spy(configs, *args):
-            batches.append([c.master_seed for c in configs])
-            return run_batch(configs, *args)
-
-        monkeypatch.setattr(fedq.harness, "run_federated_batch", spy)
+    def test_seeds_of_a_point_run_as_one_batch(self, tmp_path, run_groups, sweep, expected):
         manifest = small_manifest(tmp_path, n_seeds=3, master_seed=4, sweep=sweep)
         written = run_experiment(manifest)
-        assert batches == expected
+        assert run_groups == expected
         # each seed's trace is the bytes of its lone run
         mdp = fedq.harness.load_environment(manifest)
         q_star = fedq.value_iteration(mdp, tol=manifest.qstar_tol)
+        runtimes = []
         for point in expand_grid(manifest):
             for seed in (4, 5, 6):
                 lone = fedq.run_federated(fedq.harness._config_for(point, seed), mdp, q_star)
-                expected = tmp_path / "lone.csv"
-                fedq.harness.write_trace_csv(expected, lone.metrics)
+                lone_path = tmp_path / "lone.csv"
+                fedq.harness.write_trace_csv(lone_path, lone.metrics)
                 trace = next(p for p in written if p.name == f"{fedq.harness.grid_slug(point, seed)}.csv")
-                assert trace.read_bytes() == expected.read_bytes()
+                assert trace.read_bytes() == lone_path.read_bytes()
                 summary = json.loads(trace.with_name(trace.stem + "_summary.json").read_text())
-                assert summary["runtime_seconds"] > 0
+                runtimes.append(summary["runtime_seconds"])
+        # the runs of one batch record one wall time, the batch's divided by its number of runs
+        runtimes = iter(runtimes)
+        for batch in expected:
+            times = {next(runtimes) for _ in batch}
+            assert len(times) == 1 and times.pop() > 0
 
     def test_agg_band_contains_mean(self, tmp_path):
         manifest = small_manifest(tmp_path, n_seeds=3)
