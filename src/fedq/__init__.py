@@ -18,7 +18,8 @@ from .bellman import (
     rmse,
     value_iteration,
 )
-from .bounds import BoundParams, payload_bits, decay_factor, direct_bound, error_feedback_bound
+from .bounds import (BoundParams, decay_factor, direct_bound, direct_bound_curve, error_feedback_bound,
+                     error_feedback_bound_curve, payload_bits)
 from .compression import (
     CompressorSpec,
     EfState,
@@ -85,7 +86,9 @@ __all__ = [
     "sparsified_k",
     "synchronous_sample",
     "direct_bound",
+    "direct_bound_curve",
     "error_feedback_bound",
+    "error_feedback_bound_curve",
     "top_k",
     "unbiased_constants",
     "value_iteration",

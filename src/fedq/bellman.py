@@ -114,20 +114,22 @@ def greedy_policy(q: np.ndarray) -> np.ndarray:
     return np.asarray(q).argmax(axis=1)
 
 
-def rmse(q: np.ndarray, q_ref: np.ndarray) -> float:
-    """Root mean square error between two Q-tables, averaged over all entries."""
+def errors_batch(q: np.ndarray, q_ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The :func:`rmse` and :func:`linf_error` of each table of ``q``, shape (N,) + ``q_ref.shape``,
+    against ``q_ref``: one numpy call per metric over the (N, d) differences."""
     q = np.asarray(q, dtype=np.float64)
     q_ref = np.asarray(q_ref, dtype=np.float64)
-    if q.shape != q_ref.shape:
-        raise ShapeMismatchError(f"shapes differ: {q.shape} vs {q_ref.shape}")
-    return float(np.sqrt(np.mean((q - q_ref) ** 2)))
+    if q.shape[1:] != q_ref.shape:
+        raise ShapeMismatchError(f"shapes differ: {q.shape[1:]} vs {q_ref.shape}")
+    diff = q.reshape(len(q), -1) - q_ref.reshape(1, -1)
+    return np.sqrt(np.mean(diff**2, axis=1)), np.max(np.abs(diff), axis=1)
+
+
+def rmse(q: np.ndarray, q_ref: np.ndarray) -> float:
+    """Root mean square error between two Q-tables, averaged over all entries: a batch of one."""
+    return float(errors_batch(np.asarray(q)[None], q_ref)[0][0])
 
 
 def linf_error(q: np.ndarray, q_ref: np.ndarray) -> float:
-    """Sup-norm distance between two Q-tables."""
-    q = np.asarray(q, dtype=np.float64)
-    q_ref = np.asarray(q_ref, dtype=np.float64)
-    if q.shape != q_ref.shape:
-        raise ShapeMismatchError(f"shapes differ: {q.shape} vs {q_ref.shape}")
-    return float(np.max(np.abs(q - q_ref)))
-
+    """Sup-norm distance between two Q-tables: a batch of one."""
+    return float(errors_batch(np.asarray(q)[None], q_ref)[1][0])

@@ -7,7 +7,9 @@ so each factor can be audited line by line.  Both bound the sup-norm
 distance of the aggregated table from the fixed point after T
 communication rounds, with probability at least 1 - delta: one covers
 direct uploads through an unbiased sparsifier, the other error-feedback
-uploads through a sup-norm-contractive one.
+uploads through a sup-norm-contractive one.  Each formula is written once
+and also evaluated as a curve, the bound after every round 1..T, which
+computes its T-free terms once.
 """
 from __future__ import annotations
 
@@ -50,33 +52,12 @@ class BoundParams:
         for name in ("q2", "q_inf", "q0_gap"):
             check_interval(name, getattr(self, name), closed="[)")
 
-    def with_rounds(self, rounds: int) -> "BoundParams":
-        """These parameters after ``rounds`` rounds instead of ``self.rounds``.
-
-        Only ``rounds`` is checked: every other field was checked when
-        ``self`` was built, so a bound curve over many rounds validates its
-        parameters once instead of once per round.
-        """
-        params = object.__new__(BoundParams)
-        params.__dict__.update(self.__dict__, rounds=check_count("rounds", rounds, 1))
-        return params
-
 
 def decay_factor(beta: float, eta: float, local_epochs: int) -> float:
     """Per-round linear contraction factor ``1 - beta + beta (1-eta)^K``."""
     check_interval("beta", beta, 0, 1, "(]")
     check_interval("eta", eta, 0, 1, "(]")
-    return _decay(beta, eta, check_count("local_epochs", local_epochs, 1))
-
-
-def _decay(beta: float, eta: float, local_epochs: int) -> float:
-    """:func:`decay_factor` on parameters that are already checked."""
-    return 1.0 - beta + beta * (1.0 - eta) ** local_epochs
-
-
-def _shrink(eta: float, local_epochs: int) -> float:
-    """1 - (1-eta)^K, the per-phase damping accumulated over K epochs."""
-    return 1.0 - (1.0 - eta) ** local_epochs
+    return 1.0 - beta + beta * (1.0 - eta) ** check_count("local_epochs", local_epochs, 1)
 
 
 def direct_bound(p: BoundParams) -> float:
@@ -91,23 +72,33 @@ def direct_bound(p: BoundParams) -> float:
       + (4/3) * 2 q_inf sqrt(I) / (1-gamma) * L2) / (1-(1-eta)^K)``,
       ``L2 = log(4 T / delta)``
     """
-    r = _decay(p.beta, p.eta, p.local_epochs)
-    shrink = _shrink(p.eta, p.local_epochs)
+    return _direct(p, (p.rounds,))[0]
+
+
+def direct_bound_curve(p: BoundParams) -> list[float]:
+    """:func:`direct_bound` after each of the rounds 1 to ``p.rounds``, bit for bit."""
+    return _direct(p, range(1, p.rounds + 1))
+
+
+def _direct(p: BoundParams, rounds) -> list[float]:
+    """The direct bound after each round count in ``rounds``: the T-free terms once, then per round
+    the logs, e1, e2 and r^T, in the displayed formula's order, so each value keeps its bits."""
+    r = decay_factor(p.beta, p.eta, p.local_epochs)
+    shrink = 1.0 - (1.0 - p.eta) ** p.local_epochs
     c = (1.0 - p.gamma) * shrink
-    sa = p.n_states * p.n_actions
-    l1 = math.log(4.0 * sa * p.rounds * p.local_epochs / p.delta)
-    l2 = math.log(4.0 * p.rounds / p.delta)
-    e1 = (4.0 * p.gamma / c) * math.sqrt(l1) * (1.0 + math.sqrt(l1 / (p.eta * p.n_agents)))
-    e2 = (
-        math.sqrt(16.0 * (4.0 * p.q2 * sa / (1.0 - p.gamma) ** 2) * l2)
-        + (4.0 / 3.0) * (2.0 * p.q_inf * math.sqrt(p.n_agents) / (1.0 - p.gamma)) * l2
-    ) / shrink
-    return (
-        r**p.rounds * p.q0_gap
-        + math.sqrt(p.eta / p.n_agents) * e1
-        + 2.0 * p.gamma / c
-        + e2 / math.sqrt(p.n_agents)
-    )
+    sa, sqrt_i = p.n_states * p.n_actions, math.sqrt(p.n_agents)
+    e2_sqrt = 16.0 * (4.0 * p.q2 * sa / (1.0 - p.gamma) ** 2)
+    e2_lin = (4.0 / 3.0) * (2.0 * p.q_inf * sqrt_i / (1.0 - p.gamma))
+    l1_scale, e1_scale, eta_i = 4.0 * sa, 4.0 * p.gamma / c, p.eta * p.n_agents
+    weight, bias = math.sqrt(p.eta / p.n_agents), 2.0 * p.gamma / c
+    curve = []
+    for t in rounds:
+        l1 = math.log(l1_scale * t * p.local_epochs / p.delta)
+        l2 = math.log(4.0 * t / p.delta)
+        e1 = e1_scale * math.sqrt(l1) * (1.0 + math.sqrt(l1 / eta_i))
+        e2 = (math.sqrt(e2_sqrt * l2) + e2_lin * l2) / shrink
+        curve.append(r**t * p.q0_gap + weight * e1 + bias + e2 / sqrt_i)
+    return curve
 
 
 def error_feedback_bound(p: BoundParams) -> float:
@@ -121,20 +112,29 @@ def error_feedback_bound(p: BoundParams) -> float:
     * ``e1 = 1 + sqrt(M / (eta I))``
     * ``D  = 1 + (1+(1-eta)^K) / (1-(1-eta)^K)``
     """
-    r = _decay(p.beta, p.eta, p.local_epochs)
-    shrink = _shrink(p.eta, p.local_epochs)
+    return _error_feedback(p, (p.rounds,))[0]
+
+
+def error_feedback_bound_curve(p: BoundParams) -> list[float]:
+    """:func:`error_feedback_bound` after each of the rounds 1 to ``p.rounds``, bit for bit."""
+    return _error_feedback(p, range(1, p.rounds + 1))
+
+
+def _error_feedback(p: BoundParams, rounds) -> list[float]:
+    """The error-feedback bound after each round count in ``rounds``, split as :func:`_direct` is."""
+    r = decay_factor(p.beta, p.eta, p.local_epochs)
     decay = (1.0 - p.eta) ** p.local_epochs
-    c = (1.0 - p.gamma) * shrink
-    sa = p.n_states * p.n_actions
-    m = math.log(2.0 * sa * p.rounds * p.local_epochs / p.delta)
-    e1 = 1.0 + math.sqrt(m / (p.eta * p.n_agents))
+    c = (1.0 - p.gamma) * (1.0 - decay)
     dd = 1.0 + (1.0 + decay) / (1.0 - decay)
-    return (
-        r**p.rounds * p.q0_gap
-        + (4.0 / c) * math.sqrt(p.eta / p.n_agents * m) * e1
-        + 2.0 * p.gamma / c
-        + (2.0 * p.beta * (1.0 - p.alpha) / (p.alpha * (1.0 - p.gamma))) * dd
-    )
+    tail = (2.0 * p.beta * (1.0 - p.alpha) / (p.alpha * (1.0 - p.gamma))) * dd
+    m_scale, scale, bias = 2.0 * (p.n_states * p.n_actions), 4.0 / c, 2.0 * p.gamma / c
+    eta_i, eta_per_i = p.eta * p.n_agents, p.eta / p.n_agents
+    curve = []
+    for t in rounds:
+        m = math.log(m_scale * t * p.local_epochs / p.delta)
+        e1 = 1.0 + math.sqrt(m / eta_i)
+        curve.append(r**t * p.q0_gap + scale * math.sqrt(eta_per_i * m) * e1 + bias + tail)
+    return curve
 
 
 def payload_bits(kind: str, dimension: int, entries: int, fpp: int = 32, uploads: int = 1) -> int:

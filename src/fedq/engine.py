@@ -62,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bellman import empirical_bellman
+from .bellman import empirical_bellman, errors_batch
 from .bounds import payload_bits
 from .compression import IDENTITY, SPARSIFIED_K, TOP_K, CompressorSpec, compress_batch
 from .errors import ParamOutOfRangeError, ShapeMismatchError, check_budget, check_count, check_interval
@@ -227,18 +227,6 @@ def _running_min(current: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.fmin(current, np.fmin.reduce(values.reshape(len(current), -1), axis=1))
 
 
-def _errors(q_bar: np.ndarray, q_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The :func:`~fedq.bellman.rmse` and :func:`~fedq.bellman.linf_error` of each of R tables.
-
-    Both are taken against ``q_star``, with one numpy call per metric
-    over the (R, d) differences: each row is contiguous and reduced as the
-    lone table is, so every value is the same bits as the one-table
-    function's.
-    """
-    diff = q_bar.reshape(len(q_bar), -1) - q_star.reshape(1, -1)
-    return np.sqrt(np.mean(diff**2, axis=1)), np.max(np.abs(diff), axis=1)
-
-
 def _arms(configs: list[ExperimentConfig], n_agents: int) -> list[tuple[CompressorSpec, str, slice, slice]]:
     """Each contiguous block of configs with one compressor and mode: (spec, mode, runs, rows).
 
@@ -341,7 +329,7 @@ def _run_group(configs: list[ExperimentConfig], mdp: TabularMDP, q_star: np.ndar
     alpha_min, p_support_min = np.full(n_runs, np.nan), np.full(n_runs, np.nan)
     entries = np.zeros((n_rounds, n_runs), dtype=np.int64)
     rmses, linfs = np.empty((n_rounds + 1, n_runs)), np.empty((n_rounds + 1, n_runs))
-    rmses[0], linfs[0] = _errors(q_bar, q_star)
+    rmses[0], linfs[0] = errors_batch(q_bar, q_star)
 
     for t, words in enumerate(_round_words(seeds, n_agents, n_rounds, n_streams)):
         q_local = _local_phases(q_bar, mdp, config.eta, words[:n_epochs], stream_rows)
@@ -365,7 +353,7 @@ def _run_group(configs: list[ExperimentConfig], mdp: TabularMDP, q_star: np.ndar
             entries[t, runs] = payload.kept.reshape(-1, n_agents * d).sum(axis=1)
 
         q_bar = _server_step(q_bar, pending, config.beta)
-        rmses[t + 1], linfs[t + 1] = _errors(q_bar, q_star)
+        rmses[t + 1], linfs[t + 1] = errors_batch(q_bar, q_star)
 
     return [
         RunResult(metrics=_trace(c, d, run_entries, e2, e_inf), q_final=q,

@@ -24,14 +24,13 @@ import itertools
 import json
 import math
 import os
-from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .bellman import greedy_policy, value_iteration
-from .bounds import BoundParams, direct_bound, error_feedback_bound
+from .bounds import BoundParams, direct_bound_curve, error_feedback_bound_curve
 from .compression import IDENTITY, RULE_L1, SPARSIFIED_K, TOP_K, CompressorSpec, unbiased_constants
 from .engine import DEFAULT_MODE, DIRECT, ExperimentConfig, RoundMetrics, RunResult, run_federated_batch
 from .errors import FileFormatError, ParamOutOfRangeError, check_count, check_interval, read_text
@@ -149,8 +148,9 @@ def expand_grid(manifest: RunManifest) -> list[RunManifest]:
     Each point is the manifest with its swept fields replaced, in the
     Cartesian product order of the axes.  The identity compressor ignores
     the budget axis, so its points get k = 0 and points that only differ
-    in k collapse to one run.  A grid whose distinct points times
-    ``n_seeds`` exceed ``max_runs`` is rejected before any point is built.
+    in k collapse to one run.  A grid is rejected as soon as its distinct
+    points so far times ``n_seeds`` exceed ``max_runs``, so neither the rest
+    of the product nor any point manifest is built.
     """
     names = [ax for ax in _SWEEP_AXES if ax in manifest.sweep]
     combos = {}
@@ -159,11 +159,10 @@ def expand_grid(manifest: RunManifest) -> list[RunManifest]:
         if combo.get("compressor", manifest.compressor) == IDENTITY:
             combo["k"] = 0
         combos.setdefault(tuple(combo.items()), combo)
-    n_runs = len(combos) * manifest.n_seeds
-    if n_runs > manifest.max_runs:
-        raise ParamOutOfRangeError(
-            f"sweep expands to {n_runs} runs, above the safety cap {manifest.max_runs}"
-        )
+        if len(combos) * manifest.n_seeds > manifest.max_runs:
+            raise ParamOutOfRangeError(
+                f"sweep expands to more than {manifest.max_runs} runs, the safety cap (max_runs)"
+            )
     return [replace(manifest, sweep={}, **combo) for combo in combos.values()]
 
 
@@ -240,8 +239,8 @@ def read_trace_csv(path: str | Path) -> list[RoundMetrics]:
 
 def _overlay_bound(
     config: ExperimentConfig, delta: float, mdp: TabularMDP, result: RunResult
-) -> Callable[[int], float] | None:
-    """The run's bound after t rounds, as a function of t; None where no bound applies.
+) -> list[float] | None:
+    """The run's bound after each of its rounds 1 to T; None where no bound applies.
 
     A run is analyzed when its kind is the identity or its mode is the
     kind's ``DEFAULT_MODE``.  The mode picks the evaluator and the kind the
@@ -249,7 +248,8 @@ def _overlay_bound(
     the run's smallest alpha for top_k and the constants of its smallest
     selection probability for sparsified_k; a run that realized no such
     constant, or an alpha of 0, gets None.  The initial gap is the trace's
-    round-0 sup-norm error.  The parameters are checked once, not per round.
+    round-0 sup-norm error.  The whole curve is one evaluator call, which
+    computes the terms that do not depend on the round once.
     """
     kind = config.compressor.kind
     if kind != IDENTITY and config.mode != DEFAULT_MODE[kind]:
@@ -277,8 +277,8 @@ def _overlay_bound(
         q0_gap=result.metrics[0].linf_error,
         **constants,
     )
-    evaluator = direct_bound if config.mode == DIRECT else error_feedback_bound
-    return lambda t: evaluator(params.with_rounds(t))
+    curve = direct_bound_curve if config.mode == DIRECT else error_feedback_bound_curve
+    return curve(params)
 
 
 def write_overlay_csv(
@@ -288,9 +288,9 @@ def write_overlay_csv(
     mdp: TabularMDP,
     result: RunResult,
 ) -> None:
-    """Per round t, the empirical sup-norm error and the bound after t rounds (NaN if none applies)."""
-    bound = _overlay_bound(config, delta, mdp, result)
-    rows = ((m.round, m.linf_error, bound(m.round) if bound else math.nan) for m in result.metrics[1:])
+    """Per round t, the empirical sup-norm error and the run's bound curve at t (NaN if none applies)."""
+    bounds = _overlay_bound(config, delta, mdp, result) or itertools.repeat(math.nan)
+    rows = ((m.round, m.linf_error, bound) for m, bound in zip(result.metrics[1:], bounds))
     _write_csv(path, "round,empirical_linf,theory_bound", rows)
 
 

@@ -148,13 +148,13 @@ def synchronous_sample(mdp: TabularMDP, rng: np.random.Generator) -> tuple[np.nd
     identical tables bit for bit.
 
     A table with one successor per row (w = 1, every grid world) knows
-    its next states before any draw, so it skips its uniform block with
-    ``rng.bit_generator.advance(S * A)``, which leaves a PCG64 or
-    PCG64DXSM stream (every :class:`~fedq.rng.RngStream` and
-    ``default_rng`` generator) at the same position as drawing the block;
-    other bit generators either lack ``advance`` or count it differently.
-    numpy drops a buffered 32-bit half on ``advance``, so the next double,
-    normal or 64-bit draw is unchanged.
+    its next states before any draw.  On a PCG64 or PCG64DXSM stream
+    (every :class:`~fedq.rng.RngStream` and ``default_rng`` generator) it
+    skips its uniform block with ``rng.bit_generator.advance(S * A)``,
+    which leaves the stream where drawing the block would; numpy drops a
+    buffered 32-bit half on ``advance``, so the next double, normal or
+    64-bit draw is unchanged.  Any other bit generator lacks ``advance``
+    or counts it differently, so it draws the block and drops it.
     """
     next_states, rewards = synchronous_sample_batch(mdp, [rng])
     return next_states[0], rewards[0]
@@ -163,21 +163,25 @@ def synchronous_sample(mdp: TabularMDP, rng: np.random.Generator) -> tuple[np.nd
 def synchronous_sample_batch(mdp: TabularMDP, rngs) -> tuple[np.ndarray, np.ndarray]:
     """One :func:`synchronous_sample` table per generator, stacked: shape (I, S, A).
 
-    Generator i draws (or, when w = 1, skips) its uniform block and then
-    draws its Gaussian block into row i, exactly as
-    :func:`synchronous_sample` would; the inverse-CDF lookup and the
-    reward clip then run once on the whole batch.
+    Generator i draws its uniform block (or, when w = 1 on PCG64 or
+    PCG64DXSM, skips it) and then draws its Gaussian block into row i,
+    exactly as :func:`synchronous_sample` would; the inverse-CDF lookup
+    and the reward clip then run once on the whole batch.
     """
     shape = (len(rngs), mdp.n_states, mdp.n_actions)
     noisy = mdp.noise.std > 0.0
     certain = mdp.succ.shape[1] == 1  # w = 1: no uniform decides anything
     u = None if certain else np.empty(shape)
     g = np.empty(shape) if noisy else None
+    if certain:  # looked up here, where generators exist: importing fedq must not load numpy.random
+        from numpy.random import PCG64, PCG64DXSM
     for i, gen in enumerate(rngs):
-        if certain:
-            gen.bit_generator.advance(mdp.table_size)
-        else:
+        if not certain:
             u[i] = gen.random(shape[1:])
+        elif isinstance(bits := gen.bit_generator, (PCG64, PCG64DXSM)):
+            bits.advance(mdp.table_size)
+        else:  # no advance, or one that counts otherwise: draw the block and drop it
+            gen.random(shape[1:])
         if noisy:
             g[i] = gen.normal(0.0, mdp.noise.std, shape[1:])
     if certain:

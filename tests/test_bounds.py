@@ -147,23 +147,30 @@ class TestErrorFeedbackBound:
             params(**{name: value})
 
 
-class TestWithRounds:
-    @pytest.mark.parametrize("evaluator", [fedq.direct_bound, fedq.error_feedback_bound])
-    def test_same_bits_as_rebuilt_params(self, evaluator):
+class TestBoundCurve:
+    @pytest.mark.parametrize("curve, evaluator", [
+        (fedq.direct_bound_curve, fedq.direct_bound),
+        (fedq.error_feedback_bound_curve, fedq.error_feedback_bound),
+    ])
+    def test_every_round_same_bits_as_evaluator(self, curve, evaluator):
         rng = np.random.default_rng(17)
-        for _ in range(50):
+        for _ in range(40):
             p = params(beta=float(rng.uniform(0.05, 1.0)), eta=float(rng.uniform(0.05, 1.0)),
-                       local_epochs=int(rng.integers(1, 6)), rounds=int(rng.integers(1, 500)),
-                       alpha=float(rng.uniform(0.05, 1.0)), q0_gap=float(rng.uniform(0, 5)))
-            for t in (1, 2, p.rounds, 7 * p.rounds):
-                moved = p.with_rounds(t)
-                assert moved == dataclasses.replace(p, rounds=t)
-                assert evaluator(moved) == evaluator(dataclasses.replace(p, rounds=t))
+                       gamma=float(rng.uniform(0.05, 0.95)), local_epochs=int(rng.integers(1, 6)),
+                       rounds=int(rng.integers(1, 300)), n_agents=int(rng.integers(1, 100)),
+                       n_states=int(rng.integers(1, 1000)), q2=float(rng.uniform(0, 20)),
+                       q_inf=float(rng.uniform(0, 20)), alpha=float(rng.uniform(0.05, 1.0)),
+                       q0_gap=float(rng.uniform(0, 5)))
+            values = curve(p)
+            assert len(values) == p.rounds
+            assert values[-1] == evaluator(p)
+            for t, value in enumerate(values, start=1):
+                assert value == evaluator(dataclasses.replace(p, rounds=t))
 
-    @pytest.mark.parametrize("value", [0, -1, 1.5, True])
-    def test_rounds_still_checked(self, value):
+    def test_shortest_curve_has_one_round(self):
+        assert fedq.direct_bound_curve(params(rounds=1)) == [fedq.direct_bound(params(rounds=1))]
         with pytest.raises(ParamOutOfRangeError, match="rounds"):
-            params().with_rounds(value)
+            params(rounds=0)
 
 
 class TestPayloadBits:

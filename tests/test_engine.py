@@ -12,7 +12,6 @@ from fedq.engine import (
     MODES,
     SEED_BLOCK,
     _epoch,
-    _errors,
     _local_phases,
     _round_words,
     _server_step,
@@ -450,16 +449,18 @@ def test_one_entry_table_matches_per_agent_reference(n_agents):
 
 @pytest.mark.parametrize("n_states, n_actions", [(1, 1), (7, 1), (25, 4), (904, 4), (16512, 4)])
 def test_batched_errors_equal_one_table_metrics(n_states, n_actions):
-    # one numpy reduction per metric over (R, d) gives each table's rmse and linf_error bit for bit,
-    # up to the d = 66 048 of a 128 x 128 map
+    # one numpy reduction per metric over (R, d) gives, bit for bit, what the one-table formulas
+    # written out here give, up to the d = 66 048 of a 128 x 128 map; rmse and linf_error are its batch of one
     rng = np.random.default_rng(n_states)
     q_star = rng.normal(size=(n_states, n_actions))
     scales = np.array([1e-12, 1e-3, 1.0, 1e3, 1e12])[:, None, None]
     q_bar = q_star + rng.normal(size=(5, n_states, n_actions)) * scales
     q_bar[0] = q_star  # an exact match
-    rmses, linfs = _errors(q_bar, q_star)
-    assert rmses.tolist() == [fedq.rmse(q, q_star) for q in q_bar]
-    assert linfs.tolist() == [fedq.linf_error(q, q_star) for q in q_bar]
+    rmses, linfs = fedq.bellman.errors_batch(q_bar, q_star)
+    assert rmses.tolist() == [float(np.sqrt(np.mean((q - q_star) ** 2))) for q in q_bar]
+    assert linfs.tolist() == [float(np.max(np.abs(q - q_star))) for q in q_bar]
+    assert [fedq.rmse(q, q_star) for q in q_bar] == rmses.tolist()
+    assert [fedq.linf_error(q, q_star) for q in q_bar] == linfs.tolist()
 
 
 def assert_same_run(batched, lone):

@@ -4,6 +4,7 @@ import itertools
 import json
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -94,6 +95,19 @@ class TestManifest:
         manifest = small_manifest(tmp_path, sweep={"eta": etas}, max_runs=10)
         with pytest.raises(ParamOutOfRangeError):
             run_experiment(manifest)
+
+    @pytest.mark.parametrize("n_seeds", [1, 2])
+    def test_safety_cap_stops_before_enumerating_the_grid(self, tmp_path, monkeypatch, n_seeds):
+        # a 30 x 30 x 30 grid over a cap of 10 runs: expansion stops at the first point past the cap
+        drawn, product = [], itertools.product
+        counting = SimpleNamespace(product=lambda *axes: (drawn.append(p) or p for p in product(*axes)))
+        monkeypatch.setattr(fedq.harness, "itertools", counting)
+        values = [round(0.01 * i, 4) for i in range(1, 31)]
+        manifest = small_manifest(tmp_path, n_seeds=n_seeds, max_runs=10,
+                                  sweep={"eta": values, "beta": values, "agents": list(range(1, 31))})
+        with pytest.raises(ParamOutOfRangeError, match="more than 10 runs"):
+            expand_grid(manifest)
+        assert len(drawn) == 10 // n_seeds + 1
 
 
 class TestRunExperiment:

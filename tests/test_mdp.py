@@ -155,6 +155,20 @@ class TestSampleNextState:
                 "uint64": lambda g: g.bit_generator.random_raw()}[draw]
         assert take(gen) == take(ref)
 
+    @pytest.mark.parametrize("bit_generator", ["MT19937", "PCG64", "PCG64DXSM", "Philox", "SFC64"])
+    def test_every_bit_generator_ends_where_drawing_the_block_leaves_it(self, bit_generator):
+        # only PCG64 and PCG64DXSM skip by advance; the others draw the uniform block and drop it
+        noise = fedq.NoiseSpec(std=0.5, clip=0.5)
+        mdp = fedq.build_gridworld(fedq.load_map("map5x5"), noise=noise, gamma=0.8)
+        shape = (mdp.n_states, mdp.n_actions)
+        gen, ref = (np.random.Generator(getattr(np.random, bit_generator)(9)) for _ in range(2))
+        next_states, rewards = fedq.synchronous_sample(mdp, gen)
+        ref.random(shape)
+        clipped = np.clip(ref.normal(0.0, noise.std, shape), -noise.clip, noise.clip)
+        assert np.array_equal(next_states, mdp.succ.reshape(shape))
+        assert rewards.tobytes() == (mdp.reward_mean + clipped).tobytes()
+        assert gen.random() == ref.random()
+
     @pytest.mark.parametrize("noisy", [False, True])
     def test_padded_grid_world_takes_general_path_to_same_bytes(self, noisy):
         noise = fedq.NoiseSpec(std=0.5, clip=0.5) if noisy else fedq.NoiseSpec()
@@ -182,28 +196,20 @@ class TestSampleNextState:
         assert abs(freq - 0.7) <= 3.0 * np.sqrt(0.21 / n)
 
 
-class _StubBitGenerator:
-    """Records the block sizes a w = 1 sampler skips with ``advance``."""
-
-    def __init__(self):
-        self.advanced = []
-
-    def advance(self, n):
-        self.advanced.append(n)
-
-
 class _StubRng:
-    """Deterministic stand-in exposing the generator methods sampling uses."""
+    """Deterministic stand-in exposing the generator methods sampling uses; records its uniform draws."""
 
     def __init__(self, normal_value=0.0, uniform_value=0.0):
         self._normal = normal_value
         self._uniform = uniform_value
-        self.bit_generator = _StubBitGenerator()
+        self.bit_generator = None  # neither PCG64 nor PCG64DXSM, so nothing is skipped by advance
+        self.drawn = []
 
     def normal(self, loc, scale, size):
         return np.full(size, self._normal)
 
     def random(self, size):
+        self.drawn.append(size)
         return np.full(size, self._uniform)
 
 
@@ -221,7 +227,7 @@ class TestSampleReward:
         for value, clipped in ((0.9, 1.0 + 0.5), (-3.0, 1.0 - 0.5)):
             stub = _StubRng(value)
             assert fedq.synchronous_sample(mdp, stub)[1][1, 2] == clipped
-            assert stub.bit_generator.advanced == [mdp.table_size]  # w = 1 skips its uniform block
+            assert stub.drawn == [(mdp.n_states, mdp.n_actions)]  # the uniform block, drawn and dropped
 
     def test_samples_stay_in_clip_band_and_mean_is_unbiased(self):
         noise = fedq.NoiseSpec(std=0.5, clip=0.5)
