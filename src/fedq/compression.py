@@ -146,11 +146,13 @@ def compress_batch(
     where ``uniforms[i, j]`` falls below its selection probability, so it
     needs an (I, d) array of uniforms in [0, 1), the other operators none.
     top_k needs only each row's k-th and (k+1)-th largest magnitudes, which
-    one sort of each row finds: it keeps every entry above the k-th, then
-    the lowest-index entries equal to it, and the (k+1)-th gives the
-    realized contraction factor.  The result is that of a stable sort of
-    ``-|v|``: ties keep the lower index, and NaN ranks below every number
-    and is never kept.
+    one sort of each row finds: it keeps every entry at or above the k-th,
+    and only on a row where that is more than k entries (the k-th is tied
+    past the budget) does it run the tie-break, which keeps the entries
+    above the k-th and then the lowest-index entries equal to it.  The
+    (k+1)-th gives the realized contraction factor.  The result is that of
+    a stable sort of ``-|v|``: ties keep the lower index, and NaN ranks
+    below every number and is never kept.
     """
     pending = np.asarray(pending, dtype=np.float64)
     if pending.ndim != 2:
@@ -171,8 +173,14 @@ def compress_batch(
             # holds no NaN and no -0.0, so a plain sort puts the same values there as a partition
             ordered = np.sort(key, axis=1)
             kth, nxt = ordered[:, d - spec.k, None], ordered[:, d - spec.k - 1]
-            above, tied = key > kth, key == kth
-            kept = above | (tied & (tied.cumsum(axis=1) <= spec.k - above.sum(axis=1, keepdims=True)))
+            kept = key >= kth
+            # only a row whose k-th key is tied past the budget keeps more than k; there the
+            # tie-break keeps the lowest-index ties
+            over = np.flatnonzero(kept.sum(axis=1) > spec.k)
+            if over.size:
+                above, tied = key[over] > kth[over], key[over] == kth[over]
+                room = spec.k - above.sum(axis=1, keepdims=True)
+                kept[over] = above | (tied & (tied.cumsum(axis=1) <= room))
             kept &= key > 0
             excluded = np.where(nxt < 0, np.nan, nxt)
         # a row that keeps and drops infinities divides inf by inf: its alpha is NaN, as a zero

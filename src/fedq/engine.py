@@ -335,7 +335,9 @@ def _run_group(configs: list[ExperimentConfig], mdp: TabularMDP, q_star: np.ndar
         q_local = _local_phases(q_bar, mdp, config.eta, words[:n_epochs], stream_rows)
         pending = (q_local.reshape(n_runs, n_agents, d) - q_bar.reshape(n_runs, 1, d)).reshape(-1, d)
         if sparsified:
-            uniforms = np.array([rng.random(d) for rng in generators(words[n_epochs])])
+            uniforms = np.empty((len(words[n_epochs]), d))
+            for rng, row in zip(generators(words[n_epochs]), uniforms):
+                rng.random(out=row)
         for spec, mode, runs, rows in arms:
             arm_pending = pending[rows]
             if mode == ERROR_FEEDBACK:

@@ -147,6 +147,13 @@ def synchronous_sample(mdp: TabularMDP, rng: np.random.Generator) -> tuple[np.nd
     independent given the stream, and identical stream state reproduces
     identical tables bit for bit.
 
+    ``rng`` is a ``numpy.random.Generator`` or anything with the four
+    members sampling calls: ``bit_generator``, ``random(out=)`` (w > 1),
+    ``random(size)`` (w = 1 on a bit generator other than PCG64 or
+    PCG64DXSM) and ``standard_normal(out=)`` (noisy rewards).  Each
+    standard normal z becomes ``0.0 + std * z``, the operations
+    ``rng.normal(0.0, std)`` performs, so the rewards keep its bits.
+
     A table with one successor per row (w = 1, every grid world) knows
     its next states before any draw.  On a PCG64 or PCG64DXSM stream
     (every :class:`~fedq.rng.RngStream` and ``default_rng`` generator) it
@@ -163,10 +170,12 @@ def synchronous_sample(mdp: TabularMDP, rng: np.random.Generator) -> tuple[np.nd
 def synchronous_sample_batch(mdp: TabularMDP, rngs) -> tuple[np.ndarray, np.ndarray]:
     """One :func:`synchronous_sample` table per generator, stacked: shape (I, S, A).
 
-    Generator i draws its uniform block (or, when w = 1 on PCG64 or
-    PCG64DXSM, skips it) and then draws its Gaussian block into row i,
-    exactly as :func:`synchronous_sample` would; the inverse-CDF lookup
-    and the reward clip then run once on the whole batch.
+    Generator i draws its uniform block into row i with ``random(out=)``
+    (or, when w = 1, skips it by ``advance`` on PCG64 or PCG64DXSM, or
+    draws it with ``random(size)`` and drops it), then draws its standard
+    normals into row i with ``standard_normal(out=)``, exactly as
+    :func:`synchronous_sample` would.  The scale ``0.0 + std * z``, the
+    inverse-CDF lookup and the reward clip then run once on the whole batch.
     """
     shape = (len(rngs), mdp.n_states, mdp.n_actions)
     noisy = mdp.noise.std > 0.0
@@ -177,13 +186,13 @@ def synchronous_sample_batch(mdp: TabularMDP, rngs) -> tuple[np.ndarray, np.ndar
         from numpy.random import PCG64, PCG64DXSM
     for i, gen in enumerate(rngs):
         if not certain:
-            u[i] = gen.random(shape[1:])
+            gen.random(out=u[i])
         elif isinstance(bits := gen.bit_generator, (PCG64, PCG64DXSM)):
             bits.advance(mdp.table_size)
         else:  # no advance, or one that counts otherwise: draw the block and drop it
             gen.random(shape[1:])
         if noisy:
-            g[i] = gen.normal(0.0, mdp.noise.std, shape[1:])
+            gen.standard_normal(out=g[i])
     if certain:
         next_states = np.repeat(mdp.succ.reshape(1, *shape[1:]), len(rngs), axis=0)  # fresh and writable
     else:
@@ -192,8 +201,10 @@ def synchronous_sample_batch(mdp: TabularMDP, rngs) -> tuple[np.ndarray, np.ndar
         slot = (u.reshape(len(rngs), -1, 1) >= mdp.succ_cum).sum(axis=-1)
         next_states = mdp.succ.take(mdp._row_start + slot).reshape(shape)
     if noisy:
+        g *= mdp.noise.std
+        g += 0.0  # Generator.normal's loc + scale * z with loc 0.0: a -0.0 draw becomes +0.0
         np.clip(g, -mdp.noise.clip, mdp.noise.clip, out=g)
-        rewards = mdp.reward_mean + g
+        rewards = np.add(mdp.reward_mean, g, out=g)
     else:
         rewards = np.repeat(mdp.reward_mean[None], len(rngs), axis=0)
     return next_states, rewards

@@ -213,6 +213,24 @@ class TestTopKMatchesStableSort:
             np.testing.assert_equal(payload.alpha[0], alpha)
             self.assert_matches(row, k)
 
+    def test_one_batch_mixes_rows_with_and_without_ties_past_the_budget(self):
+        # k = 2: rows 0, 2 and 6 tie past the budget at the k-th and take the tie-break; the
+        # others keep every entry at or above their k-th
+        batch = np.array([
+            [1.0, 1.0, 1.0, 1.0],
+            [3.0, -2.0, 1.0, 0.5],
+            [0.5, -2.0, 0.5, 0.5],
+            [0.0, -0.0, 0.0, 0.0],
+            [np.nan, 2.0, np.nan, -1.0],
+            [np.nan, np.nan, np.nan, np.nan],
+            [-0.0, 4.0, 0.0, 0.0],
+            [2.0, -2.0, 1.0, 1.0],
+        ])
+        payload = compress_batch(batch, fedq.CompressorSpec("top_k", 2))
+        assert [np.flatnonzero(row).tolist() for row in payload.kept] == [
+            [0, 1], [0, 1], [0, 1], [], [1, 3], [], [1], [0, 1]]
+        self.assert_matches(batch, 2)
+
     def test_one_coordinate(self):
         for v in (0.0, -0.0, 1.5, -np.inf, np.nan):
             self.assert_matches(np.array([[v], [0.0]]), 1)

@@ -463,6 +463,24 @@ def test_batched_errors_equal_one_table_metrics(n_states, n_actions):
     assert [fedq.linf_error(q, q_star) for q in q_bar] == linfs.tolist()
 
 
+def test_batched_errors_keep_nan_inf_and_signed_zero_bits():
+    # a NaN entry makes both metrics NaN, an infinite one makes both inf, and -0.0 differences
+    # give +0.0; each row matches np.mean and np.max bit for bit
+    q_star = np.array([[0.0, 1.0, -2.0], [0.5, 0.0, 3.0]])
+    q = np.repeat(q_star[None], 5, axis=0)
+    q[1, 0, 1] = np.nan
+    q[2, 1, 2] = np.inf
+    q[3, 0, 0], q[3, 1, 0] = -np.inf, 1.5
+    q[4, 0, 0] = q[4, 1, 1] = -0.0  # -0.0 - 0.0 is -0.0
+    diff = q.reshape(len(q), -1) - q_star.reshape(1, -1)
+    assert np.signbit(diff[4]).sum() == 2
+    rmses, linfs = fedq.bellman.errors_batch(q, q_star)
+    assert rmses.tobytes() == np.sqrt(np.mean(diff**2, axis=1)).tobytes()
+    assert linfs.tobytes() == np.max(np.abs(diff), axis=1).tobytes()
+    assert rmses.tobytes() == np.array([0.0, np.nan, np.inf, np.inf, 0.0]).tobytes()
+    assert linfs.tobytes() == np.array([0.0, np.nan, np.inf, np.inf, 0.0]).tobytes()
+
+
 def assert_same_run(batched, lone):
     assert batched.metrics == lone.metrics
     assert batched.q_final.tobytes() == lone.q_final.tobytes()

@@ -205,12 +205,15 @@ class _StubRng:
         self.bit_generator = None  # neither PCG64 nor PCG64DXSM, so nothing is skipped by advance
         self.drawn = []
 
-    def normal(self, loc, scale, size):
-        return np.full(size, self._normal)
+    def standard_normal(self, out):
+        out[...] = self._normal
+        return out
 
-    def random(self, size):
-        self.drawn.append(size)
-        return np.full(size, self._uniform)
+    def random(self, size=None, out=None):
+        out = np.empty(size) if out is None else out
+        self.drawn.append(out.shape)
+        out[...] = self._uniform
+        return out
 
 
 class TestSampleReward:
@@ -224,10 +227,19 @@ class TestSampleReward:
     def test_large_draw_clips_at_threshold(self):
         grid = fedq.parse_map("G.")
         mdp = fedq.build_gridworld(grid, noise=fedq.NoiseSpec(std=0.5, clip=0.5), gamma=0.8)
-        for value, clipped in ((0.9, 1.0 + 0.5), (-3.0, 1.0 - 0.5)):
-            stub = _StubRng(value)
+        for z, clipped in ((1.8, 1.0 + 0.5), (-6.0, 1.0 - 0.5)):  # standard units: 0.9 and -3.0 at std 0.5
+            stub = _StubRng(z)
             assert fedq.synchronous_sample(mdp, stub)[1][1, 2] == clipped
             assert stub.drawn == [(mdp.n_states, mdp.n_actions)]  # the uniform block, drawn and dropped
+
+    def test_negative_zero_draw_gives_positive_zero_noise(self):
+        # Generator.normal returns 0.0 + std * z, so z = -0.0 gives +0.0 noise, and a -0.0 mean
+        # reward plus +0.0 noise is +0.0; without the 0.0 + it would stay -0.0
+        mdp = fedq.TabularMDP([[0], [0]], [[1.0], [1.0]], np.array([[-0.0, 0.5]]), gamma=0.8,
+                              noise=fedq.NoiseSpec(std=0.5, clip=0.5))
+        assert np.signbit(mdp.reward_mean[0, 0])
+        rewards = fedq.synchronous_sample(mdp, _StubRng(-0.0))[1]
+        assert rewards.tobytes() == np.array([[0.0, 0.5]]).tobytes()
 
     def test_samples_stay_in_clip_band_and_mean_is_unbiased(self):
         noise = fedq.NoiseSpec(std=0.5, clip=0.5)
@@ -314,6 +326,26 @@ class TestSynchronousSample:
             assert np.array_equal(next_states[i], ns)
             assert rewards[i].tobytes() == rw.tobytes()
             assert gens[i].random() == ref_gen.random()
+
+    def test_batch_rows_match_direct_generator_draws(self):
+        # the oracle draws with Generator.random and Generator.normal themselves, not the sampler
+        noise = fedq.NoiseSpec(std=0.5, clip=0.5)
+        base = sparse_random_mdp(np.random.default_rng(5))
+        mdp = fedq.TabularMDP(base.succ, base.succ_p, base.reward_mean, gamma=0.8, noise=noise, r_max=1.5)
+        assert mdp.succ.shape[1] > 1
+        shape = (mdp.n_states, mdp.n_actions)
+        cum = np.cumsum(mdp.transition, axis=2)
+        cum[:, :, -1] = 1.0
+        streams = [fedq.RngStream(21, (i,)) for i in range(3)]
+        gens = [s.generator() for s in streams]
+        next_states, rewards = fedq.mdp.synchronous_sample_batch(mdp, gens)
+        for i, stream in enumerate(streams):
+            ref = stream.generator()
+            u = ref.random(shape)
+            clipped = np.clip(ref.normal(0.0, noise.std, shape), -noise.clip, noise.clip)
+            assert np.array_equal(next_states[i], np.argmax(u[:, :, None] < cum, axis=2))
+            assert rewards[i].tobytes() == (mdp.reward_mean + clipped).tobytes()
+            assert gens[i].random() == ref.random()
 
     def test_shapes_and_dtype(self, map5x5_noisy):
         ns, rw = fedq.synchronous_sample(map5x5_noisy, fedq.RngStream(0).generator())
