@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .compression import IDENTITY, KINDS
-from .errors import ParamOutOfRangeError, check_count, check_interval
+from .errors import InvalidGammaError, ParamOutOfRangeError, check_count, check_interval
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,9 @@ class BoundParams:
     q0_gap: float = 0.0
 
     def __post_init__(self) -> None:
-        for name, closed in (("beta", "(]"), ("eta", "(]"), ("alpha", "(]"), ("gamma", "()"), ("delta", "()")):
+        for name, closed in (("beta", "(]"), ("eta", "(]"), ("alpha", "(]"), ("delta", "()")):
             check_interval(name, getattr(self, name), 0, 1, closed)
+        check_interval("gamma", self.gamma, 0, 1, error=InvalidGammaError)
         for name in ("local_epochs", "rounds", "n_agents", "n_states", "n_actions"):
             object.__setattr__(self, name, check_count(name, getattr(self, name), 1))
         for name in ("q2", "q_inf", "q0_gap"):

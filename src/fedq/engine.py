@@ -17,25 +17,28 @@ error-feedback residual is the pending table minus it, and the server adds
 its rows onto the global table.
 
 Runs are a batch axis too.  :func:`run_federated_batch` takes any list
-of configs and alone decides which of them share a batch: each stretch
-of consecutive configs that agree on the values a batch reads once
-(agents, local epochs, rounds, eta, beta and q0) runs as one computation
-of R·I rows, run r's agents in rows r·I to r·I + I - 1, whatever their
-master seeds, compressors, modes and bits per value.  Streams are shared
-by seed: a stream is a pure function of (master seed, path), so each
-epoch draws the sample tables of the U distinct seeds once, into U·I
-stream rows, and an index array names the stream row each of the R·I
+of configs and alone decides which of them share a batch: all configs
+that agree on the loop's shape (agents, local epochs and rounds, which
+fix the (R·I, S, A) arrays, the epoch loop and the round loop), wherever
+they stand in the list, run as one computation of R·I rows, run r's
+agents in rows r·I to r·I + I - 1, whatever their master seeds,
+compressors, modes, bits per value, eta, beta and q0.  Streams are
+shared by seed: a stream is a pure function of (master seed, path), so
+each epoch draws the sample tables of the U distinct seeds once, into
+U·I stream rows, and an index array names the stream row each of the R·I
 rows reads (the identity when every seed is distinct).  Each round then
-makes one Bellman update per epoch over all rows, one compression per
+makes one Bellman update per epoch over all rows, one damped update per
+contiguous block of runs with the same eta, one compression per
 contiguous block of runs with the same compressor and mode, which writes
 its uploads into its rows of the pending table, and one server step over
-the pending table that keeps R tables.  The round records only each run's
-kept entries, errors and realized compressor constants; the bits and
-trace rows are built per run once the rounds are done, each round's
-uploads priced as one exact :func:`~fedq.bounds.payload_bits` total.
-:func:`run_federated` is the batch of one.  A stretch runs in batches of
-at most ``BATCH_CELLS`` table entries per (R·I, d) array, so its memory
-does not grow with R.
+the pending table that keeps R tables, each run's sum scaled by its own
+beta / I.  The round records only each run's kept entries, errors and
+realized compressor constants; the bits and trace rows are built per run
+once the rounds are done, each round's uploads priced as one exact
+:func:`~fedq.bounds.payload_bits` total.  :func:`run_federated` is the
+batch of one.  The configs of one shape run in batches of at most
+``BATCH_CELLS`` table entries per (R·I, d) array, so their memory does
+not grow with R.
 
 Everything is deterministic given the master seed: sampling streams are
 derived per (agent, round, epoch), the compressor stream per
@@ -65,7 +68,8 @@ import numpy as np
 from .bellman import empirical_bellman, errors_batch
 from .bounds import payload_bits
 from .compression import IDENTITY, SPARSIFIED_K, TOP_K, CompressorSpec, compress_batch
-from .errors import ParamOutOfRangeError, ShapeMismatchError, check_budget, check_count, check_interval
+from .errors import (InvalidGammaError, ParamOutOfRangeError, ShapeMismatchError, check_budget, check_count,
+                     check_interval)
 from .mdp import TabularMDP, synchronous_sample_batch
 from .rng import ID_LIMIT, generators, seed_words
 
@@ -81,8 +85,8 @@ DEFAULT_MODE = {IDENTITY: DIRECT, SPARSIFIED_K: DIRECT, TOP_K: ERROR_FEEDBACK}
 
 SEED_BLOCK = 2**16  # most stream paths derived in one seed_words call
 BATCH_CELLS = 2**20  # most entries (R·I rows times d) of one batch's (R·I, d) arrays
-# the config values a batch reads once for all its runs; consecutive configs that agree on them share a batch
-_SHARED = operator.attrgetter("n_agents", "local_epochs", "rounds", "eta", "beta", "q0")
+# the loop's shape: the configs that agree on it share a batch, wherever they stand in the list
+_SHARED = operator.attrgetter("n_agents", "local_epochs", "rounds")
 
 
 @dataclass(frozen=True)
@@ -110,7 +114,7 @@ class ExperimentConfig:
             object.__setattr__(self, name, check_count(name, getattr(self, name), low, high))
         check_interval("eta", self.eta, 0, 1, "(]")
         check_interval("beta", self.beta, 0, 1, "(]")
-        check_interval("gamma", self.gamma, 0, 1)
+        check_interval("gamma", self.gamma, 0, 1, error=InvalidGammaError)
         check_interval("q0", self.q0, -math.inf, math.inf)  # finite; check_against bounds |q0|
         if self.mode is None:
             object.__setattr__(self, "mode", DEFAULT_MODE[self.compressor.kind])
@@ -158,13 +162,21 @@ class RunResult:
     seconds: float = 0.0  # wall time of the batch that computed the run, divided by its number of runs
 
 
-def _epoch(q: np.ndarray, mdp: TabularMDP, eta: float, rngs, rows: np.ndarray) -> np.ndarray:
+def _epoch(q: np.ndarray, mdp: TabularMDP, etas: list[tuple[float, slice]], rngs,
+           rows: np.ndarray) -> np.ndarray:
     """One damped empirical-Bellman update of an (N, S, A) batch.
 
-    Generator j draws sample table j, and row i of ``q`` reads table ``rows[i]``.
+    Generator j draws sample table j, and row i of ``q`` reads table
+    ``rows[i]``.  ``etas`` pairs each learning rate with the block of rows
+    it damps; each block's update ``(1 - eta) q + eta T(q)`` runs once with
+    a scalar eta, which gives every row the bits of its lone update.
     """
     next_states, rewards = synchronous_sample_batch(mdp, rngs)
-    return (1.0 - eta) * q + eta * empirical_bellman(q, next_states, rewards, mdp.gamma, rows)
+    out = empirical_bellman(q, next_states, rewards, mdp.gamma, rows)
+    for eta, block in etas:
+        target = out[block]
+        np.add((1.0 - eta) * q[block], np.multiply(eta, target, out=target), out=target)
+    return out
 
 
 def _round_words(seeds, n_agents: int, rounds: int, n_streams: int):
@@ -187,39 +199,40 @@ def _round_words(seeds, n_agents: int, rounds: int, n_streams: int):
         yield from np.stack(words, axis=2).reshape(n, n_streams, rows, 4)
 
 
-def _local_phases(q_bar: np.ndarray, mdp: TabularMDP, eta: float, words: np.ndarray,
+def _local_phases(q_bar: np.ndarray, mdp: TabularMDP, etas: list[tuple[float, slice]], words: np.ndarray,
                   rows: np.ndarray) -> np.ndarray:
     """One round's local phases of every agent of R runs: shape (R·I, S, A).
 
     ``q_bar`` holds the R broadcast tables and ``words`` that round's
     (K, U·I, 4) slice of :func:`_round_words`; row r·I + i starts from
     ``q_bar[r]``, and its epoch k updates from the sample table of the
-    stream seeded by ``words[k, rows[r·I + i]]``.  Each stream's table is
-    drawn once, however many rows read it.
+    stream seeded by ``words[k, rows[r·I + i]]``, damped by the eta that
+    ``etas`` gives its block of rows.  Each stream's table is drawn once,
+    however many rows read it.
     """
     q = np.repeat(q_bar, len(rows) // len(q_bar), axis=0)
     for epoch_words in words:
-        q = _epoch(q, mdp, eta, generators(epoch_words), rows)
+        q = _epoch(q, mdp, etas, generators(epoch_words), rows)
     return q
 
 
-def _server_step(q_bar: np.ndarray, sent: np.ndarray, beta: float) -> np.ndarray:
-    """Add ``beta / I`` times the sum of each run's I rows of ``sent`` onto its table.
+def _server_step(q_bar: np.ndarray, sent: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """Add ``betas[r] / I`` times the sum of run r's I rows of ``sent`` onto its table.
 
-    ``q_bar`` holds R tables and ``sent`` their (R·I, d) uploads, run r's
-    in rows r·I to r·I + I - 1.  Each run's sum starts from +0.0 and adds
-    its rows one by one in ascending agent order, so it gives the same
-    bits as adding the densified payloads agent by agent: a +0.0 sum can
-    never become -0.0, so adding +0.0 for an untransmitted coordinate
-    changes nothing.  It is not a numpy sum over the agent axis: numpy
-    reduces a one-column table (d = 1) pairwise, in another order than
-    row by row.
+    ``q_bar`` holds R tables, ``betas`` their R server step sizes and
+    ``sent`` their (R·I, d) uploads, run r's in rows r·I to r·I + I - 1.
+    Each run's sum starts from +0.0 and adds its rows one by one in
+    ascending agent order, so it gives the same bits as adding the
+    densified payloads agent by agent: a +0.0 sum can never become -0.0,
+    so adding +0.0 for an untransmitted coordinate changes nothing.  It
+    is not a numpy sum over the agent axis: numpy reduces a one-column
+    table (d = 1) pairwise, in another order than row by row.
     """
     per_run = sent.reshape(len(q_bar), -1, sent.shape[1])
     acc = np.zeros((len(q_bar), sent.shape[1]))
     for agent_rows in per_run.swapaxes(0, 1):
         acc += agent_rows
-    return q_bar + (beta / per_run.shape[1]) * acc.reshape(q_bar.shape)
+    return q_bar + (betas / per_run.shape[1]).reshape(-1, 1, 1) * acc.reshape(q_bar.shape)
 
 
 def _running_min(current: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -227,17 +240,17 @@ def _running_min(current: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.fmin(current, np.fmin.reduce(values.reshape(len(current), -1), axis=1))
 
 
-def _arms(configs: list[ExperimentConfig], n_agents: int) -> list[tuple[CompressorSpec, str, slice, slice]]:
-    """Each contiguous block of configs with one compressor and mode: (spec, mode, runs, rows).
+def _blocks(configs: list[ExperimentConfig], key, n_agents: int) -> list[tuple[object, slice, slice]]:
+    """Each contiguous block of configs with one value of ``key``: (value, runs, rows).
 
     ``runs`` slices the block's runs out of the batch and ``rows`` their agents' rows.
     """
-    arms, start = [], 0
-    for (spec, mode), block in itertools.groupby(configs, key=lambda c: (c.compressor, c.mode)):
+    blocks, start = [], 0
+    for value, block in itertools.groupby(configs, key=key):
         stop = start + len(list(block))
-        arms.append((spec, mode, slice(start, stop), slice(start * n_agents, stop * n_agents)))
+        blocks.append((value, slice(start, stop), slice(start * n_agents, stop * n_agents)))
         start = stop
-    return arms
+    return blocks
 
 
 def run_federated(
@@ -264,15 +277,16 @@ def run_federated_batch(
     """Run every config; one result per config, in input order.
 
     Every config is checked against the MDP before anything is computed.
-    Each stretch of consecutive configs that agree on agents, local
-    epochs, rounds, eta, beta and q0 is computed together, whatever their
-    master seeds, compressors, modes and bits per value: each epoch draws
-    the sample tables of each distinct seed once and every run with that
-    seed updates from them, one Bellman update covers all R·I agents, each
-    contiguous block of configs with one compressor and mode is compressed
-    in one call, and the server keeps R tables.  A stretch runs in batches
-    of at most ``BATCH_CELLS // (I·d)`` configs, so its memory does not
-    grow with R, and each result's ``seconds`` is its batch's wall time
+    All configs that agree on agents, local epochs and rounds (the loop's
+    shape) are computed together, wherever they stand in the list and
+    whatever their master seeds, compressors, modes, bits per value, eta,
+    beta and q0: each epoch draws the sample tables of each distinct seed
+    once and every run with that seed updates from them, one Bellman
+    update covers all R·I agents, each contiguous block of configs with
+    one compressor and mode is compressed in one call, and the server
+    keeps R tables.  The configs of one shape run in batches of at most
+    ``BATCH_CELLS // (I·d)`` configs, in input order, so their memory does
+    not grow with R, and each result's ``seconds`` is its batch's wall time
     divided by the batch's number of runs.  Result r is the same bits as
     :func:`run_federated` on ``configs[r]`` alone.
     """
@@ -284,24 +298,30 @@ def run_federated_batch(
     if q_star.shape != (mdp.n_states, mdp.n_actions):
         raise ShapeMismatchError("q_star shape does not match the MDP")
 
-    results = []
-    for _, stretch in itertools.groupby(configs, key=_SHARED):
-        stretch = list(stretch)
-        size = max(1, BATCH_CELLS // (stretch[0].n_agents * mdp.table_size))
-        for start in range(0, len(stretch), size):
+    shapes: dict[tuple, list[int]] = {}
+    for index, config in enumerate(configs):
+        shapes.setdefault(_SHARED(config), []).append(index)
+    results = [None] * len(configs)
+    for (n_agents, _, _), indices in shapes.items():
+        size = max(1, BATCH_CELLS // (n_agents * mdp.table_size))
+        for start in range(0, len(indices), size):
+            batch = indices[start:start + size]
             started = time.perf_counter()
-            batch = _run_group(stretch[start:start + size], mdp, q_star)
+            batch_results = _run_group([configs[i] for i in batch], mdp, q_star)
             seconds = (time.perf_counter() - started) / len(batch)
-            for result in batch:
+            for index, result in zip(batch, batch_results):
                 result.seconds = seconds
-            results.extend(batch)
+                results[index] = result
     return results
 
 
 def _run_group(configs: list[ExperimentConfig], mdp: TabularMDP, q_star: np.ndarray) -> list[RunResult]:
-    """The federated loop of one run per config; the configs agree on every value of ``_SHARED``.
+    """The federated loop of one run per config; the configs agree on the loop's shape, ``_SHARED``.
 
-    The round loop does only what the next round needs: local phases,
+    Each run starts from its own q0 and keeps its own eta and beta: the
+    damped update runs once per contiguous block of configs with one eta,
+    and the server step scales each run's sum by its own beta / I.  The
+    round loop does only what the next round needs: local phases,
     compression, residual, server step and errors.  It records each run's
     kept entries per round in a (T, R) array and its two errors in
     (T+1, R) arrays; the bits and trace rows are built from them once the
@@ -317,14 +337,17 @@ def _run_group(configs: list[ExperimentConfig], mdp: TabularMDP, q_star: np.ndar
     slot = {seed: u for u, seed in enumerate(seeds)}
     stream_rows = (np.array([slot[c.master_seed] for c in configs])[:, None] * n_agents
                    + np.arange(n_agents)).ravel()
-    arms = _arms(configs, n_agents)
+    arms = _blocks(configs, operator.attrgetter("compressor", "mode"), n_agents)
+    etas = [(eta, rows) for eta, _, rows in _blocks(configs, operator.attrgetter("eta"), n_agents)]
+    betas = np.array([c.beta for c in configs], dtype=np.float64)
     # only random compressors consume a stream; its path is pinned to (agent, round, K)
-    sparsified = any(spec.kind == SPARSIFIED_K for spec, _, _, _ in arms)
+    sparsified = any(spec.kind == SPARSIFIED_K for (spec, _), _, _ in arms)
     n_streams = n_epochs + 1 if sparsified else n_epochs
 
-    q_bar = np.full((n_runs, mdp.n_states, mdp.n_actions), float(config.q0))
+    q0 = np.array([c.q0 for c in configs], dtype=np.float64)
+    q_bar = np.repeat(q0, d).reshape(n_runs, mdp.n_states, mdp.n_actions)
     # error-feedback memory; only the rows of error-feedback arms are read or written
-    has_ef = any(mode == ERROR_FEEDBACK for _, mode, _, _ in arms)
+    has_ef = any(mode == ERROR_FEEDBACK for (_, mode), _, _ in arms)
     residual = np.zeros((n_runs * n_agents, d)) if has_ef else None
     alpha_min, p_support_min = np.full(n_runs, np.nan), np.full(n_runs, np.nan)
     entries = np.zeros((n_rounds, n_runs), dtype=np.int64)
@@ -332,13 +355,13 @@ def _run_group(configs: list[ExperimentConfig], mdp: TabularMDP, q_star: np.ndar
     rmses[0], linfs[0] = errors_batch(q_bar, q_star)
 
     for t, words in enumerate(_round_words(seeds, n_agents, n_rounds, n_streams)):
-        q_local = _local_phases(q_bar, mdp, config.eta, words[:n_epochs], stream_rows)
+        q_local = _local_phases(q_bar, mdp, etas, words[:n_epochs], stream_rows)
         pending = (q_local.reshape(n_runs, n_agents, d) - q_bar.reshape(n_runs, 1, d)).reshape(-1, d)
         if sparsified:
             uniforms = np.empty((len(words[n_epochs]), d))
             for rng, row in zip(generators(words[n_epochs]), uniforms):
                 rng.random(out=row)
-        for spec, mode, runs, rows in arms:
+        for (spec, mode), runs, rows in arms:
             arm_pending = pending[rows]
             if mode == ERROR_FEEDBACK:
                 arm_pending += residual[rows]
@@ -354,7 +377,7 @@ def _run_group(configs: list[ExperimentConfig], mdp: TabularMDP, q_star: np.ndar
             arm_pending[...] = payload.sent  # pending's rows become the uploads
             entries[t, runs] = payload.kept.reshape(-1, n_agents * d).sum(axis=1)
 
-        q_bar = _server_step(q_bar, pending, config.beta)
+        q_bar = _server_step(q_bar, pending, betas)
         rmses[t + 1], linfs[t + 1] = errors_batch(q_bar, q_star)
 
     return [

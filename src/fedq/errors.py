@@ -10,6 +10,7 @@ parameters: :func:`check_count` for integer counts, seeds and stream ids,
 Every input file (map, manifest, trace) is read by :func:`read_text`.
 """
 import math
+import numbers
 import operator
 from pathlib import Path
 
@@ -92,15 +93,15 @@ def check_interval(name: str, value, low: float = 0, high: float = math.inf, clo
     """``value`` if it lies in the real interval from ``low`` to ``high``, else raise ``error``.
 
     ``closed`` holds the interval's brackets, e.g. ``"(]"`` for (low, high].
-    NaN and non-numbers lie in no interval, and an open infinite end admits
+    Only real scalars lie in an interval: bools, arrays and other
+    non-numbers raise ``error``, as does NaN, and an open infinite end admits
     no infinity: the default (0, inf) holds exactly the positive finite reals.
     """
-    try:
-        if (low < value if closed[0] == "(" else low <= value) and (
-                value < high if closed[1] == ")" else value <= high):
-            return value
-    except TypeError:  # not a number
-        pass
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise error(f"{name} must be a real number, got {value!r}")
+    if (low < value if closed[0] == "(" else low <= value) and (
+            value < high if closed[1] == ")" else value <= high):
+        return value
     if low == 0 and high == math.inf:
         rule = f"be {'positive' if closed[0] == '(' else 'non-negative'} and finite"
     else:

@@ -338,11 +338,17 @@ def test_criterion_08_eta_tradeoff(map5x5_noisy, map5x5_qstar):
     rounds = 1200
     crossings = {}
     plateaus = {}
-    for eta in (0.01, 0.1, 0.5):
+    etas = (0.01, 0.1, 0.5)
+    # the three etas differ only in a per-run value, so their 30 runs are one batch
+    results = fedq.run_federated_batch(
+        [make_cfg(compressor="top_k", k=5, seed=seed, agents=50, rounds=rounds, eta=eta, beta=0.8)
+         for eta in etas for seed in range(10)],
+        map5x5_noisy, map5x5_qstar,
+    )
+    for j, eta in enumerate(etas):
         cross_per_seed = []
         plateau_per_seed = []
-        for result in run_seeds(map5x5_noisy, map5x5_qstar, range(10), compressor="top_k", k=5,
-                                agents=50, rounds=rounds, eta=eta, beta=0.8):
+        for result in results[10 * j:10 * j + 10]:
             cross = next(m.round for m in result.metrics if m.rmse <= 0.5)
             cross_per_seed.append(cross)
             plateau_per_seed.append(np.mean([m.rmse for m in result.metrics[-50:]]))

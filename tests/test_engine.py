@@ -35,6 +35,11 @@ def make_config(**overrides):
     return fedq.ExperimentConfig(**base)
 
 
+def one_eta(eta):
+    """The eta blocks of a batch whose every row learns at ``eta``."""
+    return [(eta, slice(None))]
+
+
 def local_phase_reference(q_bar, mdp, eta, n_epochs, root, t, agent):
     """Agent ``agent``'s round-t local phase from the public sampler and operator."""
     q = q_bar
@@ -48,7 +53,7 @@ class TestLocalEpoch:
     def test_full_step_equals_exact_operator_when_deterministic(self, map5x5_mdp):
         rng = np.random.default_rng(0)
         q = rng.uniform(-2, 2, (25, 4))
-        out = _epoch(q[None], map5x5_mdp, 1.0, [fedq.RngStream(0).generator()], np.arange(1))[0]
+        out = _epoch(q[None], map5x5_mdp, one_eta(1.0), [fedq.RngStream(0).generator()], np.arange(1))[0]
         assert np.allclose(out, fedq.exact_bellman(map5x5_mdp, q), rtol=0, atol=1e-12)
 
     def test_half_step_arithmetic(self):
@@ -64,7 +69,7 @@ class TestLocalEpoch:
         reward_cap = map5x5_noisy.r_max  # mean capped at 1, noise at 0.5
         q = rng.uniform(-6, 6, (20, 25, 4))
         gens = [fedq.RngStream(2, (trial,)).generator() for trial in range(20)]
-        out = _epoch(q, map5x5_noisy, 0.3, gens, np.arange(20))
+        out = _epoch(q, map5x5_noisy, one_eta(0.3), gens, np.arange(20))
         for q_i, out_i in zip(q, out):
             cap = max(np.max(np.abs(q_i)), reward_cap + gamma * np.max(np.abs(q_i)))
             assert np.max(np.abs(out_i)) <= cap + 1e-12
@@ -74,12 +79,12 @@ class TestLocalEpoch:
         q = np.random.default_rng(3).uniform(-2, 2, (2, 25, 4))
         streams = [fedq.RngStream(4, (j,)) for j in range(2)]
         rows = np.array([1, 0])
-        out = _epoch(q, map5x5_noisy, 0.3, [stream.generator() for stream in streams], rows)
+        out = _epoch(q, map5x5_noisy, one_eta(0.3), [stream.generator() for stream in streams], rows)
         for i, j in enumerate(rows):
-            alone = _epoch(q[i][None], map5x5_noisy, 0.3, [streams[j].generator()], np.arange(1))
+            alone = _epoch(q[i][None], map5x5_noisy, one_eta(0.3), [streams[j].generator()], np.arange(1))
             assert out[i].tobytes() == alone[0].tobytes()
         # and the streams differ, so reading the other one would show
-        other = _epoch(q[:1], map5x5_noisy, 0.3, [streams[0].generator()], np.arange(1))
+        other = _epoch(q[:1], map5x5_noisy, one_eta(0.3), [streams[0].generator()], np.arange(1))
         assert not np.array_equal(out[0], other[0])
 
 
@@ -87,8 +92,8 @@ class TestLocalPhase:
     def test_single_epoch_reduces_to_local_epoch(self, map5x5_noisy):
         q0 = np.zeros((25, 4))
         root = fedq.RngStream(5)
-        phase = _local_phases(q0[None], map5x5_noisy, 0.3, next(_round_words([5], 1, 1, 1)), np.arange(1))
-        single = _epoch(q0[None], map5x5_noisy, 0.3, [root.child(0, 0, 0).generator()], np.arange(1))
+        phase = _local_phases(q0[None], map5x5_noisy, one_eta(0.3), next(_round_words([5], 1, 1, 1)), np.arange(1))
+        single = _epoch(q0[None], map5x5_noisy, one_eta(0.3), [root.child(0, 0, 0).generator()], np.arange(1))
         assert np.array_equal(phase, single)
 
     def test_full_steps_compose_exact_operator(self, map5x5_mdp, map5x5_qstar, server_tables):
@@ -104,8 +109,8 @@ class TestLocalPhase:
 
     def test_identical_streams_identical_phases(self, map5x5_noisy):
         q0 = np.zeros((25, 4))
-        a = _local_phases(q0[None], map5x5_noisy, 0.3, list(_round_words([9], 3, 8, 4))[7], np.arange(3))
-        b = _local_phases(q0[None], map5x5_noisy, 0.3, list(_round_words([9], 3, 8, 4))[7], np.arange(3))
+        a = _local_phases(q0[None], map5x5_noisy, one_eta(0.3), list(_round_words([9], 3, 8, 4))[7], np.arange(3))
+        b = _local_phases(q0[None], map5x5_noisy, one_eta(0.3), list(_round_words([9], 3, 8, 4))[7], np.arange(3))
         assert np.array_equal(a, b)
 
 
@@ -118,16 +123,16 @@ class TestAggregate:
     def test_identity_telescopes(self):
         q_bar = np.array([[1.0]])
         q_local = np.array([[3.0]])
-        out = _server_step(q_bar[None], (q_local - q_bar).reshape(1, -1), 1.0)[0]
+        out = _server_step(q_bar[None], (q_local - q_bar).reshape(1, -1), np.array([1.0]))[0]
         assert np.array_equal(out, q_local)
 
     def test_two_agent_average(self):
         # agent 0 ships 2.0, agent 1 ships nothing
-        out = _server_step(np.zeros((1, 1, 1)), np.array([[2.0], [0.0]]), 1.0)[0]
+        out = _server_step(np.zeros((1, 1, 1)), np.array([[2.0], [0.0]]), np.array([1.0]))[0]
         assert out[0, 0] == 1.0
 
     def test_server_step_scaling(self):
-        out = _server_step(np.array([[[1.0]]]), np.array([[2.0]]), 0.5)[0]
+        out = _server_step(np.array([[[1.0]]]), np.array([[2.0]]), np.array([0.5]))[0]
         assert out[0, 0] == 2.0
 
     @pytest.mark.parametrize("beta", [1.0, 0.7])
@@ -145,7 +150,7 @@ class TestAggregate:
             for h in h_list:
                 acc += h.densify()
             expected = q_bar + (beta / len(h_list)) * acc.reshape(q_bar.shape)
-            out = _server_step(q_bar[None], dense_rows(h_list), beta)[0]
+            out = _server_step(q_bar[None], dense_rows(h_list), np.array([beta]))[0]
             assert out.tobytes() == expected.tobytes()
 
     def test_gather_order_not_schedule_dependent(self, map5x5_noisy):
@@ -161,13 +166,13 @@ class TestAggregate:
 
         forward = [payload(i) for i in (0, 1, 2)]
         backward = list(reversed([payload(i) for i in (2, 1, 0)]))
-        out_f = _server_step(q_bar[None], dense_rows(forward), 0.7)[0]
-        out_b = _server_step(q_bar[None], dense_rows(backward), 0.7)[0]
+        out_f = _server_step(q_bar[None], dense_rows(forward), np.array([0.7]))[0]
+        out_b = _server_step(q_bar[None], dense_rows(backward), np.array([0.7]))[0]
         assert np.array_equal(out_f, out_b)
         batched = [sparse_from_dense((q - q_bar).ravel())
-                   for q in _local_phases(q_bar[None], map5x5_noisy, 0.2, next(_round_words([21], 3, 1, 2)),
-                                          np.arange(3))]
-        assert _server_step(q_bar[None], dense_rows(batched), 0.7)[0].tobytes() == out_f.tobytes()
+                   for q in _local_phases(q_bar[None], map5x5_noisy, one_eta(0.2),
+                                          next(_round_words([21], 3, 1, 2)), np.arange(3))]
+        assert _server_step(q_bar[None], dense_rows(batched), np.array([0.7]))[0].tobytes() == out_f.tobytes()
 
 
 class TestConfigValidation:
@@ -492,6 +497,8 @@ def assert_same_run(batched, lone):
 BATCH_SEEDS = [0, 3, 3, 2**40 + 1, 2**130 + 7]
 # a seed repeated apart from itself, and a seed of two uint32 words
 MIXED_SEEDS = [3, 0, 3, 2**40 + 1]
+# per-run values: eta changes from one entry to the next and recurs apart, and q0 takes both zeros
+PER_RUN = [dict(eta=0.3, beta=0.8, q0=0.0), dict(eta=0.1, beta=0.5, q0=-0.0), dict(eta=0.3, beta=1.0, q0=1.5)]
 
 
 class TestRunFederatedBatch:
@@ -569,10 +576,7 @@ class TestRunFederatedBatch:
         for cfg, batched in zip(configs, results):
             assert_same_run(batched, fedq.run_federated(cfg, map5x5_noisy, map5x5_qstar))
 
-    @pytest.mark.parametrize("change", [
-        dict(n_agents=3), dict(local_epochs=2), dict(rounds=4), dict(eta=0.3), dict(beta=0.5),
-        dict(q0=1.0),
-    ])
+    @pytest.mark.parametrize("change", [dict(n_agents=3), dict(local_epochs=2), dict(rounds=4)])
     def test_shared_field_change_starts_a_new_batch(self, change, map5x5_noisy, map5x5_qstar, run_groups):
         configs = [make_config(master_seed=0), make_config(master_seed=1, **change)]
         results = fedq.run_federated_batch(configs, map5x5_noisy, map5x5_qstar)
@@ -581,8 +585,9 @@ class TestRunFederatedBatch:
             assert_same_run(batched, fedq.run_federated(cfg, map5x5_noisy, map5x5_qstar))
 
     @pytest.mark.parametrize("change", [dict(compressor=fedq.CompressorSpec("top_k", k=5)),
-                                        dict(mode=ERROR_FEEDBACK), dict(fpp=16)])
-    def test_compressor_and_mode_may_differ(self, change, map5x5_noisy, map5x5_qstar, run_groups):
+                                        dict(mode=ERROR_FEEDBACK), dict(fpp=16), dict(eta=0.3),
+                                        dict(beta=0.5), dict(q0=1.0), dict(q0=-0.0)])
+    def test_per_run_values_may_differ(self, change, map5x5_noisy, map5x5_qstar, run_groups):
         configs = [make_config(master_seed=0), make_config(master_seed=1, **change)]
         results = fedq.run_federated_batch(configs, map5x5_noisy, map5x5_qstar)
         assert run_groups == [[0, 1]]
@@ -590,20 +595,31 @@ class TestRunFederatedBatch:
         for cfg, batched in zip(configs, results):
             assert_same_run(batched, fedq.run_federated(cfg, map5x5_noisy, map5x5_qstar))
 
-    @pytest.mark.parametrize("epochs, q0, interleaved",
-                             list(itertools.product((1, 3), (0.0, 1.5), (False, True))))
-    def test_mixed_batch_matches_lone_runs(self, epochs, q0, interleaved, map5x5_noisy, map5x5_qstar):
-        # every compressor in both modes, with a repeated seed: blocked, each (compressor, mode)
-        # is one block of four runs; interleaved, every run is a block of its own and equal
-        # pairings recur apart
-        arms = list(itertools.product(COMPRESSORS.values(), (DIRECT, ERROR_FEEDBACK)))
-        order = ([(arm, seed) for seed in MIXED_SEEDS for arm in arms] if interleaved
-                 else [(arm, seed) for arm in arms for seed in MIXED_SEEDS])
-        configs = [make_config(n_agents=3, local_epochs=epochs, rounds=4, eta=0.3, q0=q0,
-                               compressor=spec, mode=mode, master_seed=seed)
-                   for (spec, mode), seed in order]
+    def test_configs_of_one_shape_batch_in_any_order(self, map5x5_noisy, map5x5_qstar, run_groups):
+        # I = 2, 3, 2: the two I = 2 runs share a batch across the I = 3 run between them
+        configs = [make_config(n_agents=n_agents, master_seed=seed)
+                   for seed, n_agents in enumerate((2, 3, 2))]
         results = fedq.run_federated_batch(configs, map5x5_noisy, map5x5_qstar)
-        assert len(results) == len(configs) == 32
+        assert run_groups == [[0, 2], [1]]
+        assert results[0].seconds == results[2].seconds
+        for cfg, batched in zip(configs, results):
+            assert_same_run(batched, fedq.run_federated(cfg, map5x5_noisy, map5x5_qstar))
+
+    @pytest.mark.parametrize("epochs, interleaved", list(itertools.product((1, 3), (False, True))))
+    def test_mixed_batch_matches_lone_runs(self, epochs, interleaved, map5x5_noisy, map5x5_qstar, run_groups):
+        # every compressor in both modes under each PER_RUN entry, with a repeated seed, as one
+        # batch: blocked, each (compressor, mode) is one block of twelve runs, cut by eta blocks;
+        # interleaved, every run is an arm block of its own and each eta block spans eight or
+        # sixteen of them; either way equal pairings and etas recur apart
+        arms = list(itertools.product(COMPRESSORS.values(), (DIRECT, ERROR_FEEDBACK)))
+        order = ([(seed, values, arm) for seed in MIXED_SEEDS for values in PER_RUN for arm in arms] if interleaved
+                 else [(seed, values, arm) for arm in arms for values in PER_RUN for seed in MIXED_SEEDS])
+        configs = [make_config(n_agents=3, local_epochs=epochs, rounds=4, compressor=spec, mode=mode,
+                               master_seed=seed, **values)
+                   for seed, values, (spec, mode) in order]
+        results = fedq.run_federated_batch(configs, map5x5_noisy, map5x5_qstar)
+        assert len(run_groups) == 1
+        assert len(results) == len(configs) == 96
         for cfg, batched in zip(configs, results):
             assert_same_run(batched, fedq.run_federated(cfg, map5x5_noisy, map5x5_qstar))
 
@@ -621,7 +637,8 @@ class TestRunFederatedBatch:
         n_agents, epochs, rounds = 3, 2, 4
         specs = (COMPRESSORS["top_k"], COMPRESSORS["identity"], COMPRESSORS["sparsified_l1"])
         configs = [make_config(n_agents=n_agents, local_epochs=epochs, rounds=rounds, compressor=spec,
-                               master_seed=seed) for spec in specs for seed in MIXED_SEEDS]
+                               master_seed=seed, **values)
+                   for spec, values in zip(specs, PER_RUN) for seed in MIXED_SEEDS]
         results = fedq.run_federated_batch(configs, map5x5_noisy, map5x5_qstar)
         assert calls == ([3 * n_agents] * epochs + [3 * n_agents]) * rounds
         monkeypatch.setattr(fedq.engine, "generators", build)

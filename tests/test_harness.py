@@ -150,9 +150,10 @@ class TestRunExperiment:
     @pytest.mark.parametrize("sweep, expected", [
         # points that differ only in k (a compressor field) share one batch
         ({"k": [5, 10]}, [[4, 5, 6, 4, 5, 6]]),
-        # eta is shared by every run of a batch: one batch per eta
-        ({"eta": [0.2, 0.3]}, [[4, 5, 6], [4, 5, 6]]),
-        # so is the number of agents
+        # so do points that differ in eta or beta, values each run of a batch keeps for itself
+        ({"eta": [0.2, 0.3]}, [[4, 5, 6, 4, 5, 6]]),
+        ({"beta": [0.5, 0.8]}, [[4, 5, 6, 4, 5, 6]]),
+        # the number of agents fixes the loop's shape: one batch per value
         ({"agents": [1, 2]}, [[4, 5, 6], [4, 5, 6]]),
     ])
     def test_seeds_of_a_point_run_as_one_batch(self, tmp_path, run_groups, sweep, expected):
