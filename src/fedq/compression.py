@@ -137,21 +137,26 @@ class BatchPayload:
 
 
 def compress_batch(
-    pending: np.ndarray, spec: CompressorSpec, uniforms: np.ndarray | None = None
+    pending: np.ndarray, spec: CompressorSpec, uniforms: np.ndarray | None = None, k=None
 ) -> BatchPayload:
     """Compress every row of an (I, d) array at once; draws no random numbers.
 
     Row i is compressed exactly as :func:`direct_compress` would compress
-    it alone, into row i of ``sent``; sparsified_k keeps entry j of row i
-    where ``uniforms[i, j]`` falls below its selection probability, so it
-    needs an (I, d) array of uniforms in [0, 1), the other operators none.
-    top_k needs only each row's k-th and (k+1)-th largest magnitudes, which
-    one sort of each row finds: it keeps every entry at or above the k-th,
-    and only on a row where that is more than k entries (the k-th is tied
-    past the budget) does it run the tie-break, which keeps the entries
-    above the k-th and then the lowest-index entries equal to it.  The
-    (k+1)-th gives the realized contraction factor.  The result is that of
-    a stable sort of ``-|v|``: ties keep the lower index, and NaN ranks
+    it alone, into row i of ``sent``, under ``spec``'s kind and probability
+    rule and a budget of ``k``: one integer for every row, or an (I,)
+    integer array of per-row budgets, each in [1, d] (``spec.k`` when
+    ``k`` is None; the identity reads none).  A row's bits do not depend on
+    whether its budget came as an integer or as an entry of an array.
+    sparsified_k keeps entry j of row i where ``uniforms[i, j]`` falls
+    below its selection probability, so it needs an (I, d) array of
+    uniforms in [0, 1), the other operators none.  top_k needs only each
+    row's k-th and (k+1)-th largest magnitudes, which one sort of each row
+    finds: it keeps every entry at or above the k-th, and only on a row
+    where that is more than k entries (the k-th is tied past the budget)
+    does it run the tie-break, which keeps the entries above the k-th and
+    then the lowest-index entries equal to it.  The (k+1)-th gives the
+    realized contraction factor, 1 on a row with k = d.  The result is that
+    of a stable sort of ``-|v|``: ties keep the lower index, and NaN ranks
     below every number and is never kept.
     """
     pending = np.asarray(pending, dtype=np.float64)
@@ -160,29 +165,29 @@ def compress_batch(
     if spec.kind == IDENTITY:
         return BatchPayload(np.ones(pending.shape, dtype=bool), pending)
     n_rows, d = pending.shape
-    check_budget(spec.k, d)
+    k = _budgets(spec.k if k is None else k, n_rows, d)
     if spec.kind == TOP_K:
         # |v| with NaN as -1.0: it ranks below every magnitude and is never kept,
         # as it does at the end of a stable sort of -|v|
-        key = np.fmax(np.abs(pending), -1.0)
-        top = key.max(axis=1)
-        if spec.k == d:
-            kept, excluded = key > 0, np.zeros(n_rows)
-        else:
-            # the k-th and (k+1)-th largest keys; ties at the k-th go to the lowest indices.  key
-            # holds no NaN and no -0.0, so a plain sort puts the same values there as a partition
-            ordered = np.sort(key, axis=1)
-            kth, nxt = ordered[:, d - spec.k, None], ordered[:, d - spec.k - 1]
-            kept = key >= kth
-            # only a row whose k-th key is tied past the budget keeps more than k; there the
-            # tie-break keeps the lowest-index ties
-            over = np.flatnonzero(kept.sum(axis=1) > spec.k)
-            if over.size:
-                above, tied = key[over] > kth[over], key[over] == kth[over]
-                room = spec.k - above.sum(axis=1, keepdims=True)
-                kept[over] = above | (tied & (tied.cumsum(axis=1) <= room))
-            kept &= key > 0
-            excluded = np.where(nxt < 0, np.nan, nxt)
+        key = np.abs(pending)
+        np.fmax(key, -1.0, out=key)
+        # the largest, k-th and (k+1)-th largest keys; ties at the k-th go to the lowest indices.
+        # key holds no NaN and no -0.0, so a plain sort puts the same values there as a partition
+        ordered = np.sort(key, axis=1)
+        top, kth, nxt = ordered[:, -1], _column(ordered, d - k)[:, None], _column(ordered, d - k - 1)
+        kept = key >= kth
+        # only a row whose k-th key is tied past the budget keeps more than k: there the (k+1)-th
+        # key equals the k-th (a row with k = d has none; its read wrapped round).  The tie-break
+        # keeps the lowest-index ties
+        over = np.flatnonzero((nxt == kth[:, 0]) & (k < d))
+        if over.size:
+            above, tied = key[over] > kth[over], key[over] == kth[over]
+            room = (k if isinstance(k, int) else k[over, None]) - above.sum(axis=1, keepdims=True)
+            kept[over] = above | (tied & (tied.cumsum(axis=1) <= room))
+        kept &= key > 0
+        excluded = np.where(nxt < 0, np.nan, nxt)
+        # a row with k = d excludes nothing; its (k+1)-th key wrapped round to the last column
+        np.copyto(excluded, 0.0, where=k == d)
         # a row that keeps and drops infinities divides inf by inf: its alpha is NaN, as a zero
         # row's is, with no warning
         with np.errstate(invalid="ignore"):
@@ -192,9 +197,27 @@ def compress_batch(
         raise ShapeMismatchError(
             f"sparsified_k needs uniforms of shape {pending.shape}, got {np.shape(uniforms)}"
         )
-    p = selection_probabilities(pending, spec.k, spec.probability_rule)
+    p = _probabilities(pending, k if isinstance(k, int) else k[:, None], spec.probability_rule)
     kept = uniforms < p
     return BatchPayload(kept, np.divide(pending, p, out=np.zeros(pending.shape), where=kept), p=p)
+
+
+def _budgets(k, n_rows: int, d: int):
+    """The budget rule of :func:`check_budget` on one budget, returned as an int, or on an
+    (I,) integer array of per-row budgets, returned as is."""
+    if not isinstance(k, np.ndarray):
+        return check_budget(k, d)
+    if k.shape != (n_rows,) or k.dtype.kind not in "iu":
+        raise BudgetOutOfRangeError(f"per-row budgets must be {n_rows} integers, got {k!r}")
+    ks = k.tolist()  # a few rows: Python's min and max beat numpy's reductions
+    if n_rows and not (1 <= min(ks) and max(ks) <= d):
+        raise BudgetOutOfRangeError(f"budgets k outside [1, d={d}]: {ks}")
+    return k
+
+
+def _column(table: np.ndarray, col) -> np.ndarray:
+    """Entry ``col[i]`` of each row i of a 2-D table, or column ``col`` when it is one int."""
+    return table[:, col] if isinstance(col, int) else table[np.arange(len(table)), col]
 
 
 def _apply(v: np.ndarray, spec: CompressorSpec, rng: np.random.Generator | None) -> BatchPayload:
@@ -254,17 +277,23 @@ def selection_probabilities(v: np.ndarray, k: int, rule: str = RULE_L1) -> np.nd
     v = np.asarray(v, dtype=np.float64)
     if v.ndim < 1:
         raise ShapeMismatchError("selection probabilities need at least one axis, got a scalar")
-    d = v.shape[-1]
-    check_budget(k, d)
+    check_budget(k, v.shape[-1])
+    if rule not in RULES:
+        raise ParamOutOfRangeError(f"unknown probability rule {rule!r}")
+    return _probabilities(v, k, rule)
+
+
+def _probabilities(v: np.ndarray, k, rule: str) -> np.ndarray:
+    """:func:`selection_probabilities` of a valid budget ``k``: an int, or an array that
+    broadcasts against ``v``'s leading axes with a last axis of 1, one budget per vector.
+    ``k * |v_j|`` and ``k / d`` are the same IEEE operations either way."""
     mags = np.abs(v)
     support = mags > 0
     if rule == RULE_L1:
         total = mags.sum(axis=-1, keepdims=True)
         p = np.divide(k * mags, total, out=np.zeros(v.shape), where=support)
         return np.minimum(1.0, p, out=p)
-    if rule == RULE_UNIFORM:
-        return np.where(support, min(1.0, k / d), 0.0)
-    raise ParamOutOfRangeError(f"unknown probability rule {rule!r}")
+    return np.where(support, np.minimum(1.0, k / v.shape[-1]), 0.0)
 
 
 def unbiased_constants(p: np.ndarray) -> tuple[float, float]:

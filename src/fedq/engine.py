@@ -22,15 +22,19 @@ that agree on the loop's shape (agents, local epochs and rounds, which
 fix the (R·I, S, A) arrays, the epoch loop and the round loop), wherever
 they stand in the list, run as one computation of R·I rows, run r's
 agents in rows r·I to r·I + I - 1, whatever their master seeds,
-compressors, modes, bits per value, eta, beta and q0.  Streams are
-shared by seed: a stream is a pure function of (master seed, path), so
-each epoch draws the sample tables of the U distinct seeds once, into
-U·I stream rows, and an index array names the stream row each of the R·I
-rows reads (the identity when every seed is distinct).  Each round then
+compressors, modes, bits per value, eta, beta and q0, stably sorted by
+compressor kind, probability rule, mode and eta, so that each
+(kind, rule, mode) arm, and each eta within it, is one contiguous block
+of runs.  Streams are shared by seed: a stream is a pure function of
+(master seed, path), so each epoch draws the sample tables of the U
+distinct seeds once, into U·I stream rows, and an index array names the
+stream row each of the R·I rows reads (the identity when every seed is
+distinct).  Each round then
 makes one Bellman update per epoch over all rows, one damped update per
-contiguous block of runs with the same eta, one compression per
-contiguous block of runs with the same compressor and mode, which writes
-its uploads into its rows of the pending table, and one server step over
+block of runs with the same eta, one compression per arm, each row under
+its run's budget k (one integer when the arm's runs agree on k, else one
+budget per row, built once per batch), which writes its uploads into its
+rows of the pending table, and one server step over
 the pending table that keeps R tables, each run's sum scaled by its own
 beta / I.  The round records only each run's kept entries, errors and
 realized compressor constants; the bits and trace rows are built per run
@@ -50,10 +54,12 @@ streams are computed by :func:`~fedq.rng.seed_words` for a block of
 rounds at a time, at most ``SEED_BLOCK`` streams over the distinct seeds'
 rows unless one round alone has more, so seeding memory does not grow
 with the number of rounds; each epoch builds only its own generators from
-them, I per distinct seed.  So does a round's compressor draw: when any
-run uses sparsified_k, the round draws d uniforms from each of the U·I
-compressor streams once, and every sparsified_k run reads its rows of
-that block, as the runs share sample tables.
+them, I per distinct seed, and none on a table with one successor per
+row and noiseless rewards, where no sample draw is read.  So does a
+round's compressor draw: when any run uses sparsified_k, the round draws
+d uniforms from each of the U·I compressor streams once, and every
+sparsified_k run reads its rows of that block, as the runs share sample
+tables.
 """
 from __future__ import annotations
 
@@ -68,8 +74,8 @@ import numpy as np
 from .bellman import empirical_bellman, errors_batch
 from .bounds import payload_bits
 from .compression import IDENTITY, SPARSIFIED_K, TOP_K, CompressorSpec, compress_batch
-from .errors import (InvalidGammaError, ParamOutOfRangeError, ShapeMismatchError, check_budget, check_count,
-                     check_interval)
+from .errors import (InvalidGammaError, NonFiniteError, ParamOutOfRangeError, ShapeMismatchError, check_budget,
+                     check_count, check_interval)
 from .mdp import TabularMDP, synchronous_sample_batch
 from .rng import ID_LIMIT, generators, seed_words
 
@@ -87,6 +93,8 @@ SEED_BLOCK = 2**16  # most stream paths derived in one seed_words call
 BATCH_CELLS = 2**20  # most entries (R·I rows times d) of one batch's (R·I, d) arrays
 # the loop's shape: the configs that agree on it share a batch, wherever they stand in the list
 _SHARED = operator.attrgetter("n_agents", "local_epochs", "rounds")
+# a compression arm: the runs one compress_batch call serves, each row under its own budget k
+_ARM = operator.attrgetter("compressor.kind", "compressor.probability_rule", "mode")
 
 
 @dataclass(frozen=True)
@@ -162,16 +170,17 @@ class RunResult:
     seconds: float = 0.0  # wall time of the batch that computed the run, divided by its number of runs
 
 
-def _epoch(q: np.ndarray, mdp: TabularMDP, etas: list[tuple[float, slice]], rngs,
+def _epoch(q: np.ndarray, mdp: TabularMDP, etas: list[tuple[float, slice]], samples,
            rows: np.ndarray) -> np.ndarray:
     """One damped empirical-Bellman update of an (N, S, A) batch.
 
-    Generator j draws sample table j, and row i of ``q`` reads table
-    ``rows[i]``.  ``etas`` pairs each learning rate with the block of rows
-    it damps; each block's update ``(1 - eta) q + eta T(q)`` runs once with
-    a scalar eta, which gives every row the bits of its lone update.
+    ``samples`` holds the (U, S, A) next-state and reward tables, and row i
+    of ``q`` reads table ``rows[i]``.  ``etas`` pairs each learning rate
+    with the block of rows it damps; each block's update
+    ``(1 - eta) q + eta T(q)`` runs once with a scalar eta, which gives
+    every row the bits of its lone update.
     """
-    next_states, rewards = synchronous_sample_batch(mdp, rngs)
+    next_states, rewards = samples
     out = empirical_bellman(q, next_states, rewards, mdp.gamma, rows)
     for eta, block in etas:
         target = out[block]
@@ -208,11 +217,18 @@ def _local_phases(q_bar: np.ndarray, mdp: TabularMDP, etas: list[tuple[float, sl
     ``q_bar[r]``, and its epoch k updates from the sample table of the
     stream seeded by ``words[k, rows[r·I + i]]``, damped by the eta that
     ``etas`` gives its block of rows.  Each stream's table is drawn once,
-    however many rows read it.
+    however many rows read it.  A table with one successor per row and
+    noiseless rewards reads no draw: every stream's sample table is the
+    successors with the mean rewards, so every row reads that one table
+    and no generator is built.
     """
     q = np.repeat(q_bar, len(rows) // len(q_bar), axis=0)
+    fixed = None
+    if mdp.succ.shape[1] == 1 and mdp.noise.std == 0.0:
+        fixed = mdp.succ.reshape(1, mdp.n_states, mdp.n_actions), mdp.reward_mean[None]
+        rows = np.zeros_like(rows)
     for epoch_words in words:
-        q = _epoch(q, mdp, etas, generators(epoch_words), rows)
+        q = _epoch(q, mdp, etas, fixed or synchronous_sample_batch(mdp, generators(epoch_words)), rows)
     return q
 
 
@@ -272,20 +288,25 @@ def run_federated(
 def run_federated_batch(
     configs: list[ExperimentConfig],
     mdp: TabularMDP,
-    q_star: np.ndarray,
+    q_star,
 ) -> list[RunResult]:
     """Run every config; one result per config, in input order.
 
-    Every config is checked against the MDP before anything is computed.
-    All configs that agree on agents, local epochs and rounds (the loop's
+    Every config is checked against the MDP, and ``q_star`` (any
+    array-like) for shape (S, A) and finite entries, before anything is
+    computed: a non-config entry raises ``ParamOutOfRangeError``, a
+    malformed ``q_star`` ``ShapeMismatchError`` and a NaN or infinite one
+    ``NonFiniteError``.  All configs that agree on agents, local epochs and rounds (the loop's
     shape) are computed together, wherever they stand in the list and
     whatever their master seeds, compressors, modes, bits per value, eta,
     beta and q0: each epoch draws the sample tables of each distinct seed
     once and every run with that seed updates from them, one Bellman
-    update covers all R·I agents, each contiguous block of configs with
-    one compressor and mode is compressed in one call, and the server
-    keeps R tables.  The configs of one shape run in batches of at most
-    ``BATCH_CELLS // (I·d)`` configs, in input order, so their memory does
+    update covers all R·I agents, the configs that share a compressor
+    kind, probability rule and mode are compressed in one call with one
+    budget per row, and the server keeps R tables.  The configs of one
+    shape are stably sorted by (kind, rule, mode, eta), so that each such
+    arm is one contiguous block, and run in batches of at most
+    ``BATCH_CELLS // (I·d)`` configs in that order, so their memory does
     not grow with R, and each result's ``seconds`` is its batch's wall time
     divided by the batch's number of runs.  Result r is the same bits as
     :func:`run_federated` on ``configs[r]`` alone.
@@ -294,15 +315,26 @@ def run_federated_batch(
     if not configs:
         raise ParamOutOfRangeError("run_federated_batch needs at least one config")
     for config in configs:
+        if not isinstance(config, ExperimentConfig):
+            raise ParamOutOfRangeError(f"run_federated_batch needs ExperimentConfigs, got {config!r}")
         config.check_against(mdp)
+    try:
+        q_star = np.asarray(q_star, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ShapeMismatchError(f"q_star must be a numeric table: {exc}") from None
     if q_star.shape != (mdp.n_states, mdp.n_actions):
-        raise ShapeMismatchError("q_star shape does not match the MDP")
+        raise ShapeMismatchError(f"q_star shape {q_star.shape} does not match the MDP "
+                                 f"({mdp.n_states}, {mdp.n_actions})")
+    if not all(map(math.isfinite, (q_star.min(), q_star.max()))):  # NaN propagates to both
+        raise NonFiniteError("q_star holds NaN or infinite entries")
 
     shapes: dict[tuple, list[int]] = {}
     for index, config in enumerate(configs):
         shapes.setdefault(_SHARED(config), []).append(index)
     results = [None] * len(configs)
     for (n_agents, _, _), indices in shapes.items():
+        # each arm, and each eta within it, becomes one contiguous block of the batch
+        indices.sort(key=lambda i: (_ARM(configs[i]), configs[i].eta))
         size = max(1, BATCH_CELLS // (n_agents * mdp.table_size))
         for start in range(0, len(indices), size):
             batch = indices[start:start + size]
@@ -320,8 +352,10 @@ def _run_group(configs: list[ExperimentConfig], mdp: TabularMDP, q_star: np.ndar
 
     Each run starts from its own q0 and keeps its own eta and beta: the
     damped update runs once per contiguous block of configs with one eta,
-    and the server step scales each run's sum by its own beta / I.  The
-    round loop does only what the next round needs: local phases,
+    and the server step scales each run's sum by its own beta / I.  Each
+    contiguous block of configs with one compressor kind, probability rule
+    and mode is one arm, compressed in one call under its runs' budgets.
+    The round loop does only what the next round needs: local phases,
     compression, residual, server step and errors.  It records each run's
     kept entries per round in a (T, R) array and its two errors in
     (T+1, R) arrays; the bits and trace rows are built from them once the
@@ -337,17 +371,23 @@ def _run_group(configs: list[ExperimentConfig], mdp: TabularMDP, q_star: np.ndar
     slot = {seed: u for u, seed in enumerate(seeds)}
     stream_rows = (np.array([slot[c.master_seed] for c in configs])[:, None] * n_agents
                    + np.arange(n_agents)).ravel()
-    arms = _blocks(configs, operator.attrgetter("compressor", "mode"), n_agents)
+    # one arm per contiguous block of runs with one (kind, rule, mode), each compressed in one call
+    # under its rows' budgets: one int when its runs agree on k, else one budget per row
+    arms = []
+    for (_, _, mode), runs, rows in _blocks(configs, _ARM, n_agents):
+        ks = [c.compressor.k for c in configs[runs]]
+        budget = ks[0] if len(set(ks)) == 1 else np.repeat(ks, n_agents)
+        arms.append((configs[runs.start].compressor, budget, mode, runs, rows))
     etas = [(eta, rows) for eta, _, rows in _blocks(configs, operator.attrgetter("eta"), n_agents)]
     betas = np.array([c.beta for c in configs], dtype=np.float64)
     # only random compressors consume a stream; its path is pinned to (agent, round, K)
-    sparsified = any(spec.kind == SPARSIFIED_K for (spec, _), _, _ in arms)
+    sparsified = any(spec.kind == SPARSIFIED_K for spec, *_ in arms)
     n_streams = n_epochs + 1 if sparsified else n_epochs
 
     q0 = np.array([c.q0 for c in configs], dtype=np.float64)
     q_bar = np.repeat(q0, d).reshape(n_runs, mdp.n_states, mdp.n_actions)
     # error-feedback memory; only the rows of error-feedback arms are read or written
-    has_ef = any(mode == ERROR_FEEDBACK for (_, mode), _, _ in arms)
+    has_ef = any(mode == ERROR_FEEDBACK for _, _, mode, _, _ in arms)
     residual = np.zeros((n_runs * n_agents, d)) if has_ef else None
     alpha_min, p_support_min = np.full(n_runs, np.nan), np.full(n_runs, np.nan)
     entries = np.zeros((n_rounds, n_runs), dtype=np.int64)
@@ -361,12 +401,13 @@ def _run_group(configs: list[ExperimentConfig], mdp: TabularMDP, q_star: np.ndar
             uniforms = np.empty((len(words[n_epochs]), d))
             for rng, row in zip(generators(words[n_epochs]), uniforms):
                 rng.random(out=row)
-        for (spec, mode), runs, rows in arms:
+        for spec, budget, mode, runs, rows in arms:
             arm_pending = pending[rows]
             if mode == ERROR_FEEDBACK:
                 arm_pending += residual[rows]
             payload = compress_batch(arm_pending, spec,
-                                     uniforms[stream_rows[rows]] if spec.kind == SPARSIFIED_K else None)
+                                     uniforms[stream_rows[rows]] if spec.kind == SPARSIFIED_K else None,
+                                     budget)
             if mode == ERROR_FEEDBACK:
                 np.subtract(arm_pending, payload.sent, out=residual[rows])
             if payload.alpha is not None:
@@ -395,11 +436,14 @@ def _trace(config: ExperimentConfig, d: int, entries: list[int], rmses: list[flo
     Each round's uploads are priced as one total: the exact integer
     :func:`~fedq.bounds.payload_bits` of the round's I uploads, turned to
     float and divided by I, which gives the same bits as summing the
-    agents' exact prices.
+    agents' exact prices.  A run repeats few totals (every round of the
+    identity, and most rounds of top_k, keep the same number of entries),
+    so each distinct total is priced once.
     """
     n_agents = config.n_agents
-    bits = [0.0] + [float(payload_bits(config.compressor.kind, d, n, config.fpp, n_agents)) / n_agents
-                    for n in entries]
+    price = {n: float(payload_bits(config.compressor.kind, d, n, config.fpp, n_agents)) / n_agents
+             for n in set(entries)}
+    bits = [0.0] + [price[n] for n in entries]
     return list(map(RoundMetrics, range(len(rmses)), rmses, linfs, bits, itertools.accumulate(bits),
                     [0] + entries))
 

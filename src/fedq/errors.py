@@ -109,10 +109,12 @@ def check_interval(name: str, value, low: float = 0, high: float = math.inf, clo
     raise error(f"{name} must {rule}, got {value!r}")
 
 
-def check_budget(k: int, d: int) -> None:
-    """The compression budget rule: k is an integer in [1, d]."""
-    if not 1 <= check_count("budget k", k, error=BudgetOutOfRangeError) <= d:
+def check_budget(k: int, d: int) -> int:
+    """The compression budget rule: k is an integer in [1, d]; returns it as a Python int."""
+    k = check_count("budget k", k, error=BudgetOutOfRangeError)
+    if not 1 <= k <= d:
         raise BudgetOutOfRangeError(f"budget k={k} outside [1, d={d}]")
+    return k
 
 
 def read_text(path: str | Path, what: str, error: type[FedqError]) -> str:

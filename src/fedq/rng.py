@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatchError, check_count
+from .errors import ParamOutOfRangeError, ShapeMismatchError, check_count
 
 ID_LIMIT = 2**32  # path ids are single uint32 words
 
@@ -75,6 +75,8 @@ def seed_words(seed: int, paths) -> np.ndarray:
     if paths.ndim != 2:
         raise ShapeMismatchError(f"paths must be an (n, L) array, got shape {paths.shape}")
     if paths.size:
+        if not np.issubdtype(paths.dtype, np.integer):
+            raise ParamOutOfRangeError(f"path ids must be integers, got dtype {paths.dtype}")
         for end in (paths.min(), paths.max()):
             check_count("path ids", end, 0, ID_LIMIT)
     # SeedSequence's entropy: the seed's little-endian uint32 words, zero

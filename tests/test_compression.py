@@ -449,3 +449,81 @@ def test_batch_input_must_be_a_table(kind, shape):
     spec = fedq.CompressorSpec(kind, k=0 if kind == "identity" else 2)
     with pytest.raises(ShapeMismatchError, match="table"):
         compress_batch(np.ones(shape), spec, np.zeros(shape))
+
+
+_TIED_ROWS = np.array([
+    [1.0, 1.0, 1.0, 1.0],
+    [3.0, -2.0, 1.0, 0.5],
+    [0.5, -2.0, 0.5, 0.5],
+    [0.0, -0.0, 0.0, 0.0],
+    [np.nan, 2.0, np.nan, -1.0],
+    [np.nan, np.nan, np.nan, np.nan],
+    [-0.0, 4.0, 0.0, 0.0],
+    [2.0, -np.inf, np.inf, 1.0],
+])
+
+
+class TestPerRowBudgets:
+    """A row compressed under its own budget in a mixed batch gives the bits of the row alone."""
+
+    def assert_rows_match_scalar_calls(self, batch, spec, budgets, uniforms=None):
+        with np.errstate(invalid="ignore"):  # inf / inf in alpha
+            payload = compress_batch(batch, spec, uniforms, np.asarray(budgets, dtype=np.int64))
+            for i, k in enumerate(budgets):
+                row_uniforms = None if uniforms is None else uniforms[i:i + 1]
+                alone = compress_batch(batch[i:i + 1], fedq.CompressorSpec(spec.kind, int(k),
+                                                                           spec.probability_rule), row_uniforms)
+                assert np.array_equal(payload.kept[i], alone.kept[0])
+                assert payload.sent[i].tobytes() == alone.sent[0].tobytes()
+                for field in ("alpha", "p"):
+                    if getattr(alone, field) is not None:
+                        assert getattr(payload, field)[i].tobytes() == getattr(alone, field)[0].tobytes()
+                if spec.kind == "top_k":
+                    kept, _, alpha = stable_sort_top_k(batch[i:i + 1], int(k))
+                    assert np.array_equal(payload.kept[i], kept[0])
+                    assert payload.alpha[i:i + 1].tobytes() == alpha.tobytes()
+
+    @pytest.mark.parametrize("spec", [fedq.CompressorSpec("top_k", 1), fedq.CompressorSpec("sparsified_k", 1),
+                                      fedq.CompressorSpec("sparsified_k", 1, RULE_UNIFORM)])
+    @pytest.mark.parametrize("values", ["special", "rounded"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_batches(self, spec, values, seed):
+        # budgets drawn per row over [1, d], so rows with k = 1 and k = d share batches
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            d = int(rng.integers(1, 13))
+            batch = random_batch(rng, int(rng.integers(1, 8)), d, values)
+            budgets = rng.integers(1, d + 1, len(batch))
+            budgets[rng.random(len(batch)) < 0.3] = d
+            self.assert_rows_match_scalar_calls(batch, spec, budgets, rng.random(batch.shape))
+
+    @pytest.mark.parametrize("spec", [fedq.CompressorSpec("top_k", 1), fedq.CompressorSpec("sparsified_k", 1),
+                                      fedq.CompressorSpec("sparsified_k", 1, RULE_UNIFORM)])
+    def test_ties_at_the_kth_and_special_rows(self, spec):
+        # rows 0 and 2 tie past budget 2 at the k-th, and the k = d rows keep every non-zero entry
+        uniforms = np.random.default_rng(4).random(_TIED_ROWS.shape)
+        for budgets in ([2, 2, 2, 2, 2, 2, 2, 2], [2, 1, 2, 4, 3, 4, 1, 4], [4, 3, 1, 1, 4, 2, 2, 3]):
+            self.assert_rows_match_scalar_calls(_TIED_ROWS, spec, budgets, uniforms)
+
+    def test_full_budget_rows_exclude_nothing(self):
+        payload = compress_batch(_TIED_ROWS, fedq.CompressorSpec("top_k", 1), k=np.full(8, 4))
+        assert np.array_equal(payload.kept, np.fmax(np.abs(_TIED_ROWS), -1.0) > 0)
+        np.testing.assert_equal(payload.alpha, [1, 1, 1, np.nan, 1, np.nan, 1, 1])
+
+    def test_one_budget_as_int_or_array_gives_the_same_bits(self):
+        batch = random_batch(np.random.default_rng(2), 6, 9, "rounded")
+        uniforms = np.random.default_rng(3).random(batch.shape)
+        for kind in ("top_k", "sparsified_k"):
+            spec = fedq.CompressorSpec(kind, 9)
+            for k in range(1, 10):
+                a = compress_batch(batch, spec, uniforms, k)
+                b = compress_batch(batch, spec, uniforms, np.full(6, k))
+                assert a.sent.tobytes() == b.sent.tobytes() and np.array_equal(a.kept, b.kept)
+
+    @pytest.mark.parametrize("kind", ["top_k", "sparsified_k"])
+    @pytest.mark.parametrize("k", [0, 5, 2.5, True, np.array([1, 0, 2]), np.array([1, 5, 2]),
+                                   np.array([1, 2]), np.array([1.0, 2.0, 3.0]), np.array([[1, 2, 3]]),
+                                   np.array([True, True, True])])
+    def test_budgets_outside_the_rule_rejected(self, kind, k):
+        with pytest.raises(BudgetOutOfRangeError):
+            compress_batch(np.ones((3, 4)), fedq.CompressorSpec(kind, 1), np.zeros((3, 4)), k)

@@ -16,7 +16,8 @@ from fedq.engine import (
     _round_words,
     _server_step,
 )
-from fedq.errors import BudgetOutOfRangeError, ParamOutOfRangeError
+from fedq.errors import BudgetOutOfRangeError, NonFiniteError, ParamOutOfRangeError, ShapeMismatchError
+from fedq.mdp import synchronous_sample_batch
 from tests.conftest import dense_mdp, sparse_from_dense
 
 
@@ -40,6 +41,11 @@ def one_eta(eta):
     return [(eta, slice(None))]
 
 
+def epoch(q, mdp, eta, gens, rows):
+    """``_epoch`` at one eta on the sample tables the generators draw."""
+    return _epoch(q, mdp, one_eta(eta), synchronous_sample_batch(mdp, gens), rows)
+
+
 def local_phase_reference(q_bar, mdp, eta, n_epochs, root, t, agent):
     """Agent ``agent``'s round-t local phase from the public sampler and operator."""
     q = q_bar
@@ -53,7 +59,7 @@ class TestLocalEpoch:
     def test_full_step_equals_exact_operator_when_deterministic(self, map5x5_mdp):
         rng = np.random.default_rng(0)
         q = rng.uniform(-2, 2, (25, 4))
-        out = _epoch(q[None], map5x5_mdp, one_eta(1.0), [fedq.RngStream(0).generator()], np.arange(1))[0]
+        out = epoch(q[None], map5x5_mdp, 1.0, [fedq.RngStream(0).generator()], np.arange(1))[0]
         assert np.allclose(out, fedq.exact_bellman(map5x5_mdp, q), rtol=0, atol=1e-12)
 
     def test_half_step_arithmetic(self):
@@ -69,7 +75,7 @@ class TestLocalEpoch:
         reward_cap = map5x5_noisy.r_max  # mean capped at 1, noise at 0.5
         q = rng.uniform(-6, 6, (20, 25, 4))
         gens = [fedq.RngStream(2, (trial,)).generator() for trial in range(20)]
-        out = _epoch(q, map5x5_noisy, one_eta(0.3), gens, np.arange(20))
+        out = epoch(q, map5x5_noisy, 0.3, gens, np.arange(20))
         for q_i, out_i in zip(q, out):
             cap = max(np.max(np.abs(q_i)), reward_cap + gamma * np.max(np.abs(q_i)))
             assert np.max(np.abs(out_i)) <= cap + 1e-12
@@ -79,12 +85,12 @@ class TestLocalEpoch:
         q = np.random.default_rng(3).uniform(-2, 2, (2, 25, 4))
         streams = [fedq.RngStream(4, (j,)) for j in range(2)]
         rows = np.array([1, 0])
-        out = _epoch(q, map5x5_noisy, one_eta(0.3), [stream.generator() for stream in streams], rows)
+        out = epoch(q, map5x5_noisy, 0.3, [stream.generator() for stream in streams], rows)
         for i, j in enumerate(rows):
-            alone = _epoch(q[i][None], map5x5_noisy, one_eta(0.3), [streams[j].generator()], np.arange(1))
+            alone = epoch(q[i][None], map5x5_noisy, 0.3, [streams[j].generator()], np.arange(1))
             assert out[i].tobytes() == alone[0].tobytes()
         # and the streams differ, so reading the other one would show
-        other = _epoch(q[:1], map5x5_noisy, one_eta(0.3), [streams[0].generator()], np.arange(1))
+        other = epoch(q[:1], map5x5_noisy, 0.3, [streams[0].generator()], np.arange(1))
         assert not np.array_equal(out[0], other[0])
 
 
@@ -93,7 +99,7 @@ class TestLocalPhase:
         q0 = np.zeros((25, 4))
         root = fedq.RngStream(5)
         phase = _local_phases(q0[None], map5x5_noisy, one_eta(0.3), next(_round_words([5], 1, 1, 1)), np.arange(1))
-        single = _epoch(q0[None], map5x5_noisy, one_eta(0.3), [root.child(0, 0, 0).generator()], np.arange(1))
+        single = epoch(q0[None], map5x5_noisy, 0.3, [root.child(0, 0, 0).generator()], np.arange(1))
         assert np.array_equal(phase, single)
 
     def test_full_steps_compose_exact_operator(self, map5x5_mdp, map5x5_qstar, server_tables):
@@ -644,6 +650,91 @@ class TestRunFederatedBatch:
         monkeypatch.setattr(fedq.engine, "generators", build)
         for cfg, batched in zip(configs, results):
             assert_same_run(batched, fedq.run_federated(cfg, map5x5_noisy, map5x5_qstar))
+
+    def test_one_compression_per_kind_rule_and_mode(self, map5x5_noisy, map5x5_qstar, monkeypatch, run_groups):
+        # a sweep grid in k x compressor product order, two seeds a point: identity, top_k4,
+        # sparsified4, top_k16, sparsified16 alternate kinds, yet each kind is one call a round
+        calls = []
+        compress = fedq.engine.compress_batch
+
+        def spy(pending, spec, uniforms, k):
+            calls.append((spec.kind, np.broadcast_to(k, len(pending)).tolist()))
+            return compress(pending, spec, uniforms, k)
+
+        monkeypatch.setattr(fedq.engine, "compress_batch", spy)
+        points = [fedq.CompressorSpec("identity")] + [fedq.CompressorSpec(kind, k) for k in (4, 16)
+                                                     for kind in ("top_k", "sparsified_k")]
+        configs = [make_config(rounds=4, compressor=spec, master_seed=seed) for spec in points for seed in (3, 4)]
+        results = fedq.run_federated_batch(configs, map5x5_noisy, map5x5_qstar)
+        assert len(run_groups) == 1
+        assert len(calls) == 3 * 4
+        budgets = {"identity": [0] * 4, "top_k": [4] * 4 + [16] * 4, "sparsified_k": [4] * 4 + [16] * 4}
+        assert sorted(calls[:3]) == sorted(budgets.items())
+        monkeypatch.setattr(fedq.engine, "compress_batch", compress)
+        for cfg, batched in zip(configs, results):
+            assert_same_run(batched, fedq.run_federated(cfg, map5x5_noisy, map5x5_qstar))
+
+    def test_arms_sort_into_blocks_and_results_keep_input_order(self, map5x5_noisy, map5x5_qstar, run_groups):
+        # mixed kinds, rules, modes and etas, interleaved: the batch runs them sorted by
+        # (kind, rule, mode, eta), stably, and hands results back in input order
+        specs = [fedq.CompressorSpec("sparsified_k", 7, RULE_UNIFORM), fedq.CompressorSpec("top_k", 3),
+                 fedq.CompressorSpec("sparsified_k", 2), fedq.CompressorSpec("identity"),
+                 fedq.CompressorSpec("top_k", 9)]
+        configs = [make_config(n_agents=3, rounds=3, compressor=spec, mode=mode, eta=eta, master_seed=seed)
+                   for seed, (spec, mode, eta) in enumerate(itertools.product(specs, MODES, (0.3, 0.1)))]
+        results = fedq.run_federated_batch(configs, map5x5_noisy, map5x5_qstar)
+        order = sorted(range(len(configs)), key=lambda i: (configs[i].compressor.kind,
+                                                           configs[i].compressor.probability_rule,
+                                                           configs[i].mode, configs[i].eta))
+        assert run_groups == [order]  # master_seed i is config i
+        for cfg, batched in zip(configs, results):
+            assert_same_run(batched, fedq.run_federated(cfg, map5x5_noisy, map5x5_qstar))
+
+    @pytest.mark.parametrize("specs, per_round", [((COMPRESSORS["identity"], COMPRESSORS["top_k"]), []),
+                                                  ((COMPRESSORS["top_k"], COMPRESSORS["sparsified_l1"]), [6])])
+    def test_noiseless_one_successor_map_builds_no_sample_streams(self, specs, per_round, map5x5_mdp,
+                                                                  map5x5_qstar, monkeypatch):
+        # map5x5 without noise has w = 1: no sample-stream draw is read, so only sparsified_k's
+        # compressor draw builds generators, one per (seed, agent), once a round
+        calls = []
+        build = fedq.engine.generators
+
+        def spy(words):
+            calls.append(len(words))
+            return build(words)
+
+        monkeypatch.setattr(fedq.engine, "generators", spy)
+        configs = [make_config(n_agents=3, local_epochs=2, rounds=4, compressor=spec, master_seed=seed)
+                   for spec in specs for seed in (0, 1)]
+        results = fedq.run_federated_batch(configs, map5x5_mdp, map5x5_qstar)
+        assert calls == per_round * 4
+        monkeypatch.setattr(fedq.engine, "generators", build)
+        for cfg, batched in zip(configs, results):
+            q_final, rows, _, _ = per_agent_reference(cfg, map5x5_mdp, map5x5_qstar)
+            assert batched.q_final.tobytes() == q_final.tobytes()
+            assert [(m.rmse, m.linf_error, m.bits_round, m.bits_cumulative, m.payload_entries)
+                    for m in batched.metrics] == rows
+
+    def test_q_star_as_a_nested_list(self, map5x5_noisy, map5x5_qstar):
+        cfg = make_config(rounds=3, compressor=COMPRESSORS["top_k"])
+        [from_list] = fedq.run_federated_batch([cfg], map5x5_noisy, map5x5_qstar.tolist())
+        assert_same_run(from_list, fedq.run_federated(cfg, map5x5_noisy, map5x5_qstar))
+
+    @pytest.mark.parametrize("q_star, error", [
+        (np.zeros((25, 3)), ShapeMismatchError), ([[0.0] * 4] * 24, ShapeMismatchError),
+        ([[0.0, 1.0], [2.0]], ShapeMismatchError), ("table", ShapeMismatchError), (None, ShapeMismatchError),
+        (np.full((25, 4), np.nan), NonFiniteError), (np.where(np.eye(25, 4) > 0, np.inf, 0.0), NonFiniteError),
+    ])
+    def test_bad_q_star_rejected_before_any_work(self, q_star, error, map5x5_noisy, run_groups):
+        with pytest.raises(error):
+            fedq.run_federated_batch([make_config()], map5x5_noisy, q_star)
+        assert run_groups == []
+
+    @pytest.mark.parametrize("entry", [None, "config", dict(n_agents=2)])
+    def test_entries_must_be_configs(self, entry, map5x5_noisy, map5x5_qstar, run_groups):
+        with pytest.raises(ParamOutOfRangeError, match="ExperimentConfig"):
+            fedq.run_federated_batch([make_config(), entry], map5x5_noisy, map5x5_qstar)
+        assert run_groups == []
 
     def test_bits_exact_at_large_fpp(self, map5x5_noisy, map5x5_qstar):
         # a run's upload prices summed past 2**63 (and past float64's 2**53) are still the exact

@@ -63,6 +63,12 @@ class TestSeedWords:
         with pytest.raises(ParamOutOfRangeError):
             seed_words(3, bad)
 
+    @pytest.mark.parametrize("bad", [[("a", "b")], np.array([[True, False]]), np.array([[1.0]]),
+                                     np.array([[1, None]], dtype=object)])
+    def test_path_ids_of_a_non_integer_dtype_rejected(self, bad):
+        with pytest.raises(ParamOutOfRangeError, match="integers"):
+            seed_words(3, bad)
+
     def test_path_array_must_be_two_dimensional(self):
         with pytest.raises(ShapeMismatchError):
             seed_words(3, [1, 2, 3])
