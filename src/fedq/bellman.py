@@ -10,15 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotConvergedError, ShapeMismatchError, check_count, check_interval
+from .errors import NotConvergedError, ShapeMismatchError, check_array, check_count, check_ids, check_interval
 from .mdp import TabularMDP
-
-
-def _check_shape(q: np.ndarray, mdp: TabularMDP) -> None:
-    if q.shape != (mdp.n_states, mdp.n_actions):
-        raise ShapeMismatchError(
-            f"Q-table shape {q.shape} does not match MDP ({mdp.n_states}, {mdp.n_actions})"
-        )
 
 
 def state_values(q: np.ndarray) -> np.ndarray:
@@ -40,8 +33,7 @@ def exact_bellman(mdp: TabularMDP, q: np.ndarray) -> np.ndarray:
 
     ``out[s, a] = reward_mean[s, a] + gamma * sum_s' P(s'|s,a) * max_a' q[s', a']``
     """
-    q = np.asarray(q, dtype=np.float64)
-    _check_shape(q, mdp)
+    q = check_array("Q-table", q, shape=(mdp.n_states, mdp.n_actions))
     v = state_values(q)
     expected = (mdp.succ_p * v[mdp.succ]).sum(axis=1).reshape(q.shape)
     return mdp.reward_mean + mdp.gamma * expected
@@ -60,12 +52,12 @@ def empirical_bellman(
     (U, S, A), table i reads sample table ``rows[i]``, indexed as numpy
     indexes (a negative row counts from the end).  Either way the tables
     are gathered into the index and reward arrays the update builds
-    anyway, so no sample table is copied first.
+    anyway, so no sample table is copied first.  Every next state must
+    be an integer in [0, S), else ``ParamOutOfRangeError``.
     """
-    q = np.asarray(q, dtype=np.float64)
-    next_states = np.asarray(next_states)
-    rewards = np.asarray(rewards, dtype=np.float64)
+    q, rewards = check_array("q", q), check_array("rewards", rewards)
     table = q.shape[-2:]
+    next_states = check_ids("next states", next_states, table[0])
     if rows is None:
         rows, samples = np.arange(int(np.prod(q.shape[:-2]))), q.shape
     else:
@@ -111,17 +103,15 @@ def value_iteration(mdp: TabularMDP, tol: float = 1e-10, max_iter: int = 100_000
 
 def greedy_policy(q: np.ndarray) -> np.ndarray:
     """Greedy action per state; ties break toward the lowest action index."""
-    return np.asarray(q).argmax(axis=1)
+    return check_array("Q-table", q, ndim=2).argmax(axis=1)
 
 
 def errors_batch(q: np.ndarray, q_ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The :func:`rmse` and :func:`linf_error` of each table of ``q``, shape (N,) + ``q_ref.shape``,
     against ``q_ref``: one ufunc reduction per metric over the (N, d) differences, the ones
     ``np.mean`` and ``np.max`` call, without their Python wrappers and with the same bits."""
-    q = np.asarray(q, dtype=np.float64)
-    q_ref = np.asarray(q_ref, dtype=np.float64)
-    if q.shape[1:] != q_ref.shape:
-        raise ShapeMismatchError(f"shapes differ: {q.shape[1:]} vs {q_ref.shape}")
+    q = check_array("q", q)
+    q_ref = check_array("q_ref", q_ref, shape=q.shape[1:])
     diff = q.reshape(len(q), -1) - q_ref.reshape(1, -1)
     rms = np.sqrt(np.add.reduce(diff * diff, axis=1) / diff.shape[1])
     return rms, np.maximum.reduce(np.abs(diff), axis=1)
@@ -129,9 +119,9 @@ def errors_batch(q: np.ndarray, q_ref: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 def rmse(q: np.ndarray, q_ref: np.ndarray) -> float:
     """Root mean square error between two Q-tables, averaged over all entries: a batch of one."""
-    return float(errors_batch(np.asarray(q)[None], q_ref)[0][0])
+    return float(errors_batch(check_array("q", q)[None], q_ref)[0][0])
 
 
 def linf_error(q: np.ndarray, q_ref: np.ndarray) -> float:
     """Sup-norm distance between two Q-tables: a batch of one."""
-    return float(errors_batch(np.asarray(q)[None], q_ref)[1][0])
+    return float(errors_batch(check_array("q", q)[None], q_ref)[1][0])

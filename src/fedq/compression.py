@@ -35,8 +35,10 @@ from .errors import (
     ParamOutOfRangeError,
     ShapeMismatchError,
     ZeroVectorError,
+    check_array,
     check_budget,
     check_count,
+    check_ids,
 )
 
 IDENTITY = "identity"
@@ -75,8 +77,8 @@ class CompressorSpec:
 class SparseVector:
     """Sparse payload: (index, value) pairs over a vector of dimension d.
 
-    Indices are strictly increasing and unique; coordinates not listed
-    are implicitly zero.
+    Indices are strictly increasing integers in [0, d), else
+    ``DimensionMismatchError``; coordinates not listed are implicitly zero.
     """
 
     dimension: int
@@ -85,17 +87,14 @@ class SparseVector:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dimension", check_count("dimension", self.dimension, 1))
-        idx = np.asarray(self.indices, dtype=np.int64)
-        vals = np.asarray(self.values, dtype=np.float64)
+        idx = check_ids("indices", self.indices, self.dimension, error=DimensionMismatchError)
+        vals = check_array("values", self.values, error=DimensionMismatchError)
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "values", vals)
         if idx.shape != vals.shape or idx.ndim != 1:
             raise DimensionMismatchError("indices and values must be 1-D and equally long")
-        if idx.size:
-            if idx[0] < 0 or idx[-1] >= self.dimension:
-                raise DimensionMismatchError("indices out of range")
-            if np.any(np.diff(idx) <= 0):
-                raise DimensionMismatchError("indices must be strictly increasing")
+        if np.any(np.diff(idx) <= 0):
+            raise DimensionMismatchError("indices must be strictly increasing")
 
     def __len__(self) -> int:
         return int(self.indices.size)
@@ -159,13 +158,11 @@ def compress_batch(
     of a stable sort of ``-|v|``: ties keep the lower index, and NaN ranks
     below every number and is never kept.
     """
-    pending = np.asarray(pending, dtype=np.float64)
-    if pending.ndim != 2:
-        raise ShapeMismatchError(f"compress_batch needs an (I, d) table, got shape {pending.shape}")
+    pending = check_array("pending table", pending, ndim=2)
     if spec.kind == IDENTITY:
         return BatchPayload(np.ones(pending.shape, dtype=bool), pending)
     n_rows, d = pending.shape
-    k = _budgets(spec.k if k is None else k, n_rows, d)
+    k = check_budget(spec.k if k is None else k, d, n_rows)
     if spec.kind == TOP_K:
         # |v| with NaN as -1.0: it ranks below every magnitude and is never kept,
         # as it does at the end of a stable sort of -|v|
@@ -193,26 +190,10 @@ def compress_batch(
         with np.errstate(invalid="ignore"):
             alpha = 1.0 - np.divide(excluded, top, out=np.full(n_rows, np.nan), where=top > 0)
         return BatchPayload(kept, np.where(kept, pending, 0.0), alpha=alpha)
-    if np.shape(uniforms) != pending.shape:
-        raise ShapeMismatchError(
-            f"sparsified_k needs uniforms of shape {pending.shape}, got {np.shape(uniforms)}"
-        )
+    uniforms = check_array("sparsified_k's uniforms", uniforms, shape=pending.shape)
     p = _probabilities(pending, k if isinstance(k, int) else k[:, None], spec.probability_rule)
     kept = uniforms < p
     return BatchPayload(kept, np.divide(pending, p, out=np.zeros(pending.shape), where=kept), p=p)
-
-
-def _budgets(k, n_rows: int, d: int):
-    """The budget rule of :func:`check_budget` on one budget, returned as an int, or on an
-    (I,) integer array of per-row budgets, returned as is."""
-    if not isinstance(k, np.ndarray):
-        return check_budget(k, d)
-    if k.shape != (n_rows,) or k.dtype.kind not in "iu":
-        raise BudgetOutOfRangeError(f"per-row budgets must be {n_rows} integers, got {k!r}")
-    ks = k.tolist()  # a few rows: Python's min and max beat numpy's reductions
-    if n_rows and not (1 <= min(ks) and max(ks) <= d):
-        raise BudgetOutOfRangeError(f"budgets k outside [1, d={d}]: {ks}")
-    return k
 
 
 def _column(table: np.ndarray, col) -> np.ndarray:
@@ -222,9 +203,7 @@ def _column(table: np.ndarray, col) -> np.ndarray:
 
 def _apply(v: np.ndarray, spec: CompressorSpec, rng: np.random.Generator | None) -> BatchPayload:
     """Compress one vector: the batch of one, drawing sparsified_k's d uniforms from ``rng``."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ShapeMismatchError(f"expected a 1-D vector, got shape {v.shape}")
+    v = check_array("v", v, ndim=1)
     uniforms = rng.random((1, v.size)) if spec.kind == SPARSIFIED_K else None
     return compress_batch(v[None], spec, uniforms)
 
@@ -255,7 +234,7 @@ def contraction_alpha(v: np.ndarray, k: int) -> float:
     naming those entries): the law ``||C(v) - v||_inf = (1 - alpha)
     ||v||_inf`` means nothing there.
     """
-    v = np.asarray(v, dtype=np.float64)
+    v = check_array("v", v, ndim=1)
     alpha = float(_apply(v, CompressorSpec(TOP_K, k), None).alpha[0])
     bad = v[~np.isfinite(v)]
     if bad.size:
@@ -274,7 +253,7 @@ def selection_probabilities(v: np.ndarray, k: int, rule: str = RULE_L1) -> np.nd
     ``min(1, k / d)``.  Either way ``sum_j p_j <= k``.  Leading axes are
     a batch: each vector along the last axis gets its own probabilities.
     """
-    v = np.asarray(v, dtype=np.float64)
+    v = check_array("v", v)
     if v.ndim < 1:
         raise ShapeMismatchError("selection probabilities need at least one axis, got a scalar")
     check_budget(k, v.shape[-1])
@@ -304,7 +283,7 @@ def unbiased_constants(p: np.ndarray) -> tuple[float, float]:
     support (zero vector) the operator is exact and both are 0.  Every
     p must lie in [0, 1].
     """
-    p = np.asarray(p, dtype=np.float64)
+    p = check_array("selection probabilities", p, error=ParamOutOfRangeError)
     outside = ~((p >= 0) & (p <= 1))  # NaN lies outside too
     if outside.any():
         raise ParamOutOfRangeError(f"selection probabilities must lie in [0, 1], got {p[outside]}")
@@ -345,9 +324,7 @@ def ef_compress(
     top_k) the banked entries are bit-exact copies, so
     transmitted-plus-banked always telescopes to the sum of the deltas.
     """
-    delta = np.asarray(delta, dtype=np.float64)
-    if delta.shape != state.e.shape:
-        raise ShapeMismatchError(f"delta shape {delta.shape} != error shape {state.e.shape}")
+    delta = check_array("delta", delta, shape=state.e.shape)
     pending = delta + state.e
     payload = _apply(pending, spec, rng)
     return _as_sparse(payload), EfState(pending - payload.sent[0])

@@ -23,26 +23,25 @@ fix the (R·I, S, A) arrays, the epoch loop and the round loop), wherever
 they stand in the list, run as one computation of R·I rows, run r's
 agents in rows r·I to r·I + I - 1, whatever their master seeds,
 compressors, modes, bits per value, eta, beta and q0, stably sorted by
-compressor kind, probability rule, mode and eta, so that each
-(kind, rule, mode) arm, and each eta within it, is one contiguous block
-of runs.  Streams are shared by seed: a stream is a pure function of
-(master seed, path), so each epoch draws the sample tables of the U
-distinct seeds once, into U·I stream rows, and an index array names the
-stream row each of the R·I rows reads (the identity when every seed is
-distinct).  Each round then
-makes one Bellman update per epoch over all rows, one damped update per
-block of runs with the same eta, one compression per arm, each row under
-its run's budget k (one integer when the arm's runs agree on k, else one
-budget per row, built once per batch), which writes its uploads into its
-rows of the pending table, and one server step over
-the pending table that keeps R tables, each run's sum scaled by its own
-beta / I.  The round records only each run's kept entries, errors and
-realized compressor constants; the bits and trace rows are built per run
-once the rounds are done, each round's uploads priced as one exact
-:func:`~fedq.bounds.payload_bits` total.  :func:`run_federated` is the
-batch of one.  The configs of one shape run in batches of at most
-``BATCH_CELLS`` table entries per (R·I, d) array, so their memory does
-not grow with R.
+compressor kind, probability rule (sparsified_k's alone), mode and eta,
+so that each (kind, rule, mode) arm, and each eta within it, is one
+contiguous block of runs.  Streams are shared by seed: a stream is a
+pure function of (master seed, path), so each epoch draws the sample
+tables of the U distinct seeds once, into U·I stream rows, and an index
+array names the stream row each of the R·I rows reads (the identity when
+every seed is distinct).  Each round then makes one Bellman update per
+epoch over all rows, one damped update per block of runs with the same
+eta, one compression per arm, each row under its run's budget k (one
+integer when the arm's runs agree on k, else one budget per row, built
+once per batch), which writes its uploads into its rows of the pending
+table, and one server step over the pending table that keeps R tables,
+each run's sum scaled by its own beta / I.  The round records only each
+run's kept entries, errors and realized compressor constants; the bits
+and trace rows are built per run once the rounds are done, each round's
+uploads priced as one exact :func:`~fedq.bounds.payload_bits` total.
+:func:`run_federated` is the batch of one.  The configs of one shape run
+in batches of at most ``BATCH_CELLS`` table entries per (R·I, d) array,
+so their memory does not grow with R.
 
 Everything is deterministic given the master seed: sampling streams are
 derived per (agent, round, epoch), the compressor stream per
@@ -74,7 +73,7 @@ import numpy as np
 from .bellman import empirical_bellman, errors_batch
 from .bounds import payload_bits
 from .compression import IDENTITY, SPARSIFIED_K, TOP_K, CompressorSpec, compress_batch
-from .errors import (InvalidGammaError, NonFiniteError, ParamOutOfRangeError, ShapeMismatchError, check_budget,
+from .errors import (InvalidGammaError, NonFiniteError, ParamOutOfRangeError, check_array, check_budget,
                      check_count, check_interval)
 from .mdp import TabularMDP, synchronous_sample_batch
 from .rng import ID_LIMIT, generators, seed_words
@@ -93,8 +92,12 @@ SEED_BLOCK = 2**16  # most stream paths derived in one seed_words call
 BATCH_CELLS = 2**20  # most entries (R·I rows times d) of one batch's (R·I, d) arrays
 # the loop's shape: the configs that agree on it share a batch, wherever they stand in the list
 _SHARED = operator.attrgetter("n_agents", "local_epochs", "rounds")
-# a compression arm: the runs one compress_batch call serves, each row under its own budget k
-_ARM = operator.attrgetter("compressor.kind", "compressor.probability_rule", "mode")
+
+
+def _arm(config: ExperimentConfig) -> tuple:
+    """A compression arm's key; only sparsified_k reads, and so splits by, the probability rule."""
+    spec = config.compressor
+    return spec.kind, spec.probability_rule if spec.kind == SPARSIFIED_K else None, config.mode
 
 
 @dataclass(frozen=True)
@@ -301,8 +304,8 @@ def run_federated_batch(
     whatever their master seeds, compressors, modes, bits per value, eta,
     beta and q0: each epoch draws the sample tables of each distinct seed
     once and every run with that seed updates from them, one Bellman
-    update covers all R·I agents, the configs that share a compressor
-    kind, probability rule and mode are compressed in one call with one
+    update covers all R·I agents, the configs that share an arm (kind,
+    mode and sparsified_k's rule) are compressed in one call with one
     budget per row, and the server keeps R tables.  The configs of one
     shape are stably sorted by (kind, rule, mode, eta), so that each such
     arm is one contiguous block, and run in batches of at most
@@ -318,13 +321,7 @@ def run_federated_batch(
         if not isinstance(config, ExperimentConfig):
             raise ParamOutOfRangeError(f"run_federated_batch needs ExperimentConfigs, got {config!r}")
         config.check_against(mdp)
-    try:
-        q_star = np.asarray(q_star, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ShapeMismatchError(f"q_star must be a numeric table: {exc}") from None
-    if q_star.shape != (mdp.n_states, mdp.n_actions):
-        raise ShapeMismatchError(f"q_star shape {q_star.shape} does not match the MDP "
-                                 f"({mdp.n_states}, {mdp.n_actions})")
+    q_star = check_array("q_star", q_star, shape=(mdp.n_states, mdp.n_actions))
     if not all(map(math.isfinite, (q_star.min(), q_star.max()))):  # NaN propagates to both
         raise NonFiniteError("q_star holds NaN or infinite entries")
 
@@ -334,7 +331,7 @@ def run_federated_batch(
     results = [None] * len(configs)
     for (n_agents, _, _), indices in shapes.items():
         # each arm, and each eta within it, becomes one contiguous block of the batch
-        indices.sort(key=lambda i: (_ARM(configs[i]), configs[i].eta))
+        indices.sort(key=lambda i: (_arm(configs[i]), configs[i].eta))
         size = max(1, BATCH_CELLS // (n_agents * mdp.table_size))
         for start in range(0, len(indices), size):
             batch = indices[start:start + size]
@@ -353,8 +350,8 @@ def _run_group(configs: list[ExperimentConfig], mdp: TabularMDP, q_star: np.ndar
     Each run starts from its own q0 and keeps its own eta and beta: the
     damped update runs once per contiguous block of configs with one eta,
     and the server step scales each run's sum by its own beta / I.  Each
-    contiguous block of configs with one compressor kind, probability rule
-    and mode is one arm, compressed in one call under its runs' budgets.
+    contiguous block of configs with one :func:`_arm` key is one arm,
+    compressed in one call under its runs' budgets.
     The round loop does only what the next round needs: local phases,
     compression, residual, server step and errors.  It records each run's
     kept entries per round in a (T, R) array and its two errors in
@@ -374,7 +371,7 @@ def _run_group(configs: list[ExperimentConfig], mdp: TabularMDP, q_star: np.ndar
     # one arm per contiguous block of runs with one (kind, rule, mode), each compressed in one call
     # under its rows' budgets: one int when its runs agree on k, else one budget per row
     arms = []
-    for (_, _, mode), runs, rows in _blocks(configs, _ARM, n_agents):
+    for (_, _, mode), runs, rows in _blocks(configs, _arm, n_agents):
         ks = [c.compressor.k for c in configs[runs]]
         budget = ks[0] if len(set(ks)) == 1 else np.repeat(ks, n_agents)
         arms.append((configs[runs.start].compressor, budget, mode, runs, rows))

@@ -3,16 +3,19 @@
 Each class corresponds to one failure mode of a documented contract, so
 callers can catch precisely what they can handle.
 
-This module also owns the range rules every boundary applies to its
+This module also owns the rules every boundary applies to its
 parameters: :func:`check_count` for integer counts, seeds and stream ids,
-:func:`check_interval` for real rates and tolerances, and
-:func:`check_budget` for the compression budget k against the dimension d.
+:func:`check_interval` for real rates and tolerances, :func:`check_budget`
+for the compression budget k (or one per row) against the dimension d,
+:func:`check_array` for float arrays and :func:`check_ids` for id arrays.
 Every input file (map, manifest, trace) is read by :func:`read_text`.
 """
 import math
 import numbers
 import operator
 from pathlib import Path
+
+import numpy as np
 
 
 class FedqError(Exception):
@@ -109,12 +112,53 @@ def check_interval(name: str, value, low: float = 0, high: float = math.inf, clo
     raise error(f"{name} must {rule}, got {value!r}")
 
 
-def check_budget(k: int, d: int) -> int:
-    """The compression budget rule: k is an integer in [1, d]; returns it as a Python int."""
-    k = check_count("budget k", k, error=BudgetOutOfRangeError)
-    if not 1 <= k <= d:
-        raise BudgetOutOfRangeError(f"budget k={k} outside [1, d={d}]")
+def check_budget(k, d: int, rows: int | None = None):
+    """The compression budget rule: k is an integer in [1, d], returned as a Python int, or, with
+    ``rows``, an (rows,) integer array of per-row budgets, each in [1, d], returned as is."""
+    if rows is None or not isinstance(k, np.ndarray):
+        k = check_count("budget k", k, error=BudgetOutOfRangeError)
+        if not 1 <= k <= d:
+            raise BudgetOutOfRangeError(f"budget k={k} outside [1, d={d}]")
+        return k
+    # a few rows: Python's min and max beat numpy's reductions
+    ks = k.tolist() if k.shape == (rows,) and k.dtype.kind in "iu" else None
+    if ks is None or rows and not (1 <= min(ks) and max(ks) <= d):
+        raise BudgetOutOfRangeError(f"per-row budgets must be {rows} integers in [1, d={d}], got {k!r}")
     return k
+
+
+def _as_array(name: str, value, error: type[FedqError], dtype=None) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError) as exc:  # ragged, or content numpy cannot convert
+        raise error(f"{name} must be a numeric array: {exc}") from None
+
+
+def check_array(name: str, value, ndim: int | None = None, shape: tuple | None = None,
+                error: type[FedqError] = ShapeMismatchError) -> np.ndarray:
+    """``value`` as a float64 array (uncopied if it is one) with ``ndim`` axes and of ``shape``, where
+    given; a wrong shape raises ``error``, as does content numpy cannot convert (strings, objects, ragged)."""
+    array = _as_array(name, value, error, np.float64)
+    if (ndim is not None and array.ndim != ndim) or (shape is not None and array.shape != shape):
+        want = shape if shape is not None else f"of a {ndim}-D array"
+        raise error(f"{name} must have shape {want}, got {array.shape}")
+    return array
+
+
+def check_ids(name: str, values, high: int, error: type[FedqError] = ParamOutOfRangeError) -> np.ndarray:
+    """:func:`check_count` for arrays: ``values`` as an int64 array (uncopied if it is one) of ids in [0, high).
+
+    Any dtype but an integer one (bools, floats, strings, objects) raises ``error``, save in an empty
+    array.  One maximum over the ids' unsigned view finds the negative ones too: they view as 2**63 or more,
+    as do the uint64 entries that int64 cannot hold.
+    """
+    values = _as_array(name, values, error)
+    if values.size and values.dtype.kind not in "iu":
+        raise error(f"{name} must be integers in [0, {high}), got dtype {values.dtype}")
+    ids = values.astype(np.int64, copy=False)
+    if ids.size and ids.view(np.uint64).max() >= min(high, 2**63):
+        raise error(f"{name} must be integers in [0, {high}), got entries from {values.min()} to {values.max()}")
+    return ids
 
 
 def read_text(path: str | Path, what: str, error: type[FedqError]) -> str:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidGammaError, ParamOutOfRangeError, check_interval
+from .errors import InvalidGammaError, ParamOutOfRangeError, check_array, check_ids, check_interval
 
 _ROW_SUM_TOL = 1e-12
 
@@ -79,12 +79,10 @@ class TabularMDP:
         noise: NoiseSpec = NoiseSpec(),
         r_max: float = 1.0,
     ) -> None:
-        succ = np.asarray(succ)
-        succ_p = np.asarray(succ_p, dtype=np.float64)
-        reward_mean = np.asarray(reward_mean, dtype=np.float64)
-        if reward_mean.ndim != 2:
-            raise ParamOutOfRangeError("reward_mean must have shape (S, A)")
+        reward_mean = check_array("reward_mean", reward_mean, ndim=2, error=ParamOutOfRangeError)
         n_states, n_actions = reward_mean.shape
+        succ = check_ids("succ's integer states", succ, n_states)
+        succ_p = check_array("succ_p", succ_p, error=ParamOutOfRangeError)
         if succ.ndim != 2 or succ.shape != succ_p.shape or len(succ) != reward_mean.size or succ.size == 0:
             raise ParamOutOfRangeError(
                 f"succ and succ_p must both have shape (S * A, w) with S * A = {reward_mean.size} >= 1 "
@@ -92,8 +90,6 @@ class TabularMDP:
             )
         check_interval("gamma", gamma, 0, 1, error=InvalidGammaError)
         check_interval("r_max", r_max)
-        if not np.issubdtype(succ.dtype, np.integer) or succ.min() < 0 or succ.max() >= n_states:
-            raise ParamOutOfRangeError(f"succ must hold integer states in [0, {n_states})")
         if not np.all(succ_p >= 0):
             raise ParamOutOfRangeError("succ_p must be non-negative")
         if not np.all(np.abs(succ_p.sum(axis=1) - 1.0) <= _ROW_SUM_TOL):
@@ -109,7 +105,7 @@ class TabularMDP:
         self.r_max = float(r_max)
 
         width = succ.shape[1]
-        self.succ = succ.astype(np.int64)
+        self.succ = succ.copy()
         self.succ_p = succ_p.copy()
         self.succ_cum = np.cumsum(succ_p, axis=1)
         last = width - 1 - np.argmax(succ_p[:, ::-1] > 0, axis=1)  # each row's last positive slot

@@ -110,3 +110,17 @@ def test_only_read_text_catches_file_errors():
                     if file_errors & {getattr(c, "id", None) for c in caught}:
                         found.add(f"{path.name}:{getattr(top, 'name', node.lineno)}")
     assert found == {"errors.py:read_text"}
+
+
+def test_only_errors_coerces_arrays_to_a_dtype():
+    # every array argument is coerced and checked by fedq.errors.check_array or check_ids
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "fedq").glob("*.py"))
+        if path.name != "errors.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "asarray"
+        and getattr(node.func.value, "id", None) in {"np", "numpy"}
+        and (len(node.args) > 1 or any(keyword.arg == "dtype" for keyword in node.keywords))
+    ]
+    assert found == []

@@ -163,6 +163,18 @@ class TestEmpiricalBellman:
             fedq.empirical_bellman(np.zeros((2, 3, 2)), np.zeros((2, 2, 2), dtype=int), np.zeros((2, 2, 2)), 0.8,
                                    np.arange(2))
 
+    @pytest.mark.parametrize("rows", [None, np.array([1, 0])])
+    @pytest.mark.parametrize("state, got", [(3, "entries from 0 to 3"), (-1, "entries from -1 to 0"),
+                                            (0.0, "dtype float64"), (False, "dtype bool")])
+    def test_next_states_outside_the_table_rejected(self, state, got, rows):
+        # two tables of S = 3 states: state 3 in table 0 used to read table 1's state 0 (7.0),
+        # and -1 table 1's last state (11.0), with no error
+        q = np.arange(12.0).reshape(2, 3, 2)
+        next_states = np.zeros((2, 3, 2), dtype=type(state))
+        next_states[0, 0, 0] = state
+        with pytest.raises(ParamOutOfRangeError, match=rf"next states must be integers in \[0, 3\), got {got}"):
+            fedq.empirical_bellman(q, next_states, np.zeros((2, 3, 2)), 1.0, rows)
+
 
 class TestValueIteration:
     def test_single_absorbing_state_geometric_series(self):

@@ -34,6 +34,12 @@ class TestSparseVector:
         with pytest.raises(DimensionMismatchError):
             fedq.SparseVector(2, np.array([2]), np.array([1.0]))
 
+    @pytest.mark.parametrize("indices", [[0.5], ["3"], [True], np.array([1.0])])
+    def test_rejects_non_integer_indices(self, indices):
+        # these were truncated to 0, parsed as 3 and read as 1
+        with pytest.raises(DimensionMismatchError, match="indices must be integers"):
+            fedq.SparseVector(4, indices, [1.0])
+
     @pytest.mark.parametrize("dimension, indices, values", [
         (2.5, [0, 2], [1.0, 2.0]),
         (-1, [], []),

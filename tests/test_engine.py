@@ -674,6 +674,27 @@ class TestRunFederatedBatch:
         for cfg, batched in zip(configs, results):
             assert_same_run(batched, fedq.run_federated(cfg, map5x5_noisy, map5x5_qstar))
 
+    def test_probability_rule_splits_only_sparsified_arms(self, map5x5_noisy, map5x5_qstar, monkeypatch,
+                                                          run_groups):
+        # top_k and the identity never read the rule: configs that differ only in it share an arm
+        calls = []
+        compress = fedq.engine.compress_batch
+
+        def spy(pending, spec, uniforms, k):
+            calls.append(spec.kind)
+            return compress(pending, spec, uniforms, k)
+
+        monkeypatch.setattr(fedq.engine, "compress_batch", spy)
+        configs = [make_config(rounds=4, compressor=fedq.CompressorSpec(kind, k, rule), master_seed=seed)
+                   for kind, k in (("top_k", 5), ("identity", 0)) for rule in (RULE_UNIFORM, "l1")
+                   for seed in (3, 4)]
+        results = fedq.run_federated_batch(configs, map5x5_noisy, map5x5_qstar)
+        assert len(run_groups) == 1
+        assert sorted(calls) == ["identity"] * 4 + ["top_k"] * 4
+        monkeypatch.setattr(fedq.engine, "compress_batch", compress)
+        for cfg, batched in zip(configs, results):
+            assert_same_run(batched, fedq.run_federated(cfg, map5x5_noisy, map5x5_qstar))
+
     def test_arms_sort_into_blocks_and_results_keep_input_order(self, map5x5_noisy, map5x5_qstar, run_groups):
         # mixed kinds, rules, modes and etas, interleaved: the batch runs them sorted by
         # (kind, rule, mode, eta), stably, and hands results back in input order
