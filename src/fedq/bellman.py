@@ -49,20 +49,24 @@ def empirical_bellman(
     Leading axes are a batch: with arrays of shape (I, S, A), table i reads
     its next states and rewards from row i.  ``rows`` lets N tables share U
     sample tables: with ``q`` of shape (N, S, A) and samples of shape
-    (U, S, A), table i reads sample table ``rows[i]``, indexed as numpy
-    indexes (a negative row counts from the end).  Either way the tables
-    are gathered into the index and reward arrays the update builds
-    anyway, so no sample table is copied first.  Every next state must
-    be an integer in [0, S), else ``ParamOutOfRangeError``.
+    (U, S, A), table i reads sample table ``rows[i]``, an integer in
+    [0, U).  Either way the tables are gathered into the index and reward
+    arrays the update builds anyway, so no sample table is copied first.
+    Every next state must be an integer in [0, S), else
+    ``ParamOutOfRangeError``; a ``q`` of fewer than two axes, or ``rows``
+    of another shape than (N,) or naming no sample table, raises
+    ``ShapeMismatchError``.
     """
     q, rewards = check_array("q", q), check_array("rewards", rewards)
+    if q.ndim < 2:
+        raise ShapeMismatchError(f"q must be an (S, A) table or a batch of them, got shape {q.shape}")
     table = q.shape[-2:]
     next_states = check_ids("next states", next_states, table[0])
     if rows is None:
         rows, samples = np.arange(int(np.prod(q.shape[:-2]))), q.shape
     else:
-        rows = np.asarray(rows)
         samples = next_states.shape[:1] + table
+        rows = check_ids("rows", rows, samples[0], error=ShapeMismatchError)
         if q.ndim != 3 or rows.shape != q.shape[:1]:
             raise ShapeMismatchError(f"rows must name one sample table per table of q {q.shape}, "
                                      f"got shape {rows.shape}")
@@ -72,10 +76,7 @@ def empirical_bellman(
         )
     v = state_values(q)
     # offset each table's next states into the flattened batch of state values
-    try:
-        index = next_states.reshape((-1,) + table).take(rows, axis=0)
-    except IndexError as exc:  # a row past the last sample table
-        raise ShapeMismatchError(f"rows name a missing sample table: {exc}") from None
+    index = next_states.reshape((-1,) + table).take(rows, axis=0)
     index += np.arange(0, v.size, table[0]).reshape(-1, 1, 1)
     out = v.take(index)
     out *= gamma
@@ -102,8 +103,14 @@ def value_iteration(mdp: TabularMDP, tol: float = 1e-10, max_iter: int = 100_000
 
 
 def greedy_policy(q: np.ndarray) -> np.ndarray:
-    """Greedy action per state; ties break toward the lowest action index."""
-    return check_array("Q-table", q, ndim=2).argmax(axis=1)
+    """Greedy action per state; ties break toward the lowest action index.
+
+    ``q`` is an (S, A) table with A >= 1, else ``ShapeMismatchError``.
+    """
+    q = check_array("Q-table", q, ndim=2)
+    if q.shape[1] == 0:
+        raise ShapeMismatchError(f"Q-table must have at least one action, got shape {q.shape}")
+    return q.argmax(axis=1)
 
 
 def errors_batch(q: np.ndarray, q_ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -111,6 +118,8 @@ def errors_batch(q: np.ndarray, q_ref: np.ndarray) -> tuple[np.ndarray, np.ndarr
     against ``q_ref``: one ufunc reduction per metric over the (N, d) differences, the ones
     ``np.mean`` and ``np.max`` call, without their Python wrappers and with the same bits."""
     q = check_array("q", q)
+    if q.ndim == 0:
+        raise ShapeMismatchError("q must be a batch of tables, got a scalar")
     q_ref = check_array("q_ref", q_ref, shape=q.shape[1:])
     diff = q.reshape(len(q), -1) - q_ref.reshape(1, -1)
     rms = np.sqrt(np.add.reduce(diff * diff, axis=1) / diff.shape[1])

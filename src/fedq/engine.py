@@ -10,11 +10,18 @@ payloads back onto the global table.
 A round is computed for all I agents at once.  Given the broadcast, the
 local phases are independent, so the local tables form one (I, S, A)
 array: each epoch, every agent draws its own sample table into a row of
-a batch, and the Bellman update runs once on the whole batch.  Deltas and
-error-feedback residuals are (I, d) arrays compressed in one call into an
-(I, d) table of compressed vectors (+0.0 where nothing is sent); the
-error-feedback residual is the pending table minus it, and the server adds
-its rows onto the global table.
+a batch, and the Bellman update runs once on the whole batch.  A table
+with one successor per row (w = 1, every grid world) knows its next
+states before any draw, so the batch reads them from one gather index,
+built once per batch from the successor table: an epoch draws only the
+rewards and makes the operations of
+:func:`~fedq.bellman.empirical_bellman`, the same bits, without building
+or checking a next-state table.  Deltas and error-feedback residuals are
+(I, d) arrays compressed in one call into an (I, d) table of compressed
+vectors (+0.0 where nothing is sent; the identity's is the pending table
+itself); the error-feedback residual is the pending table minus it, and
+the server adds its rows onto the global table in one reduction over the
+agent axis, row by row.
 
 Runs are a batch axis too.  :func:`run_federated_batch` takes any list
 of configs and alone decides which of them share a batch: all configs
@@ -31,17 +38,18 @@ tables of the U distinct seeds once, into U·I stream rows, and an index
 array names the stream row each of the R·I rows reads (the identity when
 every seed is distinct).  Each round then makes one Bellman update per
 epoch over all rows, one damped update per block of runs with the same
-eta, one compression per arm, each row under its run's budget k (one
-integer when the arm's runs agree on k, else one budget per row, built
-once per batch), which writes its uploads into its rows of the pending
-table, and one server step over the pending table that keeps R tables,
-each run's sum scaled by its own beta / I.  The round records only each
-run's kept entries, errors and realized compressor constants; the bits
-and trace rows are built per run once the rounds are done, each round's
-uploads priced as one exact :func:`~fedq.bounds.payload_bits` total.
-:func:`run_federated` is the batch of one.  The configs of one shape run
-in batches of at most ``BATCH_CELLS`` table entries per (R·I, d) array,
-so their memory does not grow with R.
+eta, one compression per arm but the identity's, each row under its
+run's budget k (one integer when the arm's runs agree on k, else one
+budget per row, built once per batch), which writes its uploads into its
+rows of the pending table, and one server step over the pending table
+that keeps R tables, each run's sum scaled by its own beta / I.  The
+round records only each run's kept entries, errors and realized
+compressor constants; the bits and trace rows are built per run once the
+rounds are done, each round's uploads priced as one exact
+:func:`~fedq.bounds.payload_bits` total.  :func:`run_federated` is the
+batch of one.  The configs of one shape run in batches of at most
+``BATCH_CELLS`` table entries per (R·I, d) array, so their memory does
+not grow with R.
 
 Everything is deterministic given the master seed: sampling streams are
 derived per (agent, round, epoch), the compressor stream per
@@ -54,11 +62,11 @@ rounds at a time, at most ``SEED_BLOCK`` streams over the distinct seeds'
 rows unless one round alone has more, so seeding memory does not grow
 with the number of rounds; each epoch builds only its own generators from
 them, I per distinct seed, and none on a table with one successor per
-row and noiseless rewards, where no sample draw is read.  So does a
-round's compressor draw: when any run uses sparsified_k, the round draws
-d uniforms from each of the U·I compressor streams once, and every
-sparsified_k run reads its rows of that block, as the runs share sample
-tables.
+row and noiseless rewards, whose every epoch adds the mean rewards.  So
+does a round's compressor draw: when any run uses sparsified_k, the
+round draws d uniforms from each of the U·I compressor streams once, and
+every sparsified_k run reads its rows of that block, as the runs share
+sample tables.
 """
 from __future__ import annotations
 
@@ -70,12 +78,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bellman import empirical_bellman, errors_batch
+from .bellman import empirical_bellman, errors_batch, state_values
 from .bounds import payload_bits
 from .compression import IDENTITY, SPARSIFIED_K, TOP_K, CompressorSpec, compress_batch
 from .errors import (InvalidGammaError, NonFiniteError, ParamOutOfRangeError, check_array, check_budget,
                      check_count, check_interval)
-from .mdp import TabularMDP, synchronous_sample_batch
+from .mdp import TabularMDP, synchronous_rewards_batch, synchronous_sample_batch
 from .rng import ID_LIMIT, generators, seed_words
 
 DIRECT = "direct"
@@ -179,16 +187,36 @@ def _epoch(q: np.ndarray, mdp: TabularMDP, etas: list[tuple[float, slice]], samp
 
     ``samples`` holds the (U, S, A) next-state and reward tables, and row i
     of ``q`` reads table ``rows[i]``.  ``etas`` pairs each learning rate
-    with the block of rows it damps; each block's update
-    ``(1 - eta) q + eta T(q)`` runs once with a scalar eta, which gives
-    every row the bits of its lone update.
+    with the block of rows it damps, as :func:`_damped` applies it.
     """
     next_states, rewards = samples
-    out = empirical_bellman(q, next_states, rewards, mdp.gamma, rows)
+    return _damped(q, empirical_bellman(q, next_states, rewards, mdp.gamma, rows), etas)
+
+
+def _damped(q: np.ndarray, target: np.ndarray, etas: list[tuple[float, slice]]) -> np.ndarray:
+    """``(1 - eta) q + eta target`` in place of ``target``, once per block of rows with one eta.
+
+    Each block's update runs with a scalar eta, which gives every row the
+    bits of its lone update.
+    """
     for eta, block in etas:
-        target = out[block]
-        np.add((1.0 - eta) * q[block], np.multiply(eta, target, out=target), out=target)
-    return out
+        out = target[block]
+        np.add((1.0 - eta) * q[block], np.multiply(eta, out, out=out), out=out)
+    return target
+
+
+def _gather_index(mdp: TabularMDP, n_rows: int) -> np.ndarray | None:
+    """Where each row's next states sit in an (n_rows, S) batch of state values: (n_rows, S, A) int64.
+
+    Entry ``[i, s, a]`` is ``i·S + succ[s·A + a]``, the flat index
+    :func:`~fedq.bellman.empirical_bellman` builds from row i's next-state
+    table each call.  Only a table with one successor per row (w = 1)
+    knows its next states before any draw; for w > 1 this is None.
+    """
+    if mdp.succ.shape[1] > 1:
+        return None
+    offsets = np.arange(0, n_rows * mdp.n_states, mdp.n_states).reshape(-1, 1, 1)
+    return offsets + mdp.succ.reshape(1, mdp.n_states, mdp.n_actions)
 
 
 def _round_words(seeds, n_agents: int, rounds: int, n_streams: int):
@@ -212,7 +240,7 @@ def _round_words(seeds, n_agents: int, rounds: int, n_streams: int):
 
 
 def _local_phases(q_bar: np.ndarray, mdp: TabularMDP, etas: list[tuple[float, slice]], words: np.ndarray,
-                  rows: np.ndarray) -> np.ndarray:
+                  rows: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
     """One round's local phases of every agent of R runs: shape (R·I, S, A).
 
     ``q_bar`` holds the R broadcast tables and ``words`` that round's
@@ -220,18 +248,32 @@ def _local_phases(q_bar: np.ndarray, mdp: TabularMDP, etas: list[tuple[float, sl
     ``q_bar[r]``, and its epoch k updates from the sample table of the
     stream seeded by ``words[k, rows[r·I + i]]``, damped by the eta that
     ``etas`` gives its block of rows.  Each stream's table is drawn once,
-    however many rows read it.  A table with one successor per row and
-    noiseless rewards reads no draw: every stream's sample table is the
-    successors with the mean rewards, so every row reads that one table
-    and no generator is built.
+    however many rows read it.
+
+    A table with one successor per row (w = 1) reads its next states from
+    ``index``, the :func:`_gather_index` of the R·I rows (built here when
+    None), so an epoch draws only the rewards and makes the operations
+    :func:`~fedq.bellman.empirical_bellman` makes on the drawn table: the
+    gather, times gamma, plus the rewards.  With noiseless rewards every
+    stream's rewards are the mean rewards, so no generator is built.
     """
     q = np.repeat(q_bar, len(rows) // len(q_bar), axis=0)
-    fixed = None
-    if mdp.succ.shape[1] == 1 and mdp.noise.std == 0.0:
-        fixed = mdp.succ.reshape(1, mdp.n_states, mdp.n_actions), mdp.reward_mean[None]
-        rows = np.zeros_like(rows)
+    if mdp.succ.shape[1] > 1:
+        for epoch_words in words:
+            q = _epoch(q, mdp, etas, synchronous_sample_batch(mdp, generators(epoch_words)), rows)
+        return q
+    index = _gather_index(mdp, len(rows)) if index is None else index
+    shared = not np.array_equal(rows, np.arange(len(rows)))  # row i does not read stream row i
+    rewards = mdp.reward_mean
     for epoch_words in words:
-        q = _epoch(q, mdp, etas, fixed or synchronous_sample_batch(mdp, generators(epoch_words)), rows)
+        if mdp.noise.std > 0.0:
+            rewards = synchronous_rewards_batch(mdp, generators(epoch_words))
+            if shared:
+                rewards = rewards.take(rows, axis=0)
+        target = state_values(q).take(index)
+        target *= mdp.gamma
+        target += rewards
+        q = _damped(q, target, etas)
     return q
 
 
@@ -243,14 +285,20 @@ def _server_step(q_bar: np.ndarray, sent: np.ndarray, betas: np.ndarray) -> np.n
     Each run's sum starts from +0.0 and adds its rows one by one in
     ascending agent order, so it gives the same bits as adding the
     densified payloads agent by agent: a +0.0 sum can never become -0.0,
-    so adding +0.0 for an untransmitted coordinate changes nothing.  It
-    is not a numpy sum over the agent axis: numpy reduces a one-column
-    table (d = 1) pairwise, in another order than row by row.
+    so adding +0.0 for an untransmitted coordinate changes nothing.  For
+    d > 1 that is one ``np.add.reduce`` over the agent axis: the reduced
+    axis is not the innermost one of the C-ordered (R, I, d) rows, so
+    numpy adds whole agent rows into the sum in ascending order.  A
+    one-column table (d = 1) would be reduced pairwise, in another order,
+    so it adds its rows in a loop.
     """
     per_run = sent.reshape(len(q_bar), -1, sent.shape[1])
-    acc = np.zeros((len(q_bar), sent.shape[1]))
-    for agent_rows in per_run.swapaxes(0, 1):
-        acc += agent_rows
+    if sent.shape[1] > 1:
+        acc = np.add.reduce(per_run, axis=1, initial=0.0)
+    else:
+        acc = np.zeros((len(q_bar), 1))
+        for agent_rows in per_run.swapaxes(0, 1):
+            acc += agent_rows
     return q_bar + (betas / per_run.shape[1]).reshape(-1, 1, 1) * acc.reshape(q_bar.shape)
 
 
@@ -306,13 +354,13 @@ def run_federated_batch(
     once and every run with that seed updates from them, one Bellman
     update covers all R·I agents, the configs that share an arm (kind,
     mode and sparsified_k's rule) are compressed in one call with one
-    budget per row, and the server keeps R tables.  The configs of one
-    shape are stably sorted by (kind, rule, mode, eta), so that each such
-    arm is one contiguous block, and run in batches of at most
-    ``BATCH_CELLS // (I·d)`` configs in that order, so their memory does
-    not grow with R, and each result's ``seconds`` is its batch's wall time
-    divided by the batch's number of runs.  Result r is the same bits as
-    :func:`run_federated` on ``configs[r]`` alone.
+    budget per row (the identity's arm in none), and the server keeps R
+    tables.  The configs of one shape are stably sorted by (kind, rule,
+    mode, eta), so that each such arm is one contiguous block, and run in
+    batches of at most ``BATCH_CELLS // (I·d)`` configs in that order, so
+    their memory does not grow with R, and each result's ``seconds`` is
+    its batch's wall time divided by the batch's number of runs.  Result r
+    is the same bits as :func:`run_federated` on ``configs[r]`` alone.
     """
     configs = list(configs)
     if not configs:
@@ -351,7 +399,9 @@ def _run_group(configs: list[ExperimentConfig], mdp: TabularMDP, q_star: np.ndar
     damped update runs once per contiguous block of configs with one eta,
     and the server step scales each run's sum by its own beta / I.  Each
     contiguous block of configs with one :func:`_arm` key is one arm,
-    compressed in one call under its runs' budgets.
+    compressed in one call under its runs' budgets; the identity's arm
+    uploads its pending rows as they are.  On a table with one successor
+    per row, the gather index of the R·I rows is built once, here.
     The round loop does only what the next round needs: local phases,
     compression, residual, server step and errors.  It records each run's
     kept entries per round in a (T, R) array and its two errors in
@@ -391,8 +441,9 @@ def _run_group(configs: list[ExperimentConfig], mdp: TabularMDP, q_star: np.ndar
     rmses, linfs = np.empty((n_rounds + 1, n_runs)), np.empty((n_rounds + 1, n_runs))
     rmses[0], linfs[0] = errors_batch(q_bar, q_star)
 
+    index = _gather_index(mdp, n_runs * n_agents)
     for t, words in enumerate(_round_words(seeds, n_agents, n_rounds, n_streams)):
-        q_local = _local_phases(q_bar, mdp, etas, words[:n_epochs], stream_rows)
+        q_local = _local_phases(q_bar, mdp, etas, words[:n_epochs], stream_rows, index)
         pending = (q_local.reshape(n_runs, n_agents, d) - q_bar.reshape(n_runs, 1, d)).reshape(-1, d)
         if sparsified:
             uniforms = np.empty((len(words[n_epochs]), d))
@@ -402,18 +453,23 @@ def _run_group(configs: list[ExperimentConfig], mdp: TabularMDP, q_star: np.ndar
             arm_pending = pending[rows]
             if mode == ERROR_FEEDBACK:
                 arm_pending += residual[rows]
-            payload = compress_batch(arm_pending, spec,
-                                     uniforms[stream_rows[rows]] if spec.kind == SPARSIFIED_K else None,
-                                     budget)
+            if spec.kind == IDENTITY:  # the upload is pending itself, every entry of it
+                sent, entries[t, runs] = arm_pending, n_agents * d
+            else:
+                payload = compress_batch(arm_pending, spec,
+                                         uniforms[stream_rows[rows]] if spec.kind == SPARSIFIED_K else None,
+                                         budget)
+                sent = payload.sent
+                if payload.alpha is not None:
+                    alpha_min[runs] = _running_min(alpha_min[runs], payload.alpha)
+                if payload.p is not None:
+                    support = np.where(payload.p > 0, payload.p, np.nan)
+                    p_support_min[runs] = _running_min(p_support_min[runs], support)
+                entries[t, runs] = payload.kept.reshape(-1, n_agents * d).sum(axis=1)
             if mode == ERROR_FEEDBACK:
-                np.subtract(arm_pending, payload.sent, out=residual[rows])
-            if payload.alpha is not None:
-                alpha_min[runs] = _running_min(alpha_min[runs], payload.alpha)
-            if payload.p is not None:
-                support = np.where(payload.p > 0, payload.p, np.nan)
-                p_support_min[runs] = _running_min(p_support_min[runs], support)
-            arm_pending[...] = payload.sent  # pending's rows become the uploads
-            entries[t, runs] = payload.kept.reshape(-1, n_agents * d).sum(axis=1)
+                np.subtract(arm_pending, sent, out=residual[rows])
+            if sent is not arm_pending:
+                arm_pending[...] = sent  # pending's rows become the uploads
 
         q_bar = _server_step(q_bar, pending, betas)
         rmses[t + 1], linfs[t + 1] = errors_batch(q_bar, q_star)

@@ -5,7 +5,9 @@ table, plus a mean-reward table.  Sampling follows the generative-model
 access pattern: one next state is drawn for *every* (state, action) pair
 at once, rather than along a trajectory.  Observed rewards are the mean
 reward plus clipped Gaussian noise; transitions themselves are sampled
-from the kernel.
+from the kernel.  :func:`synchronous_rewards_batch` draws the rewards
+alone, with the same bits, for a caller that already knows the next
+states, as on a table with one successor per row.
 
 The successor table lists, for each of the S * A rows, the w states the
 row can move to, where w is the largest out-degree (w = 1 on every grid
@@ -167,21 +169,47 @@ def synchronous_sample_batch(mdp: TabularMDP, rngs) -> tuple[np.ndarray, np.ndar
     """One :func:`synchronous_sample` table per generator, stacked: shape (I, S, A).
 
     Generator i draws its uniform block into row i with ``random(out=)``
-    (or, when w = 1, skips it by ``advance`` on PCG64 or PCG64DXSM, or
-    draws it with ``random(size)`` and drops it), then draws its standard
-    normals into row i with ``standard_normal(out=)``, exactly as
-    :func:`synchronous_sample` would.  The scale ``0.0 + std * z``, the
-    inverse-CDF lookup and the reward clip then run once on the whole batch.
+    (or, when w = 1, skips it as :func:`synchronous_rewards_batch` does),
+    then its standard normals into row i with ``standard_normal(out=)``,
+    exactly as :func:`synchronous_sample` would.  The scale
+    ``0.0 + std * z``, the inverse-CDF lookup and the reward clip then run
+    once on the whole batch.  The next-state table is a fresh, writable
+    array on every call.
     """
     shape = (len(rngs), mdp.n_states, mdp.n_actions)
+    if mdp.succ.shape[1] == 1:  # w = 1: no uniform decides anything
+        next_states = np.repeat(mdp.succ.reshape(1, *shape[1:]), len(rngs), axis=0)
+        return next_states, synchronous_rewards_batch(mdp, rngs)
+    u = np.empty(shape)
+    rewards = _draw(mdp, rngs, u)
+    # Running sums below 1.0 are non-decreasing and u < 1.0, so the count of
+    # sums <= u is the first slot with u < sum: the inverse-CDF pick.
+    slot = (u.reshape(len(rngs), -1, 1) >= mdp.succ_cum).sum(axis=-1)
+    return mdp.succ.take(mdp._row_start + slot).reshape(shape), rewards
+
+
+def synchronous_rewards_batch(mdp: TabularMDP, rngs) -> np.ndarray:
+    """The rewards of :func:`synchronous_sample_batch` alone, the same bits: shape (I, S, A).
+
+    Each generator skips its uniform block, by ``advance`` on PCG64 or
+    PCG64DXSM or else by drawing it with ``random(size)`` and dropping it,
+    so every stream ends where :func:`synchronous_sample_batch` leaves it,
+    whatever w.  This is the whole draw on a table with one successor per
+    row, whose next states are its successor table.
+    """
+    return _draw(mdp, rngs, None)
+
+
+def _draw(mdp: TabularMDP, rngs, u: np.ndarray | None) -> np.ndarray:
+    """Each generator's uniform block into its row of ``u`` (skipped when ``u`` is None), then its
+    standard normals; returns the rewards, the mean plus the clipped noise ``0.0 + std * z``."""
+    shape = (len(rngs), mdp.n_states, mdp.n_actions)
     noisy = mdp.noise.std > 0.0
-    certain = mdp.succ.shape[1] == 1  # w = 1: no uniform decides anything
-    u = None if certain else np.empty(shape)
     g = np.empty(shape) if noisy else None
-    if certain:  # looked up here, where generators exist: importing fedq must not load numpy.random
+    if u is None:  # looked up here, where generators exist: importing fedq must not load numpy.random
         from numpy.random import PCG64, PCG64DXSM
     for i, gen in enumerate(rngs):
-        if not certain:
+        if u is not None:
             gen.random(out=u[i])
         elif isinstance(bits := gen.bit_generator, (PCG64, PCG64DXSM)):
             bits.advance(mdp.table_size)
@@ -189,18 +217,9 @@ def synchronous_sample_batch(mdp: TabularMDP, rngs) -> tuple[np.ndarray, np.ndar
             gen.random(shape[1:])
         if noisy:
             gen.standard_normal(out=g[i])
-    if certain:
-        next_states = np.repeat(mdp.succ.reshape(1, *shape[1:]), len(rngs), axis=0)  # fresh and writable
-    else:
-        # Running sums below 1.0 are non-decreasing and u < 1.0, so the count of
-        # sums <= u is the first slot with u < sum: the inverse-CDF pick.
-        slot = (u.reshape(len(rngs), -1, 1) >= mdp.succ_cum).sum(axis=-1)
-        next_states = mdp.succ.take(mdp._row_start + slot).reshape(shape)
-    if noisy:
-        g *= mdp.noise.std
-        g += 0.0  # Generator.normal's loc + scale * z with loc 0.0: a -0.0 draw becomes +0.0
-        np.clip(g, -mdp.noise.clip, mdp.noise.clip, out=g)
-        rewards = np.add(mdp.reward_mean, g, out=g)
-    else:
-        rewards = np.repeat(mdp.reward_mean[None], len(rngs), axis=0)
-    return next_states, rewards
+    if not noisy:
+        return np.repeat(mdp.reward_mean[None], len(rngs), axis=0)
+    g *= mdp.noise.std
+    g += 0.0  # Generator.normal's loc + scale * z with loc 0.0: a -0.0 draw becomes +0.0
+    np.clip(g, -mdp.noise.clip, mdp.noise.clip, out=g)
+    return np.add(mdp.reward_mean, g, out=g)

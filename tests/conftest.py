@@ -99,6 +99,13 @@ def dense_mdp(transition, reward_mean, gamma, noise=fedq.NoiseSpec(), r_max=1.0)
     return fedq.TabularMDP(succ, succ_p, reward_mean, gamma, noise=noise, r_max=r_max)
 
 
+def padded_twin(mdp: fedq.TabularMDP) -> fedq.TabularMDP:
+    """The w = 2 twin of a w = 1 table: each row lists its successor twice, the copy at probability 0."""
+    return fedq.TabularMDP(np.repeat(mdp.succ, 2, axis=1),
+                           np.column_stack([np.ones(mdp.table_size), np.zeros(mdp.table_size)]),
+                           mdp.reward_mean, mdp.gamma, mdp.noise, mdp.r_max)
+
+
 def random_mdp(rng: np.random.Generator, n_states=4, n_actions=3, gamma=0.8, noise=None) -> fedq.TabularMDP:
     """Small random stochastic MDP for property tests."""
     raw = rng.random((n_states, n_actions, n_states)) + 0.05

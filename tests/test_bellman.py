@@ -150,7 +150,8 @@ class TestEmpiricalBellman:
             single = fedq.empirical_bellman(q[i], next_states[j], rewards[j], 0.8)
             assert batch[i].tobytes() == single.tobytes()
 
-    @pytest.mark.parametrize("rows", [[0], [0, 1, 0], [[0, 1]], [0, 2]])
+    # [0.0, 1.0] used to raise numpy's TypeError, and [0, -1] to read the last sample table
+    @pytest.mark.parametrize("rows", [[0], [0, 1, 0], [[0, 1]], [0, 2], [0.0, 1.0], [0, -1]])
     def test_rows_must_name_one_sample_table_per_table(self, rows):
         samples = np.zeros((2, 3, 2), dtype=int), np.zeros((2, 3, 2))
         with pytest.raises(ShapeMismatchError):
@@ -162,6 +163,9 @@ class TestEmpiricalBellman:
         with pytest.raises(ShapeMismatchError):  # sample tables of another size than q's
             fedq.empirical_bellman(np.zeros((2, 3, 2)), np.zeros((2, 2, 2), dtype=int), np.zeros((2, 2, 2)), 0.8,
                                    np.arange(2))
+        for shape in ((), (3,)):  # no (S, A) table: numpy's IndexError and ValueError used to escape
+            with pytest.raises(ShapeMismatchError, match="q must be an"):
+                fedq.empirical_bellman(np.zeros(shape), np.zeros(shape, dtype=int), np.zeros(shape), 0.8)
 
     @pytest.mark.parametrize("rows", [None, np.array([1, 0])])
     @pytest.mark.parametrize("state, got", [(3, "entries from 0 to 3"), (-1, "entries from -1 to 0"),
@@ -234,6 +238,12 @@ class TestGreedyPolicy:
         q = fedq.value_iteration(mdp, tol=1e-12)
         assert fedq.greedy_policy(q)[1] == 2  # left
 
+    @pytest.mark.parametrize("shape", [(3,), (3, 0)])
+    def test_shape_mismatch(self, shape):
+        # an (S, 0) table has no action to pick: numpy's argmax raised its own ValueError
+        with pytest.raises(ShapeMismatchError):
+            fedq.greedy_policy(np.zeros(shape))
+
 
 class TestRmse:
     def test_zero_when_equal(self, map5x5_qstar):
@@ -260,6 +270,8 @@ class TestRmse:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             fedq.rmse(np.zeros((2, 2)), np.zeros((2, 3)))
+        with pytest.raises(ShapeMismatchError, match="got a scalar"):  # len() of a 0-d q raised TypeError
+            fedq.bellman.errors_batch(np.float64(1.0), np.float64(1.0))
 
 
 class TestCsvExports:

@@ -11,6 +11,7 @@ from fedq.engine import (
     ERROR_FEEDBACK,
     MODES,
     SEED_BLOCK,
+    _arm,
     _epoch,
     _local_phases,
     _round_words,
@@ -18,7 +19,7 @@ from fedq.engine import (
 )
 from fedq.errors import BudgetOutOfRangeError, NonFiniteError, ParamOutOfRangeError, ShapeMismatchError
 from fedq.mdp import synchronous_sample_batch
-from tests.conftest import dense_mdp, sparse_from_dense
+from tests.conftest import dense_mdp, padded_twin, sparse_from_dense
 
 
 def make_config(**overrides):
@@ -653,7 +654,8 @@ class TestRunFederatedBatch:
 
     def test_one_compression_per_kind_rule_and_mode(self, map5x5_noisy, map5x5_qstar, monkeypatch, run_groups):
         # a sweep grid in k x compressor product order, two seeds a point: identity, top_k4,
-        # sparsified4, top_k16, sparsified16 alternate kinds, yet each kind is one call a round
+        # sparsified4, top_k16, sparsified16 alternate kinds, yet each compressing kind is one call a
+        # round; the identity's upload is pending itself, so it makes none
         calls = []
         compress = fedq.engine.compress_batch
 
@@ -667,9 +669,9 @@ class TestRunFederatedBatch:
         configs = [make_config(rounds=4, compressor=spec, master_seed=seed) for spec in points for seed in (3, 4)]
         results = fedq.run_federated_batch(configs, map5x5_noisy, map5x5_qstar)
         assert len(run_groups) == 1
-        assert len(calls) == 3 * 4
-        budgets = {"identity": [0] * 4, "top_k": [4] * 4 + [16] * 4, "sparsified_k": [4] * 4 + [16] * 4}
-        assert sorted(calls[:3]) == sorted(budgets.items())
+        assert len(calls) == 2 * 4
+        budgets = {"top_k": [4] * 4 + [16] * 4, "sparsified_k": [4] * 4 + [16] * 4}
+        assert sorted(calls[:2]) == sorted(budgets.items())
         monkeypatch.setattr(fedq.engine, "compress_batch", compress)
         for cfg, batched in zip(configs, results):
             assert_same_run(batched, fedq.run_federated(cfg, map5x5_noisy, map5x5_qstar))
@@ -677,6 +679,7 @@ class TestRunFederatedBatch:
     def test_probability_rule_splits_only_sparsified_arms(self, map5x5_noisy, map5x5_qstar, monkeypatch,
                                                           run_groups):
         # top_k and the identity never read the rule: configs that differ only in it share an arm
+        # (the identity's arm compresses nothing)
         calls = []
         compress = fedq.engine.compress_batch
 
@@ -690,7 +693,8 @@ class TestRunFederatedBatch:
                    for seed in (3, 4)]
         results = fedq.run_federated_batch(configs, map5x5_noisy, map5x5_qstar)
         assert len(run_groups) == 1
-        assert sorted(calls) == ["identity"] * 4 + ["top_k"] * 4
+        assert calls == ["top_k"] * 4
+        assert len({_arm(c) for c in configs}) == 2
         monkeypatch.setattr(fedq.engine, "compress_batch", compress)
         for cfg, batched in zip(configs, results):
             assert_same_run(batched, fedq.run_federated(cfg, map5x5_noisy, map5x5_qstar))
@@ -787,3 +791,53 @@ class TestRunFederatedBatch:
     def test_empty_batch_rejected(self, map5x5_noisy, map5x5_qstar):
         with pytest.raises(ParamOutOfRangeError):
             fedq.run_federated_batch([], map5x5_noisy, map5x5_qstar)
+
+
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("noisy", [False, True])
+def test_one_successor_gather_matches_the_general_path(noisy, shared, monkeypatch):
+    # a w = 1 table reads its next states from one gather index and never reaches the sampler's
+    # next-state table or empirical_bellman and its checks; its zero-padded w = 2 twin takes that
+    # general path, and every run gives the same bytes either way, whether each run has a seed of
+    # its own or runs share seeds' streams
+    noise = fedq.NoiseSpec(std=0.5, clip=0.5) if noisy else fedq.NoiseSpec()
+    grid = fedq.build_gridworld(fedq.load_map("map6x6w"), noise=noise, gamma=0.8)
+    padded = padded_twin(grid)
+    q_star = fedq.value_iteration(grid)
+    specs = [(COMPRESSORS["identity"], DIRECT), (COMPRESSORS["top_k"], ERROR_FEEDBACK),
+             (COMPRESSORS["sparsified_l1"], DIRECT), (COMPRESSORS["sparsified_uniform"], DIRECT)]
+    configs = [make_config(n_agents=3, local_epochs=2, rounds=4, eta=0.3, compressor=spec, mode=mode,
+                           master_seed=seed if shared else 3 * j + seed)
+               for j, (spec, mode) in enumerate(specs) for seed in ((5, 4, 5) if shared else (0, 1, 2))]
+    general = fedq.run_federated_batch(configs, padded, q_star)
+
+    def refuse(*args):
+        raise AssertionError("a w = 1 epoch reached the general path")
+
+    monkeypatch.setattr(fedq.engine, "empirical_bellman", refuse)
+    monkeypatch.setattr(fedq.engine, "synchronous_sample_batch", refuse)
+    with pytest.raises(AssertionError, match="general path"):  # the spies bite on the general path
+        fedq.run_federated_batch(configs[:1], padded, q_star)
+    gathered = fedq.run_federated_batch(configs, grid, q_star)
+    for a, b in zip(gathered, general):
+        assert a.q_final.tobytes() == b.q_final.tobytes()
+        assert list(map(repr, a.metrics)) == list(map(repr, b.metrics))
+        assert (repr(a.alpha_min), repr(a.p_support_min)) == (repr(b.alpha_min), repr(b.p_support_min))
+
+
+@pytest.mark.parametrize("n_runs, n_agents, d", [(1, 50, 100), (1, 4, 3616), (10, 2, 112), (3, 64, 2), (2, 9, 3),
+                                                 (2, 64, 1)])
+def test_server_step_adds_agent_rows_in_ascending_order(n_runs, n_agents, d):
+    # the agents' rows are added one by one from +0.0, as the per-agent reference adds them: terms
+    # that span 32 orders of magnitude make any other order (such as numpy's pairwise sum of a
+    # one-column table) show in the bits, and -0.0 uploads must leave a +0.0 sum
+    rng = np.random.default_rng(d)
+    sent = rng.normal(size=(n_runs * n_agents, d)) * 10.0 ** rng.integers(-16, 17, (n_runs * n_agents, d))
+    sent[rng.random(sent.shape) < 0.3] = -0.0
+    q_bar, betas = rng.normal(size=(n_runs, d, 1)), rng.uniform(0.1, 1.0, n_runs)
+    q_bar[rng.random(q_bar.shape) < 0.3] = -0.0  # where every agent sends -0.0, only a +0.0 sum keeps it
+    acc = np.zeros((n_runs, d))
+    for agent_rows in sent.reshape(n_runs, n_agents, d).swapaxes(0, 1):
+        acc += agent_rows
+    expected = q_bar + (betas / n_agents).reshape(-1, 1, 1) * acc.reshape(q_bar.shape)
+    assert _server_step(q_bar, sent, betas).tobytes() == expected.tobytes()

@@ -5,7 +5,7 @@ from scipy import stats
 import fedq
 from fedq.errors import ParamOutOfRangeError
 from fedq.rng import generators, seed_words
-from tests.conftest import dense_mdp, random_mdp, sparse_random_kernel, sparse_random_mdp
+from tests.conftest import dense_mdp, padded_twin, random_mdp, sparse_random_kernel, sparse_random_mdp
 
 
 def two_state_mdp(p=(0.3, 0.7), noise=None):
@@ -183,6 +183,23 @@ class TestSampleNextState:
         ref = fedq.mdp.synchronous_sample_batch(padded, ref_gens)
         for a, b in zip(out, ref):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for gen, ref_gen in zip(gens, ref_gens):
+            assert gen.random() == ref_gen.random()
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_rewards_alone_are_the_sample_rewards(self, noisy, padded):
+        # the rewards-only draw skips the uniform block on any w: the same reward bits as the whole
+        # sample, and every stream left where the whole sample leaves it
+        noise = fedq.NoiseSpec(std=0.5, clip=0.5) if noisy else fedq.NoiseSpec()
+        mdp = fedq.build_gridworld(fedq.load_map("map6x6w"), noise=noise, gamma=0.8)
+        if padded:
+            mdp = padded_twin(mdp)
+        streams = [fedq.RngStream(3, (i, 1)) for i in range(3)]
+        gens, ref_gens = [s.generator() for s in streams], [s.generator() for s in streams]
+        rewards = fedq.mdp.synchronous_rewards_batch(mdp, gens)
+        _, ref = fedq.mdp.synchronous_sample_batch(mdp, ref_gens)
+        assert rewards.dtype == ref.dtype and rewards.tobytes() == ref.tobytes()
         for gen, ref_gen in zip(gens, ref_gens):
             assert gen.random() == ref_gen.random()
 
