@@ -10,13 +10,14 @@ payloads back onto the global table.
 A round is computed for all I agents at once.  Given the broadcast, the
 local phases are independent, so the local tables form one (I, S, A)
 array: each epoch, every agent draws its own sample table into a row of
-a batch, and the Bellman update runs once on the whole batch.  A table
-with one successor per row (w = 1, every grid world) knows its next
-states before any draw, so the batch reads them from one gather index,
-built once per batch from the successor table: an epoch draws only the
-rewards and makes the operations of
-:func:`~fedq.bellman.empirical_bellman`, the same bits, without building
-or checking a next-state table.  Deltas and error-feedback residuals are
+a batch, and the Bellman update runs once on the whole batch.  Whatever
+the successor width w, an epoch reads the next states from one gather
+index and makes the operations of :func:`~fedq.bellman.empirical_bellman`,
+the same bits, without checking the tables it drew: a table with one
+successor per row (w = 1, every grid world) knows its next states before
+any draw, so its index is built once per batch from the successor table
+and an epoch draws only the rewards; a w > 1 epoch builds its index from
+the next-state tables it draws.  Deltas and error-feedback residuals are
 (I, d) arrays compressed in one call into an (I, d) table of compressed
 vectors (+0.0 where nothing is sent; the identity's is the pending table
 itself); the error-feedback residual is the pending table minus it, and
@@ -78,7 +79,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bellman import empirical_bellman, errors_batch, state_values
+from .bellman import errors_batch, state_values
 from .bounds import payload_bits
 from .compression import IDENTITY, SPARSIFIED_K, TOP_K, CompressorSpec, compress_batch
 from .errors import (InvalidGammaError, NonFiniteError, ParamOutOfRangeError, check_array, check_budget,
@@ -181,18 +182,6 @@ class RunResult:
     seconds: float = 0.0  # wall time of the batch that computed the run, divided by its number of runs
 
 
-def _epoch(q: np.ndarray, mdp: TabularMDP, etas: list[tuple[float, slice]], samples,
-           rows: np.ndarray) -> np.ndarray:
-    """One damped empirical-Bellman update of an (N, S, A) batch.
-
-    ``samples`` holds the (U, S, A) next-state and reward tables, and row i
-    of ``q`` reads table ``rows[i]``.  ``etas`` pairs each learning rate
-    with the block of rows it damps, as :func:`_damped` applies it.
-    """
-    next_states, rewards = samples
-    return _damped(q, empirical_bellman(q, next_states, rewards, mdp.gamma, rows), etas)
-
-
 def _damped(q: np.ndarray, target: np.ndarray, etas: list[tuple[float, slice]]) -> np.ndarray:
     """``(1 - eta) q + eta target`` in place of ``target``, once per block of rows with one eta.
 
@@ -205,18 +194,19 @@ def _damped(q: np.ndarray, target: np.ndarray, etas: list[tuple[float, slice]]) 
     return target
 
 
-def _gather_index(mdp: TabularMDP, n_rows: int) -> np.ndarray | None:
-    """Where each row's next states sit in an (n_rows, S) batch of state values: (n_rows, S, A) int64.
+def _gather_index(next_states: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Where each row's next states sit in an (N, S) batch of state values: (N, S, A) int64.
 
-    Entry ``[i, s, a]`` is ``i·S + succ[s·A + a]``, the flat index
-    :func:`~fedq.bellman.empirical_bellman` builds from row i's next-state
-    table each call.  Only a table with one successor per row (w = 1)
-    knows its next states before any draw; for w > 1 this is None.
+    Entry ``[i, s, a]`` is ``i·S + next_states[rows[i], s, a]``, the flat
+    index :func:`~fedq.bellman.empirical_bellman` builds, for a (U, S, A)
+    next-state table read by N rows.  A table with one successor per row
+    (w = 1) knows its next states before any draw, so its index is built
+    once per batch from ``succ``; for w > 1 each epoch builds it from the
+    next states it drew.
     """
-    if mdp.succ.shape[1] > 1:
-        return None
-    offsets = np.arange(0, n_rows * mdp.n_states, mdp.n_states).reshape(-1, 1, 1)
-    return offsets + mdp.succ.reshape(1, mdp.n_states, mdp.n_actions)
+    index = next_states.take(rows, axis=0)
+    index += np.arange(0, len(rows) * next_states.shape[1], next_states.shape[1]).reshape(-1, 1, 1)
+    return index
 
 
 def _round_words(seeds, n_agents: int, rounds: int, n_streams: int):
@@ -250,27 +240,28 @@ def _local_phases(q_bar: np.ndarray, mdp: TabularMDP, etas: list[tuple[float, sl
     ``etas`` gives its block of rows.  Each stream's table is drawn once,
     however many rows read it.
 
-    A table with one successor per row (w = 1) reads its next states from
-    ``index``, the :func:`_gather_index` of the R·I rows (built here when
-    None), so an epoch draws only the rewards and makes the operations
-    :func:`~fedq.bellman.empirical_bellman` makes on the drawn table: the
-    gather, times gamma, plus the rewards.  With noiseless rewards every
-    stream's rewards are the mean rewards, so no generator is built.
+    Every epoch reads the rows' next states from one :func:`_gather_index`
+    and makes the operations :func:`~fedq.bellman.empirical_bellman` makes
+    on the drawn table: the gather, times gamma, plus the rewards.  A
+    given ``index`` (w = 1: the next states are known before any draw)
+    serves every epoch, which then draws only the rewards; with None,
+    each epoch draws its next-state tables and builds its own.  With
+    noiseless rewards every stream's rewards are the mean rewards, so an
+    epoch with an index builds no generator.
     """
     q = np.repeat(q_bar, len(rows) // len(q_bar), axis=0)
-    if mdp.succ.shape[1] > 1:
-        for epoch_words in words:
-            q = _epoch(q, mdp, etas, synchronous_sample_batch(mdp, generators(epoch_words)), rows)
-        return q
-    index = _gather_index(mdp, len(rows)) if index is None else index
+    noisy = mdp.noise.std > 0.0
     shared = not np.array_equal(rows, np.arange(len(rows)))  # row i does not read stream row i
-    rewards = mdp.reward_mean
+    rewards, epoch_index = mdp.reward_mean, index
     for epoch_words in words:
-        if mdp.noise.std > 0.0:
-            rewards = synchronous_rewards_batch(mdp, generators(epoch_words))
-            if shared:
-                rewards = rewards.take(rows, axis=0)
-        target = state_values(q).take(index)
+        if index is None:
+            next_states, drawn = synchronous_sample_batch(mdp, generators(epoch_words))
+            epoch_index = _gather_index(next_states, rows)
+        elif noisy:
+            drawn = synchronous_rewards_batch(mdp, generators(epoch_words))
+        if noisy:
+            rewards = drawn.take(rows, axis=0) if shared else drawn
+        target = state_values(q).take(epoch_index)
         target *= mdp.gamma
         target += rewards
         q = _damped(q, target, etas)
@@ -401,7 +392,8 @@ def _run_group(configs: list[ExperimentConfig], mdp: TabularMDP, q_star: np.ndar
     contiguous block of configs with one :func:`_arm` key is one arm,
     compressed in one call under its runs' budgets; the identity's arm
     uploads its pending rows as they are.  On a table with one successor
-    per row, the gather index of the R·I rows is built once, here.
+    per row (w = 1), the gather index of the R·I rows is built once, here,
+    from ``succ``; on w > 1 each epoch builds its own from its draw.
     The round loop does only what the next round needs: local phases,
     compression, residual, server step and errors.  It records each run's
     kept entries per round in a (T, R) array and its two errors in
@@ -441,7 +433,8 @@ def _run_group(configs: list[ExperimentConfig], mdp: TabularMDP, q_star: np.ndar
     rmses, linfs = np.empty((n_rounds + 1, n_runs)), np.empty((n_rounds + 1, n_runs))
     rmses[0], linfs[0] = errors_batch(q_bar, q_star)
 
-    index = _gather_index(mdp, n_runs * n_agents)
+    index = _gather_index(mdp.succ.reshape(1, mdp.n_states, mdp.n_actions),
+                          np.zeros(n_runs * n_agents, dtype=np.int64)) if mdp.succ.shape[1] == 1 else None
     for t, words in enumerate(_round_words(seeds, n_agents, n_rounds, n_streams)):
         q_local = _local_phases(q_bar, mdp, etas, words[:n_epochs], stream_rows, index)
         pending = (q_local.reshape(n_runs, n_agents, d) - q_bar.reshape(n_runs, 1, d)).reshape(-1, d)

@@ -1,5 +1,7 @@
+import functools
 import hashlib
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -12,14 +14,13 @@ from fedq.engine import (
     MODES,
     SEED_BLOCK,
     _arm,
-    _epoch,
     _local_phases,
     _round_words,
     _server_step,
 )
 from fedq.errors import BudgetOutOfRangeError, NonFiniteError, ParamOutOfRangeError, ShapeMismatchError
-from fedq.mdp import synchronous_sample_batch
-from tests.conftest import dense_mdp, padded_twin, sparse_from_dense
+from fedq.rng import seed_words
+from tests.conftest import dense_mdp, padded_twin, random_mdp, sparse_from_dense
 
 
 def make_config(**overrides):
@@ -42,9 +43,21 @@ def one_eta(eta):
     return [(eta, slice(None))]
 
 
-def epoch(q, mdp, eta, gens, rows):
-    """``_epoch`` at one eta on the sample tables the generators draw."""
-    return _epoch(q, mdp, one_eta(eta), synchronous_sample_batch(mdp, gens), rows)
+def epoch(q, mdp, eta, streams, rows):
+    """The engine's epoch at one eta: ``_local_phases`` for one epoch on the streams' sample tables.
+
+    Row i of the (N, S, A) batch ``q`` updates from the table of ``streams[rows[i]]``.
+    """
+    words = np.concatenate([seed_words(stream.seed, [stream.path]) for stream in streams])
+    return _local_phases(q, mdp, one_eta(eta), words[None], rows)
+
+
+@functools.cache
+def stochastic_table(noisy):
+    """A small random MDP with w = S successors per row, noisy or not, and its fixed point."""
+    noise = fedq.NoiseSpec(std=0.5, clip=0.5) if noisy else None
+    mdp = random_mdp(np.random.default_rng(11), n_states=5, n_actions=3, noise=noise)
+    return mdp, fedq.value_iteration(mdp, tol=1e-12)
 
 
 def local_phase_reference(q_bar, mdp, eta, n_epochs, root, t, agent):
@@ -60,7 +73,7 @@ class TestLocalEpoch:
     def test_full_step_equals_exact_operator_when_deterministic(self, map5x5_mdp):
         rng = np.random.default_rng(0)
         q = rng.uniform(-2, 2, (25, 4))
-        out = epoch(q[None], map5x5_mdp, 1.0, [fedq.RngStream(0).generator()], np.arange(1))[0]
+        out = epoch(q[None], map5x5_mdp, 1.0, [fedq.RngStream(0)], np.arange(1))[0]
         assert np.allclose(out, fedq.exact_bellman(map5x5_mdp, q), rtol=0, atol=1e-12)
 
     def test_half_step_arithmetic(self):
@@ -75,23 +88,26 @@ class TestLocalEpoch:
         gamma = map5x5_noisy.gamma
         reward_cap = map5x5_noisy.r_max  # mean capped at 1, noise at 0.5
         q = rng.uniform(-6, 6, (20, 25, 4))
-        gens = [fedq.RngStream(2, (trial,)).generator() for trial in range(20)]
-        out = epoch(q, map5x5_noisy, 0.3, gens, np.arange(20))
+        streams = [fedq.RngStream(2, (trial,)) for trial in range(20)]
+        out = epoch(q, map5x5_noisy, 0.3, streams, np.arange(20))
         for q_i, out_i in zip(q, out):
             cap = max(np.max(np.abs(q_i)), reward_cap + gamma * np.max(np.abs(q_i)))
             assert np.max(np.abs(out_i)) <= cap + 1e-12
 
-    def test_row_reads_the_stream_its_index_names(self, map5x5_noisy):
-        # rows [1, 0] over two streams: row i gets exactly stream rows[i]'s update alone
-        q = np.random.default_rng(3).uniform(-2, 2, (2, 25, 4))
+    @pytest.mark.parametrize("table", ["map5x5", "stochastic"])
+    def test_row_reads_the_stream_its_index_names(self, table, map5x5_noisy):
+        # rows [1, 0, 1] over two streams: row i gets exactly stream rows[i]'s update alone, on a
+        # w = 1 map and on a w = S table whose next states each stream draws
+        mdp = map5x5_noisy if table == "map5x5" else stochastic_table(True)[0]
+        q = np.random.default_rng(3).uniform(-2, 2, (3, mdp.n_states, mdp.n_actions))
         streams = [fedq.RngStream(4, (j,)) for j in range(2)]
-        rows = np.array([1, 0])
-        out = epoch(q, map5x5_noisy, 0.3, [stream.generator() for stream in streams], rows)
+        rows = np.array([1, 0, 1])
+        out = epoch(q, mdp, 0.3, streams, rows)
         for i, j in enumerate(rows):
-            alone = epoch(q[i][None], map5x5_noisy, 0.3, [streams[j].generator()], np.arange(1))
+            alone = epoch(q[i][None], mdp, 0.3, [streams[j]], np.arange(1))
             assert out[i].tobytes() == alone[0].tobytes()
         # and the streams differ, so reading the other one would show
-        other = epoch(q[:1], map5x5_noisy, 0.3, [streams[0].generator()], np.arange(1))
+        other = epoch(q[:1], mdp, 0.3, [streams[0]], np.arange(1))
         assert not np.array_equal(out[0], other[0])
 
 
@@ -100,7 +116,7 @@ class TestLocalPhase:
         q0 = np.zeros((25, 4))
         root = fedq.RngStream(5)
         phase = _local_phases(q0[None], map5x5_noisy, one_eta(0.3), next(_round_words([5], 1, 1, 1)), np.arange(1))
-        single = epoch(q0[None], map5x5_noisy, 0.3, [root.child(0, 0, 0).generator()], np.arange(1))
+        single = epoch(q0[None], map5x5_noisy, 0.3, [root.child(0, 0, 0)], np.arange(1))
         assert np.array_equal(phase, single)
 
     def test_full_steps_compose_exact_operator(self, map5x5_mdp, map5x5_qstar, server_tables):
@@ -414,6 +430,17 @@ def per_agent_reference(config, mdp, q_star):
     return q_bar, rows, alpha_min, p_support_min
 
 
+def assert_matches_reference(config, mdp, q_star):
+    """``run_federated`` gives :func:`per_agent_reference`'s table, trace rows and constants, bit for bit."""
+    result = fedq.run_federated(config, mdp, q_star)
+    q_final, rows, alpha_min, p_support_min = per_agent_reference(config, mdp, q_star)
+    assert result.q_final.tobytes() == q_final.tobytes()
+    assert [(m.rmse, m.linf_error, m.bits_round, m.bits_cumulative, m.payload_entries)
+            for m in result.metrics] == rows
+    assert result.alpha_min == alpha_min
+    assert result.p_support_min == p_support_min
+
+
 COMPRESSORS = {
     "identity": fedq.CompressorSpec("identity"),
     "top_k": fedq.CompressorSpec("top_k", k=5),
@@ -430,16 +457,50 @@ COMPRESSORS = {
 def test_batched_round_matches_per_agent_reference(
     compressor, mode, n_agents, epochs, noisy, q0, map5x5_mdp, map5x5_noisy, map5x5_qstar
 ):
-    mdp = map5x5_noisy if noisy else map5x5_mdp
     cfg = make_config(n_agents=n_agents, local_epochs=epochs, rounds=4, eta=0.3, q0=q0,
                       compressor=COMPRESSORS[compressor], mode=mode, master_seed=7)
-    result = fedq.run_federated(cfg, mdp, map5x5_qstar)
-    q_final, rows, alpha_min, p_support_min = per_agent_reference(cfg, mdp, map5x5_qstar)
-    assert result.q_final.tobytes() == q_final.tobytes()
-    assert [(m.rmse, m.linf_error, m.bits_round, m.bits_cumulative, m.payload_entries)
-            for m in result.metrics] == rows
-    assert result.alpha_min == alpha_min
-    assert result.p_support_min == p_support_min
+    assert_matches_reference(cfg, map5x5_noisy if noisy else map5x5_mdp, map5x5_qstar)
+
+
+@pytest.mark.parametrize(
+    "compressor, mode, n_agents, epochs, noisy",
+    list(itertools.product(COMPRESSORS, (DIRECT, ERROR_FEEDBACK), (1, 3), (1, 3), (False, True))),
+)
+def test_stochastic_table_matches_per_agent_reference(compressor, mode, n_agents, epochs, noisy):
+    # a w > 1 table: every epoch draws its next states, and the engine's gather of them gives the
+    # bits of the public sampler and empirical_bellman, agent by agent
+    cfg = make_config(n_agents=n_agents, local_epochs=epochs, rounds=4, eta=0.3,
+                      compressor=COMPRESSORS[compressor], mode=mode, master_seed=7)
+    assert_matches_reference(cfg, *stochastic_table(noisy))
+
+
+def test_checks_do_not_grow_with_local_epochs(monkeypatch):
+    # the engine checks its arguments once per run and its round loop's kernels per round, never
+    # the sample tables it draws itself: a w > 1 run makes as many check_* calls at K = 5 as at K = 1
+    # (top_k, whose every round keeps k entries: the trace prices each distinct total once)
+    mdp, q_star = stochastic_table(True)
+    configs = {epochs: make_config(n_agents=2, local_epochs=epochs, rounds=4, eta=0.3,
+                                   compressor=COMPRESSORS["top_k"]) for epochs in (1, 5)}
+    calls = []
+
+    def counted(check):
+        def spy(*args, **kwargs):
+            calls.append(check.__name__)
+            return check(*args, **kwargs)
+        return spy
+
+    for name, module in list(sys.modules.items()):
+        if name == "fedq" or name.startswith("fedq."):
+            for attr, value in list(vars(module).items()):
+                if attr.startswith("check_") and getattr(value, "__module__", None) == "fedq.errors":
+                    monkeypatch.setattr(module, attr, counted(value))
+    counts = {}
+    for epochs, cfg in configs.items():
+        calls.clear()
+        fedq.run_federated(cfg, mdp, q_star)
+        counts[epochs] = len(calls)
+    assert counts[1] > 0
+    assert counts[5] == counts[1]
 
 
 @pytest.mark.parametrize("n_agents", [9, 16, 32, 64])
@@ -796,10 +857,10 @@ class TestRunFederatedBatch:
 @pytest.mark.parametrize("shared", [False, True])
 @pytest.mark.parametrize("noisy", [False, True])
 def test_one_successor_gather_matches_the_general_path(noisy, shared, monkeypatch):
-    # a w = 1 table reads its next states from one gather index and never reaches the sampler's
-    # next-state table or empirical_bellman and its checks; its zero-padded w = 2 twin takes that
-    # general path, and every run gives the same bytes either way, whether each run has a seed of
-    # its own or runs share seeds' streams
+    # a w = 1 table reads its next states from one gather index built once per batch and never
+    # reaches the sampler's next-state table; its zero-padded w = 2 twin draws its next states and
+    # builds its index every epoch, and every run gives the same bytes either way, whether each
+    # run has a seed of its own or runs share seeds' streams
     noise = fedq.NoiseSpec(std=0.5, clip=0.5) if noisy else fedq.NoiseSpec()
     grid = fedq.build_gridworld(fedq.load_map("map6x6w"), noise=noise, gamma=0.8)
     padded = padded_twin(grid)
@@ -814,9 +875,8 @@ def test_one_successor_gather_matches_the_general_path(noisy, shared, monkeypatc
     def refuse(*args):
         raise AssertionError("a w = 1 epoch reached the general path")
 
-    monkeypatch.setattr(fedq.engine, "empirical_bellman", refuse)
     monkeypatch.setattr(fedq.engine, "synchronous_sample_batch", refuse)
-    with pytest.raises(AssertionError, match="general path"):  # the spies bite on the general path
+    with pytest.raises(AssertionError, match="general path"):  # the spy bites on the general path
         fedq.run_federated_batch(configs[:1], padded, q_star)
     gathered = fedq.run_federated_batch(configs, grid, q_star)
     for a, b in zip(gathered, general):
