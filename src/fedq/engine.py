@@ -16,13 +16,14 @@ index and makes the operations of :func:`~fedq.bellman.empirical_bellman`,
 the same bits, without checking the tables it drew: a table with one
 successor per row (w = 1, every grid world) knows its next states before
 any draw, so its index is built once per batch from the successor table
-and an epoch draws only the rewards; a w > 1 epoch builds its index from
-the next-state tables it draws.  Deltas and error-feedback residuals are
-(I, d) arrays compressed in one call into an (I, d) table of compressed
-vectors (+0.0 where nothing is sent; the identity's is the pending table
-itself); the error-feedback residual is the pending table minus it, and
-the server adds its rows onto the global table in one reduction over the
-agent axis, row by row.
+and an epoch draws only the rewards, from streams seeded past their
+uniform block, so that each draws its normals and nothing else; a w > 1
+epoch builds its index from the next-state tables it draws.  Deltas and
+error-feedback residuals are (I, d) arrays compressed in one call into
+an (I, d) table of compressed vectors (+0.0 where nothing is sent; the
+identity's is the pending table itself); the error-feedback residual is
+the pending table minus it, and the server adds its rows onto the global
+table in one reduction over the agent axis, row by row.
 
 Runs are a batch axis too.  :func:`run_federated_batch` takes any list
 of configs and alone decides which of them share a batch: all configs
@@ -61,13 +62,18 @@ with others is the same bits as the run alone.  The seed words of the
 streams are computed by :func:`~fedq.rng.seed_words` for a block of
 rounds at a time, at most ``SEED_BLOCK`` streams over the distinct seeds'
 rows unless one round alone has more, so seeding memory does not grow
-with the number of rounds; each epoch builds only its own generators from
-them, I per distinct seed, and none on a table with one successor per
-row and noiseless rewards, whose every epoch adds the mean rewards.  So
-does a round's compressor draw: when any run uses sparsified_k, the
-round draws d uniforms from each of the U·I compressor streams once, and
-every sparsified_k run reads its rows of that block, as the runs share
-sample tables.
+with the number of rounds.  On a table with one successor per row and
+noisy rewards, one :func:`~fedq.rng.skip_words` call per block moves the
+epoch streams' words S·A draws on, where ``advance(S·A)`` would leave
+each generator, so no epoch moves a stream on one by one; the
+compressor streams, and every stream of a w > 1 table, which draws its
+uniforms, start where they are seeded.  Each epoch builds only its own
+generators from the words, I per distinct seed, and none on a table
+with one successor per row and noiseless rewards, whose every epoch adds
+the mean rewards.  So does a round's compressor draw: when any run uses
+sparsified_k, the round draws d uniforms from each of the U·I compressor
+streams once, and every sparsified_k run reads its rows of that block,
+as the runs share sample tables.
 """
 from __future__ import annotations
 
@@ -84,8 +90,10 @@ from .bounds import payload_bits
 from .compression import IDENTITY, SPARSIFIED_K, TOP_K, CompressorSpec, compress_batch
 from .errors import (InvalidGammaError, NonFiniteError, ParamOutOfRangeError, check_array, check_budget,
                      check_count, check_interval)
-from .mdp import TabularMDP, synchronous_rewards_batch, synchronous_sample_batch
-from .rng import ID_LIMIT, generators, seed_words
+from .mdp import TabularMDP, rewards_from_normals, synchronous_sample_batch
+# the engine derives every stream's words itself, so no epoch checks them again
+from .rng import ID_LIMIT, seed_words, skip_words
+from .rng import unchecked_generators as generators
 
 DIRECT = "direct"
 ERROR_FEEDBACK = "error_feedback"
@@ -209,15 +217,17 @@ def _gather_index(next_states: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return index
 
 
-def _round_words(seeds, n_agents: int, rounds: int, n_streams: int):
+def _round_words(seeds, n_agents: int, rounds: int, n_streams: int, n_epochs: int, skip: int):
     """Seed words of each round's streams for U seeds, one (n_streams, U·I, 4) array per round.
 
     Entry ``[k, u·I + i]`` of round t seeds the stream of path ``(i, t, k)``
-    under ``seeds[u]``: agent i's epoch k of round t for k < K, its
-    compressor draw for k = K.  The words are derived a block of rounds at
-    a time, one :func:`~fedq.rng.seed_words` call per seed, at most
+    under ``seeds[u]``: agent i's epoch k of round t for k < K = ``n_epochs``,
+    its compressor draw for k = K.  The words are derived a block of rounds
+    at a time, one :func:`~fedq.rng.seed_words` call per seed, at most
     ``SEED_BLOCK`` paths over all U·I rows per block (one round per block
-    if a round alone has more).
+    if a round alone has more).  With ``skip`` > 0, one
+    :func:`~fedq.rng.skip_words` call per block moves the epoch streams
+    (k < K, never the compressor's) ``skip`` draws on.
     """
     rows = len(seeds) * n_agents
     block = max(1, SEED_BLOCK // (n_streams * rows))
@@ -226,11 +236,15 @@ def _round_words(seeds, n_agents: int, rounds: int, n_streams: int):
         t, k, i = np.indices((n, n_streams, n_agents)).reshape(3, -1)
         paths = np.stack([i, start + t, k], axis=1)
         words = [seed_words(seed, paths).reshape(n, n_streams, n_agents, 4) for seed in seeds]
-        yield from np.stack(words, axis=2).reshape(n, n_streams, rows, 4)
+        words = np.stack(words, axis=2).reshape(n, n_streams, rows, 4)
+        if skip:
+            epochs = words[:, :n_epochs]
+            epochs[...] = skip_words(epochs.reshape(-1, 4), skip).reshape(epochs.shape)
+        yield from words
 
 
 def _local_phases(q_bar: np.ndarray, mdp: TabularMDP, etas: list[tuple[float, slice]], words: np.ndarray,
-                  rows: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
+                  rows: np.ndarray, shared: bool, noisy: bool, index: np.ndarray | None = None) -> np.ndarray:
     """One round's local phases of every agent of R runs: shape (R·I, S, A).
 
     ``q_bar`` holds the R broadcast tables and ``words`` that round's
@@ -238,27 +252,28 @@ def _local_phases(q_bar: np.ndarray, mdp: TabularMDP, etas: list[tuple[float, sl
     ``q_bar[r]``, and its epoch k updates from the sample table of the
     stream seeded by ``words[k, rows[r·I + i]]``, damped by the eta that
     ``etas`` gives its block of rows.  Each stream's table is drawn once,
-    however many rows read it.
+    however many rows read it; ``shared`` says whether some row reads a
+    stream row other than its own, ``noisy`` whether the rewards are.
 
     Every epoch reads the rows' next states from one :func:`_gather_index`
     and makes the operations :func:`~fedq.bellman.empirical_bellman` makes
     on the drawn table: the gather, times gamma, plus the rewards.  A
     given ``index`` (w = 1: the next states are known before any draw)
-    serves every epoch, which then draws only the rewards; with None,
-    each epoch draws its next-state tables and builds its own.  With
-    noiseless rewards every stream's rewards are the mean rewards, so an
-    epoch with an index builds no generator.
+    serves every epoch, which then draws only the rewards, from streams
+    seeded past their uniform block (:func:`_round_words`' skip), with
+    :func:`~fedq.mdp.rewards_from_normals`; with None, each epoch draws
+    its next-state tables and builds its own.  With noiseless rewards
+    every stream's rewards are the mean rewards, so an epoch with an
+    index builds no generator.
     """
     q = np.repeat(q_bar, len(rows) // len(q_bar), axis=0)
-    noisy = mdp.noise.std > 0.0
-    shared = not np.array_equal(rows, np.arange(len(rows)))  # row i does not read stream row i
     rewards, epoch_index = mdp.reward_mean, index
     for epoch_words in words:
         if index is None:
             next_states, drawn = synchronous_sample_batch(mdp, generators(epoch_words))
             epoch_index = _gather_index(next_states, rows)
         elif noisy:
-            drawn = synchronous_rewards_batch(mdp, generators(epoch_words))
+            drawn = rewards_from_normals(mdp, generators(epoch_words))
         if noisy:
             rewards = drawn.take(rows, axis=0) if shared else drawn
         target = state_values(q).take(epoch_index)
@@ -435,8 +450,12 @@ def _run_group(configs: list[ExperimentConfig], mdp: TabularMDP, q_star: np.ndar
 
     index = _gather_index(mdp.succ.reshape(1, mdp.n_states, mdp.n_actions),
                           np.zeros(n_runs * n_agents, dtype=np.int64)) if mdp.succ.shape[1] == 1 else None
-    for t, words in enumerate(_round_words(seeds, n_agents, n_rounds, n_streams)):
-        q_local = _local_phases(q_bar, mdp, etas, words[:n_epochs], stream_rows, index)
+    noisy = mdp.noise.std > 0.0
+    shared = not np.array_equal(stream_rows, np.arange(len(stream_rows)))  # row i does not read stream row i
+    # a w = 1 epoch reads only its normals: its streams are seeded past their S·A uniforms
+    skip = d if index is not None and noisy else 0
+    for t, words in enumerate(_round_words(seeds, n_agents, n_rounds, n_streams, n_epochs, skip)):
+        q_local = _local_phases(q_bar, mdp, etas, words[:n_epochs], stream_rows, shared, noisy, index)
         pending = (q_local.reshape(n_runs, n_agents, d) - q_bar.reshape(n_runs, 1, d)).reshape(-1, d)
         if sparsified:
             uniforms = np.empty((len(words[n_epochs]), d))

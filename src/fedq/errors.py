@@ -7,7 +7,8 @@ This module also owns the rules every boundary applies to its
 parameters: :func:`check_count` for integer counts, seeds and stream ids,
 :func:`check_interval` for real rates and tolerances, :func:`check_budget`
 for the compression budget k (or one per row) against the dimension d,
-:func:`check_array` for float arrays and :func:`check_ids` for id arrays.
+:func:`check_array` for float arrays, :func:`check_ids` for id arrays and
+:func:`check_words` for the uint64 seed words of random streams.
 Every input file (map, manifest, trace) is read by :func:`read_text`.
 """
 import math
@@ -159,6 +160,21 @@ def check_ids(name: str, values, high: int, error: type[FedqError] = ParamOutOfR
     if ids.size and ids.view(np.uint64).max() >= min(high, 2**63):
         raise error(f"{name} must be integers in [0, {high}), got entries from {values.min()} to {values.max()}")
     return ids
+
+
+def check_words(name: str, values) -> np.ndarray:
+    """``values`` as the C-ordered rows of an (n, 4) uint64 array (uncopied if they are), PCG64's seed words.
+
+    PCG64 reads each row's four words from the row's start, so any other
+    dtype (floats would be read as bits) or shape (short rows would be read
+    past their end) raises ``ShapeMismatchError``, and rows that are not
+    C-ordered are copied into rows that are.
+    """
+    words = _as_array(name, values, ShapeMismatchError)
+    if words.dtype != np.uint64 or words.ndim != 2 or words.shape[1] != 4:
+        raise ShapeMismatchError(f"{name} must be an (n, 4) uint64 array, got shape {words.shape} "
+                                 f"and dtype {words.dtype}")
+    return np.ascontiguousarray(words)
 
 
 def read_text(path: str | Path, what: str, error: type[FedqError]) -> str:

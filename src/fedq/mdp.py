@@ -7,7 +7,10 @@ at once, rather than along a trajectory.  Observed rewards are the mean
 reward plus clipped Gaussian noise; transitions themselves are sampled
 from the kernel.  :func:`synchronous_rewards_batch` draws the rewards
 alone, with the same bits, for a caller that already knows the next
-states, as on a table with one successor per row.
+states, as on a table with one successor per row: it moves each stream
+past its uniform block, then :func:`rewards_from_normals` draws the
+rewards, which a caller whose streams already stand at their normal
+block (seeded there by :func:`~fedq.rng.skip_words`) calls directly.
 
 The successor table lists, for each of the S * A rows, the w states the
 row can move to, where w is the largest out-degree (w = 1 on every grid
@@ -170,22 +173,23 @@ def synchronous_sample_batch(mdp: TabularMDP, rngs) -> tuple[np.ndarray, np.ndar
 
     Generator i draws its uniform block into row i with ``random(out=)``
     (or, when w = 1, skips it as :func:`synchronous_rewards_batch` does),
-    then its standard normals into row i with ``standard_normal(out=)``,
-    exactly as :func:`synchronous_sample` would.  The scale
-    ``0.0 + std * z``, the inverse-CDF lookup and the reward clip then run
-    once on the whole batch.  The next-state table is a fresh, writable
-    array on every call.
+    then :func:`rewards_from_normals` draws every generator's standard
+    normals, so each stream makes the draws :func:`synchronous_sample`
+    makes (a generator listed twice draws both its uniform blocks before
+    its normals).  The inverse-CDF lookup runs once on the whole batch.
+    The next-state table is a fresh, writable array on every call.
     """
     shape = (len(rngs), mdp.n_states, mdp.n_actions)
     if mdp.succ.shape[1] == 1:  # w = 1: no uniform decides anything
         next_states = np.repeat(mdp.succ.reshape(1, *shape[1:]), len(rngs), axis=0)
         return next_states, synchronous_rewards_batch(mdp, rngs)
     u = np.empty(shape)
-    rewards = _draw(mdp, rngs, u)
+    for gen, row in zip(rngs, u):
+        gen.random(out=row)
     # Running sums below 1.0 are non-decreasing and u < 1.0, so the count of
     # sums <= u is the first slot with u < sum: the inverse-CDF pick.
     slot = (u.reshape(len(rngs), -1, 1) >= mdp.succ_cum).sum(axis=-1)
-    return mdp.succ.take(mdp._row_start + slot).reshape(shape), rewards
+    return mdp.succ.take(mdp._row_start + slot).reshape(shape), rewards_from_normals(mdp, rngs)
 
 
 def synchronous_rewards_batch(mdp: TabularMDP, rngs) -> np.ndarray:
@@ -194,31 +198,35 @@ def synchronous_rewards_batch(mdp: TabularMDP, rngs) -> np.ndarray:
     Each generator skips its uniform block, by ``advance`` on PCG64 or
     PCG64DXSM or else by drawing it with ``random(size)`` and dropping it,
     so every stream ends where :func:`synchronous_sample_batch` leaves it,
-    whatever w.  This is the whole draw on a table with one successor per
-    row, whose next states are its successor table.
+    whatever w; then :func:`rewards_from_normals` draws the rewards.  This
+    is the whole draw on a table with one successor per row, whose next
+    states are its successor table.
     """
-    return _draw(mdp, rngs, None)
-
-
-def _draw(mdp: TabularMDP, rngs, u: np.ndarray | None) -> np.ndarray:
-    """Each generator's uniform block into its row of ``u`` (skipped when ``u`` is None), then its
-    standard normals; returns the rewards, the mean plus the clipped noise ``0.0 + std * z``."""
-    shape = (len(rngs), mdp.n_states, mdp.n_actions)
-    noisy = mdp.noise.std > 0.0
-    g = np.empty(shape) if noisy else None
-    if u is None:  # looked up here, where generators exist: importing fedq must not load numpy.random
-        from numpy.random import PCG64, PCG64DXSM
-    for i, gen in enumerate(rngs):
-        if u is not None:
-            gen.random(out=u[i])
-        elif isinstance(bits := gen.bit_generator, (PCG64, PCG64DXSM)):
-            bits.advance(mdp.table_size)
+    from numpy.random import PCG64, PCG64DXSM  # here, where generators exist: import fedq must not load it
+    n_draws, shape = mdp.table_size, (mdp.n_states, mdp.n_actions)
+    for gen in rngs:
+        if isinstance(bits := gen.bit_generator, (PCG64, PCG64DXSM)):
+            bits.advance(n_draws)
         else:  # no advance, or one that counts otherwise: draw the block and drop it
-            gen.random(shape[1:])
-        if noisy:
-            gen.standard_normal(out=g[i])
-    if not noisy:
+            gen.random(shape)
+    return rewards_from_normals(mdp, rngs)
+
+
+def rewards_from_normals(mdp: TabularMDP, rngs) -> np.ndarray:
+    """The rewards of generators that stand at their normal block: shape (I, S, A).
+
+    Generator i draws its (S, A) standard normals into row i with
+    ``standard_normal(out=)``; the whole batch is then scaled as
+    ``0.0 + std * z``, the operations ``Generator.normal(0.0, std)``
+    performs, so a -0.0 draw becomes +0.0, clipped to the noise band and
+    added to the mean rewards.  Noiseless rewards are the mean rewards,
+    and no generator draws.
+    """
+    if mdp.noise.std == 0.0:
         return np.repeat(mdp.reward_mean[None], len(rngs), axis=0)
+    g = np.empty((len(rngs), mdp.n_states, mdp.n_actions))
+    for gen, row in zip(rngs, g):
+        gen.standard_normal(out=row)
     g *= mdp.noise.std
     g += 0.0  # Generator.normal's loc + scale * z with loc 0.0: a -0.0 draw becomes +0.0
     np.clip(g, -mdp.noise.clip, mdp.noise.clip, out=g)

@@ -12,8 +12,15 @@ A stream is the ``PCG64`` generator that numpy would seed from
 computes that seed for many paths at once: SeedSequence's hash is fixed
 uint32 arithmetic, so it runs on an (n, L) array of paths as a few
 whole-array operations per pool column instead of one hash per stream.
-:func:`generators` then builds each stream's generator from its row of
-words.  ``numpy.random`` is imported on the first generator built, not
+:func:`skip_words` moves many streams' words n draws on at once: PCG64
+is a 128-bit LCG whose seeding adds the seed to its state, so a stream
+n draws on is seeded from one affine map of its seed words, two 128-bit
+products per row, in place of one ``advance(n)`` call per generator.
+:func:`generators` then checks the words and builds each stream's
+generator from its row; :func:`unchecked_generators` builds them from
+words that :func:`seed_words` or :func:`skip_words` returned, as the
+engine's epochs do without checking again what the engine derived
+itself.  ``numpy.random`` is imported on the first generator built, not
 on ``import fedq``.
 """
 from __future__ import annotations
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatchError, check_count, check_ids
+from .errors import ShapeMismatchError, check_count, check_ids, check_words
 
 ID_LIMIT = 2**32  # path ids are single uint32 words
 
@@ -117,11 +124,79 @@ def _words_seed_class() -> type:
     return _SeedWords
 
 
-def generators(words: np.ndarray) -> list[np.random.Generator]:
-    """One ``Generator(PCG64)`` per row of an (n, 4) :func:`seed_words` array."""
+def generators(words) -> list[np.random.Generator]:
+    """One ``Generator(PCG64)`` per row of an (n, 4) uint64 array of :func:`seed_words` rows.
+
+    Any other dtype or shape raises ``ShapeMismatchError``; rows that are
+    not C-ordered are copied first, as PCG64 reads a row's four words
+    from its start.
+    """
+    return unchecked_generators(check_words("seed words", words))
+
+
+def unchecked_generators(words: np.ndarray) -> list[np.random.Generator]:
+    """:func:`generators` without its check, for the C-ordered (n, 4) uint64 rows that
+    :func:`seed_words` and :func:`skip_words` return; any other array gives other streams."""
     seeded = _words_seed_class()
     generator, pcg64 = np.random.Generator, np.random.PCG64
     return [generator(pcg64(seeded(row))) for row in words]
+
+
+# PCG64's LCG multiplier (PCG_DEFAULT_MULTIPLIER_128), fixed by numpy's stream-compatibility policy
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_STATE_MOD = 2**128
+
+
+@functools.cache
+def _skip_constants(n: int) -> tuple[np.ndarray, ...]:
+    """``(M**n, M**n + sum(M**j for j < n) - 1)`` mod 2**128 as (high, low) uint64 words, M PCG64's multiplier.
+
+    PCG64 seeds its state as one LCG step from ``seed + inc``, so a stream
+    n draws on has the seed ``M**n seed + inc (M**n + sum(M**j) - 1)``.
+    """
+    mult, plus, step_mult, step_plus = 1, 0, _PCG64_MULT, 1  # n steps and 2**b steps of x -> M x + 1
+    while n:
+        if n & 1:
+            mult, plus = mult * step_mult % _STATE_MOD, (plus * step_mult + step_plus) % _STATE_MOD
+        step_mult, step_plus = step_mult * step_mult % _STATE_MOD, (step_mult + 1) * step_plus % _STATE_MOD
+        n >>= 1
+    return tuple(np.array(v, np.uint64) for c in (mult, (mult + plus - 1) % _STATE_MOD)
+                 for v in (c >> 64, c & 2**64 - 1))
+
+
+def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The high 64 bits of each 128-bit product ``a * b``, from four 32-bit limb products."""
+    a0, a1, b0, b1 = a & _MASK, a >> 32, b & _MASK, b >> 32
+    low, cross, cross2 = a0 * b0, a0 * b1, a1 * b0
+    carry = ((low >> 32) + (cross & _MASK) + (cross2 & _MASK)) >> 32
+    return a1 * b1 + (cross >> 32) + (cross2 >> 32) + carry
+
+
+def _mul128(high: np.ndarray, low: np.ndarray, c_high: np.ndarray, c_low: np.ndarray):
+    """``(high, low) * (c_high, c_low)`` mod 2**128, as (high, low) uint64 words."""
+    return _mulhi(low, c_low) + low * c_high + high * c_low, low * c_low
+
+
+def skip_words(words, n: int) -> np.ndarray:
+    """The (m, 4) seed words of the same m streams, n draws later.
+
+    A generator built from row j of the result stands where the one built
+    from ``words[j]`` stands after ``bit_generator.advance(n)``, for n in
+    [0, 2**128): the same state, whose next ``random_raw``, ``random`` or
+    ``standard_normal`` draw is the same.  PCG64 seeds its state from
+    ``initstate = w0 2**64 + w1`` and ``inc = 2 (w2 2**64 + w3) + 1``, so
+    only words 0 and 1 change.  ``words`` follows :func:`generators`' rule.
+    """
+    words = check_words("seed words", words)
+    c1_high, c1_low, c2_high, c2_low = _skip_constants(check_count("skip n", n, 0, _STATE_MOD))
+    w0, w1, w2, w3 = words.T
+    inc_high, inc_low = (w2 << 1) | (w3 >> 63), (w3 << 1) | 1
+    a_high, a_low = _mul128(w0, w1, c1_high, c1_low)
+    b_high, b_low = _mul128(inc_high, inc_low, c2_high, c2_low)
+    skipped = words.copy()
+    skipped[:, 1] = a_low + b_low
+    skipped[:, 0] = a_high + b_high + (skipped[:, 1] < a_low)  # the carry out of the low words
+    return skipped
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,7 @@ def epoch(q, mdp, eta, streams, rows):
     Row i of the (N, S, A) batch ``q`` updates from the table of ``streams[rows[i]]``.
     """
     words = np.concatenate([seed_words(stream.seed, [stream.path]) for stream in streams])
-    return _local_phases(q, mdp, one_eta(eta), words[None], rows)
+    return _local_phases(q, mdp, one_eta(eta), words[None], rows, True, mdp.noise.std > 0.0)
 
 
 @functools.cache
@@ -115,7 +115,8 @@ class TestLocalPhase:
     def test_single_epoch_reduces_to_local_epoch(self, map5x5_noisy):
         q0 = np.zeros((25, 4))
         root = fedq.RngStream(5)
-        phase = _local_phases(q0[None], map5x5_noisy, one_eta(0.3), next(_round_words([5], 1, 1, 1)), np.arange(1))
+        phase = _local_phases(q0[None], map5x5_noisy, one_eta(0.3), next(_round_words([5], 1, 1, 1, 1, 0)), np.arange(1),
+                              False, True)
         single = epoch(q0[None], map5x5_noisy, 0.3, [root.child(0, 0, 0)], np.arange(1))
         assert np.array_equal(phase, single)
 
@@ -132,8 +133,10 @@ class TestLocalPhase:
 
     def test_identical_streams_identical_phases(self, map5x5_noisy):
         q0 = np.zeros((25, 4))
-        a = _local_phases(q0[None], map5x5_noisy, one_eta(0.3), list(_round_words([9], 3, 8, 4))[7], np.arange(3))
-        b = _local_phases(q0[None], map5x5_noisy, one_eta(0.3), list(_round_words([9], 3, 8, 4))[7], np.arange(3))
+        a = _local_phases(q0[None], map5x5_noisy, one_eta(0.3), list(_round_words([9], 3, 8, 4, 4, 0))[7], np.arange(3),
+                          False, True)
+        b = _local_phases(q0[None], map5x5_noisy, one_eta(0.3), list(_round_words([9], 3, 8, 4, 4, 0))[7], np.arange(3),
+                          False, True)
         assert np.array_equal(a, b)
 
 
@@ -194,7 +197,7 @@ class TestAggregate:
         assert np.array_equal(out_f, out_b)
         batched = [sparse_from_dense((q - q_bar).ravel())
                    for q in _local_phases(q_bar[None], map5x5_noisy, one_eta(0.2),
-                                          next(_round_words([21], 3, 1, 2)), np.arange(3))]
+                                          next(_round_words([21], 3, 1, 2, 2, 0)), np.arange(3), False, True)]
         assert _server_step(q_bar[None], dense_rows(batched), np.array([0.7]))[0].tobytes() == out_f.tobytes()
 
 
@@ -883,6 +886,27 @@ def test_one_successor_gather_matches_the_general_path(noisy, shared, monkeypatc
         assert a.q_final.tobytes() == b.q_final.tobytes()
         assert list(map(repr, a.metrics)) == list(map(repr, b.metrics))
         assert (repr(a.alpha_min), repr(a.p_support_min)) == (repr(b.alpha_min), repr(b.p_support_min))
+
+
+@pytest.mark.parametrize("compressor", ["top_k", "sparsified_l1"])
+def test_one_successor_noisy_run_skips_by_seed_words(compressor, map5x5_noisy, map5x5_qstar, monkeypatch):
+    # a noisy w = 1 epoch seeds its streams past their uniform block, so it moves no stream on one by
+    # one: no fedq module's synchronous_rewards_batch runs, and the run keeps the bits of the
+    # per-agent reference, whose public sampler advances each stream past its uniforms
+    def refuse(*args):
+        raise AssertionError("a w = 1 epoch moved its streams past their uniforms one by one")
+
+    for name, module in list(sys.modules.items()):
+        if (name == "fedq" or name.startswith("fedq.")) and hasattr(module, "synchronous_rewards_batch"):
+            monkeypatch.setattr(module, "synchronous_rewards_batch", refuse)
+    cfg = make_config(n_agents=3, local_epochs=2, rounds=4, eta=0.3, compressor=COMPRESSORS[compressor],
+                      master_seed=11)
+    result = fedq.run_federated(cfg, map5x5_noisy, map5x5_qstar)
+    monkeypatch.undo()
+    q_final, rows, _, _ = per_agent_reference(cfg, map5x5_noisy, map5x5_qstar)
+    assert result.q_final.tobytes() == q_final.tobytes()
+    assert [(m.rmse, m.linf_error, m.bits_round, m.bits_cumulative, m.payload_entries)
+            for m in result.metrics] == rows
 
 
 @pytest.mark.parametrize("n_runs, n_agents, d", [(1, 50, 100), (1, 4, 3616), (10, 2, 112), (3, 64, 2), (2, 9, 3),

@@ -8,7 +8,7 @@ import fedq
 from fedq.compression import compress_batch
 from fedq.errors import (DimensionMismatchError, FedqError, InvalidGammaError, ParamOutOfRangeError,
                          ShapeMismatchError, check_array, check_budget, check_ids)
-from fedq.rng import seed_words
+from fedq.rng import generators, seed_words, skip_words
 from tests.conftest import dense_mdp
 
 
@@ -87,6 +87,8 @@ ARRAY_ARGUMENTS = {
     "run_federated q_star": lambda mdp, bad: fedq.run_federated(
         fedq.ExperimentConfig(1, 1, 1, 0.5, 0.5, mdp.gamma), mdp, bad((25, 4))),
     "seed_words": lambda mdp, bad: seed_words(0, bad((1, 2))),
+    "generators": lambda mdp, bad: generators(bad((1, 4))),
+    "skip_words": lambda mdp, bad: skip_words(bad((1, 4)), 1),
 }
 
 

@@ -9,7 +9,7 @@ import pytest
 
 import fedq
 from fedq.errors import ParamOutOfRangeError, ShapeMismatchError
-from fedq.rng import ID_LIMIT, generators, seed_words
+from fedq.rng import ID_LIMIT, generators, seed_words, skip_words
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -99,11 +99,75 @@ class TestGenerators:
             "0x8b8d39fc12699b99", "0x83b92b9abef5d853", "0xef49789f1f804bf3"]
         assert [z.hex() for z in generators(words)[0].standard_normal(3).tolist()] == [
             "-0x1.3c087f04b5064p-1", "0x1.2592ffcc48bb2p-3", "-0x1.5551843faf9f2p+0"]
+        # and PCG64's seeding and multiplier, which skip_words folds into the words
+        skipped = skip_words(words, 100)
+        assert [hex(w) for w in skipped[0].tolist()] == [
+            "0xa47ea792ba9a72b0", "0x10080ccec76ef5f9", "0x12f1643c8fc407a9", "0xb06d303efaaea33d"]
+        assert [z.hex() for z in generators(skipped)[0].standard_normal(3).tolist()] == [
+            "0x1.60fb83aac2029p-7", "-0x1.700b7ffad0d96p-1", "-0x1.b81033c2a5a00p-1"]
+
+    def test_rows_that_are_not_c_ordered_give_the_same_streams(self):
+        words = seed_words(3, np.arange(12).reshape(4, 3))
+        for copy in (np.asfortranarray(words), np.repeat(words, 2, axis=0)[::2]):
+            assert not copy.flags.c_contiguous
+            for gen, ref in zip(generators(copy), generators(words)):
+                assert gen.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("words", [
+        seed_words(3, [[1]]).astype(np.float64),  # PCG64 would read the floats' bits as words
+        seed_words(3, [[1], [2]]).reshape(4, 2),  # short rows: PCG64 would read past each row's end
+        seed_words(3, [[1]])[0],  # a 1-D row: numpy's own TypeError
+        seed_words(3, [[1]]).astype(">u8"),  # the words' bytes in another order
+    ], ids=["float", "(n, 2)", "1-D", "big-endian"])
+    def test_words_other_than_n_by_4_uint64_rejected(self, words):
+        for build in (generators, lambda words: skip_words(words, 1)):
+            with pytest.raises(ShapeMismatchError, match=r"seed words must be an \(n, 4\) uint64 array"):
+                build(words)
 
     def test_stream_generator_is_the_batch_of_one(self):
         stream = fedq.RngStream(2**40 + 3, (4, 0, 7))
         (gen,) = generators(seed_words(stream.seed, [stream.path]))
         assert stream.generator().random(16).tobytes() == gen.random(16).tobytes()
+
+
+# n draws: the empty skip, one draw, one uniform block of every bundled map (S·A), and skips that
+# need every bit of the 128-bit state
+SKIPS = [0, 1] + sorted({fedq.build_gridworld(fedq.load_map(name), gamma=0.8).table_size
+                         for name in fedq.BUNDLED_MAPS}) + [2**64 + 1, 2**128 - 1]
+
+
+class TestSkipWords:
+    @pytest.mark.parametrize("n", SKIPS)
+    @pytest.mark.parametrize("rows", ["seed_words", "zeros", "ones"])
+    def test_matches_advance(self, n, rows):
+        words = {"seed_words": seed_words(2**64 + 9, np.arange(24).reshape(8, 3)),
+                 "zeros": np.zeros((3, 4), dtype=np.uint64),
+                 "ones": np.full((3, 4), 2**64 - 1, dtype=np.uint64)}[rows]
+        skipped = skip_words(words, n)
+        assert skipped.shape == words.shape and skipped.dtype == np.uint64
+        assert np.array_equal(skipped[:, 2:], words[:, 2:])  # the increment's words never change
+        draws = [lambda g: g.bit_generator.random_raw(3), lambda g: g.random(3), lambda g: g.standard_normal(3)]
+        for draw in draws:
+            for gen, ref in zip(generators(skipped), generators(words)):
+                ref.bit_generator.advance(n)
+                assert gen.bit_generator.state == ref.bit_generator.state
+                assert draw(gen).tobytes() == draw(ref).tobytes()
+
+    def test_empty_words(self):
+        skipped = skip_words(np.empty((0, 4), dtype=np.uint64), 5)
+        assert skipped.shape == (0, 4) and skipped.dtype == np.uint64
+
+    def test_returns_a_new_array(self):
+        words = seed_words(1, [[2]])
+        before = words.copy()
+        assert not np.shares_memory(skip_words(words, 0), words)
+        skip_words(words, 7)
+        assert np.array_equal(words, before)
+
+    @pytest.mark.parametrize("n", [-1, 2**128, 1.0, True])
+    def test_skip_outside_the_state_period_rejected(self, n):
+        with pytest.raises(ParamOutOfRangeError, match="skip n"):
+            skip_words(seed_words(1, [[2]]), n)
 
 
 class TestStreamIds:
