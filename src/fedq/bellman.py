@@ -39,22 +39,15 @@ def exact_bellman(mdp: TabularMDP, q: np.ndarray) -> np.ndarray:
     return mdp.reward_mean + mdp.gamma * expected
 
 
-def empirical_bellman(
-    q: np.ndarray, next_states: np.ndarray, rewards: np.ndarray, gamma: float, rows=None
-) -> np.ndarray:
+def empirical_bellman(q: np.ndarray, next_states: np.ndarray, rewards: np.ndarray, gamma: float) -> np.ndarray:
     """Single-sample Bellman estimate from one synchronous sample table.
 
     ``out[s, a] = rewards[s, a] + gamma * max_a' q[next_states[s, a], a']``
 
     Leading axes are a batch: with arrays of shape (I, S, A), table i reads
-    its next states and rewards from row i.  ``rows`` lets N tables share U
-    sample tables: with ``q`` of shape (N, S, A) and samples of shape
-    (U, S, A), table i reads sample table ``rows[i]``, an integer in
-    [0, U).  Either way the tables are gathered into the index and reward
-    arrays the update builds anyway, so no sample table is copied first.
-    Every next state must be an integer in [0, S), else
-    ``ParamOutOfRangeError``; a ``q`` of fewer than two axes, or ``rows``
-    of another shape than (N,) or naming no sample table, raises
+    its next states and rewards from row i.  Every next state must be an
+    integer in [0, S), else ``ParamOutOfRangeError``; a ``q`` of fewer than
+    two axes, or samples of another shape than ``q``, raises
     ``ShapeMismatchError``.
     """
     q, rewards = check_array("q", q), check_array("rewards", rewards)
@@ -62,25 +55,16 @@ def empirical_bellman(
         raise ShapeMismatchError(f"q must be an (S, A) table or a batch of them, got shape {q.shape}")
     table = q.shape[-2:]
     next_states = check_ids("next states", next_states, table[0])
-    if rows is None:
-        rows, samples = np.arange(int(np.prod(q.shape[:-2]))), q.shape
-    else:
-        samples = next_states.shape[:1] + table
-        rows = check_ids("rows", rows, samples[0], error=ShapeMismatchError)
-        if q.ndim != 3 or rows.shape != q.shape[:1]:
-            raise ShapeMismatchError(f"rows must name one sample table per table of q {q.shape}, "
-                                     f"got shape {rows.shape}")
-    if next_states.shape != samples or rewards.shape != samples:
+    if next_states.shape != q.shape or rewards.shape != q.shape:
         raise ShapeMismatchError(
             f"shapes differ: q {q.shape}, next_states {next_states.shape}, rewards {rewards.shape}"
         )
     v = state_values(q)
     # offset each table's next states into the flattened batch of state values
-    index = next_states.reshape((-1,) + table).take(rows, axis=0)
-    index += np.arange(0, v.size, table[0]).reshape(-1, 1, 1)
+    index = next_states.reshape((-1,) + table) + np.arange(0, v.size, table[0]).reshape(-1, 1, 1)
     out = v.take(index)
     out *= gamma
-    out += rewards.reshape((-1,) + table).take(rows, axis=0)
+    out += rewards.reshape((-1,) + table)
     return out.reshape(q.shape)
 
 

@@ -111,6 +111,9 @@ class EfState:
 
     e: np.ndarray
 
+    def __post_init__(self) -> None:
+        self.e = check_array("EfState e", self.e, ndim=1)
+
     @staticmethod
     def zeros(dimension: int) -> "EfState":
         return EfState(np.zeros(check_count("dimension", dimension, 1)))
@@ -204,6 +207,8 @@ def _column(table: np.ndarray, col) -> np.ndarray:
 def _apply(v: np.ndarray, spec: CompressorSpec, rng: np.random.Generator | None) -> BatchPayload:
     """Compress one vector: the batch of one, drawing sparsified_k's d uniforms from ``rng``."""
     v = check_array("v", v, ndim=1)
+    if spec.kind == SPARSIFIED_K and rng is None:
+        raise ParamOutOfRangeError("sparsified_k draws its uniforms from a generator, got rng=None")
     uniforms = rng.random((1, v.size)) if spec.kind == SPARSIFIED_K else None
     return compress_batch(v[None], spec, uniforms)
 

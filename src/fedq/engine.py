@@ -64,8 +64,8 @@ rounds at a time, at most ``SEED_BLOCK`` streams over the distinct seeds'
 rows unless one round alone has more, so seeding memory does not grow
 with the number of rounds.  On a table with one successor per row and
 noisy rewards, one :func:`~fedq.rng.skip_words` call per block moves the
-epoch streams' words S·A draws on, where ``advance(S·A)`` would leave
-each generator, so no epoch moves a stream on one by one; the
+epoch streams' words S·A draws on, where drawing the S·A uniforms would
+leave each generator, so no epoch moves a stream on one by one; the
 compressor streams, and every stream of a w > 1 table, which draws its
 uniforms, start where they are seeded.  Each epoch builds only its own
 generators from the words, I per distinct seed, and none on a table
@@ -206,11 +206,11 @@ def _gather_index(next_states: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Where each row's next states sit in an (N, S) batch of state values: (N, S, A) int64.
 
     Entry ``[i, s, a]`` is ``i·S + next_states[rows[i], s, a]``, the flat
-    index :func:`~fedq.bellman.empirical_bellman` builds, for a (U, S, A)
-    next-state table read by N rows.  A table with one successor per row
-    (w = 1) knows its next states before any draw, so its index is built
-    once per batch from ``succ``; for w > 1 each epoch builds it from the
-    next states it drew.
+    index :func:`~fedq.bellman.empirical_bellman` builds when ``rows`` is
+    the identity, here for a (U, S, A) next-state table N rows share.  A
+    table with one successor per row (w = 1) knows its next states before
+    any draw, so its index is built once per batch from ``succ``; for
+    w > 1 each epoch builds it from the next states it drew.
     """
     index = next_states.take(rows, axis=0)
     index += np.arange(0, len(rows) * next_states.shape[1], next_states.shape[1]).reshape(-1, 1, 1)

@@ -5,12 +5,10 @@ table, plus a mean-reward table.  Sampling follows the generative-model
 access pattern: one next state is drawn for *every* (state, action) pair
 at once, rather than along a trajectory.  Observed rewards are the mean
 reward plus clipped Gaussian noise; transitions themselves are sampled
-from the kernel.  :func:`synchronous_rewards_batch` draws the rewards
-alone, with the same bits, for a caller that already knows the next
-states, as on a table with one successor per row: it moves each stream
-past its uniform block, then :func:`rewards_from_normals` draws the
-rewards, which a caller whose streams already stand at their normal
-block (seeded there by :func:`~fedq.rng.skip_words`) calls directly.
+from the kernel.  :func:`rewards_from_normals` draws the rewards alone,
+for a caller whose streams already stand at their normal block (seeded
+there by :func:`~fedq.rng.skip_words`), as on a table with one successor
+per row.
 
 The successor table lists, for each of the S * A rows, the w states the
 row can move to, where w is the largest out-degree (w = 1 on every grid
@@ -148,21 +146,13 @@ def synchronous_sample(mdp: TabularMDP, rng: np.random.Generator) -> tuple[np.nd
     independent given the stream, and identical stream state reproduces
     identical tables bit for bit.
 
-    ``rng`` is a ``numpy.random.Generator`` or anything with the four
-    members sampling calls: ``bit_generator``, ``random(out=)`` (w > 1),
-    ``random(size)`` (w = 1 on a bit generator other than PCG64 or
-    PCG64DXSM) and ``standard_normal(out=)`` (noisy rewards).  Each
-    standard normal z becomes ``0.0 + std * z``, the operations
-    ``rng.normal(0.0, std)`` performs, so the rewards keep its bits.
-
-    A table with one successor per row (w = 1, every grid world) knows
-    its next states before any draw.  On a PCG64 or PCG64DXSM stream
-    (every :class:`~fedq.rng.RngStream` and ``default_rng`` generator) it
-    skips its uniform block with ``rng.bit_generator.advance(S * A)``,
-    which leaves the stream where drawing the block would; numpy drops a
-    buffered 32-bit half on ``advance``, so the next double, normal or
-    64-bit draw is unchanged.  Any other bit generator lacks ``advance``
-    or counts it differently, so it draws the block and drops it.
+    ``rng`` is a ``numpy.random.Generator`` or anything with the two
+    members sampling calls: ``random(out=)`` and ``standard_normal(out=)``
+    (noisy rewards).  Each standard normal z becomes ``0.0 + std * z``,
+    the operations ``rng.normal(0.0, std)`` performs, so the rewards keep
+    its bits.  Every table draws its uniform block, whatever its number
+    of successors per row: on a table with one (every grid world) each
+    uniform picks slot 0.
     """
     next_states, rewards = synchronous_sample_batch(mdp, [rng])
     return next_states[0], rewards[0]
@@ -171,8 +161,7 @@ def synchronous_sample(mdp: TabularMDP, rng: np.random.Generator) -> tuple[np.nd
 def synchronous_sample_batch(mdp: TabularMDP, rngs) -> tuple[np.ndarray, np.ndarray]:
     """One :func:`synchronous_sample` table per generator, stacked: shape (I, S, A).
 
-    Generator i draws its uniform block into row i with ``random(out=)``
-    (or, when w = 1, skips it as :func:`synchronous_rewards_batch` does),
+    Generator i draws its uniform block into row i with ``random(out=)``,
     then :func:`rewards_from_normals` draws every generator's standard
     normals, so each stream makes the draws :func:`synchronous_sample`
     makes (a generator listed twice draws both its uniform blocks before
@@ -180,9 +169,6 @@ def synchronous_sample_batch(mdp: TabularMDP, rngs) -> tuple[np.ndarray, np.ndar
     The next-state table is a fresh, writable array on every call.
     """
     shape = (len(rngs), mdp.n_states, mdp.n_actions)
-    if mdp.succ.shape[1] == 1:  # w = 1: no uniform decides anything
-        next_states = np.repeat(mdp.succ.reshape(1, *shape[1:]), len(rngs), axis=0)
-        return next_states, synchronous_rewards_batch(mdp, rngs)
     u = np.empty(shape)
     for gen, row in zip(rngs, u):
         gen.random(out=row)
@@ -190,26 +176,6 @@ def synchronous_sample_batch(mdp: TabularMDP, rngs) -> tuple[np.ndarray, np.ndar
     # sums <= u is the first slot with u < sum: the inverse-CDF pick.
     slot = (u.reshape(len(rngs), -1, 1) >= mdp.succ_cum).sum(axis=-1)
     return mdp.succ.take(mdp._row_start + slot).reshape(shape), rewards_from_normals(mdp, rngs)
-
-
-def synchronous_rewards_batch(mdp: TabularMDP, rngs) -> np.ndarray:
-    """The rewards of :func:`synchronous_sample_batch` alone, the same bits: shape (I, S, A).
-
-    Each generator skips its uniform block, by ``advance`` on PCG64 or
-    PCG64DXSM or else by drawing it with ``random(size)`` and dropping it,
-    so every stream ends where :func:`synchronous_sample_batch` leaves it,
-    whatever w; then :func:`rewards_from_normals` draws the rewards.  This
-    is the whole draw on a table with one successor per row, whose next
-    states are its successor table.
-    """
-    from numpy.random import PCG64, PCG64DXSM  # here, where generators exist: import fedq must not load it
-    n_draws, shape = mdp.table_size, (mdp.n_states, mdp.n_actions)
-    for gen in rngs:
-        if isinstance(bits := gen.bit_generator, (PCG64, PCG64DXSM)):
-            bits.advance(n_draws)
-        else:  # no advance, or one that counts otherwise: draw the block and drop it
-            gen.random(shape)
-    return rewards_from_normals(mdp, rngs)
 
 
 def rewards_from_normals(mdp: TabularMDP, rngs) -> np.ndarray:

@@ -124,3 +124,15 @@ def test_only_errors_coerces_arrays_to_a_dtype():
         and (len(node.args) > 1 or any(keyword.arg == "dtype" for keyword in node.keywords))
     ]
     assert found == []
+
+
+def test_library_never_advances_a_stream():
+    # a stream moves on only by drawing or through fedq.rng.skip_words, so every bit generator
+    # ends where the same draws leave it
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "fedq").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "advance"
+    ]
+    assert found == []

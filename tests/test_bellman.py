@@ -137,47 +137,25 @@ class TestEmpiricalBellman:
             single = fedq.empirical_bellman(q[i], next_states[i], rewards[i], 0.8)
             assert batch[i].tobytes() == single.tobytes()
 
-    def test_rows_share_sample_tables(self, map5x5_noisy):
-        # four tables over two sample tables: table i gets exactly sample table rows[i]'s update
-        rng = np.random.default_rng(5)
-        q = rng.uniform(-2, 2, (4, 25, 4))
-        samples = [fedq.synchronous_sample(map5x5_noisy, fedq.RngStream(5, (j,)).generator()) for j in range(2)]
-        next_states = np.stack([ns for ns, _ in samples])
-        rewards = np.stack([r for _, r in samples])
-        rows = np.array([1, 0, 0, 1])
-        batch = fedq.empirical_bellman(q, next_states, rewards, 0.8, rows)
-        for i, j in enumerate(rows):
-            single = fedq.empirical_bellman(q[i], next_states[j], rewards[j], 0.8)
-            assert batch[i].tobytes() == single.tobytes()
-
-    # [0.0, 1.0] used to raise numpy's TypeError, and [0, -1] to read the last sample table
-    @pytest.mark.parametrize("rows", [[0], [0, 1, 0], [[0, 1]], [0, 2], [0.0, 1.0], [0, -1]])
-    def test_rows_must_name_one_sample_table_per_table(self, rows):
-        samples = np.zeros((2, 3, 2), dtype=int), np.zeros((2, 3, 2))
-        with pytest.raises(ShapeMismatchError):
-            fedq.empirical_bellman(np.zeros((2, 3, 2)), *samples, 0.8, np.array(rows))
-
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             fedq.empirical_bellman(np.zeros((2, 2)), np.zeros((2, 3), dtype=int), np.zeros((2, 2)), 0.8)
         with pytest.raises(ShapeMismatchError):  # sample tables of another size than q's
-            fedq.empirical_bellman(np.zeros((2, 3, 2)), np.zeros((2, 2, 2), dtype=int), np.zeros((2, 2, 2)), 0.8,
-                                   np.arange(2))
+            fedq.empirical_bellman(np.zeros((2, 3, 2)), np.zeros((2, 2, 2), dtype=int), np.zeros((2, 2, 2)), 0.8)
         for shape in ((), (3,)):  # no (S, A) table: numpy's IndexError and ValueError used to escape
             with pytest.raises(ShapeMismatchError, match="q must be an"):
                 fedq.empirical_bellman(np.zeros(shape), np.zeros(shape, dtype=int), np.zeros(shape), 0.8)
 
-    @pytest.mark.parametrize("rows", [None, np.array([1, 0])])
     @pytest.mark.parametrize("state, got", [(3, "entries from 0 to 3"), (-1, "entries from -1 to 0"),
                                             (0.0, "dtype float64"), (False, "dtype bool")])
-    def test_next_states_outside_the_table_rejected(self, state, got, rows):
+    def test_next_states_outside_the_table_rejected(self, state, got):
         # two tables of S = 3 states: state 3 in table 0 used to read table 1's state 0 (7.0),
         # and -1 table 1's last state (11.0), with no error
         q = np.arange(12.0).reshape(2, 3, 2)
         next_states = np.zeros((2, 3, 2), dtype=type(state))
         next_states[0, 0, 0] = state
         with pytest.raises(ParamOutOfRangeError, match=rf"next states must be integers in \[0, 3\), got {got}"):
-            fedq.empirical_bellman(q, next_states, np.zeros((2, 3, 2)), 1.0, rows)
+            fedq.empirical_bellman(q, next_states, np.zeros((2, 3, 2)), 1.0)
 
 
 class TestValueIteration:

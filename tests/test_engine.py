@@ -890,17 +890,19 @@ def test_one_successor_gather_matches_the_general_path(noisy, shared, monkeypatc
 
 @pytest.mark.parametrize("compressor", ["top_k", "sparsified_l1"])
 def test_one_successor_noisy_run_skips_by_seed_words(compressor, map5x5_noisy, map5x5_qstar, monkeypatch):
-    # a noisy w = 1 epoch seeds its streams past their uniform block, so it moves no stream on one by
-    # one: no fedq module's synchronous_rewards_batch runs, and the run keeps the bits of the
-    # per-agent reference, whose public sampler advances each stream past its uniforms
+    # a noisy w = 1 epoch seeds its streams past their uniform block, so it draws no uniforms: no
+    # fedq module's synchronous_sample_batch runs, and the run keeps the bits of the per-agent
+    # reference, whose public sampler draws each stream's uniforms
     def refuse(*args):
-        raise AssertionError("a w = 1 epoch moved its streams past their uniforms one by one")
+        raise AssertionError("an epoch drew its uniforms")
 
     for name, module in list(sys.modules.items()):
-        if (name == "fedq" or name.startswith("fedq.")) and hasattr(module, "synchronous_rewards_batch"):
-            monkeypatch.setattr(module, "synchronous_rewards_batch", refuse)
+        if (name == "fedq" or name.startswith("fedq.")) and hasattr(module, "synchronous_sample_batch"):
+            monkeypatch.setattr(module, "synchronous_sample_batch", refuse)
     cfg = make_config(n_agents=3, local_epochs=2, rounds=4, eta=0.3, compressor=COMPRESSORS[compressor],
                       master_seed=11)
+    with pytest.raises(AssertionError, match="drew its uniforms"):  # the spy bites on the padded w = 2 twin
+        fedq.run_federated(cfg, padded_twin(map5x5_noisy), map5x5_qstar)
     result = fedq.run_federated(cfg, map5x5_noisy, map5x5_qstar)
     monkeypatch.undo()
     q_final, rows, _, _ = per_agent_reference(cfg, map5x5_noisy, map5x5_qstar)

@@ -66,6 +66,7 @@ ARRAY_ARGUMENTS = {
     "unbiased_constants": lambda mdp, bad: fedq.unbiased_constants(bad((4,))),
     "direct_compress": lambda mdp, bad: fedq.direct_compress(bad((4,)), top1()),
     "ef_compress": lambda mdp, bad: fedq.ef_compress(fedq.EfState.zeros(4), bad((4,)), top1()),
+    "EfState e": lambda mdp, bad: fedq.EfState(bad((4,))),
     "compress_batch pending": lambda mdp, bad: compress_batch(bad((2, 4)), top1()),
     "compress_batch uniforms": lambda mdp, bad: compress_batch(np.ones((2, 4)), top1("sparsified_k"),
                                                                bad((2, 4))),
@@ -101,6 +102,24 @@ def test_array_arguments_raise_a_typed_error(argument, bad, map5x5_mdp):
     with pytest.raises(FedqError) as raised:
         ARRAY_ARGUMENTS[argument](map5x5_mdp, bad)
     assert isinstance(raised.value, ValueError)
+
+
+def test_ef_state_takes_a_list_residual():
+    h, state = fedq.ef_compress(fedq.EfState([0.0, 1.0]), np.array([2.0, 0.5]), top1())
+    assert (h.indices.tolist(), state.e.dtype, state.e.tolist()) == ([0], np.float64, [0.0, 1.5])
+    with pytest.raises(ShapeMismatchError, match="EfState e must have shape of a 1-D array"):
+        fedq.EfState([[0.0, 1.0]])
+
+
+@pytest.mark.parametrize("compress", [
+    lambda v: fedq.direct_compress(v, top1("sparsified_k")),
+    lambda v: fedq.ef_compress(fedq.EfState.zeros(4), v, top1("sparsified_k")),
+    lambda v: fedq.sparsified_k(v, 1, None),
+], ids=["direct_compress", "ef_compress", "sparsified_k"])
+def test_sparsified_k_needs_a_generator(compress):
+    # a raw AttributeError on None.random used to escape
+    with pytest.raises(ParamOutOfRangeError, match="sparsified_k draws its uniforms from a generator"):
+        compress(np.arange(4.0))
 
 
 @pytest.mark.parametrize("value", [[[1.0, 2.0], [3.0]], "table", [None, object()]])

@@ -5,7 +5,7 @@ from scipy import stats
 import fedq
 from fedq.errors import ParamOutOfRangeError
 from fedq.rng import generators, seed_words
-from tests.conftest import dense_mdp, padded_twin, random_mdp, sparse_random_kernel, sparse_random_mdp
+from tests.conftest import dense_mdp, random_mdp, sparse_random_kernel, sparse_random_mdp
 
 
 def two_state_mdp(p=(0.3, 0.7), noise=None):
@@ -140,9 +140,9 @@ class TestSampleNextState:
         assert next_states.dtype == np.int64 and next_states.flags.writeable
         assert not np.shares_memory(next_states, mdp.succ)
 
-    @pytest.mark.parametrize("draw", ["random", "standard_normal", "uint64"])
     @pytest.mark.parametrize("bit_generator", ["PCG64", "PCG64DXSM"])
-    def test_advance_drops_only_a_buffered_32_bit_half(self, bit_generator, draw):
+    def test_a_buffered_32_bit_half_survives_the_uniform_block(self, bit_generator):
+        # a w = 1 table draws its uniform block as any table does, so a buffered half is kept
         mdp = fedq.build_gridworld(fedq.load_map("map5x5"), gamma=0.8)
         gen, ref = (np.random.Generator(getattr(np.random, bit_generator)(6)) for _ in range(2))
         for g in (gen, ref):
@@ -150,14 +150,10 @@ class TestSampleNextState:
         fedq.synchronous_sample(mdp, gen)
         ref.random(mdp.table_size)
         assert ref.bit_generator.state["has_uint32"] == 1
-        assert gen.bit_generator.state["has_uint32"] == 0
-        take = {"random": lambda g: g.random(), "standard_normal": lambda g: g.standard_normal(),
-                "uint64": lambda g: g.bit_generator.random_raw()}[draw]
-        assert take(gen) == take(ref)
+        assert gen.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("bit_generator", ["MT19937", "PCG64", "PCG64DXSM", "Philox", "SFC64"])
     def test_every_bit_generator_ends_where_drawing_the_block_leaves_it(self, bit_generator):
-        # only PCG64 and PCG64DXSM skip by advance; the others draw the uniform block and drop it
         noise = fedq.NoiseSpec(std=0.5, clip=0.5)
         mdp = fedq.build_gridworld(fedq.load_map("map5x5"), noise=noise, gamma=0.8)
         shape = (mdp.n_states, mdp.n_actions)
@@ -186,23 +182,6 @@ class TestSampleNextState:
         for gen, ref_gen in zip(gens, ref_gens):
             assert gen.random() == ref_gen.random()
 
-    @pytest.mark.parametrize("noisy", [False, True])
-    @pytest.mark.parametrize("padded", [False, True])
-    def test_rewards_alone_are_the_sample_rewards(self, noisy, padded):
-        # the rewards-only draw skips the uniform block on any w: the same reward bits as the whole
-        # sample, and every stream left where the whole sample leaves it
-        noise = fedq.NoiseSpec(std=0.5, clip=0.5) if noisy else fedq.NoiseSpec()
-        mdp = fedq.build_gridworld(fedq.load_map("map6x6w"), noise=noise, gamma=0.8)
-        if padded:
-            mdp = padded_twin(mdp)
-        streams = [fedq.RngStream(3, (i, 1)) for i in range(3)]
-        gens, ref_gens = [s.generator() for s in streams], [s.generator() for s in streams]
-        rewards = fedq.mdp.synchronous_rewards_batch(mdp, gens)
-        _, ref = fedq.mdp.synchronous_sample_batch(mdp, ref_gens)
-        assert rewards.dtype == ref.dtype and rewards.tobytes() == ref.tobytes()
-        for gen, ref_gen in zip(gens, ref_gens):
-            assert gen.random() == ref_gen.random()
-
     def test_monte_carlo_frequency_matches_kernel(self):
         # empirical frequency of s'=1 under P = [0.3, 0.7]
         mdp = two_state_mdp()
@@ -219,15 +198,13 @@ class _StubRng:
     def __init__(self, normal_value=0.0, uniform_value=0.0):
         self._normal = normal_value
         self._uniform = uniform_value
-        self.bit_generator = None  # neither PCG64 nor PCG64DXSM, so nothing is skipped by advance
         self.drawn = []
 
     def standard_normal(self, out):
         out[...] = self._normal
         return out
 
-    def random(self, size=None, out=None):
-        out = np.empty(size) if out is None else out
+    def random(self, out):
         self.drawn.append(out.shape)
         out[...] = self._uniform
         return out
@@ -247,7 +224,7 @@ class TestSampleReward:
         for z, clipped in ((1.8, 1.0 + 0.5), (-6.0, 1.0 - 0.5)):  # standard units: 0.9 and -3.0 at std 0.5
             stub = _StubRng(z)
             assert fedq.synchronous_sample(mdp, stub)[1][1, 2] == clipped
-            assert stub.drawn == [(mdp.n_states, mdp.n_actions)]  # the uniform block, drawn and dropped
+            assert stub.drawn == [(mdp.n_states, mdp.n_actions)]  # one uniform block, for the next states
 
     def test_negative_zero_draw_gives_positive_zero_noise(self):
         # Generator.normal returns 0.0 + std * z, so z = -0.0 gives +0.0 noise, and a -0.0 mean
