@@ -7,6 +7,8 @@ from fedq.errors import ParamOutOfRangeError
 from fedq.rng import generators, seed_words
 from tests.conftest import dense_mdp, random_mdp, sparse_random_kernel, sparse_random_mdp
 
+BIT_GENERATORS = ["MT19937", "PCG64", "PCG64DXSM", "Philox", "SFC64"]
+
 
 def two_state_mdp(p=(0.3, 0.7), noise=None):
     transition = np.array([[[p[0], p[1]]], [[0.0, 1.0]]])
@@ -152,29 +154,36 @@ class TestSampleNextState:
         assert ref.bit_generator.state["has_uint32"] == 1
         assert gen.bit_generator.state == ref.bit_generator.state
 
-    @pytest.mark.parametrize("bit_generator", ["MT19937", "PCG64", "PCG64DXSM", "Philox", "SFC64"])
-    def test_every_bit_generator_ends_where_drawing_the_block_leaves_it(self, bit_generator):
-        noise = fedq.NoiseSpec(std=0.5, clip=0.5)
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    def test_every_bit_generator_ends_where_drawing_the_block_leaves_it(self, bit_generator, noisy):
+        noise = fedq.NoiseSpec(std=0.5, clip=0.5) if noisy else fedq.NoiseSpec()
         mdp = fedq.build_gridworld(fedq.load_map("map5x5"), noise=noise, gamma=0.8)
         shape = (mdp.n_states, mdp.n_actions)
         gen, ref = (np.random.Generator(getattr(np.random, bit_generator)(9)) for _ in range(2))
         next_states, rewards = fedq.synchronous_sample(mdp, gen)
         ref.random(shape)
-        clipped = np.clip(ref.normal(0.0, noise.std, shape), -noise.clip, noise.clip)
+        clipped = np.clip(ref.normal(0.0, noise.std, shape), -noise.clip, noise.clip) if noisy else 0.0
         assert np.array_equal(next_states, mdp.succ.reshape(shape))
         assert rewards.tobytes() == (mdp.reward_mean + clipped).tobytes()
         assert gen.random() == ref.random()
 
     @pytest.mark.parametrize("noisy", [False, True])
-    def test_padded_grid_world_takes_general_path_to_same_bytes(self, noisy):
+    @pytest.mark.parametrize("bit_generator", ["RngStream"] + BIT_GENERATORS)
+    def test_padded_grid_world_takes_general_path_to_same_bytes(self, bit_generator, noisy):
+        # one draw rule for every successor width and every bit generator
         noise = fedq.NoiseSpec(std=0.5, clip=0.5) if noisy else fedq.NoiseSpec()
         grid = fedq.build_gridworld(fedq.load_map("map6x6w"), noise=noise, gamma=0.8)
         padded = fedq.TabularMDP(np.repeat(grid.succ, 2, axis=1),
                                  np.column_stack([np.ones(grid.table_size), np.zeros(grid.table_size)]),
                                  grid.reward_mean, grid.gamma, grid.noise, grid.r_max)
         assert (grid.succ.shape[1], padded.succ.shape[1]) == (1, 2)
-        streams = [fedq.RngStream(12, (i, 3)) for i in range(4)]
-        gens, ref_gens = [s.generator() for s in streams], [s.generator() for s in streams]
+        if bit_generator == "RngStream":
+            streams = [fedq.RngStream(12, (i, 3)) for i in range(4)]
+            gens, ref_gens = [s.generator() for s in streams], [s.generator() for s in streams]
+        else:
+            gens, ref_gens = ([np.random.Generator(getattr(np.random, bit_generator)(i)) for i in range(4)]
+                              for _ in range(2))
         out = fedq.mdp.synchronous_sample_batch(grid, gens)
         ref = fedq.mdp.synchronous_sample_batch(padded, ref_gens)
         for a, b in zip(out, ref):
