@@ -48,11 +48,11 @@ def empirical_bellman(q: np.ndarray, next_states: np.ndarray, rewards: np.ndarra
     its next states and rewards from row i.  Every next state must be an
     integer in [0, S), else ``ParamOutOfRangeError``; a ``q`` of fewer than
     two axes, or samples of another shape than ``q``, raises
-    ``ShapeMismatchError``.
+    ``ShapeMismatchError``, as does a table with no state or no action.
     """
     q, rewards = check_array("q", q), check_array("rewards", rewards)
-    if q.ndim < 2:
-        raise ShapeMismatchError(f"q must be an (S, A) table or a batch of them, got shape {q.shape}")
+    if q.ndim < 2 or not all(q.shape[-2:]):
+        raise ShapeMismatchError(f"q must be an (S, A) table with S, A >= 1 or a batch of them, got shape {q.shape}")
     table = q.shape[-2:]
     next_states = check_ids("next states", next_states, table[0])
     if next_states.shape != q.shape or rewards.shape != q.shape:
@@ -100,12 +100,15 @@ def greedy_policy(q: np.ndarray) -> np.ndarray:
 def errors_batch(q: np.ndarray, q_ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The :func:`rmse` and :func:`linf_error` of each table of ``q``, shape (N,) + ``q_ref.shape``,
     against ``q_ref``: one ufunc reduction per metric over the (N, d) differences, the ones
-    ``np.mean`` and ``np.max`` call, without their Python wrappers and with the same bits."""
+    ``np.mean`` and ``np.max`` call, without their Python wrappers and with the same bits.  An empty
+    batch (N = 0) gives two empty arrays; a table with no entry raises ``ShapeMismatchError``."""
     q = check_array("q", q)
     if q.ndim == 0:
         raise ShapeMismatchError("q must be a batch of tables, got a scalar")
     q_ref = check_array("q_ref", q_ref, shape=q.shape[1:])
-    diff = q.reshape(len(q), -1) - q_ref.reshape(1, -1)
+    if not q_ref.size:
+        raise ShapeMismatchError(f"tables must have at least one entry, got shape {q_ref.shape}")
+    diff = q.reshape(len(q), q_ref.size) - q_ref.reshape(1, -1)
     rms = np.sqrt(np.add.reduce(diff * diff, axis=1) / diff.shape[1])
     return rms, np.maximum.reduce(np.abs(diff), axis=1)
 

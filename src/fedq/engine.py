@@ -7,73 +7,27 @@ sample streams; each agent uploads a compressed version of its progress
 an error-feedback residual; the server adds ``beta / I`` times the summed
 payloads back onto the global table.
 
-A round is computed for all I agents at once.  Given the broadcast, the
-local phases are independent, so the local tables form one (I, S, A)
-array: each epoch, every agent draws its own sample table into a row of
-a batch, and the Bellman update runs once on the whole batch.  Whatever
-the successor width w, an epoch reads the next states from one gather
-index and makes the operations of :func:`~fedq.bellman.empirical_bellman`,
-the same bits, without checking the tables it drew: a table with one
-successor per row (w = 1, every grid world) knows its next states before
-any draw, so its index is built once per batch from the successor table
-and an epoch draws only the rewards, from streams seeded past their
-uniform block, so that each draws its normals and nothing else; a w > 1
-epoch builds its index from the next-state tables it draws.  Deltas and
-error-feedback residuals are (I, d) arrays compressed in one call into
-an (I, d) table of compressed vectors (+0.0 where nothing is sent; the
-identity's is the pending table itself); the error-feedback residual is
-the pending table minus it, and the server adds its rows onto the global
-table in one reduction over the agent axis, row by row.
-
-Runs are a batch axis too.  :func:`run_federated_batch` takes any list
-of configs and alone decides which of them share a batch: all configs
-that agree on the loop's shape (agents, local epochs and rounds, which
-fix the (R·I, S, A) arrays, the epoch loop and the round loop), wherever
-they stand in the list, run as one computation of R·I rows, run r's
-agents in rows r·I to r·I + I - 1, whatever their master seeds,
-compressors, modes, bits per value, eta, beta and q0, stably sorted by
-compressor kind, probability rule (sparsified_k's alone), mode and eta,
-so that each (kind, rule, mode) arm, and each eta within it, is one
-contiguous block of runs.  Streams are shared by seed: a stream is a
-pure function of (master seed, path), so each epoch draws the sample
-tables of the U distinct seeds once, into U·I stream rows, and an index
-array names the stream row each of the R·I rows reads (the identity when
-every seed is distinct).  Each round then makes one Bellman update per
-epoch over all rows, one damped update per block of runs with the same
-eta, one compression per arm but the identity's, each row under its
-run's budget k (one integer when the arm's runs agree on k, else one
-budget per row, built once per batch), which writes its uploads into its
-rows of the pending table, and one server step over the pending table
-that keeps R tables, each run's sum scaled by its own beta / I.  The
-round records only each run's kept entries, errors and realized
-compressor constants; the bits and trace rows are built per run once the
-rounds are done, each round's uploads priced as one exact
-:func:`~fedq.bounds.payload_bits` total.  :func:`run_federated` is the
-batch of one.  The configs of one shape run in batches of at most
-``BATCH_CELLS`` table entries per (R·I, d) array, so their memory does
-not grow with R.
+Runs and agents are batch axes.  :func:`run_federated_batch` takes any
+list of configs and runs those that agree on the loop's shape (agents,
+local epochs and rounds) as batches of R runs, whatever their master
+seeds, compressors, modes, bits per value, eta, beta and q0: a
+:class:`_Batch` computes a batch's plan once (which stream row each of
+the R·I agent rows reads, the compression arms, the eta blocks, the
+server step sizes, the gather index of a table with one successor per
+row), and its :meth:`_Batch.round` steps all R·I rows through one round:
+K local epochs of one Bellman update over the batch each, one
+compression per arm, the error-feedback residual and one server step.
+:func:`_run_group` loops over the rounds and records only each run's
+kept entries, errors and realized compressor constants; the bits and
+trace rows are built per run once the rounds are done.
+:func:`run_federated` is the batch of one.
 
 Everything is deterministic given the master seed: sampling streams are
 derived per (agent, round, epoch), the compressor stream per
 (agent, round, K), and the server adds payloads in ascending agent
 order, so the result is the same bits as running the agents one by one,
 in any order, and summing their densified payloads, and a run batched
-with others is the same bits as the run alone.  The seed words of the
-streams are computed by :func:`~fedq.rng.seed_words` for a block of
-rounds at a time, at most ``SEED_BLOCK`` streams over the distinct seeds'
-rows unless one round alone has more, so seeding memory does not grow
-with the number of rounds.  On a table with one successor per row and
-noisy rewards, one :func:`~fedq.rng.skip_words` call per block moves the
-epoch streams' words S·A draws on, where drawing the S·A uniforms would
-leave each generator, so no epoch moves a stream on one by one; the
-compressor streams, and every stream of a w > 1 table, which draws its
-uniforms, start where they are seeded.  Each epoch builds only its own
-generators from the words, I per distinct seed, and none on a table
-with one successor per row and noiseless rewards, whose every epoch adds
-the mean rewards.  So does a round's compressor draw: when any run uses
-sparsified_k, the round draws d uniforms from each of the U·I compressor
-streams once, and every sparsified_k run reads its rows of that block,
-as the runs share sample tables.
+with others is the same bits as the run alone.
 """
 from __future__ import annotations
 
@@ -217,72 +171,6 @@ def _gather_index(next_states: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return index
 
 
-def _round_words(seeds, n_agents: int, rounds: int, n_streams: int, n_epochs: int, skip: int):
-    """Seed words of each round's streams for U seeds, one (n_streams, U·I, 4) array per round.
-
-    Entry ``[k, u·I + i]`` of round t seeds the stream of path ``(i, t, k)``
-    under ``seeds[u]``: agent i's epoch k of round t for k < K = ``n_epochs``,
-    its compressor draw for k = K.  The words are derived a block of rounds
-    at a time, one :func:`~fedq.rng.seed_words` call per seed, at most
-    ``SEED_BLOCK`` paths over all U·I rows per block (one round per block
-    if a round alone has more).  With ``skip`` > 0, one
-    :func:`~fedq.rng.skip_words` call per block moves the epoch streams
-    (k < K, never the compressor's) ``skip`` draws on.
-    """
-    rows = len(seeds) * n_agents
-    block = max(1, SEED_BLOCK // (n_streams * rows))
-    for start in range(0, rounds, block):
-        n = min(block, rounds - start)
-        t, k, i = np.indices((n, n_streams, n_agents)).reshape(3, -1)
-        paths = np.stack([i, start + t, k], axis=1)
-        words = [seed_words(seed, paths).reshape(n, n_streams, n_agents, 4) for seed in seeds]
-        words = np.stack(words, axis=2).reshape(n, n_streams, rows, 4)
-        if skip:
-            epochs = words[:, :n_epochs]
-            epochs[...] = skip_words(epochs.reshape(-1, 4), skip).reshape(epochs.shape)
-        yield from words
-
-
-def _local_phases(q_bar: np.ndarray, mdp: TabularMDP, etas: list[tuple[float, slice]], words: np.ndarray,
-                  rows: np.ndarray, shared: bool, noisy: bool, index: np.ndarray | None = None) -> np.ndarray:
-    """One round's local phases of every agent of R runs: shape (R·I, S, A).
-
-    ``q_bar`` holds the R broadcast tables and ``words`` that round's
-    (K, U·I, 4) slice of :func:`_round_words`; row r·I + i starts from
-    ``q_bar[r]``, and its epoch k updates from the sample table of the
-    stream seeded by ``words[k, rows[r·I + i]]``, damped by the eta that
-    ``etas`` gives its block of rows.  Each stream's table is drawn once,
-    however many rows read it; ``shared`` says whether some row reads a
-    stream row other than its own, ``noisy`` whether the rewards are.
-
-    Every epoch reads the rows' next states from one :func:`_gather_index`
-    and makes the operations :func:`~fedq.bellman.empirical_bellman` makes
-    on the drawn table: the gather, times gamma, plus the rewards.  A
-    given ``index`` (w = 1: the next states are known before any draw)
-    serves every epoch, which then draws only the rewards, from streams
-    seeded past their uniform block (:func:`_round_words`' skip), with
-    :func:`~fedq.mdp.rewards_from_normals`; with None, each epoch draws
-    its next-state tables and builds its own.  With noiseless rewards
-    every stream's rewards are the mean rewards, so an epoch with an
-    index builds no generator.
-    """
-    q = np.repeat(q_bar, len(rows) // len(q_bar), axis=0)
-    rewards, epoch_index = mdp.reward_mean, index
-    for epoch_words in words:
-        if index is None:
-            next_states, drawn = synchronous_sample_batch(mdp, generators(epoch_words))
-            epoch_index = _gather_index(next_states, rows)
-        elif noisy:
-            drawn = rewards_from_normals(mdp, generators(epoch_words))
-        if noisy:
-            rewards = drawn.take(rows, axis=0) if shared else drawn
-        target = state_values(q).take(epoch_index)
-        target *= mdp.gamma
-        target += rewards
-        q = _damped(q, target, etas)
-    return q
-
-
 def _server_step(q_bar: np.ndarray, sent: np.ndarray, betas: np.ndarray) -> np.ndarray:
     """Add ``betas[r] / I`` times the sum of run r's I rows of ``sent`` onto its table.
 
@@ -306,11 +194,6 @@ def _server_step(q_bar: np.ndarray, sent: np.ndarray, betas: np.ndarray) -> np.n
         for agent_rows in per_run.swapaxes(0, 1):
             acc += agent_rows
     return q_bar + (betas / per_run.shape[1]).reshape(-1, 1, 1) * acc.reshape(q_bar.shape)
-
-
-def _running_min(current: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Fold run r's row of ``values`` into ``current[r]``; NaN stands for no value and is skipped."""
-    return np.fmin(current, np.fmin.reduce(values.reshape(len(current), -1), axis=1))
 
 
 def _blocks(configs: list[ExperimentConfig], key, n_agents: int) -> list[tuple[object, slice, slice]]:
@@ -398,94 +281,176 @@ def run_federated_batch(
     return results
 
 
-def _run_group(configs: list[ExperimentConfig], mdp: TabularMDP, q_star: np.ndarray) -> list[RunResult]:
-    """The federated loop of one run per config; the configs agree on the loop's shape, ``_SHARED``.
+class _Batch:
+    """The plan of one batch of R runs that agree on the loop's shape, ``_SHARED``, and its round step.
 
     Each run starts from its own q0 and keeps its own eta and beta: the
-    damped update runs once per contiguous block of configs with one eta,
-    and the server step scales each run's sum by its own beta / I.  Each
-    contiguous block of configs with one :func:`_arm` key is one arm,
-    compressed in one call under its runs' budgets; the identity's arm
-    uploads its pending rows as they are.  On a table with one successor
-    per row (w = 1), the gather index of the R·I rows is built once, here,
-    from ``succ``; on w > 1 each epoch builds its own from its draw.
-    The round loop does only what the next round needs: local phases,
-    compression, residual, server step and errors.  It records each run's
-    kept entries per round in a (T, R) array and its two errors in
-    (T+1, R) arrays; the bits and trace rows are built from them once the
-    loop ends.  A sparsified_k arm reads its uniforms from one (U·I, d)
-    block per round, drawn once per distinct compressor stream.
+    damped update runs once per contiguous block of runs with one eta
+    (``etas``: (eta, rows) pairs), and the server step scales each run's
+    sum by its own beta / I (``betas``).  Each contiguous block of runs
+    with one :func:`_arm` key is one arm (``arms``: (spec, budget, mode,
+    runs, rows)), compressed in one call under its rows' budgets: one int
+    when its runs agree on k, else one budget per row.  Streams are shared
+    by seed: a stream is a pure function of (master seed, path), so the U
+    distinct ``seeds`` fill U·I stream rows, and ``rows[r·I + i]`` is the
+    stream row run r's agent i reads (``shared`` when some row reads
+    another than its own).  Only sparsified_k consumes a compressor stream
+    (``sparsified``), on path (agent, round, K).  On a table with one
+    successor per row (w = 1) the next states are known before any draw,
+    so the gather ``index`` of the R·I rows is built once, here, from
+    ``succ``, and with ``noisy`` rewards each epoch stream is seeded
+    ``skip`` = S·A draws on, past its uniform block; on w > 1 ``index``
+    is None and each epoch builds its own from its draw.
     """
-    config = configs[0]
-    n_runs, n_agents, d = len(configs), config.n_agents, mdp.table_size
-    n_epochs, n_rounds = config.local_epochs, config.rounds
-    # Each distinct seed's streams fill I of the U·I stream rows; stream_rows[r·I + i] is the
-    # stream row of run r's agent i
-    seeds = list(dict.fromkeys(c.master_seed for c in configs))
-    slot = {seed: u for u, seed in enumerate(seeds)}
-    stream_rows = (np.array([slot[c.master_seed] for c in configs])[:, None] * n_agents
-                   + np.arange(n_agents)).ravel()
-    # one arm per contiguous block of runs with one (kind, rule, mode), each compressed in one call
-    # under its rows' budgets: one int when its runs agree on k, else one budget per row
-    arms = []
-    for (_, _, mode), runs, rows in _blocks(configs, _arm, n_agents):
-        ks = [c.compressor.k for c in configs[runs]]
-        budget = ks[0] if len(set(ks)) == 1 else np.repeat(ks, n_agents)
-        arms.append((configs[runs.start].compressor, budget, mode, runs, rows))
-    etas = [(eta, rows) for eta, _, rows in _blocks(configs, operator.attrgetter("eta"), n_agents)]
-    betas = np.array([c.beta for c in configs], dtype=np.float64)
-    # only random compressors consume a stream; its path is pinned to (agent, round, K)
-    sparsified = any(spec.kind == SPARSIFIED_K for spec, *_ in arms)
-    n_streams = n_epochs + 1 if sparsified else n_epochs
 
-    q0 = np.array([c.q0 for c in configs], dtype=np.float64)
-    q_bar = np.repeat(q0, d).reshape(n_runs, mdp.n_states, mdp.n_actions)
-    # error-feedback memory; only the rows of error-feedback arms are read or written
-    has_ef = any(mode == ERROR_FEEDBACK for _, _, mode, _, _ in arms)
-    residual = np.zeros((n_runs * n_agents, d)) if has_ef else None
-    alpha_min, p_support_min = np.full(n_runs, np.nan), np.full(n_runs, np.nan)
-    entries = np.zeros((n_rounds, n_runs), dtype=np.int64)
-    rmses, linfs = np.empty((n_rounds + 1, n_runs)), np.empty((n_rounds + 1, n_runs))
-    rmses[0], linfs[0] = errors_batch(q_bar, q_star)
+    def __init__(self, configs: list[ExperimentConfig], mdp: TabularMDP) -> None:
+        self.mdp, self.n_agents, self.n_epochs = mdp, configs[0].n_agents, configs[0].local_epochs
+        self.seeds = list(dict.fromkeys(c.master_seed for c in configs))
+        slot = {seed: u for u, seed in enumerate(self.seeds)}
+        self.rows = (np.array([slot[c.master_seed] for c in configs])[:, None] * self.n_agents
+                     + np.arange(self.n_agents)).ravel()
+        self.shared = not np.array_equal(self.rows, np.arange(len(self.rows)))
+        self.arms = []
+        for (_, _, mode), runs, rows in _blocks(configs, _arm, self.n_agents):
+            ks = [c.compressor.k for c in configs[runs]]
+            budget = ks[0] if len(set(ks)) == 1 else np.repeat(ks, self.n_agents)
+            self.arms.append((configs[runs.start].compressor, budget, mode, runs, rows))
+        self.etas = [(eta, rows) for eta, _, rows in _blocks(configs, operator.attrgetter("eta"), self.n_agents)]
+        self.betas = np.array([c.beta for c in configs], dtype=np.float64)
+        self.sparsified = any(spec.kind == SPARSIFIED_K for spec, *_ in self.arms)
+        self.index = _gather_index(mdp.succ.reshape(1, mdp.n_states, mdp.n_actions),
+                                   np.zeros(len(self.rows), dtype=np.int64)) if mdp.succ.shape[1] == 1 else None
+        self.noisy = mdp.noise.std > 0.0
+        self.skip = mdp.table_size if self.index is not None and self.noisy else 0
 
-    index = _gather_index(mdp.succ.reshape(1, mdp.n_states, mdp.n_actions),
-                          np.zeros(n_runs * n_agents, dtype=np.int64)) if mdp.succ.shape[1] == 1 else None
-    noisy = mdp.noise.std > 0.0
-    shared = not np.array_equal(stream_rows, np.arange(len(stream_rows)))  # row i does not read stream row i
-    # a w = 1 epoch reads only its normals: its streams are seeded past their S·A uniforms
-    skip = d if index is not None and noisy else 0
-    for t, words in enumerate(_round_words(seeds, n_agents, n_rounds, n_streams, n_epochs, skip)):
-        q_local = _local_phases(q_bar, mdp, etas, words[:n_epochs], stream_rows, shared, noisy, index)
+    def words(self, rounds: int):
+        """Seed words of each round's streams, one (n_streams, U·I, 4) array per round.
+
+        Entry ``[k, u·I + i]`` of round t seeds the stream of path ``(i, t, k)``
+        under ``seeds[u]``: agent i's epoch k of round t for k < K, its
+        compressor draw for k = K (the last of the n_streams = K + 1 a
+        sparsified batch has).  The words are derived a block of rounds at
+        a time, one :func:`~fedq.rng.seed_words` call per seed, at most
+        ``SEED_BLOCK`` paths over all U·I rows per block (one round per
+        block if a round alone has more), so seeding memory does not grow
+        with the number of rounds.  With ``skip`` > 0, one
+        :func:`~fedq.rng.skip_words` call per block moves the epoch streams
+        (never the compressor's) ``skip`` draws on.
+        """
+        n_streams, n_rows = self.n_epochs + 1 if self.sparsified else self.n_epochs, len(self.seeds) * self.n_agents
+        block = max(1, SEED_BLOCK // (n_streams * n_rows))
+        for start in range(0, rounds, block):
+            n = min(block, rounds - start)
+            t, k, i = np.indices((n, n_streams, self.n_agents)).reshape(3, -1)
+            paths = np.stack([i, start + t, k], axis=1)
+            words = [seed_words(seed, paths).reshape(n, n_streams, self.n_agents, 4) for seed in self.seeds]
+            words = np.stack(words, axis=2).reshape(n, n_streams, n_rows, 4)
+            if self.skip:
+                epochs = words[:, :self.n_epochs]
+                epochs[...] = skip_words(epochs.reshape(-1, 4), self.skip).reshape(epochs.shape)
+            yield from words
+
+    def local_phases(self, q_bar: np.ndarray, words: np.ndarray) -> np.ndarray:
+        """One round's local phases of every agent of the R runs: shape (R·I, S, A).
+
+        ``q_bar`` holds the R broadcast tables and ``words`` one round of
+        :meth:`words`; row r·I + i starts from ``q_bar[r]``, and its epoch
+        k updates from the sample table of the stream seeded by
+        ``words[k, rows[r·I + i]]``, damped by its block's eta.  Each
+        stream's table is drawn once, however many rows read it, and each
+        epoch builds only its own generators, I per distinct seed.
+
+        Every epoch reads the rows' next states from one :func:`_gather_index`
+        and makes the operations :func:`~fedq.bellman.empirical_bellman` makes
+        on the drawn table, without checking it: the gather, times gamma,
+        plus the rewards.  With an ``index``, an epoch draws only the
+        rewards, with :func:`~fedq.mdp.rewards_from_normals`, and with
+        noiseless rewards it builds no generator and adds the mean
+        rewards; with None, each epoch draws its next-state tables and
+        builds its own index.
+        """
+        q = np.repeat(q_bar, len(self.rows) // len(q_bar), axis=0)
+        rewards, index = self.mdp.reward_mean, self.index
+        for epoch_words in words[:self.n_epochs]:
+            if self.index is None:
+                next_states, drawn = synchronous_sample_batch(self.mdp, generators(epoch_words))
+                index = _gather_index(next_states, self.rows)
+            elif self.noisy:
+                drawn = rewards_from_normals(self.mdp, generators(epoch_words))
+            if self.noisy:
+                rewards = drawn.take(self.rows, axis=0) if self.shared else drawn
+            target = state_values(q).take(index)
+            target *= self.mdp.gamma
+            target += rewards
+            q = _damped(q, target, self.etas)
+        return q
+
+    def round(self, q_bar: np.ndarray, residual: np.ndarray | None, words: np.ndarray) -> tuple:
+        """One round from the R broadcast tables ``q_bar``, on one round of :meth:`words`.
+
+        Returns the R new tables and, shape (R,) each, every run's kept
+        entries, smallest realized top_k alpha and smallest selection
+        probability on the support (NaN where the round realized none).
+        Deltas and error-feedback residuals are (R·I, d) arrays: the
+        pending table, each arm's rows compressed in one call into the
+        uploads that overwrite them (the identity's are the pending rows
+        themselves), and the server step adds every run's rows onto its
+        table.  ``residual`` is the (R·I, d) error-feedback memory, updated
+        in place; only the rows of error-feedback arms are read or
+        written.  A sparsified_k arm reads its uniforms from one (U·I, d)
+        block, drawn once per distinct compressor stream.
+        """
+        n_runs, n_agents, d = len(q_bar), self.n_agents, self.mdp.table_size
+        q_local = self.local_phases(q_bar, words)
         pending = (q_local.reshape(n_runs, n_agents, d) - q_bar.reshape(n_runs, 1, d)).reshape(-1, d)
-        if sparsified:
-            uniforms = np.empty((len(words[n_epochs]), d))
-            for rng, row in zip(generators(words[n_epochs]), uniforms):
+        if self.sparsified:
+            uniforms = np.empty((len(words[self.n_epochs]), d))
+            for rng, row in zip(generators(words[self.n_epochs]), uniforms):
                 rng.random(out=row)
-        for spec, budget, mode, runs, rows in arms:
+        entries = np.empty(n_runs, dtype=np.int64)
+        alpha, p_support = np.full(n_runs, np.nan), np.full(n_runs, np.nan)
+        for spec, budget, mode, runs, rows in self.arms:
             arm_pending = pending[rows]
             if mode == ERROR_FEEDBACK:
                 arm_pending += residual[rows]
             if spec.kind == IDENTITY:  # the upload is pending itself, every entry of it
-                sent, entries[t, runs] = arm_pending, n_agents * d
+                sent, entries[runs] = arm_pending, n_agents * d
             else:
                 payload = compress_batch(arm_pending, spec,
-                                         uniforms[stream_rows[rows]] if spec.kind == SPARSIFIED_K else None,
-                                         budget)
-                sent = payload.sent
+                                         uniforms[self.rows[rows]] if spec.kind == SPARSIFIED_K else None, budget)
+                sent, n_arm = payload.sent, runs.stop - runs.start
                 if payload.alpha is not None:
-                    alpha_min[runs] = _running_min(alpha_min[runs], payload.alpha)
+                    alpha[runs] = np.fmin.reduce(payload.alpha.reshape(n_arm, -1), axis=1)
                 if payload.p is not None:
                     support = np.where(payload.p > 0, payload.p, np.nan)
-                    p_support_min[runs] = _running_min(p_support_min[runs], support)
-                entries[t, runs] = payload.kept.reshape(-1, n_agents * d).sum(axis=1)
+                    p_support[runs] = np.fmin.reduce(support.reshape(n_arm, -1), axis=1)
+                entries[runs] = payload.kept.reshape(n_arm, -1).sum(axis=1)
             if mode == ERROR_FEEDBACK:
                 np.subtract(arm_pending, sent, out=residual[rows])
             if sent is not arm_pending:
                 arm_pending[...] = sent  # pending's rows become the uploads
+        return _server_step(q_bar, pending, self.betas), entries, alpha, p_support
 
-        q_bar = _server_step(q_bar, pending, betas)
+
+def _run_group(configs: list[ExperimentConfig], mdp: TabularMDP, q_star: np.ndarray) -> list[RunResult]:
+    """The federated loop of one run per config, the rounds of one :class:`_Batch`.
+
+    Records each run's kept entries per round in a (T, R) array, its two
+    errors in (T+1, R) arrays and the minima of its realized compressor
+    constants; the bits and trace rows are built from them once the loop ends.
+    """
+    batch, n_runs, n_rounds, d = _Batch(configs, mdp), len(configs), configs[0].rounds, mdp.table_size
+    q_bar = np.repeat(np.array([c.q0 for c in configs], dtype=np.float64), d).reshape(n_runs, *q_star.shape)
+    # error-feedback memory; only the rows of error-feedback arms are read or written
+    residual = np.zeros((len(batch.rows), d)) if any(arm[2] == ERROR_FEEDBACK for arm in batch.arms) else None
+    alpha_min, p_support_min = np.full(n_runs, np.nan), np.full(n_runs, np.nan)
+    entries = np.zeros((n_rounds, n_runs), dtype=np.int64)
+    rmses, linfs = np.empty((n_rounds + 1, n_runs)), np.empty((n_rounds + 1, n_runs))
+    rmses[0], linfs[0] = errors_batch(q_bar, q_star)
+    for t, words in enumerate(batch.words(n_rounds)):
+        q_bar, entries[t], alpha, p_support = batch.round(q_bar, residual, words)
+        alpha_min, p_support_min = np.fmin(alpha_min, alpha), np.fmin(p_support_min, p_support)
         rmses[t + 1], linfs[t + 1] = errors_batch(q_bar, q_star)
-
     return [
         RunResult(metrics=_trace(c, d, run_entries, e2, e_inf), q_final=q,
                   alpha_min=_or_none(alpha), p_support_min=_or_none(p))

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatchError, check_count, check_ids, check_words
+from .errors import ParamOutOfRangeError, ShapeMismatchError, check_count, check_ids, check_words
 
 ID_LIMIT = 2**32  # path ids are single uint32 words
 
@@ -212,7 +212,11 @@ class RngStream:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "seed", check_count("seed", self.seed))
-        object.__setattr__(self, "path", tuple(check_count("path ids", i, 0, ID_LIMIT) for i in self.path))
+        try:
+            ids = iter(self.path)
+        except TypeError:  # a 0-d array has __iter__ too, so ask iter() itself
+            raise ParamOutOfRangeError(f"path ids must be an iterable of integers, got {self.path!r}") from None
+        object.__setattr__(self, "path", tuple(check_count("path ids", i, 0, ID_LIMIT) for i in ids))
 
     def child(self, *ids: int) -> "RngStream":
         """Derive a sub-stream by extending the path."""

@@ -142,7 +142,8 @@ class TestEmpiricalBellman:
             fedq.empirical_bellman(np.zeros((2, 2)), np.zeros((2, 3), dtype=int), np.zeros((2, 2)), 0.8)
         with pytest.raises(ShapeMismatchError):  # sample tables of another size than q's
             fedq.empirical_bellman(np.zeros((2, 3, 2)), np.zeros((2, 2, 2), dtype=int), np.zeros((2, 2, 2)), 0.8)
-        for shape in ((), (3,)):  # no (S, A) table: numpy's IndexError and ValueError used to escape
+        # no (S, A) table, or one with no action or no state: numpy's IndexError and ValueError used to escape
+        for shape in ((), (3,), (3, 1, 0), (0, 2)):
             with pytest.raises(ShapeMismatchError, match="q must be an"):
                 fedq.empirical_bellman(np.zeros(shape), np.zeros(shape, dtype=int), np.zeros(shape), 0.8)
 
@@ -250,6 +251,14 @@ class TestRmse:
             fedq.rmse(np.zeros((2, 2)), np.zeros((2, 3)))
         with pytest.raises(ShapeMismatchError, match="got a scalar"):  # len() of a 0-d q raised TypeError
             fedq.bellman.errors_batch(np.float64(1.0), np.float64(1.0))
+        # tables with no entry: numpy's ValueError for a zero-size maximum used to escape
+        for score, q, q_ref in ((fedq.rmse, np.zeros((2, 0)), np.zeros((2, 0))), (fedq.linf_error, [], []),
+                                (fedq.bellman.errors_batch, np.zeros((3, 0, 2)), np.zeros((0, 2)))):
+            with pytest.raises(ShapeMismatchError, match="at least one entry"):
+                score(q, q_ref)
+        # an empty batch scores as two empty arrays (its reshape raised ValueError)
+        rmses, linfs = fedq.bellman.errors_batch(np.zeros((0, 3, 2)), np.zeros((3, 2)))
+        assert rmses.shape == linfs.shape == (0,)
 
 
 class TestCsvExports:

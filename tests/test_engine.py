@@ -14,8 +14,7 @@ from fedq.engine import (
     MODES,
     SEED_BLOCK,
     _arm,
-    _local_phases,
-    _round_words,
+    _Batch,
     _server_step,
 )
 from fedq.errors import BudgetOutOfRangeError, NonFiniteError, ParamOutOfRangeError, ShapeMismatchError
@@ -38,18 +37,16 @@ def make_config(**overrides):
     return fedq.ExperimentConfig(**base)
 
 
-def one_eta(eta):
-    """The eta blocks of a batch whose every row learns at ``eta``."""
-    return [(eta, slice(None))]
-
-
 def epoch(q, mdp, eta, streams, rows):
-    """The engine's epoch at one eta: ``_local_phases`` for one epoch on the streams' sample tables.
+    """The engine's epoch at one eta: a batch's local phase of one epoch on the streams' sample tables.
 
-    Row i of the (N, S, A) batch ``q`` updates from the table of ``streams[rows[i]]``.
+    Row i of the (N, S, A) batch ``q`` updates from the table of ``streams[rows[i]]``, on the path
+    that draws each stream's next states, whatever the table's w.
     """
+    batch = _Batch([make_config(n_agents=len(rows), eta=eta, gamma=mdp.gamma)], mdp)
+    batch.rows, batch.shared, batch.index = rows, True, None
     words = np.concatenate([seed_words(stream.seed, [stream.path]) for stream in streams])
-    return _local_phases(q, mdp, one_eta(eta), words[None], rows, True, mdp.noise.std > 0.0)
+    return batch.local_phases(q, words[None])
 
 
 @functools.cache
@@ -115,8 +112,8 @@ class TestLocalPhase:
     def test_single_epoch_reduces_to_local_epoch(self, map5x5_noisy):
         q0 = np.zeros((25, 4))
         root = fedq.RngStream(5)
-        phase = _local_phases(q0[None], map5x5_noisy, one_eta(0.3), next(_round_words([5], 1, 1, 1, 1, 0)), np.arange(1),
-                              False, True)
+        batch = _Batch([make_config(n_agents=1, rounds=1, eta=0.3, master_seed=5)], map5x5_noisy)
+        phase = batch.local_phases(q0[None], next(batch.words(1)))
         single = epoch(q0[None], map5x5_noisy, 0.3, [root.child(0, 0, 0)], np.arange(1))
         assert np.array_equal(phase, single)
 
@@ -133,10 +130,9 @@ class TestLocalPhase:
 
     def test_identical_streams_identical_phases(self, map5x5_noisy):
         q0 = np.zeros((25, 4))
-        a = _local_phases(q0[None], map5x5_noisy, one_eta(0.3), list(_round_words([9], 3, 8, 4, 4, 0))[7], np.arange(3),
-                          False, True)
-        b = _local_phases(q0[None], map5x5_noisy, one_eta(0.3), list(_round_words([9], 3, 8, 4, 4, 0))[7], np.arange(3),
-                          False, True)
+        cfg = make_config(n_agents=3, local_epochs=4, rounds=8, eta=0.3, master_seed=9)
+        a, b = (batch.local_phases(q0[None], list(batch.words(8))[7])
+                for batch in (_Batch([cfg], map5x5_noisy), _Batch([cfg], map5x5_noisy)))
         assert np.array_equal(a, b)
 
 
@@ -195,9 +191,9 @@ class TestAggregate:
         out_f = _server_step(q_bar[None], dense_rows(forward), np.array([0.7]))[0]
         out_b = _server_step(q_bar[None], dense_rows(backward), np.array([0.7]))[0]
         assert np.array_equal(out_f, out_b)
+        batch = _Batch([make_config(n_agents=3, local_epochs=2, rounds=1, eta=0.2, master_seed=21)], map5x5_noisy)
         batched = [sparse_from_dense((q - q_bar).ravel())
-                   for q in _local_phases(q_bar[None], map5x5_noisy, one_eta(0.2),
-                                          next(_round_words([21], 3, 1, 2, 2, 0)), np.arange(3), False, True)]
+                   for q in batch.local_phases(q_bar[None], next(batch.words(1)))]
         assert _server_step(q_bar[None], dense_rows(batched), np.array([0.7]))[0].tobytes() == out_f.tobytes()
 
 
@@ -886,6 +882,44 @@ def test_one_successor_gather_matches_the_general_path(noisy, shared, monkeypatc
         assert a.q_final.tobytes() == b.q_final.tobytes()
         assert list(map(repr, a.metrics)) == list(map(repr, b.metrics))
         assert (repr(a.alpha_min), repr(a.p_support_min)) == (repr(b.alpha_min), repr(b.p_support_min))
+
+
+def test_only_error_feedback_rows_keep_a_residual_and_they_conserve_mass(map5x5_noisy, monkeypatch):
+    # a batch of identity-direct, sparsified_k-direct and top_k error-feedback runs, stepped round by
+    # round: the residual rows of the direct arms stay +0.0, and on each error-feedback row the uploads
+    # the server step receives plus the final residual add up to the local deltas (criterion 03's tolerance)
+    specs = [(COMPRESSORS["identity"], DIRECT), (COMPRESSORS["sparsified_l1"], DIRECT),
+             (COMPRESSORS["top_k"], ERROR_FEEDBACK)]
+    configs = [make_config(n_agents=3, rounds=20, eta=0.3, compressor=spec, mode=mode, master_seed=seed)
+               for spec, mode in specs for seed in (0, 1)]
+    batch, d = _Batch(configs, map5x5_noisy), map5x5_noisy.table_size
+    assert [(spec.kind, mode, rows) for spec, _, mode, _, rows in batch.arms] == [
+        ("identity", DIRECT, slice(0, 6)), ("sparsified_k", DIRECT, slice(6, 12)),
+        ("top_k", ERROR_FEEDBACK, slice(12, 18))]
+    uploads, deltas = [], []
+    step, phases = fedq.engine._server_step, batch.local_phases
+
+    def recording_step(q_bar, pending, betas):
+        uploads.append(pending.copy())
+        return step(q_bar, pending, betas)
+
+    def recording_phases(q_bar, words):
+        q_local = phases(q_bar, words)
+        deltas.append((q_local.reshape(len(q_bar), 3, d) - q_bar.reshape(len(q_bar), 1, d)).reshape(-1, d))
+        return q_local
+
+    monkeypatch.setattr(fedq.engine, "_server_step", recording_step)
+    batch.local_phases = recording_phases
+    q_bar, residual = np.zeros((len(configs), 25, 4)), np.zeros((18, d))
+    for words in batch.words(20):
+        q_bar, *_ = batch.round(q_bar, residual, words)
+    assert len(uploads) == len(deltas) == 20
+    assert residual[:12].tobytes() == np.zeros((12, d)).tobytes()
+    ef = slice(12, 18)
+    total = np.sum(deltas, axis=0)[ef]
+    drift = np.max(np.abs(np.sum(uploads, axis=0)[ef] + residual[ef] - total), axis=1)
+    assert np.all(drift <= 1e-9 * np.maximum(1.0, np.max(np.abs(total), axis=1)))
+    assert np.all(np.any(residual[ef], axis=1))  # top_k left some of every row's mass behind
 
 
 @pytest.mark.parametrize("compressor", ["top_k", "sparsified_l1"])

@@ -171,7 +171,8 @@ class TestSkipWords:
 
 
 class TestStreamIds:
-    @pytest.mark.parametrize("path", [(-1,), (0, ID_LIMIT), (2**64,), (2.5,), (True,), ("3",)])
+    # False, 5 and a 0-d array are no path at all: iterating them raised a raw TypeError
+    @pytest.mark.parametrize("path", [(-1,), (0, ID_LIMIT), (2**64,), (2.5,), (True,), ("3",), False, 5, np.array(5)])
     def test_path_out_of_range_rejected_where_built(self, path):
         with pytest.raises(ParamOutOfRangeError, match="path ids"):
             fedq.RngStream(5, path)
