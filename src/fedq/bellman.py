@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotConvergedError, ShapeMismatchError, check_array, check_count, check_ids, check_interval
+from .errors import (InvalidGammaError, NotConvergedError, ShapeMismatchError, check_array, check_count, check_ids,
+                     check_interval)
 from .mdp import TabularMDP
 
 
@@ -48,7 +49,8 @@ def empirical_bellman(q: np.ndarray, next_states: np.ndarray, rewards: np.ndarra
     its next states and rewards from row i.  Every next state must be an
     integer in [0, S), else ``ParamOutOfRangeError``; a ``q`` of fewer than
     two axes, or samples of another shape than ``q``, raises
-    ``ShapeMismatchError``, as does a table with no state or no action.
+    ``ShapeMismatchError``, as does a table with no state or no action, and
+    a ``gamma`` outside (0, 1) ``InvalidGammaError``.
     """
     q, rewards = check_array("q", q), check_array("rewards", rewards)
     if q.ndim < 2 or not all(q.shape[-2:]):
@@ -59,6 +61,7 @@ def empirical_bellman(q: np.ndarray, next_states: np.ndarray, rewards: np.ndarra
         raise ShapeMismatchError(
             f"shapes differ: q {q.shape}, next_states {next_states.shape}, rewards {rewards.shape}"
         )
+    check_interval("gamma", gamma, 0, 1, error=InvalidGammaError)
     v = state_values(q)
     # offset each table's next states into the flattened batch of state values
     index = next_states.reshape((-1,) + table) + np.arange(0, v.size, table[0]).reshape(-1, 1, 1)

@@ -73,7 +73,7 @@ class CompressorSpec:
         object.__setattr__(self, "k", check_count("budget k", self.k, low, error=BudgetOutOfRangeError))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseVector:
     """Sparse payload: (index, value) pairs over a vector of dimension d.
 
@@ -105,7 +105,7 @@ class SparseVector:
         return out
 
 
-@dataclass
+@dataclass(eq=False)
 class EfState:
     """Per-agent error-feedback memory; starts at zero."""
 
@@ -119,7 +119,7 @@ class EfState:
         return EfState(np.zeros(check_count("dimension", dimension, 1)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BatchPayload:
     """The payloads of a batch of agents, one row of an (I, d) input each.
 

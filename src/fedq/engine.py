@@ -36,6 +36,7 @@ import math
 import operator
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,15 +115,15 @@ class ExperimentConfig:
             check_budget(self.compressor.k, mdp.table_size)
 
 
-@dataclass(frozen=True)
-class RoundMetrics:
+class RoundMetrics(NamedTuple):
     """One trace row; its fields, in order, are the trace CSV columns.
 
-    ``bits_round``/``bits_cumulative`` are per-agent payload bits,
-    averaged over agents (agents differ only under random
-    sparsification).  ``payload_entries`` counts stored (index, value)
-    pairs summed over agents.  Row 0 describes the initial table before
-    any communication.
+    A named tuple, so the trace writer formats a row as it is, and each
+    field's type parses its column's cells back.  ``bits_round`` and
+    ``bits_cumulative`` are per-agent payload bits, averaged over agents
+    (agents differ only under random sparsification).  ``payload_entries``
+    counts stored (index, value) pairs summed over agents.  Row 0
+    describes the initial table before any communication.
     """
 
     round: int
@@ -133,7 +134,7 @@ class RoundMetrics:
     payload_entries: int
 
 
-@dataclass
+@dataclass(eq=False)
 class RunResult:
     """A run's trace rows, its final global table, its realized compressor constants and its wall time."""
 
@@ -272,11 +273,7 @@ def run_federated_batch(
         size = max(1, BATCH_CELLS // (n_agents * mdp.table_size))
         for start in range(0, len(indices), size):
             batch = indices[start:start + size]
-            started = time.perf_counter()
-            batch_results = _run_group([configs[i] for i in batch], mdp, q_star)
-            seconds = (time.perf_counter() - started) / len(batch)
-            for index, result in zip(batch, batch_results):
-                result.seconds = seconds
+            for index, result in zip(batch, _run_group([configs[i] for i in batch], mdp, q_star)):
                 results[index] = result
     return results
 
@@ -335,8 +332,13 @@ class _Batch:
         block if a round alone has more), so seeding memory does not grow
         with the number of rounds.  With ``skip`` > 0, one
         :func:`~fedq.rng.skip_words` call per block moves the epoch streams
-        (never the compressor's) ``skip`` draws on.
+        (never the compressor's) ``skip`` draws on.  A batch that draws no
+        stream (a w = 1 table, noiseless rewards, no sparsified_k arm)
+        derives no words: each round is None.
         """
+        if self.index is not None and not (self.noisy or self.sparsified):
+            yield from itertools.repeat(None, rounds)
+            return
         n_streams, n_rows = self.n_epochs + 1 if self.sparsified else self.n_epochs, len(self.seeds) * self.n_agents
         block = max(1, SEED_BLOCK // (n_streams * n_rows))
         for start in range(0, rounds, block):
@@ -350,7 +352,7 @@ class _Batch:
                 epochs[...] = skip_words(epochs.reshape(-1, 4), self.skip).reshape(epochs.shape)
             yield from words
 
-    def local_phases(self, q_bar: np.ndarray, words: np.ndarray) -> np.ndarray:
+    def local_phases(self, q_bar: np.ndarray, words: np.ndarray | None) -> np.ndarray:
         """One round's local phases of every agent of the R runs: shape (R·I, S, A).
 
         ``q_bar`` holds the R broadcast tables and ``words`` one round of
@@ -365,18 +367,18 @@ class _Batch:
         on the drawn table, without checking it: the gather, times gamma,
         plus the rewards.  With an ``index``, an epoch draws only the
         rewards, with :func:`~fedq.mdp.rewards_from_normals`, and with
-        noiseless rewards it builds no generator and adds the mean
-        rewards; with None, each epoch draws its next-state tables and
-        builds its own index.
+        noiseless rewards it reads no words, builds no generator and adds
+        the mean rewards; with None, each epoch draws its next-state
+        tables and builds its own index.
         """
         q = np.repeat(q_bar, len(self.rows) // len(q_bar), axis=0)
         rewards, index = self.mdp.reward_mean, self.index
-        for epoch_words in words[:self.n_epochs]:
+        for k in range(self.n_epochs):
             if self.index is None:
-                next_states, drawn = synchronous_sample_batch(self.mdp, generators(epoch_words))
+                next_states, drawn = synchronous_sample_batch(self.mdp, generators(words[k]))
                 index = _gather_index(next_states, self.rows)
             elif self.noisy:
-                drawn = rewards_from_normals(self.mdp, generators(epoch_words))
+                drawn = rewards_from_normals(self.mdp, generators(words[k]))
             if self.noisy:
                 rewards = drawn.take(self.rows, axis=0) if self.shared else drawn
             target = state_values(q).take(index)
@@ -385,7 +387,7 @@ class _Batch:
             q = _damped(q, target, self.etas)
         return q
 
-    def round(self, q_bar: np.ndarray, residual: np.ndarray | None, words: np.ndarray) -> tuple:
+    def round(self, q_bar: np.ndarray, residual: np.ndarray | None, words: np.ndarray | None) -> tuple:
         """One round from the R broadcast tables ``q_bar``, on one round of :meth:`words`.
 
         Returns the R new tables and, shape (R,) each, every run's kept
@@ -437,8 +439,10 @@ def _run_group(configs: list[ExperimentConfig], mdp: TabularMDP, q_star: np.ndar
 
     Records each run's kept entries per round in a (T, R) array, its two
     errors in (T+1, R) arrays and the minima of its realized compressor
-    constants; the bits and trace rows are built from them once the loop ends.
+    constants; the bits and trace rows are built from them once the loop
+    ends.  Each result's ``seconds`` is the call's wall time divided by R.
     """
+    started = time.perf_counter()
     batch, n_runs, n_rounds, d = _Batch(configs, mdp), len(configs), configs[0].rounds, mdp.table_size
     q_bar = np.repeat(np.array([c.q0 for c in configs], dtype=np.float64), d).reshape(n_runs, *q_star.shape)
     # error-feedback memory; only the rows of error-feedback arms are read or written
@@ -451,12 +455,11 @@ def _run_group(configs: list[ExperimentConfig], mdp: TabularMDP, q_star: np.ndar
         q_bar, entries[t], alpha, p_support = batch.round(q_bar, residual, words)
         alpha_min, p_support_min = np.fmin(alpha_min, alpha), np.fmin(p_support_min, p_support)
         rmses[t + 1], linfs[t + 1] = errors_batch(q_bar, q_star)
-    return [
-        RunResult(metrics=_trace(c, d, run_entries, e2, e_inf), q_final=q,
-                  alpha_min=_or_none(alpha), p_support_min=_or_none(p))
-        for c, run_entries, e2, e_inf, q, alpha, p in zip(
-            configs, entries.T.tolist(), rmses.T.tolist(), linfs.T.tolist(), q_bar, alpha_min, p_support_min)
-    ]
+    traces = list(map(_trace, configs, itertools.repeat(d), entries.T.tolist(), rmses.T.tolist(),
+                      linfs.T.tolist()))
+    seconds = (time.perf_counter() - started) / n_runs
+    return [RunResult(trace, q, alpha_min=_or_none(alpha), p_support_min=_or_none(p), seconds=seconds)
+            for trace, q, alpha, p in zip(traces, q_bar, alpha_min, p_support_min)]
 
 
 def _trace(config: ExperimentConfig, d: int, entries: list[int], rmses: list[float],

@@ -86,8 +86,6 @@ def parse_map(text: str) -> GridSpec:
     cols = len(lines[0])
     if any(len(line) != cols for line in lines):
         raise RaggedRowsError("map rows have unequal lengths")
-    if cols == 0:
-        raise EmptyMapError("map rows are empty")
     cells = "".join(lines)
     bad = sorted(set(cells) - {EMPTY, WALL, GOAL})
     if bad:

@@ -24,8 +24,9 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -43,19 +44,9 @@ _SWEEP_AXES = ("eta", "beta", "agents", "local_epochs", "k", "compressor", "mode
 # Manifest fields a run summary records as its "config", next to its seed.
 _SUMMARY_FIELDS = _SWEEP_AXES + ("rounds", "gamma", "noise_std", "noise_clip")
 
-# JSON values accepted for each RunManifest field annotation.  Booleans are
-# rejected separately: JSON true/false would otherwise pass as an int.
-_JSON_TYPES = {
-    "int": (int,),
-    "float": (int, float),
-    "str": (str,),
-    "str | None": (str, type(None)),
-    "dict": (dict,),
-}
-
-TRACE_HEADER = ",".join(f.name for f in fields(RoundMetrics))
-# Cell parser for each trace column, read off the RoundMetrics field annotations.
-_TRACE_PARSERS = tuple({"int": int, "float": float}[f.type] for f in fields(RoundMetrics))
+TRACE_HEADER = ",".join(RoundMetrics._fields)
+# Cell parser for each trace column: its RoundMetrics field type.
+_TRACE_PARSERS = tuple(get_type_hints(RoundMetrics).values())
 
 
 @dataclass(frozen=True)
@@ -118,7 +109,10 @@ class RunManifest:
         return RunManifest.from_mapping(data)
 
 
-_FIELD_TYPES = {f.name: _JSON_TYPES[f.type] for f in fields(RunManifest)}
+# JSON values accepted for each RunManifest field: its annotation's types, and an int for a float.
+# Booleans are rejected separately: JSON true/false would otherwise pass as an int.
+_FIELD_TYPES = {name: get_args(t) or ((int, float) if t is float else (t,))
+                for name, t in get_type_hints(RunManifest).items()}
 
 
 def _check_type(key: str, value, types: tuple[type, ...]) -> None:
@@ -206,15 +200,15 @@ def compute_qstar(map_ref: str, gamma: float, tol: float, out_dir: str | Path) -
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
-    """Write ``header``, then one line per row with each value as its ``repr``."""
+    """Write ``header``, then one line per row, a tuple, with each value as its ``repr``."""
     line = ",".join(["%r"] * (header.count(",") + 1))  # one format for every row
     lines = [header]
-    lines.extend(line % tuple(row) for row in rows)
+    lines.extend(line % row for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 
 def write_trace_csv(path: Path, metrics: list[RoundMetrics]) -> None:
-    _write_csv(path, TRACE_HEADER, (vars(m).values() for m in metrics))
+    _write_csv(path, TRACE_HEADER, metrics)
 
 
 def read_trace_csv(path: str | Path) -> list[RoundMetrics]:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import fedq
-from fedq.compression import RULE_UNIFORM, compress_batch
+from fedq.compression import RULE_UNIFORM, BatchPayload, compress_batch
 from fedq.errors import (
     BudgetOutOfRangeError,
     DimensionMismatchError,
@@ -39,6 +39,11 @@ class TestSparseVector:
         # these were truncated to 0, parsed as 3 and read as 1
         with pytest.raises(DimensionMismatchError, match="indices must be integers"):
             fedq.SparseVector(4, indices, [1.0])
+
+    @pytest.mark.parametrize("indices, values", [([0, 1], [1.0]), ([1], [1.0, 2.0]), ([[0, 1]], [[1.0, 2.0]])])
+    def test_rejects_unequal_or_multi_axis_pairs(self, indices, values):
+        with pytest.raises(DimensionMismatchError, match="1-D and equally long"):
+            fedq.SparseVector(4, indices, values)
 
     @pytest.mark.parametrize("dimension, indices, values", [
         (2.5, [0, 2], [1.0, 2.0]),
@@ -272,6 +277,10 @@ class TestSelectionProbabilities:
         with pytest.raises(ShapeMismatchError):
             fedq.selection_probabilities(np.array(3.0), 1)
 
+    def test_unknown_rule_rejected(self):
+        with pytest.raises(ParamOutOfRangeError, match="unknown probability rule 'l2'"):
+            fedq.selection_probabilities(np.ones(3), 1, rule="l2")
+
 
 class TestSparsifiedK:
     def test_zero_vector_maps_to_empty(self):
@@ -446,6 +455,22 @@ class TestSpecValidation:
     def test_missing_budget(self):
         with pytest.raises(BudgetOutOfRangeError):
             fedq.CompressorSpec("top_k", k=0)
+
+    def test_unknown_probability_rule(self):
+        with pytest.raises(ParamOutOfRangeError, match="unknown probability rule 'l2'"):
+            fedq.CompressorSpec("sparsified_k", k=2, probability_rule="l2")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: fedq.SparseVector(4, [1, 3], [2.5, -1.0]),
+    lambda: fedq.EfState([0.0, 1.0]),
+    lambda: BatchPayload(np.ones((2, 2), dtype=bool), np.ones((2, 2))),
+    lambda: fedq.RunResult([], np.zeros((2, 2))),
+], ids=["SparseVector", "EfState", "BatchPayload", "RunResult"])
+def test_array_records_compare_without_raising(make):
+    # a generated __eq__ compared the array fields, whose truth value numpy refuses to take
+    first, second = make(), make()
+    assert first == first and first != second
 
 
 @pytest.mark.parametrize("kind", ["identity", "top_k", "sparsified_k"])

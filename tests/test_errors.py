@@ -28,6 +28,8 @@ INTERVALS = {
     "ExperimentConfig eta": lambda mdp, value: config(eta=value),
     "value_iteration tol": lambda mdp, value: fedq.value_iteration(mdp, tol=value),
     "NoiseSpec std": lambda mdp, value: fedq.NoiseSpec(std=value),
+    "empirical_bellman gamma": lambda mdp, value: fedq.empirical_bellman(
+        np.zeros((25, 4)), np.zeros((25, 4), dtype=int), np.zeros((25, 4)), value),
 }
 
 
@@ -44,7 +46,8 @@ def test_interval_rule_rejects_bools_and_arrays(boundary, value, map5x5_mdp):
     lambda gamma: dense_mdp(np.ones((1, 1, 1)), np.array([[0.0]]), gamma=gamma),
     lambda gamma: config(gamma=gamma),
     lambda gamma: bound_params(gamma=gamma),
-], ids=["TabularMDP", "ExperimentConfig", "BoundParams"])
+    lambda gamma: fedq.empirical_bellman(np.zeros((1, 1)), np.zeros((1, 1), dtype=int), np.zeros((1, 1)), gamma),
+], ids=["TabularMDP", "ExperimentConfig", "BoundParams", "empirical_bellman"])
 @pytest.mark.parametrize("gamma", [0.0, 1.0, -0.3, 1.7, math.nan])
 def test_gamma_rule_raises_one_error(build, gamma):
     with pytest.raises(InvalidGammaError, match="gamma"):

@@ -11,7 +11,7 @@ import pytest
 
 import fedq
 from fedq.cli import main as cli_main
-from fedq.errors import FileFormatError, MapFormatError, ParamOutOfRangeError
+from fedq.errors import FileFormatError, MapFormatError, NotConvergedError, ParamOutOfRangeError
 from fedq.harness import RunManifest, expand_grid, grid_slug, read_trace_csv, run_experiment
 from tests.conftest import read_qtable_csv
 
@@ -211,6 +211,26 @@ class TestRunExperiment:
         trace = next(p for p in written if p.suffix == ".csv" and "_agg" not in p.name)
         overlay = trace.with_name(trace.stem + "_overlay.csv")
         assert [line.split(",")[2] for line in overlay.read_text().splitlines()[1:]] == ["nan"] * manifest.rounds
+
+    def test_overlay_nan_when_sparsified_k_realizes_no_probability(self, tmp_path):
+        # a lone goal state pays 0 and q0 = 0 is its fixed point: every upload is zero, so
+        # sparsified_k selects nothing and the run has no p_min to draw a bound from
+        map_file = tmp_path / "goal.txt"
+        map_file.write_text("G\n")
+        manifest = small_manifest(tmp_path, n_seeds=1, map=str(map_file), noise_std=0.0, compressor="sparsified_k",
+                                  k=2)
+        trace = run_experiment(manifest)[0]
+        overlay = trace.with_name(trace.stem + "_overlay.csv")
+        assert [line.split(",")[2] for line in overlay.read_text().splitlines()[1:]] == ["nan"] * manifest.rounds
+
+    def test_failed_write_removes_the_runs_files(self, tmp_path, monkeypatch):
+        def fail(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(fedq.harness, "write_overlay_csv", fail)
+        with pytest.raises(OSError, match="disk full"):
+            run_experiment(small_manifest(tmp_path, n_seeds=1))
+        assert list((tmp_path / "out").iterdir()) == []  # the trace, written first, is gone too
 
     @pytest.mark.parametrize("q0", [0.0, 1.5, -2.25])
     def test_overlay_bound_uses_initial_gap(self, tmp_path, q0):
@@ -497,6 +517,22 @@ class TestCli:
         assert cli_main(["run", str(path)]) == 0
         printed = capsys.readouterr().out.strip().splitlines()
         assert printed and all((tmp_path / "out") in __import__("pathlib").Path(p).parents for p in printed)
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_output_dir_option_overrides_the_manifest(self, tmp_path, capsys, command):
+        path = self._write_manifest(tmp_path)
+        assert cli_main([command, str(path), "--output-dir", str(tmp_path / "other")]) == 0
+        printed = capsys.readouterr().out.split()
+        assert printed and all(Path(p).parent == tmp_path / "other" for p in printed)
+        assert not (tmp_path / "out").exists()
+
+    def test_runtime_error_exits_1(self, tmp_path, monkeypatch, capsys):
+        def broken(manifest):
+            raise NotConvergedError("value iteration did not converge")
+
+        monkeypatch.setattr(fedq.cli, "run_experiment", broken)
+        assert cli_main(["run", str(self._write_manifest(tmp_path))]) == 1
+        assert capsys.readouterr().err == "fedq: value iteration did not converge\n"
 
     def test_run_refuses_sweeps(self, tmp_path):
         path = self._write_manifest(tmp_path, sweep={"eta": [0.1, 0.2]})
