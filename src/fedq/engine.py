@@ -332,13 +332,8 @@ class _Batch:
         block if a round alone has more), so seeding memory does not grow
         with the number of rounds.  With ``skip`` > 0, one
         :func:`~fedq.rng.skip_words` call per block moves the epoch streams
-        (never the compressor's) ``skip`` draws on.  A batch that draws no
-        stream (a w = 1 table, noiseless rewards, no sparsified_k arm)
-        derives no words: each round is None.
+        (never the compressor's) ``skip`` draws on.
         """
-        if self.index is not None and not (self.noisy or self.sparsified):
-            yield from itertools.repeat(None, rounds)
-            return
         n_streams, n_rows = self.n_epochs + 1 if self.sparsified else self.n_epochs, len(self.seeds) * self.n_agents
         block = max(1, SEED_BLOCK // (n_streams * n_rows))
         for start in range(0, rounds, block):
@@ -352,7 +347,7 @@ class _Batch:
                 epochs[...] = skip_words(epochs.reshape(-1, 4), self.skip).reshape(epochs.shape)
             yield from words
 
-    def local_phases(self, q_bar: np.ndarray, words: np.ndarray | None) -> np.ndarray:
+    def local_phases(self, q_bar: np.ndarray, words: np.ndarray) -> np.ndarray:
         """One round's local phases of every agent of the R runs: shape (R·I, S, A).
 
         ``q_bar`` holds the R broadcast tables and ``words`` one round of
@@ -367,18 +362,18 @@ class _Batch:
         on the drawn table, without checking it: the gather, times gamma,
         plus the rewards.  With an ``index``, an epoch draws only the
         rewards, with :func:`~fedq.mdp.rewards_from_normals`, and with
-        noiseless rewards it reads no words, builds no generator and adds
-        the mean rewards; with None, each epoch draws its next-state
-        tables and builds its own index.
+        noiseless rewards it builds no generator and adds the mean
+        rewards; with None, each epoch draws its next-state tables and
+        builds its own index.
         """
         q = np.repeat(q_bar, len(self.rows) // len(q_bar), axis=0)
         rewards, index = self.mdp.reward_mean, self.index
-        for k in range(self.n_epochs):
+        for epoch_words in words[:self.n_epochs]:
             if self.index is None:
-                next_states, drawn = synchronous_sample_batch(self.mdp, generators(words[k]))
+                next_states, drawn = synchronous_sample_batch(self.mdp, generators(epoch_words))
                 index = _gather_index(next_states, self.rows)
             elif self.noisy:
-                drawn = rewards_from_normals(self.mdp, generators(words[k]))
+                drawn = rewards_from_normals(self.mdp, generators(epoch_words))
             if self.noisy:
                 rewards = drawn.take(self.rows, axis=0) if self.shared else drawn
             target = state_values(q).take(index)
@@ -387,7 +382,7 @@ class _Batch:
             q = _damped(q, target, self.etas)
         return q
 
-    def round(self, q_bar: np.ndarray, residual: np.ndarray | None, words: np.ndarray | None) -> tuple:
+    def round(self, q_bar: np.ndarray, residual: np.ndarray | None, words: np.ndarray) -> tuple:
         """One round from the R broadcast tables ``q_bar``, on one round of :meth:`words`.
 
         Returns the R new tables and, shape (R,) each, every run's kept

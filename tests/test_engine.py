@@ -800,27 +800,6 @@ class TestRunFederatedBatch:
             assert [(m.rmse, m.linf_error, m.bits_round, m.bits_cumulative, m.payload_entries)
                     for m in batched.metrics] == rows
 
-    @pytest.mark.parametrize("table, kind, draws", [
-        ("noiseless", "top_k", False), ("noiseless", "identity", False), ("noisy", "top_k", True),
-        ("noiseless", "sparsified_l1", True), ("padded", "top_k", True),
-    ])
-    def test_seed_words_only_for_a_batch_that_draws(self, table, kind, draws, map5x5_mdp, map5x5_noisy,
-                                                    map5x5_qstar, monkeypatch):
-        # a noiseless w = 1 table under a compressor that draws nothing reads no stream, so it
-        # derives no seed words; reward noise, a sparsified_k arm or w > 1 each draw
-        mdp = {"noiseless": map5x5_mdp, "noisy": map5x5_noisy, "padded": padded_twin(map5x5_mdp)}[table]
-        calls = []
-        derive = fedq.engine.seed_words
-
-        def spy(seed, paths):
-            calls.append(len(paths))
-            return derive(seed, paths)
-
-        monkeypatch.setattr(fedq.engine, "seed_words", spy)
-        configs = [make_config(rounds=4, compressor=COMPRESSORS[kind], master_seed=seed) for seed in (0, 1)]
-        fedq.run_federated_batch(configs, mdp, map5x5_qstar)
-        assert bool(calls) == draws
-
     def test_q_star_as_a_nested_list(self, map5x5_noisy, map5x5_qstar):
         cfg = make_config(rounds=3, compressor=COMPRESSORS["top_k"])
         [from_list] = fedq.run_federated_batch([cfg], map5x5_noisy, map5x5_qstar.tolist())
