@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 from .errors import FedqError, MapFormatError, ParamOutOfRangeError
@@ -42,7 +43,9 @@ def _cmd_qstar(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one in the process."""
     parser = argparse.ArgumentParser(prog="fedq", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -18,8 +18,9 @@ row), and its :meth:`_Batch.round` steps all R·I rows through one round:
 K local epochs of one Bellman update over the batch each, one
 compression per arm, the error-feedback residual and one server step.
 :func:`_run_group` loops over the rounds and records only each run's
-kept entries, errors and realized compressor constants; the bits and
-trace rows are built per run once the rounds are done.
+kept entries and realized compressor constants, and scores its tables a
+block of rounds at a time; the bits and trace columns are built per run
+once the rounds are done.
 :func:`run_federated` is the batch of one.
 
 Everything is deterministic given the master seed: sampling streams are
@@ -62,6 +63,7 @@ DEFAULT_MODE = {IDENTITY: DIRECT, SPARSIFIED_K: DIRECT, TOP_K: ERROR_FEEDBACK}
 
 SEED_BLOCK = 2**16  # most stream paths derived in one seed_words call
 BATCH_CELLS = 2**20  # most entries (R·I rows times d) of one batch's (R·I, d) arrays
+_SCORE_CELLS = 2**13  # most entries (trace rows times R times d) scored in one errors_batch call
 # the loop's shape: the configs that agree on it share a batch, wherever they stand in the list
 _SHARED = operator.attrgetter("n_agents", "local_epochs", "rounds")
 
@@ -118,8 +120,8 @@ class ExperimentConfig:
 class RoundMetrics(NamedTuple):
     """One trace row; its fields, in order, are the trace CSV columns.
 
-    A named tuple, so the trace writer formats a row as it is, and each
-    field's type parses its column's cells back.  ``bits_round`` and
+    A run keeps its trace as these columns (:attr:`RunResult.columns`), and
+    each field's type parses its column's cells back.  ``bits_round`` and
     ``bits_cumulative`` are per-agent payload bits, averaged over agents
     (agents differ only under random sparsification).  ``payload_entries``
     counts stored (index, value) pairs summed over agents.  Row 0
@@ -136,13 +138,24 @@ class RoundMetrics(NamedTuple):
 
 @dataclass(eq=False)
 class RunResult:
-    """A run's trace rows, its final global table, its realized compressor constants and its wall time."""
+    """A run's trace, its final global table, its realized compressor constants and its wall time.
 
-    metrics: list[RoundMetrics]
+    ``columns`` holds the trace as its six columns, in :class:`RoundMetrics`
+    field order, each with one value per trace row; the harness formats
+    each column once.  ``metrics`` is a read-only view that builds the
+    :class:`RoundMetrics` rows from the columns on each access.
+    """
+
+    columns: tuple
     q_final: np.ndarray
     alpha_min: float | None = None  # smallest realized top_k contraction factor
     p_support_min: float | None = None  # smallest realized selection probability
     seconds: float = 0.0  # wall time of the batch that computed the run, divided by its number of runs
+
+    @property
+    def metrics(self) -> list[RoundMetrics]:
+        """The trace rows, built from ``columns``."""
+        return list(map(RoundMetrics, *self.columns))
 
 
 def _damped(q: np.ndarray, target: np.ndarray, etas: list[tuple[float, slice]]) -> np.ndarray:
@@ -432,34 +445,46 @@ class _Batch:
 def _run_group(configs: list[ExperimentConfig], mdp: TabularMDP, q_star: np.ndarray) -> list[RunResult]:
     """The federated loop of one run per config, the rounds of one :class:`_Batch`.
 
-    Records each run's kept entries per round in a (T, R) array, its two
-    errors in (T+1, R) arrays and the minima of its realized compressor
-    constants; the bits and trace rows are built from them once the loop
-    ends.  Each result's ``seconds`` is the call's wall time divided by R.
+    Records each run's kept entries and realized compressor constants per
+    round in (T, R) arrays, and its two errors in (T+1, R) arrays; the
+    bits and trace columns are built from them once the loop ends.  The
+    tables of a block of trace rows, at most ``_SCORE_CELLS`` entries over
+    all R runs (one row if a row alone has more), are scored in one
+    :func:`~fedq.bellman.errors_batch` call, which gives each table the
+    bits of scoring it alone, and each constant's minimum over the rounds
+    is one ``np.fmin.reduce``.  Each result's ``seconds`` is the call's
+    wall time divided by R.
     """
     started = time.perf_counter()
     batch, n_runs, n_rounds, d = _Batch(configs, mdp), len(configs), configs[0].rounds, mdp.table_size
     q_bar = np.repeat(np.array([c.q0 for c in configs], dtype=np.float64), d).reshape(n_runs, *q_star.shape)
     # error-feedback memory; only the rows of error-feedback arms are read or written
     residual = np.zeros((len(batch.rows), d)) if any(arm[2] == ERROR_FEEDBACK for arm in batch.arms) else None
-    alpha_min, p_support_min = np.full(n_runs, np.nan), np.full(n_runs, np.nan)
-    entries = np.zeros((n_rounds, n_runs), dtype=np.int64)
+    entries = np.empty((n_rounds, n_runs), dtype=np.int64)
+    alphas, p_supports = np.empty((n_rounds, n_runs)), np.empty((n_rounds, n_runs))
     rmses, linfs = np.empty((n_rounds + 1, n_runs)), np.empty((n_rounds + 1, n_runs))
-    rmses[0], linfs[0] = errors_batch(q_bar, q_star)
-    for t, words in enumerate(batch.words(n_rounds)):
-        q_bar, entries[t], alpha, p_support = batch.round(q_bar, residual, words)
-        alpha_min, p_support_min = np.fmin(alpha_min, alpha), np.fmin(p_support_min, p_support)
-        rmses[t + 1], linfs[t + 1] = errors_batch(q_bar, q_star)
+    block = max(1, _SCORE_CELLS // (n_runs * d))  # trace rows per errors_batch call
+    tables = np.empty((min(block, n_rounds + 1), n_runs, *q_star.shape))
+    tables[0] = q_bar
+    words = batch.words(n_rounds)
+    for start in range(0, n_rounds + 1, block):
+        stop = min(start + block, n_rounds + 1)
+        for t in range(max(start, 1), stop):  # trace row t is the table after round t
+            q_bar, entries[t - 1], alphas[t - 1], p_supports[t - 1] = batch.round(q_bar, residual, next(words))
+            tables[t - start] = q_bar
+        scored = errors_batch(tables[:stop - start].reshape(-1, *q_star.shape), q_star)
+        rmses[start:stop], linfs[start:stop] = (e.reshape(-1, n_runs) for e in scored)
     traces = list(map(_trace, configs, itertools.repeat(d), entries.T.tolist(), rmses.T.tolist(),
                       linfs.T.tolist()))
     seconds = (time.perf_counter() - started) / n_runs
     return [RunResult(trace, q, alpha_min=_or_none(alpha), p_support_min=_or_none(p), seconds=seconds)
-            for trace, q, alpha, p in zip(traces, q_bar, alpha_min, p_support_min)]
+            for trace, q, alpha, p in zip(traces, q_bar, np.fmin.reduce(alphas, axis=0),
+                                          np.fmin.reduce(p_supports, axis=0))]
 
 
 def _trace(config: ExperimentConfig, d: int, entries: list[int], rmses: list[float],
-           linfs: list[float]) -> list[RoundMetrics]:
-    """A run's trace rows from its kept entries per round and its errors per trace row.
+           linfs: list[float]) -> tuple:
+    """A run's trace columns from its kept entries per round and its errors per trace row.
 
     Each round's uploads are priced as one total: the exact integer
     :func:`~fedq.bounds.payload_bits` of the round's I uploads, turned to
@@ -472,8 +497,7 @@ def _trace(config: ExperimentConfig, d: int, entries: list[int], rmses: list[flo
     price = {n: float(payload_bits(config.compressor.kind, d, n, config.fpp, n_agents)) / n_agents
              for n in set(entries)}
     bits = [0.0] + [price[n] for n in entries]
-    return list(map(RoundMetrics, range(len(rmses)), rmses, linfs, bits, itertools.accumulate(bits),
-                    [0] + entries))
+    return range(len(rmses)), rmses, linfs, bits, list(itertools.accumulate(bits)), [0] + entries
 
 
 def _or_none(value: np.floating) -> float | None:

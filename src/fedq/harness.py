@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -190,8 +189,9 @@ def compute_qstar(map_ref: str, gamma: float, tol: float, out_dir: str | Path) -
     name = _map_name(map_ref)
     q_path = out_dir / f"{name}_qstar.csv"
     p_path = out_dir / f"{name}_policy.csv"
-    _write_csv(q_path, "state,action,q", ((s, a, float(v)) for (s, a), v in np.ndenumerate(q_star)))
-    _write_csv(p_path, "state,action", enumerate(greedy_policy(q_star).tolist()))
+    states, actions = np.indices(q_star.shape).reshape(2, -1).tolist()
+    _write_csv(q_path, "state,action,q", _cells((states, actions, q_star.ravel().tolist())))
+    _write_csv(p_path, "state,action", _cells((range(len(q_star)), greedy_policy(q_star).tolist())))
     return q_path, p_path
 
 
@@ -199,16 +199,18 @@ def compute_qstar(map_ref: str, gamma: float, tol: float, out_dir: str | Path) -
 # CSV emission
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    """Write ``header``, then one line per row, a tuple, with each value as its ``repr``."""
-    line = ",".join(["%r"] * (header.count(",") + 1))  # one format for every row
-    lines = [header]
-    lines.extend(line % row for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+def _cells(columns) -> list[list[str]]:
+    """Each column's values as their ``repr``s: a CSV's cells, formatted once per value."""
+    return [list(map(repr, column)) for column in columns]
+
+
+def _write_csv(path: Path, header: str, cells: list[list[str]]) -> None:
+    """Write ``header``, then line i joining cell i of each column of ``cells``, as :func:`_cells` makes them."""
+    path.write_text("\n".join([header, *map(",".join, zip(*cells))]) + "\n")
 
 
 def write_trace_csv(path: Path, metrics: list[RoundMetrics]) -> None:
-    _write_csv(path, TRACE_HEADER, metrics)
+    _write_csv(path, TRACE_HEADER, _cells(zip(*metrics)))
 
 
 def read_trace_csv(path: str | Path) -> list[RoundMetrics]:
@@ -268,33 +270,31 @@ def _overlay_bound(
         delta=delta,
         n_states=mdp.n_states,
         n_actions=mdp.n_actions,
-        q0_gap=result.metrics[0].linf_error,
+        q0_gap=result.columns[2][0],
         **constants,
     )
     curve = direct_bound_curve if config.mode == DIRECT else error_feedback_bound_curve
     return curve(params)
 
 
-def write_overlay_csv(
-    path: Path,
-    config: ExperimentConfig,
-    delta: float,
-    mdp: TabularMDP,
-    result: RunResult,
-) -> None:
-    """Per round t, the empirical sup-norm error and the run's bound curve at t (NaN if none applies)."""
-    bounds = _overlay_bound(config, delta, mdp, result) or itertools.repeat(math.nan)
-    rows = ((m.round, m.linf_error, bound) for m, bound in zip(result.metrics[1:], bounds))
-    _write_csv(path, "round,empirical_linf,theory_bound", rows)
+def write_overlay_csv(path: Path, cells: list[list[str]], bounds: list[float] | None) -> None:
+    """Per round t, the trace ``cells``' round and sup-norm error, and the bound at t (NaN if ``bounds`` is None)."""
+    bound_cells = list(map(repr, bounds)) if bounds else ["nan"] * (len(cells[0]) - 1)
+    _write_csv(path, "round,empirical_linf,theory_bound", [cells[0][1:], cells[2][1:], bound_cells])
 
 
-def write_agg_csv(path: Path, traces: list[list[RoundMetrics]]) -> None:
-    """Across-seed band: per-round mean/min/max RMSE and mean bits."""
-    band = []
-    for rows in zip(*traces):
-        rmses = [r.rmse for r in rows]
-        bits = [r.bits_cumulative for r in rows]
-        band.append((rows[0].round, sum(rmses) / len(rmses), min(rmses), max(rmses), sum(bits) / len(bits)))
+def write_agg_csv(path: Path, results: list[RunResult], cells: list[list[list[str]]]) -> None:
+    """Across-seed band: per round, the seeds' mean, min and max RMSE and their mean cumulative bits.
+
+    A mean is Python's left-to-right ``sum`` / n.  The min and max are the ``cells`` (each seed's
+    trace as :func:`_cells` formats it) of the seeds that Python's ``min`` and ``max`` pick.
+    """
+    seeds = range(len(results))
+    rmses = list(zip(*(result.columns[1] for result in results)))
+    low, high = ([pick(seeds, key=row.__getitem__) for row in rmses] for pick in (min, max))
+    band = [cells[0][0], [repr(sum(row) / len(row)) for row in rmses],
+            [cells[s][1][t] for t, s in enumerate(low)], [cells[s][1][t] for t, s in enumerate(high)],
+            [repr(sum(row) / len(row)) for row in zip(*(result.columns[4] for result in results))]]
     _write_csv(path, "round,rmse_mean,rmse_min,rmse_max,bits_cumulative_mean", band)
 
 
@@ -314,23 +314,18 @@ def _config_for(point: RunManifest, seed: int) -> ExperimentConfig:
     )
 
 
-def _write_run(
-    point: RunManifest,
-    config: ExperimentConfig,
-    result: RunResult,
-    mdp: TabularMDP,
-    out_dir: Path,
-) -> Path:
-    """Write one run's trace, overlay and summary; on failure remove whichever of them exist."""
+def _write_run(point: RunManifest, config: ExperimentConfig, result: RunResult, cells: list[list[str]],
+               mdp: TabularMDP, out_dir: Path) -> Path:
+    """Write one run's trace (its ``cells``), overlay and summary; on failure remove whichever of them exist."""
     seed = config.master_seed
     slug = grid_slug(point, seed)
     trace_path = out_dir / f"{slug}.csv"
     summary_path = out_dir / f"{slug}_summary.json"
     overlay_path = out_dir / f"{slug}_overlay.csv"
     try:
-        write_trace_csv(trace_path, result.metrics)
-        write_overlay_csv(overlay_path, config, point.delta, mdp, result)
-        last = result.metrics[-1]
+        _write_csv(trace_path, TRACE_HEADER, cells)
+        write_overlay_csv(overlay_path, cells, _overlay_bound(config, point.delta, mdp, result))
+        _, rmses, linfs, _, bits, entries = result.columns
         summary = {
             "slug": slug,
             "map": point.map,
@@ -338,10 +333,10 @@ def _write_run(
                 **{name: getattr(point, name) for name in _SUMMARY_FIELDS},
                 "master_seed": seed,
             },
-            "final_rmse": last.rmse,
-            "final_linf_error": last.linf_error,
-            "total_bits_per_agent": last.bits_cumulative,
-            "payload_entries_total": sum(m.payload_entries for m in result.metrics),
+            "final_rmse": rmses[-1],
+            "final_linf_error": linfs[-1],
+            "total_bits_per_agent": bits[-1],
+            "payload_entries_total": sum(entries),
             "runtime_seconds": result.seconds,
         }
         summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
@@ -378,11 +373,12 @@ def run_experiment(manifest: RunManifest) -> list[Path]:
     traces, aggs = [], []
     for j, point in enumerate(points):
         runs = slice(j * n_seeds, (j + 1) * n_seeds)
-        traces.extend(_write_run(point, config, result, mdp, out_dir)
-                      for config, result in zip(configs[runs], results[runs]))
+        cells = [_cells(result.columns) for result in results[runs]]
+        traces.extend(_write_run(point, config, result, run_cells, mdp, out_dir)
+                      for config, result, run_cells in zip(configs[runs], results[runs], cells))
         if n_seeds > 1:
             base = grid_slug(point, manifest.master_seed).rsplit("_seed", 1)[0]
             agg_path = out_dir / f"{base}_agg.csv"
-            write_agg_csv(agg_path, [result.metrics for result in results[runs]])
+            write_agg_csv(agg_path, results[runs], cells)
             aggs.append(agg_path)
     return traces + aggs

@@ -156,7 +156,7 @@ class TestEmpiricalBellman:
         next_states = np.zeros((2, 3, 2), dtype=type(state))
         next_states[0, 0, 0] = state
         with pytest.raises(ParamOutOfRangeError, match=rf"next states must be integers in \[0, 3\), got {got}"):
-            fedq.empirical_bellman(q, next_states, np.zeros((2, 3, 2)), 1.0)
+            fedq.empirical_bellman(q, next_states, np.zeros((2, 3, 2)), 0.8)
 
 
 class TestValueIteration:

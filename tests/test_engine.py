@@ -623,6 +623,36 @@ class TestRunFederatedBatch:
         for cfg, batched in zip(configs, results):
             assert_same_run(batched, fedq.run_federated(cfg, map5x5_noisy, map5x5_qstar))
 
+    @pytest.mark.parametrize("rows_per_call, calls", [(1, [1] * 8), (3, [3, 3, 2])])
+    def test_block_scoring_gives_the_bits_of_one_block(self, map5x5_noisy, map5x5_qstar, monkeypatch, tmp_path,
+                                                        rows_per_call, calls):
+        # 3 runs x d = 100 entries per trace row and 8 trace rows: scored one row per errors_batch call
+        # (each round alone) or in blocks of 3, 3 and 2 rows, the same bits as all 8 rows in one call;
+        # the identity run realizes no compressor constant, so both its minima stay None
+        configs = [make_config(rounds=7, compressor=fedq.CompressorSpec(kind, k=5), master_seed=seed)
+                   for seed, kind in enumerate(["identity", "top_k", "sparsified_k"])]
+        scored = []
+        errors_batch = fedq.engine.errors_batch
+
+        def spy(q, q_ref):
+            scored.append(len(q) // len(configs))
+            return errors_batch(q, q_ref)
+
+        monkeypatch.setattr(fedq.engine, "errors_batch", spy)
+        monkeypatch.setattr(fedq.engine, "_SCORE_CELLS", 8 * len(configs) * 100)
+        whole = fedq.run_federated_batch(configs, map5x5_noisy, map5x5_qstar)
+        monkeypatch.setattr(fedq.engine, "_SCORE_CELLS", rows_per_call * len(configs) * 100)
+        blocks = fedq.run_federated_batch(configs, map5x5_noisy, map5x5_qstar)
+        assert scored == [8] + calls
+        assert whole[0].alpha_min is None and whole[0].p_support_min is None
+        assert whole[1].alpha_min is not None and whole[2].p_support_min is not None
+        for one, split in zip(whole, blocks):
+            fedq.harness.write_trace_csv(tmp_path / "one.csv", one.metrics)
+            fedq.harness.write_trace_csv(tmp_path / "split.csv", split.metrics)
+            assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "split.csv").read_bytes()
+            assert one.q_final.tobytes() == split.q_final.tobytes()
+            assert (one.alpha_min, one.p_support_min) == (split.alpha_min, split.p_support_min)
+
     def test_seed_blocks_count_every_row(self, map5x5_noisy, map5x5_qstar, monkeypatch):
         # 3 seeds x 2 agents x 2 streams = 12 paths a round: 8 rounds per block of at most
         # 100 paths, one seed_words call per seed and block

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import re
 from pathlib import Path
 from types import SimpleNamespace
@@ -186,6 +187,33 @@ class TestRunExperiment:
         for line in agg.read_text().splitlines()[1:]:
             _, mean, lo, hi, _ = line.split(",")
             assert float(lo) <= float(mean) <= float(hi)
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+    def test_agg_band_is_pythons_sum_min_and_max(self, tmp_path, order):
+        # per trace row, the RMSEs of 3 seeds: a sum that math.fsum rounds otherwise, a NaN that
+        # Python's min and max keep only when it comes first, signed zeros that they pick by order,
+        # and infinities whose sum is NaN (math.fsum raises); np.min and np.max differ on these too
+        rmses = [[1e16, 1.0, -1e16], [math.nan, 1.0, 2.0], [-0.0, 0.0, 0.0], [math.inf, -math.inf, 1.0],
+                 [0.1, 0.2, 0.3]]
+        bits = [[0.0] * 3, [0.1, 0.2, 0.3], [1e16, 1.0, -1e16], [1.5, 2.5, 3.5], [7.0, 8.0, 9.0]]
+        rmses, bits = ([row[::order] for row in rows] for rows in (rmses, bits))
+        seeds = [(range(5), list(r), [0.0] * 5, [0.0] * 5, list(b), [0] * 5) for r, b in zip(zip(*rmses), zip(*bits))]
+        fedq.harness.write_agg_csv(tmp_path / "agg.csv", [fedq.RunResult(c, np.zeros((1, 1))) for c in seeds],
+                                   [fedq.harness._cells(c) for c in seeds])
+        expected = [",".join(map(repr, (t, sum(r) / 3, min(r), max(r), sum(b) / 3)))
+                    for t, (r, b) in enumerate(zip(rmses, bits))]
+        lines = (tmp_path / "agg.csv").read_text().splitlines()
+        assert lines == ["round,rmse_mean,rmse_min,rmse_max,bits_cumulative_mean"] + expected
+        assert lines[2].split(",")[2:4] == (["nan", "nan"] if order == 1 else ["1.0", "2.0"])
+
+    def test_sweep_never_builds_trace_rows(self, tmp_path, monkeypatch):
+        # the harness writes every file from the runs' columns; RunResult.metrics is a view for callers
+        def built(result):
+            raise AssertionError("run_experiment built a run's RoundMetrics rows")
+
+        monkeypatch.setattr(fedq.RunResult, "metrics", property(built))
+        written = run_experiment(small_manifest(tmp_path, n_seeds=2, sweep={"compressor": ["top_k", "sparsified_k"]}))
+        assert len(written) == 6
 
     @pytest.mark.parametrize("compressor, k, mode", [
         ("identity", 0, "direct"), ("identity", 0, "error_feedback"), ("top_k", 5, "error_feedback"),
@@ -525,6 +553,18 @@ class TestCli:
         printed = capsys.readouterr().out.split()
         assert printed and all(Path(p).parent == tmp_path / "other" for p in printed)
         assert not (tmp_path / "out").exists()
+
+    def test_shared_parser_keeps_no_option_between_calls(self, tmp_path, capsys):
+        # one parser serves every call in the process: the first call's --output-dir must not
+        # reach the second, which writes to its manifest's own output_dir
+        sweep = self._write_manifest(tmp_path, sweep={"eta": [0.1, 0.2]})
+        assert cli_main(["sweep", str(sweep), "--output-dir", str(tmp_path / "other")]) == 0
+        single = tmp_path / "single.json"
+        single.write_text(json.dumps({"map": "map5x5", "rounds": 3, "output_dir": str(tmp_path / "own")}))
+        assert cli_main(["run", str(single)]) == 0
+        printed = capsys.readouterr().out.split()
+        assert [Path(p).parent.name for p in printed] == ["other", "other", "own"]
+        assert fedq.cli.build_parser() is fedq.cli.build_parser()
 
     def test_runtime_error_exits_1(self, tmp_path, monkeypatch, capsys):
         def broken(manifest):
