@@ -8,8 +8,11 @@ Layout:
 * :mod:`fedq.compression` -- top-k and random sparsification, error feedback
 * :mod:`fedq.engine` -- the federated training loop and its metrics trace
 * :mod:`fedq.bounds` -- convergence-bound evaluators and payload bit accounting
-* :mod:`fedq.harness` / :mod:`fedq.cli` -- manifests, sweeps, CSV/JSON emission
+* :mod:`fedq.harness` / :mod:`fedq.cli` -- manifests, sweeps, CSV/JSON emission;
+  the harness loads on first use, so ``import fedq`` loads no harness, CLI or ``json``
 """
+import importlib
+
 from .bellman import (
     empirical_bellman,
     exact_bellman,
@@ -42,11 +45,19 @@ from .engine import (
     run_federated_batch,
 )
 from .grids import BUNDLED_MAPS, GridSpec, build_gridworld, load_map, map_path, parse_map
-from .harness import RunManifest, compute_qstar, run_experiment
 from .mdp import NoiseSpec, TabularMDP, synchronous_sample
 from .rng import RngStream
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # import_module, not `from . import harness`: that form's hasattr(fedq, "harness") re-enters this hook
+    if name in {"harness", "RunManifest", "compute_qstar", "run_experiment"}:
+        harness = importlib.import_module(".harness", __name__)
+        return harness if name == "harness" else getattr(harness, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BUNDLED_MAPS",

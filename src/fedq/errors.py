@@ -82,11 +82,16 @@ class BudgetOutOfRangeError(ParamOutOfRangeError):
 
 def check_count(name: str, value, low: int = 0, high: float = math.inf,
                 error: type[ParamOutOfRangeError] = ParamOutOfRangeError) -> int:
-    """``value`` as a Python int in [low, high); numpy integers pass, bools and non-integers raise ``error``."""
+    """``value`` as a Python int in [low, high); numpy integers and 0-d integer arrays pass, bools and
+    non-integers (any other array among them) raise ``error``."""
     if type(value) is not int:  # the common case skips the conversion
-        if isinstance(value, bool) or not hasattr(value, "__index__"):
+        try:
+            index = None if isinstance(value, bool) else operator.index(value)
+        except TypeError:  # no __index__, or an array that is not one integer
+            index = None
+        if index is None:
             raise error(f"{name} must be an integer, got {value!r}")
-        value = operator.index(value)
+        value = index
     if not low <= value < high:
         raise error(f"{name} must lie in [{low}, {high}), got {value}")
     return value
@@ -181,10 +186,13 @@ def read_text(path: str | Path, what: str, error: type[FedqError]) -> str:
     """UTF-8 text of the ``what`` file at ``path``.
 
     A file that is missing or otherwise unreadable (a directory, no
-    permission), or whose bytes are not UTF-8, raises ``error`` naming the path.
+    permission), or whose bytes are not UTF-8, raises ``error`` naming the path,
+    as does a path that is neither a ``str`` nor an ``os.PathLike``.
     """
     try:
         return Path(path).read_text(encoding="utf-8")
+    except TypeError:  # only Path() raises it, on a path of another type
+        raise error(f"{what} path must be a str or os.PathLike, got {path!r}") from None
     except OSError as exc:
         raise error(f"cannot read {what} {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:

@@ -137,7 +137,7 @@ def build_gridworld(grid: GridSpec, noise: NoiseSpec = NoiseSpec(), gamma: float
 
 def map_path(name: str) -> Path:
     """Filesystem path of a bundled map."""
-    if name not in BUNDLED_MAPS:
+    if not isinstance(name, str) or name not in BUNDLED_MAPS:
         raise KeyError(f"unknown bundled map {name!r}; choose from {BUNDLED_MAPS}")
     with resources.as_file(resources.files("fedq").joinpath(f"maps/{name}.txt")) as p:
         return Path(p)

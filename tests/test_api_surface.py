@@ -3,7 +3,10 @@ import ast
 import dataclasses
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import fedq
@@ -16,6 +19,29 @@ README = ROOT / "README.md"
 def test_every_exported_name_resolves():
     missing = [name for name in fedq.__all__ if not hasattr(fedq, name)]
     assert missing == []
+
+
+LAZY_HARNESS = """
+import sys, fedq
+print(sorted(name for name in ("fedq.harness", "fedq.cli", "json") if name in sys.modules))
+print(fedq.harness.write_trace_csv.__name__)
+from fedq import RunManifest
+print(RunManifest is fedq.harness.RunManifest, fedq.run_experiment is fedq.harness.run_experiment)
+try:
+    fedq.no_such_name
+except AttributeError as exc:
+    print(type(exc).__name__)
+"""
+
+
+def test_import_loads_the_harness_on_first_use():
+    # a run needs no manifest, CSV or JSON code, so `import fedq` leaves it for the first harness name read
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", LAZY_HARNESS], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "write_trace_csv", "True True", "AttributeError"]
 
 
 def test_readme_quick_start_runs():

@@ -178,3 +178,28 @@ def test_check_ids_passes_int64_uncopied():
 def test_check_budget_passes_per_row_budgets_as_they_are(k):
     assert check_budget(k, 4, 3) is k
     assert check_budget(3, 4, 3) == 3  # with rows, one int still names every row's budget
+
+
+# a boundary of each module that applies the count rule to an integer parameter
+COUNTS = {
+    "top_k k": lambda value: fedq.top_k(np.ones(3), value),
+    "RngStream seed": lambda value: fedq.RngStream(value),
+    "ExperimentConfig n_agents": lambda value: config(n_agents=value),
+    "CompressorSpec k": lambda value: fedq.CompressorSpec("top_k", k=value),
+    "seed_words seeds": lambda value: seed_words(value, [[0]]),
+}
+
+
+@pytest.mark.parametrize("boundary", COUNTS)
+@pytest.mark.parametrize("value", [np.array([1, 2]), np.array(2.0), np.zeros(0)],
+                         ids=["int array", "0-d float array", "empty array"])
+def test_count_rule_rejects_arrays_that_are_not_one_integer(boundary, value):
+    # operator.index raised numpy's raw TypeError on these
+    with pytest.raises(ParamOutOfRangeError, match="must be an integer"):
+        COUNTS[boundary](value)
+
+
+@pytest.mark.parametrize("boundary", COUNTS)
+@pytest.mark.parametrize("value", [np.array(2), np.int64(2), np.uint8(2)])
+def test_count_rule_passes_numpy_integer_scalars(boundary, value):
+    COUNTS[boundary](value)

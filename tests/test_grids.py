@@ -150,9 +150,11 @@ def test_every_deterministic_successor_is_reachable(map5x5_grid, map5x5_mdp):
                 assert dest == (s if target is None else target)
 
 
-def test_unknown_bundled_name():
-    with pytest.raises(KeyError):
-        fedq.map_path("map99x99")
+@pytest.mark.parametrize("name", ["map99x99", np.zeros(3)], ids=["unknown name", "array"])
+def test_unknown_bundled_name(name):
+    # an array name raised numpy's ambiguous-truth ValueError
+    with pytest.raises(KeyError, match="unknown bundled map"):
+        fedq.map_path(name)
 
 
 def test_build_memory_grows_with_table_not_kernel():

@@ -475,6 +475,13 @@ class TestInputFiles:
         with pytest.raises(error, match=re.escape(str(path))):
             read(path)
 
+    @pytest.mark.parametrize("read, error", INPUT_READERS)
+    @pytest.mark.parametrize("path", [np.zeros(2), None, 3], ids=["array", "None", "int"])
+    def test_path_of_another_type_raises_typed_error_naming_it(self, read, error, path):
+        # Path() raised a raw TypeError on these
+        with pytest.raises(error, match=re.escape(f"path must be a str or os.PathLike, got {path!r}")):
+            read(path)
+
     def test_malformed_manifest_json_names_path(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{nope")
