@@ -49,14 +49,19 @@ from .mdp import NoiseSpec, TabularMDP, synchronous_sample
 from .rng import RngStream
 
 __version__ = "0.1.0"
+_LAZY = {"harness", "RunManifest", "compute_qstar", "run_experiment"}  # names the harness's first use loads
 
 
 def __getattr__(name: str):
     # import_module, not `from . import harness`: that form's hasattr(fedq, "harness") re-enters this hook
-    if name in {"harness", "RunManifest", "compute_qstar", "run_experiment"}:
+    if name in _LAZY:
         harness = importlib.import_module(".harness", __name__)
         return harness if name == "harness" else getattr(harness, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _LAZY)  # lists the lazy names without loading the harness
 
 
 __all__ = [

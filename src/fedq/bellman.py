@@ -18,10 +18,10 @@ from .mdp import TabularMDP
 def state_values(q: np.ndarray) -> np.ndarray:
     """``max_a q[..., a]``: the state values of a table, or of a batch of tables.
 
-    A left-to-right ``np.maximum`` fold over the action axis.  It visits
-    the actions in the same order as ``q.max(axis=-1)`` and so returns the
-    same bits (signed zeros and infinities included), but it runs as A - 1
-    whole-array calls instead of one tiny reduction per state.
+    A left-to-right ``np.maximum`` fold over the action axis, in A - 1 whole-array
+    calls.  The fold is the contract: each entry has the bits of folding its row's
+    scalars in order with ``np.maximum``, signed zeros and infinities included, which
+    ``q.max(axis=-1)`` need not give: it settles ties by the kernel the CPU dispatches.
     """
     v = q[..., 0]
     for a in range(1, q.shape[-1]):

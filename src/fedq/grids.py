@@ -34,6 +34,7 @@ from .errors import (
     EmptyMapError,
     GoalCountError,
     MapFormatError,
+    ParamOutOfRangeError,
     RaggedRowsError,
     UnknownCharError,
     read_text,
@@ -110,7 +111,12 @@ def build_gridworld(grid: GridSpec, noise: NoiseSpec = NoiseSpec(), gamma: float
     as an (S * A, 1) successor table with probability 1; memory and time
     grow with S * A.  r_max is 1 + noise.clip so that every sampled reward
     magnitude is within the bound carried by the convergence analysis.
+    A ``grid`` or ``noise`` of another type (a map name, say) raises ``ParamOutOfRangeError``.
     """
+    if not isinstance(grid, GridSpec):
+        raise ParamOutOfRangeError(f"grid must be a GridSpec, such as load_map returns, got {grid!r}")
+    if not isinstance(noise, NoiseSpec):
+        raise ParamOutOfRangeError(f"noise must be a NoiseSpec, got {noise!r}")
     open_cells = np.array(grid.cells).reshape(grid.rows, grid.cols) != WALL
     rows, cols = np.nonzero(open_cells)  # row-major: state order
     states = np.arange(rows.size)

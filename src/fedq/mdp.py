@@ -58,7 +58,7 @@ class TabularMDP:
     gamma:
         Discount factor in (0, 1).
     noise:
-        Reward noise specification.
+        Reward noise specification, a :class:`NoiseSpec`.
     r_max:
         Bound on the mean reward magnitude, carried through the
         convergence-bound formulas.
@@ -93,6 +93,8 @@ class TabularMDP:
             )
         check_interval("gamma", gamma, 0, 1, error=InvalidGammaError)
         check_interval("r_max", r_max)
+        if not isinstance(noise, NoiseSpec):
+            raise ParamOutOfRangeError(f"noise must be a NoiseSpec, got {noise!r}")
         if not np.all(succ_p >= 0):
             raise ParamOutOfRangeError("succ_p must be non-negative")
         if not np.all(np.abs(succ_p.sum(axis=1) - 1.0) <= _ROW_SUM_TOL):

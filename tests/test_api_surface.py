@@ -24,6 +24,7 @@ def test_every_exported_name_resolves():
 LAZY_HARNESS = """
 import sys, fedq
 print(sorted(name for name in ("fedq.harness", "fedq.cli", "json") if name in sys.modules))
+print({"harness", "RunManifest", "compute_qstar", "run_experiment"} <= set(dir(fedq)), "fedq.harness" in sys.modules)
 print(fedq.harness.write_trace_csv.__name__)
 from fedq import RunManifest
 print(RunManifest is fedq.harness.RunManifest, fedq.run_experiment is fedq.harness.run_experiment)
@@ -41,7 +42,7 @@ def test_import_loads_the_harness_on_first_use():
     proc = subprocess.run([sys.executable, "-c", LAZY_HARNESS], env=env, capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "write_trace_csv", "True True", "AttributeError"]
+    assert proc.stdout.splitlines() == ["[]", "True False", "write_trace_csv", "True True", "AttributeError"]
 
 
 def test_readme_quick_start_runs():

@@ -8,6 +8,7 @@ from fedq.errors import (
     EmptyMapError,
     GoalCountError,
     InvalidGammaError,
+    ParamOutOfRangeError,
     RaggedRowsError,
     UnknownCharError,
 )
@@ -101,6 +102,17 @@ def test_build_invalid_gamma():
     for gamma in (0.0, 1.0, -0.3, 1.7):
         with pytest.raises(InvalidGammaError):
             fedq.build_gridworld(grid, gamma=gamma)
+
+
+def test_build_needs_a_grid_spec():
+    # a map name is read by load_map, not built
+    with pytest.raises(ParamOutOfRangeError, match="grid must be a GridSpec"):
+        fedq.build_gridworld("map5x5")
+
+
+def test_build_needs_a_noise_spec():
+    with pytest.raises(ParamOutOfRangeError, match="noise must be a NoiseSpec"):
+        fedq.build_gridworld(fedq.parse_map("G."), noise=None, gamma=0.8)
 
 
 def test_r_max_includes_noise_clip():

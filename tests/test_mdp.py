@@ -89,6 +89,11 @@ class TestTableValidation:
         with pytest.raises(ParamOutOfRangeError, match="r_max must be positive"):
             fedq.TabularMDP(*table_args(), gamma=0.8, r_max=r_max)
 
+    def test_noise_must_be_a_noise_spec(self):
+        # a (std, clip) tuple would otherwise be stored and fail only inside a run, on noise.std
+        with pytest.raises(ParamOutOfRangeError, match="noise must be a NoiseSpec"):
+            fedq.TabularMDP(*table_args(), gamma=0.8, noise=(0.5, 0.5))
+
 
 class TestDenseView:
     @pytest.mark.parametrize("seed", range(20))
