@@ -118,14 +118,15 @@ class ExperimentConfig:
 
 
 class RoundMetrics(NamedTuple):
-    """One trace row; its fields, in order, are the trace CSV columns.
+    """The trace's layout: its fields, in order, are the trace CSV columns.
 
-    A run keeps its trace as these columns (:attr:`RunResult.columns`), and
-    each field's type parses its column's cells back.  ``bits_round`` and
-    ``bits_cumulative`` are per-agent payload bits, averaged over agents
-    (agents differ only under random sparsification).  ``payload_entries``
-    counts stored (index, value) pairs summed over agents.  Row 0
-    describes the initial table before any communication.
+    It holds one value, column or list of cells per field: a trace row, a
+    run's trace (:attr:`RunResult.columns`) or the harness's cells.  Each
+    annotation is the row type that parses its column's cells back.
+    ``bits_round`` and ``bits_cumulative`` are per-agent payload bits,
+    averaged over agents (agents differ only under random sparsification).
+    ``payload_entries`` counts stored (index, value) pairs summed over
+    agents.  Row 0 describes the initial table before any communication.
     """
 
     round: int
@@ -140,13 +141,13 @@ class RoundMetrics(NamedTuple):
 class RunResult:
     """A run's trace, its final global table, its realized compressor constants and its wall time.
 
-    ``columns`` holds the trace as its six columns, in :class:`RoundMetrics`
-    field order, each with one value per trace row; the harness formats
-    each column once.  ``metrics`` is a read-only view that builds the
+    ``columns`` holds the trace as a :class:`RoundMetrics` of columns,
+    each with one value per trace row; the harness formats each column
+    once.  ``metrics`` is a read-only view that builds the
     :class:`RoundMetrics` rows from the columns on each access.
     """
 
-    columns: tuple
+    columns: RoundMetrics
     q_final: np.ndarray
     alpha_min: float | None = None  # smallest realized top_k contraction factor
     p_support_min: float | None = None  # smallest realized selection probability
@@ -483,8 +484,8 @@ def _run_group(configs: list[ExperimentConfig], mdp: TabularMDP, q_star: np.ndar
 
 
 def _trace(config: ExperimentConfig, d: int, entries: list[int], rmses: list[float],
-           linfs: list[float]) -> tuple:
-    """A run's trace columns from its kept entries per round and its errors per trace row.
+           linfs: list[float]) -> RoundMetrics:
+    """A run's :class:`RoundMetrics` of columns from its kept entries per round and its errors per trace row.
 
     Each round's uploads are priced as one total: the exact integer
     :func:`~fedq.bounds.payload_bits` of the round's I uploads, turned to
@@ -497,7 +498,8 @@ def _trace(config: ExperimentConfig, d: int, entries: list[int], rmses: list[flo
     price = {n: float(payload_bits(config.compressor.kind, d, n, config.fpp, n_agents)) / n_agents
              for n in set(entries)}
     bits = [0.0] + [price[n] for n in entries]
-    return range(len(rmses)), rmses, linfs, bits, list(itertools.accumulate(bits)), [0] + entries
+    return RoundMetrics(round=range(len(rmses)), rmse=rmses, linf_error=linfs, bits_round=bits,
+                        bits_cumulative=list(itertools.accumulate(bits)), payload_entries=[0] + entries)
 
 
 def _or_none(value: np.floating) -> float | None:

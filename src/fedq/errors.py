@@ -119,9 +119,10 @@ def check_interval(name: str, value, low: float = 0, high: float = math.inf, clo
 
 
 def check_budget(k, d: int, rows: int | None = None):
-    """The compression budget rule: k is an integer in [1, d], returned as a Python int, or, with
-    ``rows``, an (rows,) integer array of per-row budgets, each in [1, d], returned as is."""
-    if rows is None or not isinstance(k, np.ndarray):
+    """The compression budget rule: k is an integer in [1, d] (a 0-d integer array among them), returned
+    as a Python int, or, with ``rows``, an (rows,) integer array of per-row budgets, each in [1, d],
+    returned as int64 (uncopied if it is), so no caller computes with a budget in a narrower or unsigned dtype."""
+    if rows is None or not isinstance(k, np.ndarray) or k.ndim == 0:
         k = check_count("budget k", k, error=BudgetOutOfRangeError)
         if not 1 <= k <= d:
             raise BudgetOutOfRangeError(f"budget k={k} outside [1, d={d}]")
@@ -130,7 +131,7 @@ def check_budget(k, d: int, rows: int | None = None):
     ks = k.tolist() if k.shape == (rows,) and k.dtype.kind in "iu" else None
     if ks is None or rows and not (1 <= min(ks) and max(ks) <= d):
         raise BudgetOutOfRangeError(f"per-row budgets must be {rows} integers in [1, d={d}], got {k!r}")
-    return k
+    return k.astype(np.int64, copy=False)
 
 
 def _as_array(name: str, value, error: type[FedqError], dtype=None) -> np.ndarray:

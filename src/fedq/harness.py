@@ -270,31 +270,31 @@ def _overlay_bound(
         delta=delta,
         n_states=mdp.n_states,
         n_actions=mdp.n_actions,
-        q0_gap=result.columns[2][0],
+        q0_gap=result.columns.linf_error[0],
         **constants,
     )
     curve = direct_bound_curve if config.mode == DIRECT else error_feedback_bound_curve
     return curve(params)
 
 
-def write_overlay_csv(path: Path, cells: list[list[str]], bounds: list[float] | None) -> None:
-    """Per round t, the trace ``cells``' round and sup-norm error, and the bound at t (NaN if ``bounds`` is None)."""
-    bound_cells = list(map(repr, bounds)) if bounds else ["nan"] * (len(cells[0]) - 1)
-    _write_csv(path, "round,empirical_linf,theory_bound", [cells[0][1:], cells[2][1:], bound_cells])
+def write_overlay_csv(path: Path, cells: RoundMetrics, bounds: list[float] | None) -> None:
+    """Per round t, the trace ``cells``' round and linf_error, and the bound at t (NaN if ``bounds`` is None)."""
+    bound_cells = list(map(repr, bounds)) if bounds else ["nan"] * (len(cells.round) - 1)
+    _write_csv(path, "round,empirical_linf,theory_bound", [cells.round[1:], cells.linf_error[1:], bound_cells])
 
 
-def write_agg_csv(path: Path, results: list[RunResult], cells: list[list[list[str]]]) -> None:
+def write_agg_csv(path: Path, results: list[RunResult], cells: list[RoundMetrics]) -> None:
     """Across-seed band: per round, the seeds' mean, min and max RMSE and their mean cumulative bits.
 
     A mean is Python's left-to-right ``sum`` / n.  The min and max are the ``cells`` (each seed's
-    trace as :func:`_cells` formats it) of the seeds that Python's ``min`` and ``max`` pick.
+    :class:`RoundMetrics` of cells) of the seeds that Python's ``min`` and ``max`` pick.
     """
     seeds = range(len(results))
-    rmses = list(zip(*(result.columns[1] for result in results)))
+    rmses = list(zip(*(result.columns.rmse for result in results)))
     low, high = ([pick(seeds, key=row.__getitem__) for row in rmses] for pick in (min, max))
-    band = [cells[0][0], [repr(sum(row) / len(row)) for row in rmses],
-            [cells[s][1][t] for t, s in enumerate(low)], [cells[s][1][t] for t, s in enumerate(high)],
-            [repr(sum(row) / len(row)) for row in zip(*(result.columns[4] for result in results))]]
+    band = [cells[0].round, [repr(sum(row) / len(row)) for row in rmses],
+            [cells[s].rmse[t] for t, s in enumerate(low)], [cells[s].rmse[t] for t, s in enumerate(high)],
+            [repr(sum(row) / len(row)) for row in zip(*(result.columns.bits_cumulative for result in results))]]
     _write_csv(path, "round,rmse_mean,rmse_min,rmse_max,bits_cumulative_mean", band)
 
 
@@ -314,7 +314,7 @@ def _config_for(point: RunManifest, seed: int) -> ExperimentConfig:
     )
 
 
-def _write_run(point: RunManifest, config: ExperimentConfig, result: RunResult, cells: list[list[str]],
+def _write_run(point: RunManifest, config: ExperimentConfig, result: RunResult, cells: RoundMetrics,
                mdp: TabularMDP, out_dir: Path) -> Path:
     """Write one run's trace (its ``cells``), overlay and summary; on failure remove whichever of them exist."""
     seed = config.master_seed
@@ -325,7 +325,6 @@ def _write_run(point: RunManifest, config: ExperimentConfig, result: RunResult, 
     try:
         _write_csv(trace_path, TRACE_HEADER, cells)
         write_overlay_csv(overlay_path, cells, _overlay_bound(config, point.delta, mdp, result))
-        _, rmses, linfs, _, bits, entries = result.columns
         summary = {
             "slug": slug,
             "map": point.map,
@@ -333,10 +332,10 @@ def _write_run(point: RunManifest, config: ExperimentConfig, result: RunResult, 
                 **{name: getattr(point, name) for name in _SUMMARY_FIELDS},
                 "master_seed": seed,
             },
-            "final_rmse": rmses[-1],
-            "final_linf_error": linfs[-1],
-            "total_bits_per_agent": bits[-1],
-            "payload_entries_total": sum(entries),
+            "final_rmse": result.columns.rmse[-1],
+            "final_linf_error": result.columns.linf_error[-1],
+            "total_bits_per_agent": result.columns.bits_cumulative[-1],
+            "payload_entries_total": sum(result.columns.payload_entries),
             "runtime_seconds": result.seconds,
         }
         summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
@@ -373,7 +372,7 @@ def run_experiment(manifest: RunManifest) -> list[Path]:
     traces, aggs = [], []
     for j, point in enumerate(points):
         runs = slice(j * n_seeds, (j + 1) * n_seeds)
-        cells = [_cells(result.columns) for result in results[runs]]
+        cells = [RoundMetrics._make(_cells(result.columns)) for result in results[runs]]
         traces.extend(_write_run(point, config, result, run_cells, mdp, out_dir)
                       for config, result, run_cells in zip(configs[runs], results[runs], cells))
         if n_seeds > 1:

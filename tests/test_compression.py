@@ -551,6 +551,24 @@ class TestPerRowBudgets:
                 b = compress_batch(batch, spec, uniforms, np.full(6, k))
                 assert a.sent.tobytes() == b.sent.tobytes() and np.array_equal(a.kept, b.kept)
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32,
+                                       np.uint64])
+    def test_budgets_of_every_integer_dtype_give_the_int_budgets_bits(self, dtype):
+        # top_k computes d - k and d - k - 1 from the budgets: in a dtype narrower than d, or unsigned,
+        # they would overflow or wrap round to another column
+        batch = random_batch(np.random.default_rng(5), 3, 300, "rounded")
+        uniforms = np.random.default_rng(6).random(batch.shape)
+        for kind in ("top_k", "sparsified_k"):
+            spec = fedq.CompressorSpec(kind, 1)
+            for k in (k for k in (1, 5, 200, 300) if k <= np.iinfo(dtype).max):
+                want = compress_batch(batch, spec, uniforms, k)
+                for budgets in (np.full(3, k, dtype=dtype), np.array(k, dtype=dtype)):  # per row, and one 0-d
+                    got = compress_batch(batch, spec, uniforms, budgets)
+                    assert got.sent.tobytes() == want.sent.tobytes() and np.array_equal(got.kept, want.kept)
+                    for field in ("alpha", "p"):
+                        if getattr(want, field) is not None:
+                            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
     @pytest.mark.parametrize("kind", ["top_k", "sparsified_k"])
     @pytest.mark.parametrize("k", [0, 5, 2.5, True, np.array([1, 0, 2]), np.array([1, 5, 2]),
                                    np.array([1, 2]), np.array([1.0, 2.0, 3.0]), np.array([[1, 2, 3]]),

@@ -292,6 +292,12 @@ class TestRunFederated:
         assert first.round == 0 and first.bits_cumulative == 0.0
         assert first.rmse == fedq.rmse(np.zeros((25, 4)), map5x5_qstar)
 
+    def test_columns_are_named_by_the_trace_layout(self, map5x5_noisy, map5x5_qstar):
+        # RoundMetrics states the column order once: a run's columns are one, read by field name
+        result = fedq.run_federated(make_config(rounds=3), map5x5_noisy, map5x5_qstar)
+        assert type(result.columns) is fedq.RoundMetrics
+        assert list(result.columns.round) == [m.round for m in result.metrics] == [0, 1, 2, 3]
+
     def test_deterministic_given_seed(self, map5x5_noisy, map5x5_qstar):
         cfg = make_config(rounds=6, compressor=fedq.CompressorSpec("sparsified_k", k=5))
         a = fedq.run_federated(cfg, map5x5_noisy, map5x5_qstar)

@@ -175,9 +175,12 @@ def test_check_ids_passes_int64_uncopied():
 
 
 @pytest.mark.parametrize("k", [np.array([1, 4, 2]), np.array([1, 1, 1], dtype=np.uint8)])
-def test_check_budget_passes_per_row_budgets_as_they_are(k):
-    assert check_budget(k, 4, 3) is k
-    assert check_budget(3, 4, 3) == 3  # with rows, one int still names every row's budget
+def test_check_budget_returns_per_row_budgets_as_int64(k):
+    budgets = check_budget(k, 4, 3)
+    assert budgets.dtype == np.int64 and budgets.tolist() == k.tolist()
+    assert (budgets is k) == (k.dtype == np.int64)  # int64 budgets pass uncopied
+    # with rows, one int, or a 0-d integer array, still names every row's budget
+    assert check_budget(3, 4, 3) == 3 and type(check_budget(np.array(3, dtype=np.uint8), 4, 3)) is int
 
 
 # a boundary of each module that applies the count rule to an integer parameter

@@ -198,8 +198,9 @@ class TestRunExperiment:
         bits = [[0.0] * 3, [0.1, 0.2, 0.3], [1e16, 1.0, -1e16], [1.5, 2.5, 3.5], [7.0, 8.0, 9.0]]
         rmses, bits = ([row[::order] for row in rows] for rows in (rmses, bits))
         seeds = [(range(5), list(r), [0.0] * 5, [0.0] * 5, list(b), [0] * 5) for r, b in zip(zip(*rmses), zip(*bits))]
-        fedq.harness.write_agg_csv(tmp_path / "agg.csv", [fedq.RunResult(c, np.zeros((1, 1))) for c in seeds],
-                                   [fedq.harness._cells(c) for c in seeds])
+        fedq.harness.write_agg_csv(tmp_path / "agg.csv",
+                                   [fedq.RunResult(fedq.RoundMetrics(*c), np.zeros((1, 1))) for c in seeds],
+                                   [fedq.RoundMetrics._make(fedq.harness._cells(c)) for c in seeds])
         expected = [",".join(map(repr, (t, sum(r) / 3, min(r), max(r), sum(b) / 3)))
                     for t, (r, b) in enumerate(zip(rmses, bits))]
         lines = (tmp_path / "agg.csv").read_text().splitlines()
