@@ -61,7 +61,7 @@ def empirical_bellman(q: np.ndarray, next_states: np.ndarray, rewards: np.ndarra
         raise ShapeMismatchError(
             f"shapes differ: q {q.shape}, next_states {next_states.shape}, rewards {rewards.shape}"
         )
-    check_interval("gamma", gamma, 0, 1, error=InvalidGammaError)
+    gamma = check_interval("gamma", gamma, 0, 1, error=InvalidGammaError)
     v = state_values(q)
     # offset each table's next states into the flattened batch of state values
     index = next_states.reshape((-1,) + table) + np.arange(0, v.size, table[0]).reshape(-1, 1, 1)
@@ -78,7 +78,7 @@ def value_iteration(mdp: TabularMDP, tol: float = 1e-10, max_iter: int = 100_000
     contraction the true fixed-point error is at most
     ``tol * gamma / (1 - gamma)``.
     """
-    check_interval("tol", tol)
+    tol = check_interval("tol", tol)
     max_iter = check_count("max_iter", max_iter, 1)
     q = np.zeros((mdp.n_states, mdp.n_actions))
     for _ in range(max_iter):

@@ -27,7 +27,8 @@ class BoundParams:
     ``q2``/``q_inf`` characterize an unbiased compressor (zero for the
     identity), ``alpha`` a biased one (one for the identity).
     ``q0_gap`` is the sup-norm distance of the initial table from the
-    fixed point, computed exactly from the oracle.
+    fixed point, computed exactly from the oracle.  Each count is kept as a
+    Python int and each real as a Python float, whatever numeric type was passed.
     """
 
     beta: float
@@ -46,18 +47,17 @@ class BoundParams:
 
     def __post_init__(self) -> None:
         for name, closed in (("beta", "(]"), ("eta", "(]"), ("alpha", "(]"), ("delta", "()")):
-            check_interval(name, getattr(self, name), 0, 1, closed)
-        check_interval("gamma", self.gamma, 0, 1, error=InvalidGammaError)
+            object.__setattr__(self, name, check_interval(name, getattr(self, name), 0, 1, closed))
+        object.__setattr__(self, "gamma", check_interval("gamma", self.gamma, 0, 1, error=InvalidGammaError))
         for name in ("local_epochs", "rounds", "n_agents", "n_states", "n_actions"):
             object.__setattr__(self, name, check_count(name, getattr(self, name), 1))
         for name in ("q2", "q_inf", "q0_gap"):
-            check_interval(name, getattr(self, name), closed="[)")
+            object.__setattr__(self, name, check_interval(name, getattr(self, name), closed="[)"))
 
 
 def decay_factor(beta: float, eta: float, local_epochs: int) -> float:
     """Per-round linear contraction factor ``1 - beta + beta (1-eta)^K``."""
-    check_interval("beta", beta, 0, 1, "(]")
-    check_interval("eta", eta, 0, 1, "(]")
+    beta, eta = check_interval("beta", beta, 0, 1, "(]"), check_interval("eta", eta, 0, 1, "(]")
     return 1.0 - beta + beta * (1.0 - eta) ** check_count("local_epochs", local_epochs, 1)
 
 

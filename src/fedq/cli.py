@@ -10,9 +10,9 @@ Subcommands::
 declare sweep axes); ``sweep`` expands the axes into a grid.  The output
 root falls back to the FEDQ_OUTPUT_ROOT environment variable and then to
 ``./runs``.  Exit codes: 0 success, 1 runtime error, 2 configuration
-error: a manifest or map that is missing, unreadable or malformed, or a
-parameter out of range.  Configuration errors are found before any
-output is written.
+error: a manifest or map that is missing, unreadable or malformed, a
+parameter out of range, or an output directory that cannot be created.
+Configuration errors are found before any output is written.
 """
 from __future__ import annotations
 

@@ -76,7 +76,8 @@ def _arm(config: ExperimentConfig) -> tuple:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """All hyperparameters of one federated run, including the payload accounting's bits per value."""
+    """All hyperparameters of one federated run, including the payload accounting's bits per value;
+    each count is kept as a Python int and each real as a Python float, whatever numeric type was passed."""
 
     n_agents: int
     local_epochs: int
@@ -97,10 +98,11 @@ class ExperimentConfig:
         for name, low, high in (("n_agents", 1, ID_LIMIT), ("local_epochs", 1, ID_LIMIT - 1),
                                 ("rounds", 1, ID_LIMIT), ("fpp", 1, math.inf), ("master_seed", 0, math.inf)):
             object.__setattr__(self, name, check_count(name, getattr(self, name), low, high))
-        check_interval("eta", self.eta, 0, 1, "(]")
-        check_interval("beta", self.beta, 0, 1, "(]")
-        check_interval("gamma", self.gamma, 0, 1, error=InvalidGammaError)
-        check_interval("q0", self.q0, -math.inf, math.inf)  # finite; check_against bounds |q0|
+        for name, closed in (("eta", "(]"), ("beta", "(]")):
+            object.__setattr__(self, name, check_interval(name, getattr(self, name), 0, 1, closed))
+        object.__setattr__(self, "gamma", check_interval("gamma", self.gamma, 0, 1, error=InvalidGammaError))
+        # finite; check_against bounds |q0|
+        object.__setattr__(self, "q0", check_interval("q0", self.q0, -math.inf, math.inf))
         if self.mode is None:
             object.__setattr__(self, "mode", DEFAULT_MODE[self.compressor.kind])
         elif self.mode not in MODES:

@@ -99,18 +99,22 @@ def check_count(name: str, value, low: int = 0, high: float = math.inf,
 
 def check_interval(name: str, value, low: float = 0, high: float = math.inf, closed: str = "()",
                    error: type[ParamOutOfRangeError] = ParamOutOfRangeError) -> float:
-    """``value`` if it lies in the real interval from ``low`` to ``high``, else raise ``error``.
+    """``value`` as a Python float if it lies in the real interval from ``low`` to ``high``, else raise ``error``.
 
-    ``closed`` holds the interval's brackets, e.g. ``"(]"`` for (low, high].
-    Only real scalars lie in an interval: bools, arrays and other
-    non-numbers raise ``error``, as does NaN, and an open infinite end admits
-    no infinity: the default (0, inf) holds exactly the positive finite reals.
+    ``closed`` holds the interval's brackets, e.g. ``"(]"`` for (low, high].  Only real scalars lie in an
+    interval: bools, arrays and other non-numbers raise ``error``, as do NaN and a real too large for a float
+    (``10**400``).  The float is compared, so an open infinite end admits no infinity: the default (0, inf)
+    holds exactly the positive finite floats.  Every message shows ``value`` as it was passed.
     """
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise error(f"{name} must be a real number, got {value!r}")
-    if (low < value if closed[0] == "(" else low <= value) and (
-            value < high if closed[1] == ")" else value <= high):
-        return value
+    try:
+        real = float(value)
+    except OverflowError:  # an int or Fraction past the float range
+        raise error(f"{name} must be a real number a float can hold, got {value!r}") from None
+    if (low < real if closed[0] == "(" else low <= real) and (
+            real < high if closed[1] == ")" else real <= high):
+        return real
     if low == 0 and high == math.inf:
         rule = f"be {'positive' if closed[0] == '(' else 'non-negative'} and finite"
     else:

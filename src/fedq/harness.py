@@ -167,6 +167,15 @@ def output_root(directory: str | Path | None = None) -> Path:
     return Path(env) if env else Path("runs")
 
 
+def _make_dir(path: Path) -> Path:
+    """``path``, created with its parents; one that cannot be created raises ParamOutOfRangeError naming it."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # an existing file, a path under one, no permission
+        raise ParamOutOfRangeError(f"cannot create output directory {path}: {exc.strerror}") from exc
+    return path
+
+
 def load_environment(manifest: RunManifest) -> TabularMDP:
     grid = load_map(manifest.map)
     noise = NoiseSpec(std=manifest.noise_std, clip=manifest.noise_clip)
@@ -184,8 +193,7 @@ def compute_qstar(map_ref: str, gamma: float, tol: float, out_dir: str | Path) -
     writes nothing.
     """
     q_star = value_iteration(build_gridworld(load_map(map_ref), gamma=gamma), tol=tol)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_dir(Path(out_dir))
     name = _map_name(map_ref)
     q_path = out_dir / f"{name}_qstar.csv"
     p_path = out_dir / f"{name}_policy.csv"
@@ -366,8 +374,7 @@ def run_experiment(manifest: RunManifest) -> list[Path]:
     mdp = load_environment(manifest)
     q_star = value_iteration(mdp, tol=manifest.qstar_tol)
     results = run_federated_batch(configs, mdp, q_star)
-    out_dir = output_root(manifest.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_dir(output_root(manifest.output_dir))
 
     traces, aggs = [], []
     for j, point in enumerate(points):

@@ -31,14 +31,15 @@ class NoiseSpec:
     """Additive reward noise: ``clip(N(0, std^2), -clip, +clip)``.
 
     ``std == 0`` means noiseless rewards; the draw is skipped entirely.
+    Both are kept as Python floats, whatever numeric type was passed.
     """
 
     std: float = 0.0
     clip: float = 0.0
 
     def __post_init__(self) -> None:
-        check_interval("noise std", self.std, closed="[)")
-        check_interval("noise clip", self.clip, closed="[)")
+        object.__setattr__(self, "std", check_interval("noise std", self.std, closed="[)"))
+        object.__setattr__(self, "clip", check_interval("noise clip", self.clip, closed="[)"))
 
 
 class TabularMDP:
@@ -56,7 +57,7 @@ class TabularMDP:
     reward_mean:
         Array of shape (S, A) with ``|reward_mean| <= r_max`` everywhere.
     gamma:
-        Discount factor in (0, 1).
+        Discount factor in (0, 1), kept as a Python float, as is ``r_max``.
     noise:
         Reward noise specification, a :class:`NoiseSpec`.
     r_max:
@@ -91,8 +92,7 @@ class TabularMDP:
                 f"succ and succ_p must both have shape (S * A, w) with S * A = {reward_mean.size} >= 1 "
                 f"and w >= 1; got {succ.shape} and {succ_p.shape}"
             )
-        check_interval("gamma", gamma, 0, 1, error=InvalidGammaError)
-        check_interval("r_max", r_max)
+        gamma, r_max = check_interval("gamma", gamma, 0, 1, error=InvalidGammaError), check_interval("r_max", r_max)
         if not isinstance(noise, NoiseSpec):
             raise ParamOutOfRangeError(f"noise must be a NoiseSpec, got {noise!r}")
         if not np.all(succ_p >= 0):
@@ -102,12 +102,11 @@ class TabularMDP:
         if not np.all(np.abs(reward_mean) <= r_max):
             raise ParamOutOfRangeError("|reward_mean| must not exceed r_max")
 
-        self.n_states = int(n_states)
-        self.n_actions = int(n_actions)
+        self.n_states, self.n_actions = n_states, n_actions
         self.reward_mean = reward_mean.copy()
-        self.gamma = float(gamma)
+        self.gamma = gamma
         self.noise = noise
-        self.r_max = float(r_max)
+        self.r_max = r_max
 
         width = succ.shape[1]
         self.succ = succ.copy()

@@ -1,9 +1,39 @@
 import csv
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fedq
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_python(args: list[str], work_dir, **env) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter working in ``work_dir``, its output captured as text.
+
+    The child has the repository root and ``src`` on ``PYTHONPATH``,
+    bytecode writing off, ``TMPDIR`` and ``FEDQ_OUTPUT_ROOT`` under
+    ``work_dir``, and the variables of ``env`` on top; a None value unsets one.
+    """
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "TMPDIR": str(work_dir),
+           "FEDQ_OUTPUT_ROOT": str(Path(work_dir) / "runs"), **env,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT), str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], cwd=work_dir, capture_output=True, text=True, timeout=600,
+                          env={name: value for name, value in env.items() if value is not None})
+
+
+def load_workloads():
+    """``bench/workloads.py`` as module ``bench_workloads``, loaded from its path in a :func:`run_python`
+    child, which writes no bytecode, so the benchmark's directory is only read."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 @pytest.fixture(scope="session")

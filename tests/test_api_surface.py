@@ -3,16 +3,12 @@ import ast
 import dataclasses
 import itertools
 import json
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import fedq
 import fedq.cli
+from tests.conftest import ROOT, run_python
 
-ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
 
 
@@ -35,12 +31,9 @@ except AttributeError as exc:
 """
 
 
-def test_import_loads_the_harness_on_first_use():
+def test_import_loads_the_harness_on_first_use(tmp_path):
     # a run needs no manifest, CSV or JSON code, so `import fedq` leaves it for the first harness name read
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", LAZY_HARNESS], env=env, capture_output=True, text=True,
-                          timeout=60)
+    proc = run_python(["-c", LAZY_HARNESS], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "True False", "write_trace_csv", "True True", "AttributeError"]
 
@@ -124,10 +117,11 @@ def test_modules_share_no_private_names():
     assert found == []
 
 
-def test_only_read_text_catches_file_errors():
-    # every input file goes through fedq.errors.read_text, which raises the caller's typed error
-    file_errors = {"OSError", "FileNotFoundError", "IsADirectoryError", "PermissionError",
-                   "UnicodeError", "UnicodeDecodeError"}
+def test_only_read_text_and_make_dir_catch_file_errors():
+    # every input file goes through fedq.errors.read_text, which raises the caller's typed error, and
+    # every output directory through harness._make_dir, which raises ParamOutOfRangeError
+    file_errors = {"OSError", "FileNotFoundError", "IsADirectoryError", "PermissionError", "FileExistsError",
+                   "NotADirectoryError", "UnicodeError", "UnicodeDecodeError"}
     found = set()
     for path in sorted((ROOT / "src" / "fedq").glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -136,7 +130,7 @@ def test_only_read_text_catches_file_errors():
                     caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
                     if file_errors & {getattr(c, "id", None) for c in caught}:
                         found.add(f"{path.name}:{getattr(top, 'name', node.lineno)}")
-    assert found == {"errors.py:read_text"}
+    assert found == {"errors.py:read_text", "harness.py:_make_dir"}
 
 
 def test_only_errors_coerces_arrays_to_a_dtype():

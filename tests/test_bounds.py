@@ -222,7 +222,7 @@ class TestPayloadBits:
             fedq.payload_bits(*args)
 
 
-def test_numpy_integers_count_as_python_ints():
+def test_numpy_scalars_count_as_python_numbers():
     assert fedq.payload_bits("top_k", np.int64(484), np.int32(50), np.uint8(32)) == 2050
     assert fedq.decay_factor(0.8, 0.01, np.int64(10)) == fedq.decay_factor(0.8, 0.01, 10)
     counts = dict(local_epochs=2, rounds=100, n_agents=10, n_states=25, n_actions=4)
@@ -230,6 +230,17 @@ def test_numpy_integers_count_as_python_ints():
     assert p_numpy == params(**counts)
     assert fedq.direct_bound(p_numpy) == fedq.direct_bound(params(**counts))
     assert fedq.error_feedback_bound(p_numpy) == fedq.error_feedback_bound(params(**counts))
+    # a float32 eta gave np.float32(410.67062) for the direct bound, where its float gives 410.6707183468999
+    eta, base = np.float32(0.1), dict(beta=0.8, gamma=0.8, local_epochs=2, rounds=5, n_agents=3, delta=0.05,
+                                      n_states=25, n_actions=4)
+    p_numpy, p_float = fedq.BoundParams(eta=eta, **base), fedq.BoundParams(eta=float(eta), **base)
+    assert type(fedq.decay_factor(0.8, eta, 2)) is float
+    assert fedq.decay_factor(0.8, eta, 2) == fedq.decay_factor(0.8, float(eta), 2)
+    for evaluate in (fedq.direct_bound, fedq.error_feedback_bound):
+        assert type(evaluate(p_numpy)) is float
+        assert evaluate(p_numpy) == evaluate(p_float)
+    for curve in (fedq.direct_bound_curve, fedq.error_feedback_bound_curve):
+        assert [(type(b), b) for b in curve(p_numpy)] == [(float, b) for b in curve(p_float)]
 
 
 class TestAlphaTrace:

@@ -6,29 +6,38 @@ fresh interpreter whose environment alone sets
 ``NPY_DISABLE_CPU_FEATURES`` to the dispatch targets above the level:
 every target at numpy's X86_V2 baseline, those above X86_V3 at X86_V3.
 The pins are ``test_sweep_bytes_pinned``, ``test_qstar_bytes_pinned``,
-``test_seeding_in_bounded_blocks`` (its ``q_final`` SHA-256) and seed 3
-of each ``bench/reference.json`` digest, computed by the workloads of
+``test_seeding_in_bounded_blocks`` (its ``q_final`` SHA-256), the test
+that pins each dispatch-sensitive numpy call on the output path (the
+README's table under "Bytes at every dispatch level") and seed 3 of each
+``bench/reference.json`` digest, computed by the workloads of
 ``bench/workloads.py``, imported read-only.  The child writes no
 bytecode and every output under ``tmp_path``.
 """
-import importlib.util
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
+from tests.conftest import ROOT, load_workloads, run_python
+
 umath = pytest.importorskip("numpy._core._multiarray_umath")  # numpy 2's dispatch names
 
-ROOT = Path(__file__).resolve().parent.parent
 TESTS = ROOT / "tests"
-PINS = [
-    f"{TESTS / 'test_harness.py'}::TestRunExperiment::test_sweep_bytes_pinned",
-    f"{TESTS / 'test_harness.py'}::TestQstar::test_qstar_bytes_pinned",
-    f"{TESTS / 'test_engine.py'}::TestRunFederated::test_seeding_in_bounded_blocks",
-]
+PINS = [f"{TESTS / name}" for name in (
+    "test_harness.py::TestRunExperiment::test_sweep_bytes_pinned",
+    "test_harness.py::TestQstar::test_qstar_bytes_pinned",
+    "test_engine.py::TestRunFederated::test_seeding_in_bounded_blocks",
+    # the pin of each dispatch-sensitive numpy call on the output path (README, "Bytes at every dispatch level")
+    "test_bellman.py::TestStateValues",
+    "test_engine.py::test_batched_errors_keep_nan_inf_and_signed_zero_bits",
+    "test_engine.py::TestAggregate::test_scatter_add_matches_densify_and_add",
+    "test_compression.py::TestTopKMatchesStableSort",
+    "test_compression.py::TestContractionAlpha",
+    "test_engine.py::test_batched_round_matches_per_agent_reference[top_k-error_feedback-3-3-True-1.5]",
+    "test_engine.py::test_batched_round_matches_per_agent_reference[sparsified_l1-direct-3-3-True-1.5]",
+    "test_mdp.py::TestSynchronousSample::test_batch_rows_match_direct_generator_draws",
+    "test_mdp.py::TestSampleReward::test_negative_zero_draw_gives_positive_zero_noise",
+)]
 DIGEST_SEED = 3
 
 
@@ -52,9 +61,7 @@ def rerun_pins(work_dir: str, disabled: list[str]) -> int:
     work_dir = Path(work_dir)
     code = pytest.main([*PINS, "-q", "-p", "no:cacheprovider", "-c", str(ROOT / "pyproject.toml"),
                         "--rootdir", str(ROOT), "--basetemp", str(work_dir / "pytest")])
-    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
-    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = load_workloads()
     reference = json.loads((ROOT / "bench" / "reference.json").read_text())
     for workload in workloads.WORKLOADS.values():
         unit_dir = work_dir / workload.name
@@ -75,11 +82,7 @@ def test_byte_pins_hold_at_dispatch_level(level, tmp_path):
     disabled = disabled_above(level)
     if disabled is None:
         pytest.skip(f"numpy on this CPU cannot run at {level}")
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(disabled), PYTHONDONTWRITEBYTECODE="1",
-               TMPDIR=str(tmp_path), FEDQ_OUTPUT_ROOT=str(tmp_path / "runs"))
-    env.pop("NPY_ENABLE_CPU_FEATURES", None)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT), str(ROOT / "src"), env.get("PYTHONPATH")]))
     code = "import sys, tests.test_dispatch as t; sys.exit(t.rerun_pins(sys.argv[1], sys.argv[2:]))"
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path), *disabled], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=600)
+    proc = run_python(["-c", code, str(tmp_path), *disabled], tmp_path,
+                      NPY_DISABLE_CPU_FEATURES=" ".join(disabled), NPY_ENABLE_CPU_FEATURES=None)
     assert proc.returncode == 0, proc.stdout + proc.stderr

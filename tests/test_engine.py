@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -220,14 +221,28 @@ class TestConfigValidation:
         with pytest.raises(ParamOutOfRangeError, match="compressor must be a CompressorSpec"):
             make_config(compressor=compressor)
 
-    def test_numpy_integers_accepted(self, map5x5_noisy, map5x5_qstar):
+    def test_numpy_scalars_accepted(self, map5x5_noisy, map5x5_qstar):
+        # numpy integers run as their ints, and numpy floats as their floats, not in float32 or float16
         counts = dict(n_agents=3, local_epochs=2, rounds=4, master_seed=11, fpp=16)
+        reals = dict(eta=np.float32(0.1), beta=np.float16(0.7), q0=np.float32(0.3))
         spec = fedq.CompressorSpec("sparsified_k", 5)
+        as_python = make_config(compressor=spec, **counts, **{name: float(v) for name, v in reals.items()})
         as_numpy = make_config(compressor=fedq.CompressorSpec("sparsified_k", np.int64(5)),
-                               **{name: np.uint32(v) for name, v in counts.items()})
-        assert as_numpy == make_config(compressor=spec, **counts)
+                               **{name: np.uint32(v) for name, v in counts.items()}, **reals)
+        assert as_numpy == as_python
+        assert all(type(getattr(as_numpy, name)) is float for name in reals)
         a = fedq.run_federated(as_numpy, map5x5_noisy, map5x5_qstar)
-        b = fedq.run_federated(make_config(compressor=spec, **counts), map5x5_noisy, map5x5_qstar)
+        b = fedq.run_federated(as_python, map5x5_noisy, map5x5_qstar)
+        assert a.metrics == b.metrics
+        assert a.q_final.tobytes() == b.q_final.tobytes()
+
+    @pytest.mark.parametrize("eta", [np.float32(0.1), np.float16(0.1), Fraction(1, 10)],
+                             ids=["float32", "float16", "Fraction"])
+    def test_eta_of_any_real_type_runs_as_its_float(self, eta, map5x5_noisy, map5x5_qstar):
+        # a numpy eta took 1 - eta in its own precision, and a Fraction raised numpy's UFuncTypeError
+        base = dict(n_agents=3, local_epochs=2, rounds=5, beta=0.8, compressor=fedq.CompressorSpec("top_k", 5))
+        a = fedq.run_federated(make_config(eta=eta, **base), map5x5_noisy, map5x5_qstar)
+        b = fedq.run_federated(make_config(eta=float(eta), **base), map5x5_noisy, map5x5_qstar)
         assert a.metrics == b.metrics
         assert a.q_final.tobytes() == b.q_final.tobytes()
 
@@ -697,6 +712,15 @@ class TestRunFederatedBatch:
         assert results[0].seconds == results[1].seconds > 0  # the batch's wall time, split evenly
         for cfg, batched in zip(configs, results):
             assert_same_run(batched, fedq.run_federated(cfg, map5x5_noisy, map5x5_qstar))
+
+    def test_equal_etas_of_two_types_keep_their_lone_bits(self, map5x5_noisy, map5x5_qstar, run_groups):
+        # the two etas compare equal and share one eta block, which damped both runs in float32
+        base = dict(n_agents=3, local_epochs=2, rounds=5, beta=0.8, compressor=fedq.CompressorSpec("top_k", 5))
+        configs = [make_config(eta=np.float32(0.1), master_seed=1, **base),
+                   make_config(eta=float(np.float32(0.1)), master_seed=2, **base)]
+        results = fedq.run_federated_batch(configs, map5x5_noisy, map5x5_qstar)
+        assert run_groups == [[1, 2]]
+        assert_same_run(results[1], fedq.run_federated(configs[1], map5x5_noisy, map5x5_qstar))
 
     def test_configs_of_one_shape_batch_in_any_order(self, map5x5_noisy, map5x5_qstar, run_groups):
         # I = 2, 3, 2: the two I = 2 runs share a batch across the I = 3 run between them

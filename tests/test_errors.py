@@ -1,5 +1,7 @@
 """The range rules of ``fedq.errors`` raise one typed error at every boundary that applies them."""
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 import fedq
 from fedq.compression import compress_batch
 from fedq.errors import (DimensionMismatchError, FedqError, InvalidGammaError, ParamOutOfRangeError,
-                         ShapeMismatchError, check_array, check_budget, check_ids)
+                         ShapeMismatchError, check_array, check_budget, check_ids, check_interval)
 from fedq.rng import generators, seed_words, skip_words
 from tests.conftest import dense_mdp
 
@@ -53,6 +55,62 @@ def test_gamma_rule_raises_one_error(build, gamma):
     with pytest.raises(InvalidGammaError, match="gamma"):
         build(gamma)
     build(0.8)
+
+
+# exact binary fractions, so each cast below holds the same real
+REALS = dict(eta=0.5, beta=1.0, alpha=0.25, delta=0.125, gamma=0.75, q2=3.0, q_inf=3.0, q0_gap=2.5, q0=-2.0,
+             std=0.5, clip=1.0, r_max=1.5)
+CASTS = {"float16": np.float16, "float32": np.float32, "float64": np.float64, "Fraction": Fraction,
+         "int": lambda value: int(value) if value.is_integer() else Fraction(value)}
+
+
+@pytest.mark.parametrize("cast", CASTS.values(), ids=CASTS)
+def test_records_keep_each_real_as_a_python_float(cast):
+    # the record computes with what check_interval returns, whatever numeric type was passed
+    reals = {name: cast(value) for name, value in REALS.items()}
+    records = {
+        "eta beta gamma q0": config(**{name: reals[name] for name in ("eta", "beta", "gamma", "q0")}),
+        "eta beta alpha delta gamma q2 q_inf q0_gap": bound_params(
+            **{name: reals[name] for name in ("eta", "beta", "alpha", "delta", "gamma", "q2", "q_inf", "q0_gap")}),
+        "std clip": fedq.NoiseSpec(std=reals["std"], clip=reals["clip"]),
+        "gamma r_max": dense_mdp(np.ones((1, 1, 1)), np.array([[0.0]]), gamma=reals["gamma"], r_max=reals["r_max"]),
+    }
+    kept = {(type(record).__name__, name): getattr(record, name)
+            for names, record in records.items() for name in names.split()}
+    assert {key: (type(value), value) for key, value in kept.items()} == {
+        (record, name): (float, REALS[name]) for record, name in kept}
+
+
+@pytest.mark.parametrize("build", [
+    lambda value: config(q0=value),
+    lambda value: bound_params(q0_gap=value),
+    lambda value: fedq.NoiseSpec(clip=value),
+    lambda value: dense_mdp(np.ones((1, 1, 1)), np.array([[0.0]]), gamma=0.8, r_max=value),
+    lambda value: fedq.value_iteration(fedq.build_gridworld(fedq.parse_map("G."), gamma=0.8), tol=value),
+], ids=["ExperimentConfig q0", "BoundParams q0_gap", "NoiseSpec clip", "TabularMDP r_max", "value_iteration tol"])
+@pytest.mark.parametrize("value", [10**400, -10**400, Fraction(10**400, 3)], ids=["int", "negative int", "Fraction"])
+def test_interval_rule_rejects_reals_past_the_float_range(build, value):
+    # each was compared exactly and accepted, then overflowed in the first float operation
+    with pytest.raises(ParamOutOfRangeError, match=re.escape(f"a float can hold, got {value!r}")):
+        build(value)
+
+
+@pytest.mark.parametrize("value, message", [
+    (np.float32(1.5), "eta must lie in (0, 1], got np.float32(1.5)"),
+    (Fraction(3, 2), "eta must lie in (0, 1], got Fraction(3, 2)"),
+    (np.float64("nan"), "eta must lie in (0, 1], got np.float64(nan)"),
+])
+def test_interval_messages_show_the_value_as_passed(value, message):
+    with pytest.raises(ParamOutOfRangeError) as exc:
+        check_interval("eta", value, 0, 1, "(]")
+    assert str(exc.value) == message
+
+
+def test_interval_rule_compares_the_float():
+    # a Fraction just below 1 is the float 1.0, which the open interval does not hold
+    with pytest.raises(InvalidGammaError):
+        config(gamma=Fraction(10**20 - 1, 10**20))
+    assert check_interval("gamma", Fraction(4, 5), 0, 1) == 0.8
 
 
 def top1(kind="top_k"):

@@ -574,6 +574,23 @@ class TestCli:
         assert [Path(p).parent.name for p in printed] == ["other", "other", "own"]
         assert fedq.cli.build_parser() is fedq.cli.build_parser()
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "qstar"])
+    @pytest.mark.parametrize("under", [False, True], ids=["on a file", "under a file"])
+    def test_output_dir_that_cannot_be_created_exits_2(self, tmp_path, capsys, command, under):
+        # Path.mkdir raised FileExistsError or NotADirectoryError, after every run was computed
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept")
+        out = blocker / "out" if under else blocker
+        args = (["qstar", "map5x5", "--gamma", "0.8", "--output-dir", str(out)] if command == "qstar"
+                else [command, str(self._write_manifest(tmp_path, output_dir=str(out)))])
+        before = sorted(tmp_path.rglob("*"))
+        assert cli_main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"fedq: configuration error: cannot create output directory {out}: ")
+        assert err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*")) == before
+        assert blocker.read_text() == "kept"
+
     def test_runtime_error_exits_1(self, tmp_path, monkeypatch, capsys):
         def broken(manifest):
             raise NotConvergedError("value iteration did not converge")

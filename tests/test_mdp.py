@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy import stats
 
 import fedq
 from fedq.errors import ParamOutOfRangeError
@@ -410,6 +409,7 @@ class TestStreamIndependence:
             a1 = fedq.synchronous_sample(mdp, g1)[0][0, 0]
             cells[a0, a1] += 1
         statistic = float(((cells - n / 4) ** 2 / (n / 4)).sum())
+        from scipy import stats  # about 1 s to import, paid by this test alone
         critical = stats.chi2.ppf(0.99, df=3)
         assert statistic < critical
 

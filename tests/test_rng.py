@@ -1,17 +1,11 @@
 """Bulk stream seeding: seed_words reproduces numpy's SeedSequence bit for bit."""
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 import fedq
 from fedq.errors import ParamOutOfRangeError, ShapeMismatchError
 from fedq.rng import ID_LIMIT, generators, seed_words, skip_words
-
-ROOT = Path(__file__).resolve().parent.parent
+from tests.conftest import run_python
 
 # one to five uint32 words, with the word boundaries
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**64 + 12345, 2**96 + 7, 2**128 + 3, 2**150 - 1]
@@ -197,12 +191,8 @@ class TestStreamIds:
         assert stream.generator().random() == numpy_generator(2**64 + 1, (ID_LIMIT - 1,)).random()
 
 
-def test_import_leaves_numpy_random_unloaded():
+def test_import_leaves_numpy_random_unloaded(tmp_path):
     # building a generator imports numpy.random; importing fedq must not
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    code = "import numpy, sys, fedq; print('numpy.random' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=60)
+    proc = run_python(["-c", "import numpy, sys, fedq; print('numpy.random' in sys.modules)"], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

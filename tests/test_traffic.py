@@ -17,19 +17,18 @@ it stays.
 """
 import ast
 import contextlib
-import importlib.util
 import io
 import itertools
 import json
 import os
 import runpy
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from tests.conftest import ROOT, load_workloads, run_python
+
 PACKAGE = ROOT / "src" / "fedq"
 README = ROOT / "README.md"
 
@@ -107,9 +106,7 @@ def trace_traffic(work_dir: str) -> None:
 
     if Path(fedq.__file__).resolve().parent != PACKAGE:
         raise ImportError(f"fedq was imported from {fedq.__file__}, not from {PACKAGE}")
-    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
-    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = load_workloads()
     work_dir, prepared = Path(work_dir), []
 
     def traffic():
@@ -182,12 +179,8 @@ def _unreached(reached: set[tuple[str, int]]) -> dict[str, list[int]]:
 @pytest.fixture(scope="module")
 def reach(tmp_path_factory) -> dict[str, set[tuple[str, int]]]:
     work_dir = tmp_path_factory.mktemp("traffic")
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", TMPDIR=str(work_dir),
-               FEDQ_OUTPUT_ROOT=str(work_dir / "runs"))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT), str(ROOT / "src"), env.get("PYTHONPATH")]))
-    code = "import sys, tests.test_traffic as t; t.trace_traffic(sys.argv[1])"
-    proc = subprocess.run([sys.executable, "-c", code, str(work_dir)], cwd=work_dir, env=env,
-                          capture_output=True, text=True, timeout=600)
+    proc = run_python(["-c", "import sys, tests.test_traffic as t; t.trace_traffic(sys.argv[1])", str(work_dir)],
+                      work_dir)
     assert proc.returncode == 0, proc.stderr
     return {name: set(map(tuple, lines)) for name, lines in json.loads(proc.stdout).items()}
 
